@@ -110,6 +110,43 @@ def _pair_key(prefix: str, i: int, j: int) -> str:
     return f"{prefix}_{i + 1}_{j + 1}"
 
 
+# Keys each config section accepts besides the per-edge ones (`d_i_j`,
+# `a_i_j`) and the `est_i_j` estimates; manifest-only sections are skipped.
+_SECTION_KEYS = {
+    "graph": {"agents", "edges"},
+    "distances": {"default"},
+    "controller": {"variant", "sharing", "default"},
+    "noise": {"process_position_psd", "process_heading_psd", "meas_distance_var",
+              "meas_heading_var", "measurement_noise"},
+    "init": {"offset_bound", "spawn_box", "min_separation", "initial_var", "positions"},
+    "sim": {"dt", "duration", "seed", "estimator_enabled"},
+    "thresholds": {"dist_tol", "est_tol", "speed_tol", "centroid_tol", "error_floor",
+                   "window_frac"},
+}
+_MANIFEST_SECTIONS = ("artifact", "result")
+
+
+def _reject_unknown(ini: configparser.ConfigParser, path: Path, graph: Graph) -> None:
+    """Raise ConfigError at the first section or key the loader would ignore."""
+    if ini.defaults():
+        raise ConfigError(f"{_line_of(path, 'DEFAULT')}: unknown section [DEFAULT]")
+    edge_keys = {
+        "distances": {_pair_key("d", t, h) for t, h in graph.edges},
+        "controller": {_pair_key("a", t, h) for t, h in graph.edges},
+    }
+    for section in ini.sections():
+        if section in _MANIFEST_SECTIONS:
+            continue
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"{_line_of(path, section)}: unknown section [{section}]")
+        for key in ini[section]:
+            if key in _SECTION_KEYS[section] or key in edge_keys.get(section, ()):
+                continue
+            if section == "init" and key.startswith("est_"):
+                continue
+            raise ConfigError(f"{_line_of(path, section, key)}: unknown key {key!r} in [{section}]")
+
+
 def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
     """Materialize every resolved setting of a ScenarioConfig as INI sections."""
     ini = configparser.ConfigParser()
@@ -208,7 +245,8 @@ def _get_float(sec, key: str, default: float, where) -> float:
 
 
 def config_from_ini(path: str | Path) -> ScenarioConfig:
-    """Load a scenario config (or a manifest; result sections are ignored)."""
+    """Load a scenario config (or a manifest; its [artifact] and [result]
+    sections are ignored).  Unknown sections and keys are rejected."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -238,6 +276,7 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
         graph = Graph.from_one_based(agents, edge_list)
     except ValueError as exc:
         raise ConfigError(f"{gw('edges')}: {exc}") from None
+    _reject_unknown(ini, path, graph)
 
     dsec = ini["distances"] if "distances" in ini else {}
     dw = where("distances")

@@ -6,15 +6,27 @@ its own.  The covariance lives in the coordinate chart (p, theta) and uses
 the discrete linearization from `lie_group.step_jacobian`.  Updates fuse
 half squared distances plus the measured heading; the heading innovation is
 wrapped to (-pi, pi] while the stored heading stays unwrapped.
+
+`predict_batch` and `update_batch` apply the same formulas to A filters of
+one neighbor count at once, as stacked arrays; the scalar functions are
+their reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .lie_group import AlgebraElement, GroupElement, step_body_velocity, step_jacobian, wrap_angle
+from .lie_group import (
+    _SMALL_W,
+    AlgebraElement,
+    GroupElement,
+    step_body_velocity,
+    step_jacobian,
+    wrap_angle,
+)
 from .observability import observation, observation_jacobian
 
 __all__ = [
@@ -23,7 +35,9 @@ __all__ = [
     "SingularUpdateError",
     "initialize",
     "predict",
+    "predict_batch",
     "update",
+    "update_batch",
 ]
 
 
@@ -130,6 +144,113 @@ def update(state: EstimatorState, y, noise: NoiseConfig) -> EstimatorState:
     ikh = np.eye(2 * n + 1) - gain @ h
     cov = ikh @ p_cov @ ikh.T + gain @ np.diag(rdiag) @ gain.T
     return _trusted_state(mean, cov)
+
+
+def _rotations(theta: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 rotation matrices, (A, 2, 2) for A headings."""
+    c, s = np.cos(theta), np.sin(theta)
+    out = np.empty(theta.shape + (2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, -s, s, c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _batch_constants(n: int, noise: NoiseConfig) -> tuple:
+    """Per-degree arrays shared by every batched step: identity, process
+    PSD and measurement variance diagonals, and the (row, column) indices
+    of the offsets in the observation Jacobian."""
+    dim = 2 * n + 1
+    psd = np.concatenate([np.full(2 * n, noise.process_position_psd), [noise.process_heading_psd]])
+    rdiag = np.concatenate([np.full(n, noise.meas_distance_var), [noise.meas_heading_var]])
+    return np.eye(dim), psd, rdiag, (np.repeat(np.arange(n), 2), np.arange(2 * n))
+
+
+def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarray,
+                  w: np.ndarray, dt: float, noise: NoiseConfig):
+    """`predict` for A filters that each track n neighbors, as stacked arrays.
+
+    p is (A, 2n), theta (A,), cov (A, 2n+1, 2n+1); v (A, 2n) and w (A,)
+    are the body velocities.  The formulas are those of `predict`: the exact
+    group flow for the mean and F P F^T + dt * diag(PSDs) for the
+    covariance.  Returns the predicted (p, theta, cov).
+    """
+    a_count, two_n = p.shape
+    eye, psd, _, _ = _batch_constants(two_n // 2, noise)
+    vd = (dt * v).reshape(a_count, -1, 2)
+    wd = dt * w
+    if wd.any():
+        # exp(dt * xi) per filter, with the series branch below _SMALL_W
+        small = np.abs(wd) < _SMALL_W
+        ws = np.where(small, 1.0, wd)
+        a = np.where(small, 1.0 - wd * wd / 6.0, np.sin(ws) / ws)[:, None]
+        b = np.where(small, 0.5 * wd, 2.0 * np.sin(0.5 * ws) ** 2 / ws)[:, None]
+        vd = np.stack([a * vd[..., 0] - b * vd[..., 1], b * vd[..., 0] + a * vd[..., 1]], axis=-1)
+    # (at w = 0 the series coefficients are exactly 1 and 0: vd is the flow)
+    p_new = (vd @ _rotations(theta).swapaxes(1, 2)).reshape(a_count, two_n) + p
+
+    f = np.empty(cov.shape)
+    f[:] = eye
+    quarter = _rotations(theta + 0.5 * np.pi).swapaxes(1, 2)
+    f[:, :two_n, two_n] = dt * (v.reshape(a_count, -1, 2) @ quarter).reshape(a_count, two_n)
+    cov_new = f @ cov @ f.swapaxes(1, 2) + dt * psd * eye
+    return p_new, theta + wd, 0.5 * (cov_new + cov_new.swapaxes(1, 2))
+
+
+def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarray,
+                 noise: NoiseConfig):
+    """`update` for A filters that each track n neighbors, as stacked arrays.
+
+    y is (A, n+1): n half squared distances, then the heading, per filter.
+    The formulas are those of `update`.  A filter whose update `update`
+    would refuse keeps its input state and is reported, and the others
+    still update: returns (p, theta, cov, errors) with errors mapping the
+    refused rows to their SingularUpdateError.
+    """
+    a_count, two_n = p.shape
+    n = two_n // 2
+    eye, _, rdiag, offset_entries = _batch_constants(n, noise)
+    h = np.zeros((a_count, n + 1, two_n + 1))
+    h[(slice(None),) + offset_entries] = p
+    h[:, n, two_n] = 1.0
+    hp = h @ cov
+    s = hp @ h.swapaxes(1, 2) + rdiag * eye[: n + 1, : n + 1]
+
+    errors = {}
+    work = cov
+    finite = np.isfinite(s).all(axis=(1, 2))
+    if not finite.all():
+        # neutral stand-ins keep the refused rows out of the shared arithmetic
+        bad = ~finite
+        s[bad], hp[bad], h[bad] = eye[: n + 1, : n + 1], 0.0, 0.0
+        work = cov.copy()
+        work[bad] = eye
+        for row in np.flatnonzero(bad):
+            errors[row] = SingularUpdateError("innovation covariance is not finite")
+    try:
+        gain = np.linalg.solve(s, hp).swapaxes(1, 2)
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the stacked solve: redo it row by row
+        gain = np.zeros((a_count, two_n + 1, n + 1))
+        for row in np.flatnonzero(finite):
+            try:
+                gain[row] = np.linalg.solve(s[row], hp[row]).T
+            except np.linalg.LinAlgError as exc:
+                errors[row] = SingularUpdateError(f"innovation covariance not invertible: {exc}")
+
+    innovation = y.copy()
+    innovation[:, :n] -= 0.5 * (p.reshape(a_count, n, 2) ** 2).sum(axis=2)
+    innovation[:, n] = wrap_angle(innovation[:, n] - theta)
+    delta = (gain @ innovation[:, :, None])[:, :, 0]
+
+    ikh = eye - gain @ h
+    cov_new = ikh @ work @ ikh.swapaxes(1, 2) + (gain * rdiag) @ gain.swapaxes(1, 2)
+    cov_new = 0.5 * (cov_new + cov_new.swapaxes(1, 2))
+    p_new = p + delta[:, :-1]
+    theta_new = theta + delta[:, -1]
+    if errors:
+        rows = np.array(sorted(errors))
+        p_new[rows], theta_new[rows], cov_new[rows] = p[rows], theta[rows], cov[rows]
+    return p_new, theta_new, cov_new, errors
 
 
 def initialize(truth: GroupElement, offset_bound: float, seed,

@@ -11,6 +11,12 @@ measurements synthesized at the new positions; (5) owners' updated estimates
 are what the next step's controllers read.  All randomness flows through one
 seeded generator, so a (config, seed) pair fixes every byte of the output.
 
+The filters live in a `FilterBank`: stacked arrays with one bucket per agent
+degree, so phase (4) is one batched predict and one batched update per
+bucket, and every estimate read is an index gather from the bank's offset
+table.  The scalar `estimator.predict`/`update` stay the reference the bank
+is tested against.
+
 Agents hold their headings in these scenarios (zero angular rate); the
 estimator and group layers support nonzero heading rates independently.
 """
@@ -18,14 +24,21 @@ estimator and group layers support nonzero heading rates independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .controller import MismatchConfig, _scatter_matrices
-from .estimator import EstimatorState, NoiseConfig, SingularUpdateError, initialize, predict, update
-from .lie_group import AlgebraElement, GroupElement, rotation
+from .estimator import (
+    EstimatorState,
+    NoiseConfig,
+    _rotations,
+    initialize,
+    predict_batch,
+    update_batch,
+)
+from .lie_group import GroupElement, rotation
 from .network import (
     DesiredDistances,
     Graph,
@@ -37,6 +50,7 @@ from .network import (
 
 __all__ = [
     "DivergenceError",
+    "FilterBank",
     "MetricsSeries",
     "OutcomeThresholds",
     "ScenarioConfig",
@@ -52,6 +66,7 @@ __all__ = [
 ]
 
 VARIANTS = ("ideal", "estimated", "algorithm1")
+MAX_SUBSTEPS = 10000
 SHARING = ("per-agent", "per-edge-owner")
 
 OUTCOME_LABELS = (
@@ -162,15 +177,124 @@ class ScenarioConfig:
             object.__setattr__(self, "initial_estimates", est)
 
 
+@dataclass(frozen=True, eq=False)
+class _Bucket:
+    """The agents of one degree n, in ascending order, and where they sit
+    in the bank-wide tables of `_Layout`."""
+
+    agents: np.ndarray   # (A,)
+    nbrs: np.ndarray     # (A, n) sorted neighbors: the filter block order
+    rows: slice          # the agents' rows in bank order
+    slots: slice         # their A * n rows of the offset table
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Degree buckets of a graph and the index arrays that gather estimates
+    and measurements.
+
+    Bank order lists the agents bucket after bucket.  The offset table
+    stacks every bucket's means as (A * n, 2) rows in that order: one slot
+    per tracked (agent, neighbor) pair, and `slot[(i, j)]` is the row of
+    agent i's offset to j.
+    """
+
+    buckets: tuple[_Bucket, ...]
+    slot: dict
+    tail_slots: np.ndarray     # (edges,) slot of the tail's offset to the head
+    head_slots: np.ndarray     # (edges,) slot of the head's offset to the tail
+    agents: np.ndarray         # (agents,) agent of each bank row
+    slot_agents: np.ndarray    # (slots,) agent that tracks each slot
+    slot_nbrs: np.ndarray      # (slots,) neighbor each slot tracks
+    range_draws: np.ndarray    # (slots,) index of the slot's distance noise draw
+    heading_draws: np.ndarray  # (agents,) index of each bank row's heading draw
+    draw_count: int            # noise draws per step: degree + 1 per agent
+
+
+@lru_cache(maxsize=None)
+def _layout(graph: Graph) -> _Layout:
+    nbrs = [sorted_neighbors(graph, i) for i in range(graph.agent_count)]
+    buckets, order, slot_count = [], [], 0
+    for n in sorted({len(js) for js in nbrs}):
+        agents = [i for i, js in enumerate(nbrs) if len(js) == n]
+        buckets.append(_Bucket(
+            agents=np.array(agents),
+            nbrs=np.array([nbrs[i] for i in agents]),
+            rows=slice(len(order), len(order) + len(agents)),
+            slots=slice(slot_count, slot_count + n * len(agents)),
+        ))
+        order += agents
+        slot_count += n * len(agents)
+    pairs = [(i, j) for i in order for j in nbrs[i]]
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    # noise draws follow agent order, as a per-agent loop draws them: the
+    # agent's n distances, then its heading
+    first_draw = np.cumsum([0] + [len(js) + 1 for js in nbrs])
+    return _Layout(
+        buckets=tuple(buckets),
+        slot=slot,
+        tail_slots=np.array([slot[(t, h)] for t, h in graph.edges]),
+        head_slots=np.array([slot[(h, t)] for t, h in graph.edges]),
+        agents=np.array(order),
+        slot_agents=np.array([i for i, _ in pairs]),
+        slot_nbrs=np.array([j for _, j in pairs]),
+        range_draws=np.array([first_draw[i] + nbrs[i].index(j) for i, j in pairs]),
+        heading_draws=first_draw[order] + np.array([len(nbrs[i]) for i in order]),
+        draw_count=int(first_draw[-1]),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class FilterBank:
+    """Every agent's filter as stacked arrays, one bucket per agent degree n
+    (see `_layout`): means (A, 2n), headings (A,), covariances
+    (A, 2n+1, 2n+1), one entry per bucket in ascending degree."""
+
+    graph: Graph
+    means: tuple[np.ndarray, ...]
+    headings: tuple[np.ndarray, ...]
+    covariances: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_filters(cls, graph: Graph, filters) -> "FilterBank":
+        """Stack per-agent filters, given in agent order."""
+        buckets = _layout(graph).buckets
+        return cls(
+            graph=graph,
+            means=tuple(np.array([filters[i].mean.p for i in b.agents]) for b in buckets),
+            headings=tuple(np.array([filters[i].mean.theta for i in b.agents]) for b in buckets),
+            covariances=tuple(np.array([filters[i].covariance for i in b.agents]) for b in buckets),
+        )
+
+    @cached_property
+    def filters(self) -> tuple[EstimatorState, ...]:
+        """Per-agent filter states in agent order."""
+        out = [None] * self.graph.agent_count
+        for b, bucket in enumerate(_layout(self.graph).buckets):
+            for row, i in enumerate(bucket.agents):
+                out[i] = EstimatorState(GroupElement(self.means[b][row], self.headings[b][row]),
+                                        self.covariances[b][row])
+        return tuple(out)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The offset table: every tracked neighbor offset, (sum of degrees, 2)."""
+        return np.concatenate([m.reshape(-1, 2) for m in self.means])
+
+
 @dataclass(eq=False)
 class WorldState:
-    """True positions and headings, one filter per agent, elapsed time."""
+    """True positions and headings, the agents' filter bank, elapsed time."""
 
     r: np.ndarray                      # (agents, 2) true positions
     headings: np.ndarray               # (agents,)
-    filters: tuple[EstimatorState, ...]
+    bank: FilterBank
     t: float
     events: tuple[str, ...] = ()
+
+    @property
+    def filters(self) -> tuple[EstimatorState, ...]:
+        return self.bank.filters
 
 
 @dataclass(eq=False)
@@ -185,25 +309,11 @@ class MetricsSeries:
     angular_rate: np.ndarray    # (steps,) least-squares rigid rotation rate
     max_speed: np.ndarray       # (steps,) fastest agent
     edge_labels: tuple[str, ...]
+    events: tuple[str, ...] = ()  # skipped filter updates and capped sub-steps
 
     @property
     def steps(self) -> int:
         return self.t.size
-
-
-@lru_cache(maxsize=None)
-def _neighbor_arrays(graph: Graph) -> tuple:
-    return tuple(np.array(sorted_neighbors(graph, i), dtype=int) for i in range(graph.agent_count))
-
-
-@lru_cache(maxsize=None)
-def _block_of(graph: Graph) -> dict:
-    """(agent, neighbor) -> block index inside the agent's filter state."""
-    out = {}
-    for i in range(graph.agent_count):
-        for b, j in enumerate(sorted_neighbors(graph, i)):
-            out[(i, j)] = b
-    return out
 
 
 def edge_labels(graph: Graph) -> tuple[str, ...]:
@@ -213,8 +323,21 @@ def edge_labels(graph: Graph) -> tuple[str, ...]:
 
 def _estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
     """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i)."""
-    block = _block_of(graph)[(i, j)]
-    return -world.filters[i].mean.offset(block)
+    return -world.bank.offsets[_layout(graph).slot[(i, j)]]
+
+
+def _vector_norms(x: np.ndarray) -> np.ndarray:
+    """Norm of each row of an (m, 2) array, each computed as a dot product
+    the way np.linalg.norm treats a single vector, to its last bit."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _edge_estimates(world: WorldState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge (t, h), the tail's estimate of r_t - r_h and the head's of
+    r_h - r_t, as (edges, 2) arrays."""
+    layout = _layout(graph)
+    offsets = world.bank.offsets
+    return -offsets[layout.tail_slots], -offsets[layout.head_slots]
 
 
 def _control_field(world: WorldState, config: ScenarioConfig):
@@ -225,38 +348,36 @@ def _control_field(world: WorldState, config: ScenarioConfig):
     their per-call validation; a regression test holds them bit-identical.
     """
     graph = config.graph
-    tails, heads = _edge_arrays(graph)
     at, ah = _scatter_matrices(graph)
-    dv = config.distances.values
+    # r_tail - r_head per edge as one product: every row holds exactly two
+    # nonzero terms, so the result is bit-identical to indexing both ends
+    diff = (at - ah).T
+    dv2 = config.distances.values ** 2
 
     if config.variant == "ideal":
         def field(rf):
-            r2 = rf.reshape(-1, 2)
-            z1 = r2[tails] - r2[heads]
-            e = (z1 ** 2).sum(axis=1) - dv ** 2
-            terms = z1 * e[:, None]
+            z1 = diff @ rf.reshape(-1, 2)
+            sq = z1 * z1
+            terms = z1 * (sq[:, 0] + sq[:, 1] - dv2)[:, None]
             return (ah @ terms - at @ terms).ravel()
         return field
 
+    est_tail, est_head = _edge_estimates(world, graph)
     if config.variant == "estimated":
-        est_tail = np.array([_estimate_of(world, graph, t, h) for t, h in graph.edges])
-        est_head = np.array([_estimate_of(world, graph, h, t) for t, h in graph.edges])
-
         def field(rf):
-            r2 = rf.reshape(-1, 2)
-            z1 = r2[tails] - r2[heads]
-            e = (z1 ** 2).sum(axis=1) - dv ** 2
-            return -(at @ (est_tail * e[:, None]) + ah @ (est_head * e[:, None])).ravel()
+            z1 = diff @ rf.reshape(-1, 2)
+            sq = z1 * z1
+            e = (sq[:, 0] + sq[:, 1] - dv2)[:, None]
+            return -(at @ (est_tail * e) + ah @ (est_head * e)).ravel()
         return field
 
-    est = np.array([_estimate_of(world, graph, t, h) for t, h in graph.edges])
     av = config.mismatch.values
 
     def field(rf):
-        r2 = rf.reshape(-1, 2)
-        z1 = r2[tails] - r2[heads]
-        e = (z1 ** 2).sum(axis=1) - dv ** 2
-        return (ah @ (est * (e + av)[:, None]) - at @ (est * (e - av)[:, None])).ravel()
+        z1 = diff @ rf.reshape(-1, 2)
+        sq = z1 * z1
+        e = sq[:, 0] + sq[:, 1] - dv2
+        return (ah @ (est_tail * (e + av)[:, None]) - at @ (est_tail * (e - av)[:, None])).ravel()
     return field
 
 
@@ -270,14 +391,11 @@ def _stiffness(world: WorldState, config: ScenarioConfig) -> float:
     e = np.abs(distance_errors(z1, config.distances))
     if config.variant == "ideal":
         dirs = zn
-    elif config.variant == "estimated":
-        dirs = np.array([
-            max(np.linalg.norm(_estimate_of(world, graph, t, h)),
-                np.linalg.norm(_estimate_of(world, graph, h, t)))
-            for t, h in graph.edges
-        ])
     else:
-        dirs = np.array([np.linalg.norm(_estimate_of(world, graph, t, h)) for t, h in graph.edges])
+        est_tail, est_head = _edge_estimates(world, graph)
+        dirs = _vector_norms(est_tail)
+        if config.variant == "estimated":
+            dirs = np.maximum(dirs, _vector_norms(est_head))
     a = np.abs(config.mismatch.values) if config.mismatch is not None else np.zeros(graph.edge_count)
     per_edge = 2.0 * dirs * zn + e + a
     per_agent = np.zeros(graph.agent_count)
@@ -324,11 +442,11 @@ def init_world(config: ScenarioConfig, rng: np.random.Generator | None = None) -
     headings = np.zeros(o)
 
     filters = []
-    nbrs = _neighbor_arrays(graph)
     for i in range(o):
-        truth = GroupElement((r[nbrs[i]] - r[i]).ravel(), headings[i])
+        nbrs = list(sorted_neighbors(graph, i))
+        truth = GroupElement((r[nbrs] - r[i]).ravel(), headings[i])
         if config.initial_estimates is not None:
-            p_hat = np.concatenate([-config.initial_estimates[(i, j)] for j in nbrs[i]])
+            p_hat = np.concatenate([-config.initial_estimates[(i, j)] for j in nbrs])
             var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
             cov = np.diag(np.concatenate([
                 np.full(2 * truth.n, var),
@@ -338,7 +456,7 @@ def init_world(config: ScenarioConfig, rng: np.random.Generator | None = None) -
         else:
             filters.append(initialize(truth, config.offset_bound, rng,
                                       initial_var=config.initial_var, noise=config.noise))
-    return WorldState(r=r, headings=headings, filters=tuple(filters), t=0.0)
+    return WorldState(r=r, headings=headings, bank=FilterBank.from_filters(graph, filters), t=0.0)
 
 
 def step(world: WorldState, config: ScenarioConfig,
@@ -348,56 +466,76 @@ def step(world: WorldState, config: ScenarioConfig,
     graph = config.graph
     dt = config.dt
     o = graph.agent_count
-    noise = config.noise
+    t_new = world.t + dt
+    events = world.events
 
     u_of = _control_field(world, config)
-    substeps = min(10000, max(1, math.ceil(dt * _stiffness(world, config) / 2.0)))
+    wanted = max(1, math.ceil(dt * _stiffness(world, config) / 2.0))
+    substeps = min(MAX_SUBSTEPS, wanted)
+    if wanted > substeps:
+        events += (f"t={t_new:.6g} substeps capped at {MAX_SUBSTEPS}, stiffness asked for {wanted}",)
     with np.errstate(over="ignore", invalid="ignore"):
         r_new = _integrate(u_of, world.r.ravel(), dt, substeps).reshape(o, 2)
     if not np.all(np.isfinite(r_new)) or np.abs(r_new).max() > 1e9:
         raise DivergenceError(
-            f"positions diverged during the step ending at t={world.t + dt:.6g}"
+            f"positions diverged during the step ending at t={t_new:.6g}"
         )
     v_avg = (r_new - world.r) / dt
 
     if not config.estimator_enabled:
         return WorldState(r=r_new, headings=world.headings.copy(),
-                          filters=world.filters, t=world.t + dt, events=world.events)
+                          bank=world.bank, t=t_new, events=events)
 
     if config.measurement_noise and rng is None:
         raise ValueError("measurement noise requires a generator")
 
-    nbrs = _neighbor_arrays(graph)
-    events = list(world.events)
-    filters = []
-    for i in range(o):
-        st = world.filters[i]
-        rel_world = v_avg[nbrs[i]] - v_avg[i]
-        xi = AlgebraElement((rel_world @ rotation(st.mean.theta)).ravel(), 0.0)
-        st = predict(st, xi, dt, noise)
-        diffs = r_new[nbrs[i]] - r_new[i]
-        y = np.append(0.5 * (diffs ** 2).sum(axis=1), world.headings[i])
-        if config.measurement_noise:
-            y[:-1] += rng.normal(0.0, np.sqrt(noise.meas_distance_var), size=y.size - 1)
-            y[-1] += rng.normal(0.0, np.sqrt(noise.meas_heading_var))
-        try:
-            st = update(st, y, noise)
-        except SingularUpdateError as exc:
-            events.append(f"t={world.t + dt:.6g} agent={i + 1} update skipped: {exc}")
-        filters.append(st)
-
+    bank, skipped = _filter_step(world, config, v_avg, r_new, rng)
+    events += tuple(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}" for i, exc in skipped)
     return WorldState(r=r_new, headings=world.headings.copy(),
-                      filters=tuple(filters), t=world.t + dt, events=tuple(events))
+                      bank=bank, t=t_new, events=events)
 
 
-def _edge_estimate_errors(world: WorldState, graph: Graph) -> np.ndarray:
-    """Worst estimate error per edge over both endpoints' filters."""
-    out = np.zeros(graph.edge_count)
-    for k, (t, h) in enumerate(graph.edges):
-        true_th = world.r[t] - world.r[h]
-        out[k] = max(np.linalg.norm(_estimate_of(world, graph, t, h) - true_th),
-                     np.linalg.norm(_estimate_of(world, graph, h, t) + true_th))
-    return out
+def _filter_step(world: WorldState, config: ScenarioConfig, v_avg: np.ndarray,
+                 r_new: np.ndarray, rng) -> tuple[FilterBank, list]:
+    """One batched predict/update per degree bucket.  Returns the new bank
+    and the (agent, error) pairs of refused updates in agent order."""
+    noise = config.noise
+    layout = _layout(config.graph)
+    bank = world.bank
+    # velocities and measurements of every slot at once, then sliced per bucket
+    rel_world = v_avg[layout.slot_nbrs] - v_avg[layout.slot_agents]
+    diffs = r_new[layout.slot_nbrs] - r_new[layout.slot_agents]
+    ranges = 0.5 * (diffs ** 2).sum(axis=1)
+    heading_meas = world.headings[layout.agents]
+    if config.measurement_noise:
+        draws = rng.standard_normal(layout.draw_count)
+        ranges += np.sqrt(noise.meas_distance_var) * draws[layout.range_draws]
+        heading_meas += np.sqrt(noise.meas_heading_var) * draws[layout.heading_draws]
+    to_body = _rotations(np.concatenate(bank.headings))
+
+    means, headings, covariances, skipped = [], [], [], []
+    for b, bucket in enumerate(layout.buckets):
+        a_count, n = bucket.nbrs.shape
+        v_body = rel_world[bucket.slots].reshape(a_count, n, 2) @ to_body[bucket.rows]
+        p, theta, cov = predict_batch(bank.means[b], bank.headings[b], bank.covariances[b],
+                                      v_body.reshape(a_count, 2 * n), np.zeros(a_count),
+                                      config.dt, noise)
+        y = np.concatenate([ranges[bucket.slots].reshape(a_count, n),
+                            heading_meas[bucket.rows, None]], axis=1)
+        p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
+        skipped.extend((int(bucket.agents[row]), exc) for row, exc in errors.items())
+        means.append(p)
+        headings.append(theta)
+        covariances.append(cov)
+    skipped.sort(key=lambda item: item[0])
+    return FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances)), skipped
+
+
+def _edge_estimate_errors(world: WorldState, graph: Graph, z1: np.ndarray) -> np.ndarray:
+    """Worst estimate error per edge over both endpoints' filters; z1 holds
+    the true offsets r_tail - r_head."""
+    est_tail, est_head = _edge_estimates(world, graph)
+    return np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
 
 
 def run(config: ScenarioConfig) -> MetricsSeries:
@@ -422,15 +560,16 @@ def run(config: ScenarioConfig) -> MetricsSeries:
         prev_r = world.r
         world = step(world, config, rng)
         v = (world.r - prev_r) / config.dt
+        v_mean = v.mean(axis=0)
         z1 = edge_offsets(graph, world.r)
         t[k] = (k + 1) * config.dt
         distances[k] = np.linalg.norm(z1, axis=1)
         dist_errors_arr[k] = distance_errors(z1, config.distances)
-        est_errors[k] = _edge_estimate_errors(world, graph)
-        centroid_speed[k] = np.linalg.norm(v.mean(axis=0))
+        est_errors[k] = _edge_estimate_errors(world, graph, z1)
+        centroid_speed[k] = np.linalg.norm(v_mean)
         max_speed[k] = np.linalg.norm(v, axis=1).max()
         centered = world.r - world.r.mean(axis=0)
-        v_rel = v - v.mean(axis=0)
+        v_rel = v - v_mean
         denom = (centered ** 2).sum()
         spin = (centered[:, 0] * v_rel[:, 1] - centered[:, 1] * v_rel[:, 0]).sum()
         angular_rate[k] = spin / denom if denom > 0 else 0.0
@@ -438,7 +577,7 @@ def run(config: ScenarioConfig) -> MetricsSeries:
     return MetricsSeries(t=t, distances=distances, est_errors=est_errors,
                          dist_errors=dist_errors_arr, centroid_speed=centroid_speed,
                          angular_rate=angular_rate, max_speed=max_speed,
-                         edge_labels=edge_labels(graph))
+                         edge_labels=edge_labels(graph), events=world.events)
 
 
 def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> str:

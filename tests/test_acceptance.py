@@ -116,6 +116,32 @@ def test_criterion_3_gramian_degeneracy():
         assert report.rank == 5 - 2, f"trajectory {k}: rank {report.rank}"
 
 
+def test_stationary_neighbor_loses_only_its_range_tangent():
+    """Analytic oracle beside criterion 3: with neighbor k still, its offset
+    p_k = (x_k, y_k) is constant, the state-transition Jacobian leaves the
+    k block untouched, and only the output h_k sees that block.  So the
+    Gramian annihilates the range-circle tangent (-y_k, x_k) and, along the
+    range direction (x_k, y_k), equals samples * dt * |p_k|^2."""
+    rng = np.random.default_rng(1)
+    for k in range(20):
+        still = k % 2
+        traj, dt = _stationary_trajectory(rng, still)
+        gram = empirical_gramian(traj, dt).gramian
+        x, y = traj[0][0].offset(still)
+        radius = np.hypot(x, y)
+        tangent, radial = np.zeros(5), np.zeros(5)
+        tangent[2 * still : 2 * still + 2] = (-y / radius, x / radius)
+        radial[2 * still : 2 * still + 2] = (x / radius, y / radius)
+
+        scale = np.abs(gram).max()
+        assert np.abs(gram @ tangent).max() <= 1e-12 * scale, f"trajectory {k}"
+        expected = len(traj) * dt * radius ** 2
+        assert radial @ gram @ radial == pytest.approx(expected, rel=1e-10), f"trajectory {k}"
+        block = gram[2 * still : 2 * still + 2, 2 * still : 2 * still + 2]
+        small, large = np.linalg.eigvalsh(block)
+        assert abs(small) <= 1e-12 * large and large == pytest.approx(expected, rel=1e-10)
+
+
 @pytest.mark.criterion("4 group axioms, exponential, flow step")
 def test_criterion_4_group_and_flow():
     rng = np.random.default_rng(2)

@@ -1,0 +1,343 @@
+"""Filter bank: the stacked per-degree engine step against the scalar oracle.
+
+`reference_step` is the engine step written as one scalar `predict` and
+`update` per agent, reading estimates one edge at a time and driving the
+public control laws, which is how the engine worked before its filters were
+stacked into degree buckets.  The bank must reproduce it on random
+minimally rigid graphs with mixed degrees, refuse updates agent by agent,
+and keep the measurement-noise draws in agent order.
+"""
+
+import copy
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from formloc.controller import (
+    MismatchConfig,
+    assign_ownership,
+    estimated_control,
+    ideal_control,
+    mismatch_control,
+)
+from formloc.estimator import (
+    EstimatorState,
+    NoiseConfig,
+    SingularUpdateError,
+    predict,
+    update,
+)
+from formloc.lie_group import AlgebraElement, rotation
+from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
+from formloc.sim import (
+    MAX_SUBSTEPS,
+    DivergenceError,
+    FilterBank,
+    MetricsSeries,
+    ScenarioConfig,
+    WorldState,
+    _integrate,
+    detect_outcome,
+    edge_labels,
+    init_world,
+    run,
+    scenario_nominal,
+    step,
+)
+
+# fixed before running: the bank reorders no sum the scalar path makes, so
+# only last-bit differences in a few reductions may appear
+TOL = 1e-12
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= TOL * (1.0 + np.abs(want)))
+
+
+def _estimate(filters, graph, i, j):
+    return -filters[i].mean.offset(sorted_neighbors(graph, i).index(j))
+
+
+def reference_step(world, config, rng=None):
+    """One engine step with a scalar filter per agent (the oracle)."""
+    graph, dt, noise = config.graph, config.dt, config.noise
+    d = config.distances
+    filters = world.filters
+    snapshot = {(i, j): _estimate(filters, graph, i, j)
+                for t, h in graph.edges for i, j in ((t, h), (h, t))}
+    if config.variant == "ideal":
+        def field(rf):
+            return ideal_control(graph, rf, d)
+    elif config.variant == "estimated":
+        def field(rf):
+            return estimated_control(graph, snapshot, distance_errors(edge_offsets(graph, rf), d))
+    else:
+        owners = assign_ownership(graph)
+        shared = np.array([snapshot[(t, h)] for t, h in graph.edges])
+
+        def field(rf):
+            e = distance_errors(edge_offsets(graph, rf), d)
+            return mismatch_control(graph, owners, shared, e, config.mismatch)
+
+    z1 = edge_offsets(graph, world.r)
+    per_agent = np.zeros(graph.agent_count)
+    for k, (t, h) in enumerate(graph.edges):
+        zn = np.linalg.norm(z1[k])
+        if config.variant == "ideal":
+            dirs = zn
+        elif config.variant == "estimated":
+            dirs = max(np.linalg.norm(snapshot[(t, h)]), np.linalg.norm(snapshot[(h, t)]))
+        else:
+            dirs = np.linalg.norm(snapshot[(t, h)])
+        a = abs(config.mismatch.values[k]) if config.mismatch is not None else 0.0
+        per_edge = 2.0 * dirs * zn + abs(zn ** 2 - d.values[k] ** 2) + a
+        per_agent[t] += per_edge
+        per_agent[h] += per_edge
+    wanted = max(1, math.ceil(dt * per_agent.max() / 2.0))
+    events = list(world.events)
+    t_new = world.t + dt
+    if wanted > MAX_SUBSTEPS:
+        events.append(f"t={t_new:.6g} substeps capped at {MAX_SUBSTEPS}, stiffness asked for {wanted}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_new = _integrate(field, world.r.ravel(), dt, min(MAX_SUBSTEPS, wanted))
+    r_new = r_new.reshape(-1, 2)
+    if not np.all(np.isfinite(r_new)) or np.abs(r_new).max() > 1e9:
+        raise DivergenceError("reference diverged")
+    v_avg = (r_new - world.r) / dt
+
+    new_filters = []
+    for i in range(graph.agent_count):
+        nbrs = list(sorted_neighbors(graph, i))
+        state = filters[i]
+        rel_world = v_avg[nbrs] - v_avg[i]
+        xi = AlgebraElement((rel_world @ rotation(state.mean.theta)).ravel(), 0.0)
+        state = predict(state, xi, dt, noise)
+        diffs = r_new[nbrs] - r_new[i]
+        y = np.append(0.5 * (diffs ** 2).sum(axis=1), world.headings[i])
+        if config.measurement_noise:
+            y[:-1] += rng.normal(0.0, np.sqrt(noise.meas_distance_var), size=y.size - 1)
+            y[-1] += rng.normal(0.0, np.sqrt(noise.meas_heading_var))
+        try:
+            state = update(state, y, noise)
+        except SingularUpdateError as exc:
+            events.append(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}")
+        new_filters.append(state)
+    return WorldState(r=r_new, headings=world.headings.copy(),
+                      bank=FilterBank.from_filters(graph, new_filters), t=t_new,
+                      events=tuple(events))
+
+
+def reference_run(config):
+    """`run` on the oracle step, with the per-edge metric loop."""
+    steps = int(round(config.duration / config.dt))
+    rng = np.random.default_rng(config.seed)
+    world = init_world(config, rng)
+    graph = config.graph
+    m = graph.edge_count
+    cols = {name: np.empty((steps, m)) for name in ("distances", "est_errors", "dist_errors")}
+    scalars = {name: np.empty(steps) for name in ("centroid_speed", "angular_rate", "max_speed")}
+    for k in range(steps):
+        prev_r = world.r
+        world = reference_step(world, config, rng)
+        v = (world.r - prev_r) / config.dt
+        z1 = edge_offsets(graph, world.r)
+        cols["distances"][k] = np.linalg.norm(z1, axis=1)
+        cols["dist_errors"][k] = distance_errors(z1, config.distances)
+        for e, (t, h) in enumerate(graph.edges):
+            cols["est_errors"][k, e] = max(
+                np.linalg.norm(_estimate(world.filters, graph, t, h) - z1[e]),
+                np.linalg.norm(_estimate(world.filters, graph, h, t) + z1[e]))
+        scalars["centroid_speed"][k] = np.linalg.norm(v.mean(axis=0))
+        scalars["max_speed"][k] = np.linalg.norm(v, axis=1).max()
+        centered = world.r - world.r.mean(axis=0)
+        v_rel = v - v.mean(axis=0)
+        spin = (centered[:, 0] * v_rel[:, 1] - centered[:, 1] * v_rel[:, 0]).sum()
+        scalars["angular_rate"][k] = spin / (centered ** 2).sum()
+    return MetricsSeries(t=(np.arange(steps) + 1) * config.dt, edge_labels=edge_labels(graph),
+                         events=world.events, **cols, **scalars)
+
+
+def _assert_worlds_match(got, want):
+    _close(got.r, want.r)
+    assert got.events == want.events
+    for f_got, f_want in zip(got.filters, want.filters, strict=True):
+        _close(f_got.mean.p, f_want.mean.p)
+        _close(f_got.mean.theta, f_want.mean.theta)
+        _close(f_got.covariance, f_want.covariance)
+
+
+# ------------------------------------------------------- random rigid graphs
+
+
+@st.composite
+def rigid_scenarios(draw):
+    """Henneberg-grown minimally rigid graph (2N - 3 edges) with shuffled
+    labels and orientations, a spawn near a random shape, and a variant."""
+    agents = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    pairs = [(0, 1)]
+    for k in range(2, agents):
+        pairs.extend((int(j), k) for j in rng.choice(k, size=2, replace=False))
+    label = rng.permutation(agents)
+    edges = tuple((label[a], label[b]) if rng.random() < 0.5 else (label[b], label[a])
+                  for a, b in pairs)
+    graph = Graph(agents, edges)
+    shape = rng.uniform(-8.0, 8.0, size=(agents, 2))
+    z = shape[[t for t, _ in edges]] - shape[[h for _, h in edges]]
+    distances = DesiredDistances(np.maximum(np.linalg.norm(z, axis=1), 1.0))
+    variant = draw(st.sampled_from(("ideal", "estimated", "algorithm1")))
+    mismatch = MismatchConfig(rng.uniform(-1.0, 1.0, size=len(edges))) if variant == "algorithm1" else None
+    return ScenarioConfig(
+        graph=graph,
+        distances=distances,
+        variant=variant,
+        sharing="per-edge-owner" if variant == "algorithm1" else "per-agent",
+        mismatch=mismatch,
+        dt=0.01,
+        duration=0.5,
+        seed=seed,
+        measurement_noise=draw(st.booleans()),
+        initial_positions=shape + rng.uniform(-1.0, 1.0, size=shape.shape),
+        offset_bound=1.0,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(rigid_scenarios())
+def test_bank_step_matches_scalar_oracle(config):
+    rng = np.random.default_rng(config.seed)
+    world = init_world(config, rng)
+    rng_ref = copy.deepcopy(rng)
+    got = step(world, config, rng)
+    want = reference_step(world, config, rng_ref)
+    _assert_worlds_match(got, want)
+    # both generators consumed the same draws, in the same order
+    assert rng.random() == rng_ref.random()
+
+
+@settings(max_examples=15, deadline=None)
+@given(rigid_scenarios())
+def test_bank_run_keeps_outcome_label(config):
+    def label(runner):
+        try:
+            return detect_outcome(runner(config), config.thresholds)
+        except DivergenceError:
+            return "diverged"
+
+    assert label(run) == label(reference_run)
+
+
+def test_noise_draws_stay_in_agent_order():
+    # agent 0 has degree 3, agents 1..3 degree 2 or 1: buckets run by degree,
+    # yet every agent's measurements get the draws a per-agent loop gives it
+    graph = Graph(4, ((0, 1), (1, 2), (2, 0), (0, 3)))
+    config = ScenarioConfig(graph=graph, distances=DesiredDistances.uniform(4, 5.0),
+                            variant="ideal", mismatch=None, measurement_noise=True,
+                            noise=NoiseConfig(meas_distance_var=1.0, meas_heading_var=0.25),
+                            duration=0.05, seed=4)
+    rng = np.random.default_rng(4)
+    world = init_world(config, rng)
+    rng_ref = copy.deepcopy(rng)
+    for _ in range(5):
+        world_ref = reference_step(world, config, rng_ref)
+        world = step(world, config, rng)
+        _assert_worlds_match(world, world_ref)
+
+
+# ------------------------------------------------------------ error isolation
+
+
+# integer spawn with exact target distances: every squared error is exactly
+# zero, so nobody moves and the predicted covariance is P + dt * Q exactly
+_REST = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [-3.0, 0.0]])
+_REST_GRAPH = Graph(4, ((0, 1), (1, 2), (2, 0), (0, 3)))  # degrees 3, 2, 2, 1
+
+
+def _rest_world():
+    noise = NoiseConfig(process_heading_psd=0.0, meas_heading_var=0.5)
+    config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances([3.0, 5.0, 4.0, 3.0]),
+                            variant="ideal", mismatch=None, noise=noise,
+                            initial_positions=_REST, offset_bound=0.5, seed=2)
+    return config, init_world(config)
+
+
+def _poison(filters, agent, kind):
+    state = filters[agent]
+    cov = np.array(state.covariance)
+    if kind == "nonfinite":
+        cov[0, 0] = np.inf
+    else:
+        # heading row (0, ..., 0, -R_heading): the innovation covariance gets
+        # an exactly zero row, which LAPACK reports as singular
+        cov[-1, :] = cov[:, -1] = 0.0
+        cov[-1, -1] = -0.5
+    out = list(filters)
+    out[agent] = EstimatorState(state.mean, cov)
+    return out
+
+
+@pytest.mark.parametrize("poisoned", [
+    {1: "nonfinite"},
+    {1: "singular"},
+    {0: "singular", 3: "nonfinite"},   # degree 3 before degree 1 in agent order
+    {1: "singular", 2: "nonfinite"},   # the whole degree-2 bucket
+])
+def test_refused_update_is_isolated_to_its_agent(poisoned):
+    config, world = _rest_world()
+    filters = world.filters
+    with np.errstate(invalid="ignore"):  # inf - inf in the symmetry checks
+        for agent, kind in poisoned.items():
+            filters = _poison(filters, agent, kind)
+        world = WorldState(r=world.r, headings=world.headings,
+                           bank=FilterBank.from_filters(config.graph, filters), t=0.0)
+        got = step(world, config)
+        want = reference_step(world, config)
+        got_filters, want_filters = got.filters, want.filters
+
+    np.testing.assert_array_equal(got.r, world.r)
+    assert got.events == want.events
+    assert [int(e.split("agent=")[1].split()[0]) - 1 for e in got.events] == sorted(poisoned)
+    for event, (agent, kind) in zip(got.events, sorted(poisoned.items())):
+        assert ("not finite" in event) == (kind == "nonfinite")
+    for i, (f_got, f_want) in enumerate(zip(got_filters, want_filters)):
+        np.testing.assert_array_equal(f_got.mean.p, f_want.mean.p)
+        np.testing.assert_array_equal(f_got.covariance, f_want.covariance)
+        if i not in poisoned:
+            assert not np.array_equal(f_got.covariance, filters[i].covariance)
+
+
+# ----------------------------------------------------------------- events
+
+
+def test_run_reports_capped_substeps():
+    # a 60-wide triangle at dt = 1 asks for more than MAX_SUBSTEPS on its
+    # first step; the ideal flow still contracts safely under the cap
+    graph = Graph(3, ((0, 1), (1, 2), (0, 2)))
+    side = 60.0
+    spawn = np.array([[0.0, 0.0], [side, 0.0], [0.5 * side, 0.5 * np.sqrt(3.0) * side]])
+    config = ScenarioConfig(graph=graph, distances=DesiredDistances.uniform(3, 10.0),
+                            variant="ideal", mismatch=None, dt=1.0, duration=2.0,
+                            initial_positions=spawn)
+    series = run(config)
+    assert series.events == (
+        f"t=1 substeps capped at {MAX_SUBSTEPS}, stiffness asked for 10700",
+    )
+    assert np.all(series.distances[0] < side)
+
+
+def test_run_carries_skipped_updates_out():
+    # an initial variance this large overflows every innovation covariance,
+    # so each agent refuses every update and the loop runs on predictions
+    config = replace(scenario_nominal(), duration=0.03, initial_var=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = run(config)
+    assert series.events == tuple(
+        f"t={t} agent={i} update skipped: innovation covariance is not finite"
+        for t in ("0.01", "0.02", "0.03") for i in (1, 2, 3)
+    )

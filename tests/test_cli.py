@@ -6,12 +6,20 @@ Everything drives `cli.main` in-process; one subprocess test checks the
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from formloc import cli
-from formloc.sim import scenario_issue1, scenario_issue2, scenario_issue3, scenario_nominal
+from formloc.sim import (
+    detect_outcome,
+    run,
+    scenario_issue1,
+    scenario_issue2,
+    scenario_issue3,
+    scenario_nominal,
+)
 
 HEADER = ("t,dist_12,dist_23,dist_13,esterr_12,esterr_23,esterr_13,"
           "centroid_speed,angular_rate")
@@ -81,6 +89,17 @@ def test_manifest_replay_is_byte_identical(tmp_path):
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("factory", [scenario_nominal, scenario_issue1,
+                                     scenario_issue2, scenario_issue3])
+def test_every_manifest_loads_as_config(tmp_path, factory):
+    # [artifact] and [result] are manifest-only sections the loader accepts
+    config = replace(factory(), duration=0.2)
+    series = run(config)
+    path = tmp_path / "manifest.txt"
+    cli.write_manifest(path, config, series, detect_outcome(series), "metrics.csv")
+    assert cli.config_from_ini(path).duration == 0.2
+
+
 def test_run_overrides_recorded(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", "issue3", "--seed", "7", "--dt", "0.02",
@@ -111,6 +130,33 @@ def test_config_errors_carry_location(tmp_path):
     with pytest.raises(cli.ConfigError) as exc:
         cli.config_from_ini(path)
     assert f"{path}:7" in str(exc.value)
+
+
+def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
+    # a typo used to be ignored, and the run took the default 100 s
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n"
+                    "[distances]\ndefault = 10.0\n"
+                    "[sim]\ndurration = 0.05\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:7" in err and "'durration'" in err and "[sim]" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, line, name", [
+    ("[simulation]\ndt = 0.02\n", 6, "[simulation]"),
+    ("d_2_1 = 4.0\n", 6, "'d_2_1'"),                 # edge 1-2 is written 1-2
+    ("[controller]\na_1_4 = 1.0\n", 7, "'a_1_4'"),  # not an edge
+    ("[init]\npositions = 0,0; 10,0; 5,8\nspread = 3\n", 8, "'spread'"),
+])
+def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n"
+                    "[distances]\ndefault = 10.0\n" + text)
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.config_from_ini(path)
+    assert f"{path}:{line}:" in str(exc.value) and name in str(exc.value)
 
 
 def test_config_distance_default_and_overrides(tmp_path):

@@ -7,6 +7,7 @@ out in the tests, with the linearization rebuilt from scratch.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 from formloc.estimator import (
     EstimatorState,
@@ -14,7 +15,9 @@ from formloc.estimator import (
     SingularUpdateError,
     initialize,
     predict,
+    predict_batch,
     update,
+    update_batch,
 )
 from formloc.lie_group import AlgebraElement, GroupElement, rotation, step_body_velocity
 from formloc.observability import observation
@@ -189,3 +192,31 @@ def test_stationary_neighbor_keeps_tangential_error():
     # range is pinned by the measurements, direction is not
     assert abs(np.linalg.norm(st.mean.p) - np.linalg.norm(truth.p)) < 1e-6
     assert tangential > 1e-2
+
+
+# ------------------------------------------------ stacked filters vs scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_.integers(1, 5), st_.integers(1, 4), st_.integers(0, 2 ** 32 - 1),
+       st_.sampled_from([0.0, 1e-10, 0.7]))
+def test_batched_steps_match_scalar_per_filter(count, n, seed, w_scale):
+    # the heading rates cover w = 0, the series branch and the closed form
+    rng = np.random.default_rng(seed)
+    noise = NoiseConfig(process_position_psd=1e-3, meas_distance_var=1e-2)
+    states = [_random_state(rng, n=n) for _ in range(count)]
+    v = rng.uniform(-2, 2, size=(count, 2 * n))
+    w = w_scale * rng.uniform(-1, 1, size=count)
+    y = np.array([observation(s.mean) + rng.normal(scale=0.1, size=n + 1) for s in states])
+    dt = 0.05
+
+    p, theta, cov = predict_batch(np.array([s.mean.p for s in states]),
+                                  np.array([s.mean.theta for s in states]),
+                                  np.array([s.covariance for s in states]), v, w, dt, noise)
+    p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
+    assert errors == {}
+    for a, state in enumerate(states):
+        ref = update(predict(state, AlgebraElement(v[a], w[a]), dt, noise), y[a], noise)
+        np.testing.assert_allclose(p[a], ref.mean.p, rtol=1e-12, atol=1e-12)
+        assert theta[a] == pytest.approx(ref.mean.theta, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(cov[a], ref.covariance, rtol=1e-12, atol=1e-12)
