@@ -41,9 +41,9 @@ def main() -> int:
         outcome = detect_outcome(series, config.thresholds)
         tally[outcome] += 1
         if args.verbose:
-            w = max(1, series.steps // 10)
+            window = config.thresholds.window(series.steps)
             print(f"seed {seed:>3}: {outcome:<26} "
-                  f"est={series.est_errors[-w:].max():.3g} "
+                  f"est={series.est_errors[window].max():.3g} "
                   f"cspd={series.centroid_speed[-1]:.3g}")
 
     total = sum(tally.values())

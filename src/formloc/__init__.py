@@ -10,9 +10,7 @@ deterministic closed-loop scenario engine, and a CLI.
 """
 
 from .controller import (
-    EdgeOwnership,
     MismatchConfig,
-    assign_ownership,
     estimated_control,
     formation_potential,
     ideal_control,
@@ -82,7 +80,6 @@ __all__ = [
     "CodistributionReport",
     "DesiredDistances",
     "DivergenceError",
-    "EdgeOwnership",
     "EstimatorState",
     "GramianReport",
     "Graph",
@@ -94,7 +91,6 @@ __all__ = [
     "ScenarioConfig",
     "SingularUpdateError",
     "WorldState",
-    "assign_ownership",
     "codistribution_matrix",
     "codistribution_rank",
     "compose",

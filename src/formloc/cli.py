@@ -22,7 +22,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .lie_group import AlgebraElement, GroupElement
 from .network import DesiredDistances, Graph, sorted_neighbors
 from .observability import codistribution_rank, empirical_gramian
 from .sim import (
+    VARIANTS,
     MetricsSeries,
     OutcomeThresholds,
     ScenarioConfig,
@@ -77,7 +78,7 @@ EXIT_DEFICIENT = 3
 
 
 class ConfigError(Exception):
-    """Malformed or inconsistent config file contents."""
+    """Malformed or inconsistent configuration: file contents or overrides."""
 
 
 def _fmt(x) -> str:
@@ -110,29 +111,45 @@ def _pair_key(prefix: str, i: int, j: int) -> str:
     return f"{prefix}_{i + 1}_{j + 1}"
 
 
-# Keys each config section accepts besides the per-edge ones (`d_i_j`,
-# `a_i_j`) and the `est_i_j` estimates; manifest-only sections are skipped.
+def _estimate_keys(graph: Graph) -> dict:
+    """(i, j) -> `est_i_j` for both orientations of every edge."""
+    return {(i, j): _pair_key("est", i, j)
+            for t, h in graph.edges for i, j in ((t, h), (h, t))}
+
+
+# Keys each config section accepts besides those that depend on the graph
+# or the variant (`d_i_j`, `est_i_j`, and the mismatch keys `default` and
+# `a_i_j` of [controller]); manifest-only sections are skipped.
 _SECTION_KEYS = {
     "graph": {"agents", "edges"},
     "distances": {"default"},
-    "controller": {"variant", "sharing", "default"},
-    "noise": {"process_position_psd", "process_heading_psd", "meas_distance_var",
-              "meas_heading_var", "measurement_noise"},
+    "controller": {"variant", "sharing"},
+    "noise": {f.name for f in fields(NoiseConfig)} | {"measurement_noise"},
     "init": {"offset_bound", "spawn_box", "min_separation", "initial_var", "positions"},
     "sim": {"dt", "duration", "seed", "estimator_enabled"},
-    "thresholds": {"dist_tol", "est_tol", "speed_tol", "centroid_tol", "error_floor",
-                   "window_frac"},
+    "thresholds": {f.name for f in fields(OutcomeThresholds)},
 }
 _MANIFEST_SECTIONS = ("artifact", "result")
+# ScenarioConfig's scalar field defaults, which the loader falls back on
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+# `sharing` is derived from the variant; older manifests still carry it
+_SHARING = {
+    "ideal": ("per-agent", "per-edge-owner"),
+    "estimated": ("per-agent",),
+    "algorithm1": ("per-edge-owner",),
+}
 
 
-def _reject_unknown(ini: configparser.ConfigParser, path: Path, graph: Graph) -> None:
+def _reject_unknown(ini: configparser.ConfigParser, path: Path, graph: Graph,
+                    variant: str) -> None:
     """Raise ConfigError at the first section or key the loader would ignore."""
     if ini.defaults():
         raise ConfigError(f"{_line_of(path, 'DEFAULT')}: unknown section [DEFAULT]")
+    mismatch_keys = {"default"} | {_pair_key("a", t, h) for t, h in graph.edges}
     edge_keys = {
         "distances": {_pair_key("d", t, h) for t, h in graph.edges},
-        "controller": {_pair_key("a", t, h) for t, h in graph.edges},
+        "controller": mismatch_keys if variant == "algorithm1" else set(),
+        "init": set(_estimate_keys(graph).values()),
     }
     for section in ini.sections():
         if section in _MANIFEST_SECTIONS:
@@ -142,9 +159,11 @@ def _reject_unknown(ini: configparser.ConfigParser, path: Path, graph: Graph) ->
         for key in ini[section]:
             if key in _SECTION_KEYS[section] or key in edge_keys.get(section, ()):
                 continue
-            if section == "init" and key.startswith("est_"):
-                continue
-            raise ConfigError(f"{_line_of(path, section, key)}: unknown key {key!r} in [{section}]")
+            where = _line_of(path, section, key)
+            if section == "controller" and key in mismatch_keys:
+                raise ConfigError(f"{where}: {key!r} sets a mismatch, "
+                                  f"which only variant algorithm1 reads (variant is {variant})")
+            raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
 
 
 def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
@@ -160,18 +179,12 @@ def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
         _pair_key("d", t, h): _fmt(config.distances.values[k])
         for k, (t, h) in enumerate(g.edges)
     }
-    ini["controller"] = {"variant": config.variant, "sharing": config.sharing}
+    ini["controller"] = {"variant": config.variant}
     if config.mismatch is not None:
         for k, (t, h) in enumerate(g.edges):
             ini["controller"][_pair_key("a", t, h)] = _fmt(config.mismatch.values[k])
-    n = config.noise
-    ini["noise"] = {
-        "process_position_psd": _fmt(n.process_position_psd),
-        "process_heading_psd": _fmt(n.process_heading_psd),
-        "meas_distance_var": _fmt(n.meas_distance_var),
-        "meas_heading_var": _fmt(n.meas_heading_var),
-        "measurement_noise": str(config.measurement_noise).lower(),
-    }
+    ini["noise"] = {f.name: _fmt(getattr(config.noise, f.name)) for f in fields(NoiseConfig)}
+    ini["noise"]["measurement_noise"] = str(config.measurement_noise).lower()
     ini["init"] = {
         "offset_bound": _fmt(config.offset_bound),
         "spawn_box": _fmt(config.spawn_box),
@@ -192,14 +205,8 @@ def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
         "seed": str(config.seed),
         "estimator_enabled": str(config.estimator_enabled).lower(),
     }
-    th = config.thresholds
     ini["thresholds"] = {
-        "dist_tol": _fmt(th.dist_tol),
-        "est_tol": _fmt(th.est_tol),
-        "speed_tol": _fmt(th.speed_tol),
-        "centroid_tol": _fmt(th.centroid_tol),
-        "error_floor": _fmt(th.error_floor),
-        "window_frac": _fmt(th.window_frac),
+        f.name: _fmt(getattr(config.thresholds, f.name)) for f in fields(OutcomeThresholds)
     }
     return ini
 
@@ -235,13 +242,18 @@ def _parse_pair(text: str, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: non-numeric value in {text!r}") from None
 
 
-def _get_float(sec, key: str, default: float, where) -> float:
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+
+
+def _get(sec, key: str, default, where, kind=float):
+    """sec[key] as a float, int or bool (`kind`), or default when absent."""
     if key not in sec:
         return default
     try:
-        return float(sec[key])
+        return sec.getboolean(key) if kind is bool else kind(sec[key])
     except ValueError:
-        raise ConfigError(f"{where(key)}: {key} must be a number, got {sec[key]!r}") from None
+        raise ConfigError(f"{where(key)}: {key} must be {_KIND_NAMES[kind]}, "
+                          f"got {sec[key]!r}") from None
 
 
 def config_from_ini(path: str | Path) -> ScenarioConfig:
@@ -263,10 +275,7 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     if "graph" not in ini:
         raise ConfigError(f"{path}: missing [graph] section")
     gw = where("graph")
-    try:
-        agents = ini["graph"].getint("agents")
-    except ValueError:
-        raise ConfigError(f"{gw('agents')}: agents must be an integer") from None
+    agents = _get(ini["graph"], "agents", None, gw, int)
     if agents is None or agents < 2:
         raise ConfigError(f"{gw('agents')}: at least 2 agents required")
     if "edges" not in ini["graph"]:
@@ -276,15 +285,25 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
         graph = Graph.from_one_based(agents, edge_list)
     except ValueError as exc:
         raise ConfigError(f"{gw('edges')}: {exc}") from None
-    _reject_unknown(ini, path, graph)
+    for section in _SECTION_KEYS:
+        if section not in ini:
+            ini.add_section(section)
 
-    dsec = ini["distances"] if "distances" in ini else {}
-    dw = where("distances")
-    default_d = _get_float(dsec, "default", float("nan"), dw)
+    csec, cw = ini["controller"], where("controller")
+    variant = csec.get("variant", _DEFAULTS["variant"]).strip()
+    if variant not in VARIANTS:
+        raise ConfigError(f"{cw('variant')}: unknown variant {variant!r}, "
+                          f"expected one of {', '.join(VARIANTS)}")
+    if "sharing" in csec and csec["sharing"].strip() not in _SHARING[variant]:
+        raise ConfigError(f"{cw('sharing')}: sharing = {csec['sharing'].strip()} "
+                          f"contradicts variant = {variant}")
+    _reject_unknown(ini, path, graph, variant)
+
+    dsec, dw = ini["distances"], where("distances")
+    default_d = _get(dsec, "default", float("nan"), dw)
     d_vals = []
     for t, h in graph.edges:
-        key = _pair_key("d", t, h)
-        val = _get_float(dsec, key, default_d, dw)
+        val = _get(dsec, _pair_key("d", t, h), default_d, dw)
         if not np.isfinite(val):
             raise ConfigError(f"{dw()}: no distance for edge {t + 1}-{h + 1} and no default")
         d_vals.append(val)
@@ -293,44 +312,21 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"{dw()}: {exc}") from None
 
-    csec = ini["controller"] if "controller" in ini else {}
-    cw = where("controller")
-    variant = csec.get("variant", "algorithm1").strip()
-    sharing = csec.get("sharing", "").strip()
-    if not sharing:
-        sharing = "per-edge-owner" if variant == "algorithm1" else "per-agent"
     mismatch = None
     if variant == "algorithm1":
-        default_a = _get_float(csec, "default", 1.0, cw)
-        a_vals = [
-            _get_float(csec, _pair_key("a", t, h), default_a, cw)
-            for t, h in graph.edges
-        ]
+        default_a = _get(csec, "default", 1.0, cw)
+        a_vals = [_get(csec, _pair_key("a", t, h), default_a, cw) for t, h in graph.edges]
         mismatch = MismatchConfig(np.array(a_vals))
 
-    nsec = ini["noise"] if "noise" in ini else {}
-    nw = where("noise")
-    defaults = NoiseConfig()
+    nsec, nw = ini["noise"], where("noise")
     try:
-        noise = NoiseConfig(
-            process_position_psd=_get_float(nsec, "process_position_psd", defaults.process_position_psd, nw),
-            process_heading_psd=_get_float(nsec, "process_heading_psd", defaults.process_heading_psd, nw),
-            meas_distance_var=_get_float(nsec, "meas_distance_var", defaults.meas_distance_var, nw),
-            meas_heading_var=_get_float(nsec, "meas_heading_var", defaults.meas_heading_var, nw),
-        )
+        noise = NoiseConfig(**{f.name: _get(nsec, f.name, f.default, nw)
+                               for f in fields(NoiseConfig)})
     except ValueError as exc:
         raise ConfigError(f"{nw()}: {exc}") from None
-    try:
-        measurement_noise = nsec.getboolean("measurement_noise", False) if nsec else False
-    except ValueError:
-        raise ConfigError(f"{nw('measurement_noise')}: measurement_noise must be a boolean") from None
 
-    isec = ini["init"] if "init" in ini else {}
-    iw = where("init")
-    offset_bound = _get_float(isec, "offset_bound", 2.0, iw)
-    spawn_box = _get_float(isec, "spawn_box", 20.0, iw)
-    min_separation = _get_float(isec, "min_separation", 1.0, iw)
-    initial_var = _get_float(isec, "initial_var", float("nan"), iw)
+    isec, iw = ini["init"], where("init")
+    initial_var = _get(isec, "initial_var", float("nan"), iw)
     initial_var = None if not np.isfinite(initial_var) else initial_var
     positions = None
     if "positions" in isec:
@@ -339,47 +335,19 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{iw('positions')}: expected {agents} positions, got {len(rows)}")
         positions = np.array([_parse_pair(row, iw("positions")) for row in rows])
     estimates = None
-    est_keys = [k for k in isec if k.startswith("est_")] if isec else []
-    if est_keys:
+    est_keys = _estimate_keys(graph)
+    if any(key in isec for key in est_keys.values()):
         estimates = {}
-        for key in est_keys:
-            pieces = key.split("_")
-            if len(pieces) != 3:
-                raise ConfigError(f"{iw(key)}: estimate key must look like est_1_2")
-            try:
-                i, j = int(pieces[1]) - 1, int(pieces[2]) - 1
-            except ValueError:
-                raise ConfigError(f"{iw(key)}: estimate key must look like est_1_2") from None
-            estimates[(i, j)] = _parse_pair(isec[key], iw(key))
+        for pair, key in est_keys.items():
+            if key not in isec:
+                raise ConfigError(f"{iw()}: missing initial estimate {key}")
+            estimates[pair] = _parse_pair(isec[key], iw(key))
 
-    ssec = ini["sim"] if "sim" in ini else {}
-    sw = where("sim")
-    dt = _get_float(ssec, "dt", 0.01, sw)
-    duration = _get_float(ssec, "duration", 100.0, sw)
-    if "seed" in ssec:
-        try:
-            seed = int(ssec["seed"])
-        except ValueError:
-            raise ConfigError(f"{sw('seed')}: seed must be an integer") from None
-    else:
-        seed = 0
+    ssec, sw = ini["sim"], where("sim")
+    tsec, tw = ini["thresholds"], where("thresholds")
     try:
-        estimator_enabled = ssec.getboolean("estimator_enabled", True) if ssec else True
-    except ValueError:
-        raise ConfigError(f"{sw('estimator_enabled')}: estimator_enabled must be a boolean") from None
-
-    tsec = ini["thresholds"] if "thresholds" in ini else {}
-    tw = where("thresholds")
-    td = OutcomeThresholds()
-    try:
-        thresholds = OutcomeThresholds(
-            dist_tol=_get_float(tsec, "dist_tol", td.dist_tol, tw),
-            est_tol=_get_float(tsec, "est_tol", td.est_tol, tw),
-            speed_tol=_get_float(tsec, "speed_tol", td.speed_tol, tw),
-            centroid_tol=_get_float(tsec, "centroid_tol", td.centroid_tol, tw),
-            error_floor=_get_float(tsec, "error_floor", td.error_floor, tw),
-            window_frac=_get_float(tsec, "window_frac", td.window_frac, tw),
-        )
+        thresholds = OutcomeThresholds(**{f.name: _get(tsec, f.name, f.default, tw)
+                                          for f in fields(OutcomeThresholds)})
     except ValueError as exc:
         raise ConfigError(f"{tw()}: {exc}") from None
 
@@ -388,20 +356,21 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
             graph=graph,
             distances=distances,
             variant=variant,
-            sharing=sharing,
             mismatch=mismatch,
-            dt=dt,
-            duration=duration,
-            seed=seed,
+            dt=_get(ssec, "dt", _DEFAULTS["dt"], sw),
+            duration=_get(ssec, "duration", _DEFAULTS["duration"], sw),
+            seed=_get(ssec, "seed", _DEFAULTS["seed"], sw, int),
             noise=noise,
-            measurement_noise=measurement_noise,
-            offset_bound=offset_bound,
+            measurement_noise=_get(nsec, "measurement_noise",
+                                   _DEFAULTS["measurement_noise"], nw, bool),
+            offset_bound=_get(isec, "offset_bound", _DEFAULTS["offset_bound"], iw),
             initial_var=initial_var,
             initial_positions=positions,
-            spawn_box=spawn_box,
-            min_separation=min_separation,
+            spawn_box=_get(isec, "spawn_box", _DEFAULTS["spawn_box"], iw),
+            min_separation=_get(isec, "min_separation", _DEFAULTS["min_separation"], iw),
             initial_estimates=estimates,
-            estimator_enabled=estimator_enabled,
+            estimator_enabled=_get(ssec, "estimator_enabled",
+                                   _DEFAULTS["estimator_enabled"], sw, bool),
             thresholds=thresholds,
         )
     except ValueError as exc:
@@ -432,14 +401,13 @@ def write_manifest(path: str | Path, config: ScenarioConfig, series: MetricsSeri
                    outcome: str, metrics_name: str) -> None:
     ini = config_to_ini(config)
     ini["artifact"] = {"name": "formloc", "version": __version__}
-    w = max(1, int(round(series.steps * config.thresholds.window_frac)))
-    d = np.sqrt(series.distances[-1] ** 2 - series.dist_errors[-1])
+    window = config.thresholds.window(series.steps)
     ini["result"] = {
         "outcome": outcome,
         "steps": str(series.steps),
-        "final_max_dist_error": _fmt(np.abs(series.distances[-w:] - d).max()),
-        "final_max_est_error": _fmt(series.est_errors[-w:].max()),
-        "steady_angular_rate": _fmt(series.angular_rate[-w:].mean()),
+        "final_max_dist_error": _fmt(np.abs(series.distances[window] - series.desired).max()),
+        "final_max_est_error": _fmt(series.est_errors[window].max()),
+        "steady_angular_rate": _fmt(series.angular_rate[window].mean()),
         "metrics": metrics_name,
     }
     with open(path, "w") as fh:
@@ -455,7 +423,10 @@ def _out_dir(arg: str | None) -> Path:
 
 def _run_and_save(config: ScenarioConfig, out_dir: Path) -> tuple[MetricsSeries, str]:
     series = run(config)
-    outcome = detect_outcome(series, config.thresholds)
+    try:
+        outcome = detect_outcome(series, config.thresholds)
+    except ValueError as exc:  # the run is shorter than the evaluation window
+        raise ConfigError(str(exc)) from None
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", series)
     write_manifest(out_dir / "manifest.txt", config, series, outcome, "metrics.csv")
@@ -487,7 +458,10 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
     try:
         series, outcome = _run_and_save(config, out_dir)
-    except Exception as exc:
+    except ConfigError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"outcome: {outcome}")
@@ -500,7 +474,7 @@ def cmd_reproduce(args) -> int:
     config = SCENARIOS[args.name]()
     try:
         series, outcome = _run_and_save(config, out_dir)
-    except Exception as exc:
+    except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
         print(f"reproduce: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     expected = EXPECTED_OUTCOME[args.name]

@@ -1,15 +1,23 @@
 """Distance-based formation control laws.
 
 All three laws steer squared-distance errors e_k = |r_tail - r_head|^2 - d_k^2
-to zero along edge directions; they differ in where those directions come
-from.  `ideal_control` is the gradient flow of the quartic shape potential
-and needs the true relative positions.  `estimated_control` substitutes each
-agent's own estimate of every incident edge, which is what a relative
-localizer actually provides; with per-agent estimates the interaction is no
-longer symmetric and the flow can stall or translate instead of converging.
-`mismatch_control` shares one estimate per edge (the owner's) and biases the
-two endpoints' error signals by +-a_k, which forces a steady rotation that
-keeps the estimator excited.
+to zero with one formula,
+
+    u = Ah (E_h * (e + a)) - At (E_t * (e - a)),
+
+where At and Ah scatter per-edge terms to the tail and head agents, and
+E_t, E_h are the directions the tail and the head of each edge steer along.
+The laws differ only in where those directions come from and in the bias a:
+
+- `ideal_control`: E_t = E_h = z, the true offsets r_tail - r_head, and
+  a = 0.  This is the gradient flow of the quartic shape potential.
+- `estimated_control`: E_t is the tail's estimate of r_tail - r_head and
+  E_h is minus the head's estimate of r_head - r_tail, with a = 0.  The two
+  endpoints need not agree, so the interaction is no longer symmetric and
+  the flow can stall or translate instead of converging.
+- `mismatch_control` (Algorithm 1): E_t = E_h, the tail's estimate shared
+  by both ends, and a bias a_k that forces a steady rotation, which keeps
+  the estimator excited.
 """
 
 from __future__ import annotations
@@ -22,21 +30,12 @@ import numpy as np
 from .network import DesiredDistances, Graph, _edge_arrays, distance_errors, edge_offsets
 
 __all__ = [
-    "EdgeOwnership",
     "MismatchConfig",
-    "assign_ownership",
     "estimated_control",
     "formation_potential",
     "ideal_control",
     "mismatch_control",
 ]
-
-
-@dataclass(frozen=True)
-class EdgeOwnership:
-    """Owner agent per edge; the owner's estimate is the edge's shared one."""
-
-    owners: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,6 @@ class MismatchConfig:
         return cls(np.full(edge_count, float(a)))
 
 
-def assign_ownership(graph: Graph) -> EdgeOwnership:
-    """Default ownership: each edge belongs to its tail agent."""
-    return EdgeOwnership(owners=tuple(t for t, _ in graph.edges))
-
-
 @lru_cache(maxsize=None)
 def _scatter_matrices(graph: Graph):
     """(agents x edges) indicators for tails and heads; their difference is
@@ -74,6 +68,14 @@ def _scatter_matrices(graph: Graph):
     at.setflags(write=False)
     ah.setflags(write=False)
     return at, ah
+
+
+def _control_law(at, ah, tail_dirs, head_dirs, e, a) -> np.ndarray:
+    """u = Ah (E_h * (e + a)) - At (E_t * (e - a)), stacked per agent: the
+    one formula behind every law, without validation.  `at`, `ah` come from
+    `_scatter_matrices`; the directions are (edges, 2) arrays, `e` has one
+    error per edge and `a` is a scalar or one bias per edge."""
+    return (ah @ (head_dirs * (e + a)[:, None]) - at @ (tail_dirs * (e - a)[:, None])).ravel()
 
 
 def formation_potential(graph: Graph, r, d) -> float:
@@ -91,13 +93,12 @@ def ideal_control(graph: Graph, r, d) -> np.ndarray:
     """
     z1 = edge_offsets(graph, r)
     e = distance_errors(z1, d)
-    at, ah = _scatter_matrices(graph)
-    terms = z1 * e[:, None]
-    return (ah @ terms - at @ terms).ravel()
+    return _control_law(*_scatter_matrices(graph), z1, z1, e, 0.0)
 
 
 def estimated_control(graph: Graph, estimates, e) -> np.ndarray:
-    """Per-agent law: agent i moves along -sum_j est(i, j) e_ij.
+    """Per-agent law: agent i moves along -sum_j est(i, j) e_ij, so the head
+    of an edge steers along minus its own estimate.
 
     `estimates` maps each directed pair (i, j) with {i, j} an edge to agent
     i's estimate of r_i - r_j.  Errors are symmetric (e_ij = e_ji, one value
@@ -114,19 +115,17 @@ def estimated_control(graph: Graph, estimates, e) -> np.ndarray:
         raise ValueError(f"missing estimate for directed pair {exc}") from exc
     if est_tail.shape != (graph.edge_count, 2) or est_head.shape != (graph.edge_count, 2):
         raise ValueError("estimates must be planar vectors")
-    at, ah = _scatter_matrices(graph)
-    return -(at @ (est_tail * e[:, None]) + ah @ (est_head * e[:, None])).ravel()
+    return _control_law(*_scatter_matrices(graph), est_tail, -est_head, e, 0.0)
 
 
-def mismatch_control(graph: Graph, ownership: EdgeOwnership, shared_estimates,
-                     e, a: MismatchConfig) -> np.ndarray:
+def mismatch_control(graph: Graph, shared_estimates, e, a: MismatchConfig) -> np.ndarray:
     """Shared-estimate law with deliberate error biases.
 
-    shared_estimates[k] is the owner's estimate of r_tail - r_head for edge
-    k.  The tail applies -est_k (e_k - a_k) and the head +est_k (e_k + a_k);
-    with a = 0 and exact estimates this reduces to `ideal_control`, and with
-    a != 0 the biased equilibrium is a slightly distorted shape in steady
-    rotation.
+    shared_estimates[k] is the tail's estimate of r_tail - r_head for edge
+    k, which both endpoints steer along.  The tail applies -est_k (e_k - a_k)
+    and the head +est_k (e_k + a_k); with a = 0 and exact estimates this
+    reduces to `ideal_control`, and with a != 0 the biased equilibrium is a
+    slightly distorted shape in steady rotation.
     """
     m = graph.edge_count
     est = np.asarray(shared_estimates, dtype=float).reshape(-1, 2)
@@ -135,10 +134,4 @@ def mismatch_control(graph: Graph, ownership: EdgeOwnership, shared_estimates,
     if est.shape[0] != m or e.size != m or av.size != m:
         raise ValueError(f"expected {m} estimates, errors and mismatches, "
                          f"got {est.shape[0]}, {e.size}, {av.size}")
-    if len(ownership.owners) != m:
-        raise ValueError(f"ownership lists {len(ownership.owners)} edges, graph has {m}")
-    for k, owner in enumerate(ownership.owners):
-        if owner not in graph.edges[k]:
-            raise ValueError(f"owner {owner} is not an endpoint of edge {graph.edges[k]}")
-    at, ah = _scatter_matrices(graph)
-    return (ah @ (est * (e + av)[:, None]) - at @ (est * (e - av)[:, None])).ravel()
+    return _control_law(*_scatter_matrices(graph), est, est, e, av)

@@ -7,7 +7,7 @@ true positions integrate that velocity field over dt with a classical
 gradient flow is stiff at wide spreads; (3) agents exchange their average
 world-frame velocities over the step and convert neighbor velocities to the
 body frame; (4) each filter runs one predict/update cycle against
-measurements synthesized at the new positions; (5) owners' updated estimates
+measurements synthesized at the new positions; (5) the updated estimates
 are what the next step's controllers read.  All randomness flows through one
 seeded generator, so a (config, seed) pair fixes every byte of the output.
 
@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .controller import MismatchConfig, _scatter_matrices
+from .controller import MismatchConfig, _control_law, _scatter_matrices
 from .estimator import (
     EstimatorState,
     NoiseConfig,
@@ -67,7 +67,6 @@ __all__ = [
 
 VARIANTS = ("ideal", "estimated", "algorithm1")
 MAX_SUBSTEPS = 10000
-SHARING = ("per-agent", "per-edge-owner")
 
 OUTCOME_LABELS = (
     "converged",
@@ -103,6 +102,13 @@ class OutcomeThresholds:
         if not 0.0 < self.window_frac <= 1.0:
             raise ValueError(f"window_frac must be in (0, 1], got {self.window_frac}")
 
+    def window(self, steps: int) -> slice:
+        """The final steps of a run of `steps` steps that outcomes are judged on."""
+        if steps * self.window_frac < 1.0:
+            raise ValueError(f"a run of {steps} steps is shorter than the evaluation window "
+                             f"(window_frac {self.window_frac})")
+        return slice(steps - int(round(steps * self.window_frac)), steps)
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
@@ -111,7 +117,6 @@ class ScenarioConfig:
     graph: Graph
     distances: DesiredDistances
     variant: str = "algorithm1"
-    sharing: str = "per-edge-owner"
     mismatch: MismatchConfig | None = None
     dt: float = 0.01
     duration: float = 100.0
@@ -130,16 +135,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.sharing not in SHARING:
-            raise ValueError(f"unknown sharing mode {self.sharing!r}")
-        if self.variant == "estimated" and self.sharing != "per-agent":
-            raise ValueError("the estimated variant uses per-agent estimates")
-        if self.variant == "algorithm1" and self.sharing != "per-edge-owner":
-            raise ValueError("algorithm1 shares one estimate per edge owner")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
+        if self.steps < 1:
+            raise ValueError(f"duration {self.duration} is shorter than one step of dt {self.dt}")
         if self.distances.values.size != self.graph.edge_count:
             raise ValueError("one desired distance per edge required")
         if self.variant == "algorithm1":
@@ -147,6 +148,8 @@ class ScenarioConfig:
                 raise ValueError("algorithm1 needs a MismatchConfig")
             if self.mismatch.values.size != self.graph.edge_count:
                 raise ValueError("one mismatch per edge required")
+        elif self.mismatch is not None:
+            raise ValueError(f"the {self.variant} variant reads no mismatch; only algorithm1 does")
         if self.offset_bound < 0:
             raise ValueError("offset_bound must be non-negative")
         if self.spawn_box <= 0 or self.min_separation < 0:
@@ -175,6 +178,11 @@ class ScenarioConfig:
                     if (i, j) not in est:
                         raise ValueError(f"missing initial estimate for pair ({i}, {j})")
             object.__setattr__(self, "initial_estimates", est)
+
+    @property
+    def steps(self) -> int:
+        """Number of sampling intervals `run` simulates."""
+        return int(round(self.duration / self.dt))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +316,7 @@ class MetricsSeries:
     centroid_speed: np.ndarray  # (steps,)
     angular_rate: np.ndarray    # (steps,) least-squares rigid rotation rate
     max_speed: np.ndarray       # (steps,) fastest agent
+    desired: np.ndarray         # (edges,) desired distances d_k
     edge_labels: tuple[str, ...]
     events: tuple[str, ...] = ()  # skipped filter updates and capped sub-steps
 
@@ -340,44 +349,40 @@ def _edge_estimates(world: WorldState, graph: Graph) -> tuple[np.ndarray, np.nda
     return -offsets[layout.tail_slots], -offsets[layout.head_slots]
 
 
+def _law_inputs(world: WorldState, config: ScenarioConfig):
+    """The variant's (E_t, E_h, a) for `controller._control_law`: the frozen
+    directions each edge's tail and head steer along, and the bias.  The
+    ideal law steers along the true offsets, which move with the positions;
+    its directions are None."""
+    if config.variant == "ideal":
+        return None, None, 0.0
+    est_tail, est_head = _edge_estimates(world, config.graph)
+    if config.variant == "estimated":
+        return est_tail, -est_head, 0.0
+    return est_tail, est_tail, config.mismatch.values
+
+
 def _control_field(world: WorldState, config: ScenarioConfig):
     """Velocity field r -> u with the estimate snapshot frozen; the distance
     errors are re-measured wherever the integrator evaluates it.
 
-    The closures repeat the arithmetic of the public control laws without
-    their per-call validation; a regression test holds them bit-identical.
+    It evaluates the public control laws' kernel without their per-call
+    validation; a regression test holds the two bit-identical.
     """
-    graph = config.graph
-    at, ah = _scatter_matrices(graph)
+    at, ah = _scatter_matrices(config.graph)
     # r_tail - r_head per edge as one product: every row holds exactly two
     # nonzero terms, so the result is bit-identical to indexing both ends
     diff = (at - ah).T
     dv2 = config.distances.values ** 2
-
-    if config.variant == "ideal":
-        def field(rf):
-            z1 = diff @ rf.reshape(-1, 2)
-            sq = z1 * z1
-            terms = z1 * (sq[:, 0] + sq[:, 1] - dv2)[:, None]
-            return (ah @ terms - at @ terms).ravel()
-        return field
-
-    est_tail, est_head = _edge_estimates(world, graph)
-    if config.variant == "estimated":
-        def field(rf):
-            z1 = diff @ rf.reshape(-1, 2)
-            sq = z1 * z1
-            e = (sq[:, 0] + sq[:, 1] - dv2)[:, None]
-            return -(at @ (est_tail * e) + ah @ (est_head * e)).ravel()
-        return field
-
-    av = config.mismatch.values
+    tail_dirs, head_dirs, a = _law_inputs(world, config)
 
     def field(rf):
         z1 = diff @ rf.reshape(-1, 2)
         sq = z1 * z1
         e = sq[:, 0] + sq[:, 1] - dv2
-        return (ah @ (est_tail * (e + av)[:, None]) - at @ (est_tail * (e - av)[:, None])).ravel()
+        if tail_dirs is None:
+            return _control_law(at, ah, z1, z1, e, a)
+        return _control_law(at, ah, tail_dirs, head_dirs, e, a)
     return field
 
 
@@ -389,15 +394,12 @@ def _stiffness(world: WorldState, config: ScenarioConfig) -> float:
     z1 = edge_offsets(graph, world.r)
     zn = np.linalg.norm(z1, axis=1)
     e = np.abs(distance_errors(z1, config.distances))
-    if config.variant == "ideal":
+    tail_dirs, head_dirs, a = _law_inputs(world, config)
+    if tail_dirs is None:
         dirs = zn
     else:
-        est_tail, est_head = _edge_estimates(world, graph)
-        dirs = _vector_norms(est_tail)
-        if config.variant == "estimated":
-            dirs = np.maximum(dirs, _vector_norms(est_head))
-    a = np.abs(config.mismatch.values) if config.mismatch is not None else np.zeros(graph.edge_count)
-    per_edge = 2.0 * dirs * zn + e + a
+        dirs = np.maximum(_vector_norms(tail_dirs), _vector_norms(head_dirs))
+    per_edge = 2.0 * dirs * zn + e + np.abs(a)
     per_agent = np.zeros(graph.agent_count)
     np.add.at(per_agent, tails, per_edge)
     np.add.at(per_agent, heads, per_edge)
@@ -540,9 +542,7 @@ def _edge_estimate_errors(world: WorldState, graph: Graph, z1: np.ndarray) -> np
 
 def run(config: ScenarioConfig) -> MetricsSeries:
     """Simulate duration/dt steps and record per-step metrics."""
-    steps = int(round(config.duration / config.dt))
-    if steps < 1:
-        raise ValueError("duration shorter than one step")
+    steps = config.steps
     rng = np.random.default_rng(config.seed)
     world = init_world(config, rng)
     graph = config.graph
@@ -577,7 +577,8 @@ def run(config: ScenarioConfig) -> MetricsSeries:
     return MetricsSeries(t=t, distances=distances, est_errors=est_errors,
                          dist_errors=dist_errors_arr, centroid_speed=centroid_speed,
                          angular_rate=angular_rate, max_speed=max_speed,
-                         edge_labels=edge_labels(graph), events=world.events)
+                         desired=config.distances.values, edge_labels=edge_labels(graph),
+                         events=world.events)
 
 
 def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> str:
@@ -590,15 +591,8 @@ def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None =
     undetermined.
     """
     th = thresholds if thresholds is not None else OutcomeThresholds()
-    steps = series.steps
-    if steps * th.window_frac < 1.0:
-        raise ValueError(f"series of {steps} steps is shorter than the evaluation window")
-    w = max(1, int(round(steps * th.window_frac)))
-    sl = slice(steps - w, steps)
-
-    # desired distances are recoverable from the stored metrics
-    d = np.sqrt(series.distances[-1] ** 2 - series.dist_errors[-1])
-    dist_dev = np.abs(series.distances[sl] - d).max()
+    sl = th.window(series.steps)
+    dist_dev = np.abs(series.distances[sl] - series.desired).max()
     est_err = series.est_errors[sl].max()
     wrong_shape_sustained = np.abs(series.dist_errors[sl]).max(axis=1).min() > th.error_floor
     stopped = series.max_speed[sl].max() < th.speed_tol
@@ -641,7 +635,6 @@ def scenario_nominal() -> ScenarioConfig:
         graph=graph,
         distances=DesiredDistances.uniform(3, 10.0),
         variant="algorithm1",
-        sharing="per-edge-owner",
         mismatch=MismatchConfig.uniform(3, 1.0),
         dt=0.01,
         duration=100.0,
@@ -675,7 +668,6 @@ def scenario_issue1() -> ScenarioConfig:
         graph=graph,
         distances=DesiredDistances.uniform(3, 10.0),
         variant="estimated",
-        sharing="per-agent",
         dt=0.01,
         duration=10.0,
         seed=11,
@@ -715,7 +707,6 @@ def scenario_issue2() -> ScenarioConfig:
         graph=graph,
         distances=DesiredDistances.uniform(3, 10.0),
         variant="estimated",
-        sharing="per-agent",
         dt=0.01,
         duration=8.0,
         seed=22,
@@ -739,7 +730,6 @@ def scenario_issue3() -> ScenarioConfig:
         graph=graph,
         distances=DesiredDistances.uniform(3, 10.0),
         variant="estimated",
-        sharing="per-agent",
         dt=0.01,
         duration=12.0,
         seed=33,

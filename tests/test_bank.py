@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from formloc.controller import (
     MismatchConfig,
-    assign_ownership,
     estimated_control,
     ideal_control,
     mismatch_control,
@@ -77,12 +76,11 @@ def reference_step(world, config, rng=None):
         def field(rf):
             return estimated_control(graph, snapshot, distance_errors(edge_offsets(graph, rf), d))
     else:
-        owners = assign_ownership(graph)
         shared = np.array([snapshot[(t, h)] for t, h in graph.edges])
 
         def field(rf):
             e = distance_errors(edge_offsets(graph, rf), d)
-            return mismatch_control(graph, owners, shared, e, config.mismatch)
+            return mismatch_control(graph, shared, e, config.mismatch)
 
     z1 = edge_offsets(graph, world.r)
     per_agent = np.zeros(graph.agent_count)
@@ -159,7 +157,8 @@ def reference_run(config):
         spin = (centered[:, 0] * v_rel[:, 1] - centered[:, 1] * v_rel[:, 0]).sum()
         scalars["angular_rate"][k] = spin / (centered ** 2).sum()
     return MetricsSeries(t=(np.arange(steps) + 1) * config.dt, edge_labels=edge_labels(graph),
-                         events=world.events, **cols, **scalars)
+                         desired=config.distances.values, events=world.events,
+                         **cols, **scalars)
 
 
 def _assert_worlds_match(got, want):
@@ -174,20 +173,26 @@ def _assert_worlds_match(got, want):
 # ------------------------------------------------------- random rigid graphs
 
 
-@st.composite
-def rigid_scenarios(draw):
+def rigid_graph(rng, agents):
     """Henneberg-grown minimally rigid graph (2N - 3 edges) with shuffled
-    labels and orientations, a spawn near a random shape, and a variant."""
-    agents = draw(st.integers(3, 8))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
+    labels and orientations."""
     pairs = [(0, 1)]
     for k in range(2, agents):
         pairs.extend((int(j), k) for j in rng.choice(k, size=2, replace=False))
     label = rng.permutation(agents)
     edges = tuple((label[a], label[b]) if rng.random() < 0.5 else (label[b], label[a])
                   for a, b in pairs)
-    graph = Graph(agents, edges)
+    return Graph(agents, edges)
+
+
+@st.composite
+def rigid_scenarios(draw):
+    """A `rigid_graph` with a spawn near a random shape, and a variant."""
+    agents = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    graph = rigid_graph(rng, agents)
+    edges = graph.edges
     shape = rng.uniform(-8.0, 8.0, size=(agents, 2))
     z = shape[[t for t, _ in edges]] - shape[[h for _, h in edges]]
     distances = DesiredDistances(np.maximum(np.linalg.norm(z, axis=1), 1.0))
@@ -197,7 +202,6 @@ def rigid_scenarios(draw):
         graph=graph,
         distances=distances,
         variant=variant,
-        sharing="per-edge-owner" if variant == "algorithm1" else "per-agent",
         mismatch=mismatch,
         dt=0.01,
         duration=0.5,

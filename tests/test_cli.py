@@ -40,7 +40,6 @@ def test_config_ini_round_trip(tmp_path, factory):
     assert loaded.graph == config.graph
     np.testing.assert_array_equal(loaded.distances.values, config.distances.values)
     assert loaded.variant == config.variant
-    assert loaded.sharing == config.sharing
     if config.mismatch is None:
         assert loaded.mismatch is None
     else:
@@ -149,6 +148,12 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("d_2_1 = 4.0\n", 6, "'d_2_1'"),                 # edge 1-2 is written 1-2
     ("[controller]\na_1_4 = 1.0\n", 7, "'a_1_4'"),  # not an edge
     ("[init]\npositions = 0,0; 10,0; 5,8\nspread = 3\n", 8, "'spread'"),
+    ("[init]\nest_4_1 = 1, 0\n", 7, "'est_4_1'"),       # agent 4 does not exist
+    ("[init]\nest_1_2 = 1, 0\n", 6, "est_2_1"),         # a pair is missing
+    ("[controller]\nvariant = estimated\na_1_2 = 5.0\n", 8, "'a_1_2'"),
+    ("[controller]\nvariant = estimated\ndefault = 3.0\n", 8, "'default'"),
+    ("[controller]\nvariant = estimated\nsharing = per-edge-owner\n", 8, "sharing"),
+    ("[controller]\nsharing = per-agent\n", 7, "sharing"),  # algorithm1 by default
 ])
 def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     path = tmp_path / "cfg.ini"
@@ -157,6 +162,16 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     with pytest.raises(cli.ConfigError) as exc:
         cli.config_from_ini(path)
     assert f"{path}:{line}:" in str(exc.value) and name in str(exc.value)
+
+
+def test_config_accepts_sharing_that_matches_the_variant(tmp_path):
+    # older manifests carry `sharing`, which the variant now implies
+    path = _write_config(tmp_path, scenario_issue3())
+    text = path.read_text()
+    assert "sharing" not in text
+    path.write_text(text.replace("variant = estimated\n",
+                                 "variant = estimated\nsharing = per-agent\n"))
+    assert cli.config_from_ini(path).variant == "estimated"
 
 
 def test_config_distance_default_and_overrides(tmp_path):
@@ -183,6 +198,25 @@ def test_run_divergence_exits_runtime(tmp_path, capsys):
                      "--duration", "1.0", "--out", str(out)])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def test_run_too_short_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    # no step at all, then 5 steps against a 10% evaluation window
+    for duration, message in (("0.004", "shorter than one step"),
+                              ("0.05", "shorter than the evaluation window")):
+        assert cli.main(["run", "--scenario", "issue2", "--duration", duration,
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_out_is_a_file_exits_runtime(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["run", "--scenario", "issue2", "--duration", "0.2",
+                     "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
 
 
 def test_reproduce_checks_outcome(tmp_path, capsys, monkeypatch):

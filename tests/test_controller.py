@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from formloc.controller import (
-    EdgeOwnership,
     MismatchConfig,
-    assign_ownership,
     estimated_control,
     formation_potential,
     ideal_control,
@@ -87,8 +85,7 @@ def test_mismatch_control_zero_bias_matches_ideal(triangle, rng):
     r = rng.uniform(-6, 6, size=6)
     z1 = edge_offsets(triangle, r)
     e = distance_errors(z1, d)
-    got = mismatch_control(triangle, assign_ownership(triangle), z1, e,
-                           MismatchConfig.uniform(3, 0.0))
+    got = mismatch_control(triangle, z1, e, MismatchConfig.uniform(3, 0.0))
     np.testing.assert_allclose(got, ideal_control(triangle, r, d), atol=1e-12)
 
 
@@ -99,7 +96,7 @@ def test_mismatch_control_centroid_rate_identity(triangle, rng):
         est = rng.uniform(-5, 5, size=(3, 2))
         e = rng.uniform(-20, 20, size=3)
         a = MismatchConfig(rng.uniform(-2, 2, size=3))
-        u = mismatch_control(triangle, assign_ownership(triangle), est, e, a)
+        u = mismatch_control(triangle, est, e, a)
         total = u.reshape(-1, 2).sum(axis=0)
         np.testing.assert_allclose(total, 2.0 * (a.values[:, None] * est).sum(axis=0),
                                    atol=1e-10)
@@ -110,7 +107,7 @@ def test_mismatch_control_signs_single_edge():
     est = np.array([[1.0, 0.0]])
     e = np.array([2.0])
     a = MismatchConfig(np.array([0.5]))
-    u = mismatch_control(graph, assign_ownership(graph), est, e, a).reshape(-1, 2)
+    u = mismatch_control(graph, est, e, a).reshape(-1, 2)
     # tail applies -est (e - a), head +est (e + a)
     np.testing.assert_allclose(u[0], [-1.5, 0.0])
     np.testing.assert_allclose(u[1], [2.5, 0.0])
@@ -118,17 +115,8 @@ def test_mismatch_control_signs_single_edge():
 
 def test_mismatch_control_validation(triangle):
     est = np.zeros((3, 2))
-    e = np.zeros(3)
     a = MismatchConfig.uniform(3, 1.0)
     with pytest.raises(ValueError):
-        mismatch_control(triangle, assign_ownership(triangle), est, np.zeros(2), a)
-    with pytest.raises(ValueError):
-        mismatch_control(triangle, EdgeOwnership((0, 1)), est, e, a)
-    with pytest.raises(ValueError):
-        mismatch_control(triangle, EdgeOwnership((2, 0, 1)), est, e, a)
+        mismatch_control(triangle, est, np.zeros(2), a)
     with pytest.raises(ValueError):
         MismatchConfig(np.array([1.0, np.inf, 0.0]))
-
-
-def test_assign_ownership_uses_tails(triangle):
-    assert assign_ownership(triangle).owners == (0, 1, 0)

@@ -11,13 +11,12 @@ from dataclasses import replace
 
 from formloc.controller import (
     MismatchConfig,
-    assign_ownership,
     estimated_control,
     ideal_control,
     mismatch_control,
 )
 from formloc.estimator import NoiseConfig
-from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets
+from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.sim import (
     DivergenceError,
     MetricsSeries,
@@ -36,6 +35,7 @@ from formloc.sim import (
     scenario_nominal,
     step,
 )
+from test_bank import rigid_graph
 
 
 def _basic_config(graph, **kw):
@@ -43,7 +43,6 @@ def _basic_config(graph, **kw):
         graph=graph,
         distances=DesiredDistances.uniform(graph.edge_count, 10.0),
         variant="algorithm1",
-        sharing="per-edge-owner",
         mismatch=MismatchConfig.uniform(graph.edge_count, 1.0),
         dt=0.01,
         duration=1.0,
@@ -61,15 +60,11 @@ def test_config_rejects_bad_combinations(triangle):
     with pytest.raises(ValueError):
         ScenarioConfig(variant="nope", **good)
     with pytest.raises(ValueError):
-        ScenarioConfig(variant="estimated", sharing="per-edge-owner", **good)
+        ScenarioConfig(variant="algorithm1", mismatch=None, **good)
     with pytest.raises(ValueError):
-        ScenarioConfig(variant="algorithm1", sharing="per-agent", **good)
+        ScenarioConfig(variant="algorithm1", mismatch=MismatchConfig.uniform(2, 1.0), **good)
     with pytest.raises(ValueError):
-        ScenarioConfig(variant="algorithm1", sharing="per-edge-owner",
-                       mismatch=None, **good)
-    with pytest.raises(ValueError):
-        ScenarioConfig(variant="algorithm1", sharing="per-edge-owner",
-                       mismatch=MismatchConfig.uniform(2, 1.0), **good)
+        ScenarioConfig(variant="estimated", mismatch=MismatchConfig.uniform(3, 1.0), **good)
     with pytest.raises(ValueError):
         _basic_config(triangle, dt=0.0)
     with pytest.raises(ValueError):
@@ -164,46 +159,45 @@ def test_init_world_honors_explicit_state(triangle):
 
 
 def test_control_field_bitwise_matches_public_laws(triangle, rng):
-    """The inlined closures must replicate the public control laws bit for
-    bit; any drift here silently changes every pinned scenario."""
-    d = DesiredDistances(np.array([3.0, 7.0, 10.0]))
-    est = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                est[(i, j)] = rng.uniform(-5, 5, size=2)
+    """The engine's field must replicate the public control laws bit for
+    bit, on the triangle and on minimally rigid graphs of mixed degree; any
+    drift here silently changes every pinned scenario."""
+    graphs = [triangle] + [rigid_graph(rng, agents) for agents in (4, 6, 8)]
+    for graph in graphs[1:]:
+        assert len({len(sorted_neighbors(graph, i)) for i in range(graph.agent_count)}) > 1
+    for graph in graphs:
+        o, m = graph.agent_count, graph.edge_count
+        d = DesiredDistances(rng.uniform(3.0, 10.0, size=m))
+        est = {}
+        for t, h in graph.edges:
+            est[(t, h)] = rng.uniform(-5, 5, size=2)
+            est[(h, t)] = rng.uniform(-5, 5, size=2)
 
-    ideal_cfg = _basic_config(triangle, variant="ideal", mismatch=None,
-                              distances=d, initial_estimates=est,
-                              initial_positions=rng.uniform(-8, 8, size=(3, 2)))
-    world = init_world(ideal_cfg)
+        ideal_cfg = _basic_config(graph, variant="ideal", mismatch=None,
+                                  distances=d, initial_estimates=est,
+                                  initial_positions=rng.uniform(-8, 8, size=(o, 2)))
+        world = init_world(ideal_cfg)
 
-    points = [world.r.ravel()] + [world.r.ravel() + rng.normal(size=6) for _ in range(5)]
+        points = [world.r.ravel()] + [world.r.ravel() + rng.normal(size=2 * o) for _ in range(5)]
 
-    field = _control_field(world, ideal_cfg)
-    for rf in points:
-        np.testing.assert_array_equal(field(rf), ideal_control(triangle, rf, d))
+        field = _control_field(world, ideal_cfg)
+        for rf in points:
+            np.testing.assert_array_equal(field(rf), ideal_control(graph, rf, d))
 
-    est_cfg = replace(ideal_cfg, variant="estimated", sharing="per-agent")
-    field = _control_field(world, est_cfg)
-    snapshot = {
-        (i, j): _estimate_of(world, triangle, i, j)
-        for i in range(3) for j in range(3) if i != j
-    }
-    for rf in points:
-        e = distance_errors(edge_offsets(triangle, rf), d)
-        np.testing.assert_array_equal(field(rf), estimated_control(triangle, snapshot, e))
+        est_cfg = replace(ideal_cfg, variant="estimated")
+        field = _control_field(world, est_cfg)
+        snapshot = {pair: _estimate_of(world, graph, *pair) for pair in est}
+        for rf in points:
+            e = distance_errors(edge_offsets(graph, rf), d)
+            np.testing.assert_array_equal(field(rf), estimated_control(graph, snapshot, e))
 
-    a = MismatchConfig(np.array([0.5, -1.0, 2.0]))
-    mm_cfg = replace(ideal_cfg, variant="algorithm1", sharing="per-edge-owner", mismatch=a)
-    field = _control_field(world, mm_cfg)
-    owners = assign_ownership(triangle)
-    shared = np.array([_estimate_of(world, triangle, t, h) for t, h in triangle.edges])
-    for rf in points:
-        e = distance_errors(edge_offsets(triangle, rf), d)
-        np.testing.assert_array_equal(
-            field(rf), mismatch_control(triangle, owners, shared, e, a)
-        )
+        a = MismatchConfig(rng.uniform(-2.0, 2.0, size=m))
+        mm_cfg = replace(ideal_cfg, variant="algorithm1", mismatch=a)
+        field = _control_field(world, mm_cfg)
+        shared = np.array([_estimate_of(world, graph, t, h) for t, h in graph.edges])
+        for rf in points:
+            e = distance_errors(edge_offsets(graph, rf), d)
+            np.testing.assert_array_equal(field(rf), mismatch_control(graph, shared, e, a))
 
 
 # -------------------------------------------------------------------- step
@@ -325,6 +319,7 @@ def _series(dist, est, e, cspd, vmax, steps=100):
         centroid_speed=np.full(steps, cspd),
         angular_rate=np.zeros(steps),
         max_speed=np.full(steps, vmax),
+        desired=np.full(m, 10.0),
         edge_labels=("12", "23", "13"),
     )
 
