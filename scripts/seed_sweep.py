@@ -3,8 +3,9 @@
 
 Convergence of the closed loop is local: a wide random spawn can outrun the
 measurement cadence, stall on a translation of the wrong shape, or escape
-entirely.  This sweep maps that basin.  Divergent runs are reported as
-their own category rather than crashing the sweep.
+entirely.  This sweep maps that basin, running every seed in one batched
+engine pass.  Divergent runs are reported as their own category rather
+than crashing the sweep.
 
 Example:
     python3 scripts/seed_sweep.py --seeds 60
@@ -26,25 +27,27 @@ def main() -> int:
     parser.add_argument("--duration", type=float, default=12.0)
     parser.add_argument("--verbose", action="store_true", help="one line per seed")
     args = parser.parse_args()
+    if args.seeds < 0:
+        parser.error(f"--seeds must be non-negative, got {args.seeds}")
+    try:
+        base = replace(scenario_nominal(), dt=args.dt, duration=args.duration)
+        window = base.thresholds.window(base.steps)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    base = replace(scenario_nominal(), dt=args.dt, duration=args.duration)
     tally = collections.Counter()
-    for seed in range(args.seeds):
-        config = replace(base, seed=seed)
-        try:
-            series = run(config)
-        except DivergenceError:
+    for seed, result in enumerate(run(base, seeds=range(args.seeds))):
+        if isinstance(result, DivergenceError):
             tally["diverged"] += 1
             if args.verbose:
                 print(f"seed {seed:>3}: diverged")
             continue
-        outcome = detect_outcome(series, config.thresholds)
+        outcome = detect_outcome(result, base.thresholds)
         tally[outcome] += 1
         if args.verbose:
-            window = config.thresholds.window(series.steps)
             print(f"seed {seed:>3}: {outcome:<26} "
-                  f"est={series.est_errors[window].max():.3g} "
-                  f"cspd={series.centroid_speed[-1]:.3g}")
+                  f"est={result.est_errors[window].max():.3g} "
+                  f"cspd={result.centroid_speed[-1]:.3g}")
 
     total = sum(tally.values())
     print(f"\ndt={args.dt} duration={args.duration} seeds={total}")

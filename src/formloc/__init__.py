@@ -31,7 +31,6 @@ from .lie_group import (
     exp,
     identity,
     inverse,
-    left_invariant_basis,
     rotation,
     step_body_velocity,
     step_jacobian,
@@ -42,9 +41,7 @@ from .network import (
     Graph,
     distance_errors,
     edge_offsets,
-    incidence_matrix,
     neighbors,
-    relative_position_stack,
     rigidity_matrix,
     sorted_neighbors,
 )
@@ -103,17 +100,14 @@ __all__ = [
     "formation_potential",
     "ideal_control",
     "identity",
-    "incidence_matrix",
     "init_world",
     "initialize",
     "inverse",
-    "left_invariant_basis",
     "mismatch_control",
     "neighbors",
     "observation",
     "observation_jacobian",
     "predict",
-    "relative_position_stack",
     "rigidity_matrix",
     "rotation",
     "run",

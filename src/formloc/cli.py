@@ -326,8 +326,10 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{nw()}: {exc}") from None
 
     isec, iw = ini["init"], where("init")
-    initial_var = _get(isec, "initial_var", float("nan"), iw)
-    initial_var = None if not np.isfinite(initial_var) else initial_var
+    initial_var = _get(isec, "initial_var", None, iw)
+    if initial_var is not None and not 0.0 < initial_var < np.inf:
+        raise ConfigError(f"{iw('initial_var')}: initial_var must be positive and finite, "
+                          f"got {isec['initial_var']!r}")
     positions = None
     if "positions" in isec:
         rows = [p for p in isec["positions"].split(";") if p.strip()]

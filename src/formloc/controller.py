@@ -73,9 +73,14 @@ def _scatter_matrices(graph: Graph):
 def _control_law(at, ah, tail_dirs, head_dirs, e, a) -> np.ndarray:
     """u = Ah (E_h * (e + a)) - At (E_t * (e - a)), stacked per agent: the
     one formula behind every law, without validation.  `at`, `ah` come from
-    `_scatter_matrices`; the directions are (edges, 2) arrays, `e` has one
-    error per edge and `a` is a scalar or one bias per edge."""
-    return (ah @ (head_dirs * (e + a)[:, None]) - at @ (tail_dirs * (e - a)[:, None])).ravel()
+    `_scatter_matrices`.  The directions hold one (x, y) row per edge, and
+    `e` and `a` broadcast against them (a column per edge; `a` may be a
+    scalar).  Flattened, each edge may hold B such pairs with their `e` and
+    `a` per entry, for B configurations evaluated side by side; each agent's
+    velocity then comes out as B pairs."""
+    edges = ah.shape[1]
+    return (ah @ (head_dirs * (e + a)).reshape(edges, -1)
+            - at @ (tail_dirs * (e - a)).reshape(edges, -1)).ravel()
 
 
 def formation_potential(graph: Graph, r, d) -> float:
@@ -93,7 +98,7 @@ def ideal_control(graph: Graph, r, d) -> np.ndarray:
     """
     z1 = edge_offsets(graph, r)
     e = distance_errors(z1, d)
-    return _control_law(*_scatter_matrices(graph), z1, z1, e, 0.0)
+    return _control_law(*_scatter_matrices(graph), z1, z1, e[:, None], 0.0)
 
 
 def estimated_control(graph: Graph, estimates, e) -> np.ndarray:
@@ -115,7 +120,7 @@ def estimated_control(graph: Graph, estimates, e) -> np.ndarray:
         raise ValueError(f"missing estimate for directed pair {exc}") from exc
     if est_tail.shape != (graph.edge_count, 2) or est_head.shape != (graph.edge_count, 2):
         raise ValueError("estimates must be planar vectors")
-    return _control_law(*_scatter_matrices(graph), est_tail, -est_head, e, 0.0)
+    return _control_law(*_scatter_matrices(graph), est_tail, -est_head, e[:, None], 0.0)
 
 
 def mismatch_control(graph: Graph, shared_estimates, e, a: MismatchConfig) -> np.ndarray:
@@ -134,4 +139,4 @@ def mismatch_control(graph: Graph, shared_estimates, e, a: MismatchConfig) -> np
     if est.shape[0] != m or e.size != m or av.size != m:
         raise ValueError(f"expected {m} estimates, errors and mismatches, "
                          f"got {est.shape[0]}, {e.size}, {av.size}")
-    return _control_law(*_scatter_matrices(graph), est, est, e, av)
+    return _control_law(*_scatter_matrices(graph), est, est, e[:, None], av[:, None])

@@ -28,12 +28,9 @@ __all__ = [
     "AlgebraElement",
     "GroupElement",
     "compose",
-    "embed",
-    "embed_algebra",
     "exp",
     "identity",
     "inverse",
-    "left_invariant_basis",
     "rotation",
     "step_body_velocity",
     "step_jacobian",
@@ -160,21 +157,6 @@ def exp(xi: AlgebraElement) -> GroupElement:
     return GroupElement(np.column_stack([px, py]).ravel(), w)
 
 
-def left_invariant_basis(q: GroupElement) -> np.ndarray:
-    """Coordinate expressions of the left-invariant frame at q, as columns.
-
-    Columns 2k, 2k+1 are the two translational fields of neighbor k
-    (heading-aligned and its quarter-turn); the last column is d/dtheta.
-    The result is block-diag(R(theta), ..., R(theta), 1), so it maps body
-    velocities (v, w) to coordinate velocities (dp/dt, dtheta/dt).
-    """
-    n = q.n
-    basis = np.zeros((2 * n + 1, 2 * n + 1))
-    basis[: 2 * n, : 2 * n] = np.kron(np.eye(n), rotation(q.theta))
-    basis[2 * n, 2 * n] = 1.0
-    return basis
-
-
 def step_body_velocity(q: GroupElement, xi: AlgebraElement, dt: float) -> GroupElement:
     """Advance q by the exact flow of the constant body velocity xi over dt."""
     _check_same_n(q, xi)
@@ -195,24 +177,3 @@ def step_jacobian(theta: float, xi: AlgebraElement, dt: float) -> np.ndarray:
     f = np.eye(2 * n + 1)
     f[: 2 * n, 2 * n] = dt * (xi.v.reshape(-1, 2) @ rotation(theta + 0.5 * np.pi).T).ravel()
     return f
-
-
-def embed(q: GroupElement) -> np.ndarray:
-    """Homogeneous-matrix embedding: n diagonal copies of R(theta), p in the
-    last column, 1 in the corner.  Group products become matrix products."""
-    n = q.n
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[: 2 * n, : 2 * n] = np.kron(np.eye(n), rotation(q.theta))
-    m[: 2 * n, 2 * n] = q.p
-    m[2 * n, 2 * n] = 1.0
-    return m
-
-
-def embed_algebra(xi: AlgebraElement) -> np.ndarray:
-    """Matrix form of a body velocity; its matrix exponential embeds exp(xi)."""
-    n = xi.n
-    j = np.array([[0.0, -xi.w], [xi.w, 0.0]])
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[: 2 * n, : 2 * n] = np.kron(np.eye(n), j)
-    m[: 2 * n, 2 * n] = xi.v
-    return m

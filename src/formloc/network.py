@@ -18,9 +18,7 @@ __all__ = [
     "Graph",
     "distance_errors",
     "edge_offsets",
-    "incidence_matrix",
     "neighbors",
-    "relative_position_stack",
     "rigidity_matrix",
     "sorted_neighbors",
 ]
@@ -109,15 +107,6 @@ def sorted_neighbors(graph: Graph, i: int) -> tuple:
     return tuple(sorted(neighbors(graph, i)))
 
 
-def incidence_matrix(graph: Graph) -> np.ndarray:
-    """Agents-by-edges incidence matrix: +1 at the tail, -1 at the head."""
-    b = np.zeros((graph.agent_count, graph.edge_count))
-    for k, (t, h) in enumerate(graph.edges):
-        b[t, k] = 1.0
-        b[h, k] = -1.0
-    return b
-
-
 def _positions_2d(graph: Graph, r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.size != 2 * graph.agent_count:
@@ -130,13 +119,6 @@ def edge_offsets(graph: Graph, r: np.ndarray) -> np.ndarray:
     r2 = _positions_2d(graph, r)
     tails, heads = _edge_arrays(graph)
     return r2[tails] - r2[heads]
-
-
-def relative_position_stack(graph: Graph, r: np.ndarray) -> np.ndarray:
-    """Stacked relative positions: first half r_tail - r_head per edge, second
-    half its negation (both edge orientations)."""
-    z1 = edge_offsets(graph, r).ravel()
-    return np.concatenate([z1, -z1])
 
 
 def distance_errors(z1, d) -> np.ndarray:

@@ -8,14 +8,21 @@ gradient flow is stiff at wide spreads; (3) agents exchange their average
 world-frame velocities over the step and convert neighbor velocities to the
 body frame; (4) each filter runs one predict/update cycle against
 measurements synthesized at the new positions; (5) the updated estimates
-are what the next step's controllers read.  All randomness flows through one
-seeded generator, so a (config, seed) pair fixes every byte of the output.
+are what the next step's controllers read.  All randomness of a run flows
+through one seeded generator, so a (config, seed) pair fixes every byte of
+the output.
 
 The filters live in a `FilterBank`: stacked arrays with one bucket per agent
 degree, so phase (4) is one batched predict and one batched update per
 bucket, and every estimate read is an index gather from the bank's offset
 table.  The scalar `estimator.predict`/`update` stay the reference the bank
 is tested against.
+
+`run(config, seeds)` advances many seeds of one config in lockstep: every
+array gains a leading seed axis, and the bank's buckets stack the seeds
+into their rows.  Each seed keeps its own sub-step count, generator and
+event log, so it comes out exactly as it would alone; a seed that diverges
+leaves the batch.  `step` is the same core for one seed.
 
 Agents hold their headings in these scenarios (zero angular rate); the
 estimator and group layers support nonzero heading rates independently.
@@ -24,8 +31,9 @@ estimator and group layers support nonzero heading rates independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -39,14 +47,7 @@ from .estimator import (
     update_batch,
 )
 from .lie_group import GroupElement, rotation
-from .network import (
-    DesiredDistances,
-    Graph,
-    _edge_arrays,
-    distance_errors,
-    edge_offsets,
-    sorted_neighbors,
-)
+from .network import DesiredDistances, Graph, _edge_arrays, sorted_neighbors
 
 __all__ = [
     "DivergenceError",
@@ -154,6 +155,8 @@ class ScenarioConfig:
             raise ValueError("offset_bound must be non-negative")
         if self.spawn_box <= 0 or self.min_separation < 0:
             raise ValueError("spawn_box must be positive and min_separation non-negative")
+        if self.initial_var is not None and not 0.0 < self.initial_var < np.inf:
+            raise ValueError(f"initial_var must be positive and finite, got {self.initial_var}")
         for i in range(self.graph.agent_count):
             if not sorted_neighbors(self.graph, i):
                 raise ValueError(f"agent {i} has no neighbors; every filter needs at least one")
@@ -252,11 +255,35 @@ def _layout(graph: Graph) -> _Layout:
     )
 
 
+@lru_cache(maxsize=8)
+def _seed_gathers(graph: Graph, seeds: int) -> tuple:
+    """`_layout`'s slot and bank-row gathers for B seeds, in the bank's row
+    order (bucket after bucket, and within a bucket seed after seed): the
+    neighbor and the tracking agent of every slot, and the agent of every
+    row, as indices into arrays flattened over (seed, agent); then the
+    slots' and rows' noise draws, as indices into the seeds' draws laid end
+    to end."""
+    layout = _layout(graph)
+    starts = np.arange(seeds)[:, None]
+
+    def spread(per_seed, blocks, stride):
+        return np.concatenate([(starts * stride + per_seed[block]).ravel() for block in blocks])
+
+    slots = [b.slots for b in layout.buckets]
+    rows = [b.rows for b in layout.buckets]
+    agents, draws = graph.agent_count, layout.draw_count
+    return (spread(layout.slot_nbrs, slots, agents), spread(layout.slot_agents, slots, agents),
+            spread(layout.agents, rows, agents), spread(layout.range_draws, slots, draws),
+            spread(layout.heading_draws, rows, draws))
+
+
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Every agent's filter as stacked arrays, one bucket per agent degree n
-    (see `_layout`): means (A, 2n), headings (A,), covariances
-    (A, 2n+1, 2n+1), one entry per bucket in ascending degree."""
+    """Every agent's filter, for B seeds, as stacked arrays with one bucket
+    per agent degree n (see `_layout`): means (B * A, 2n), headings
+    (B * A,), covariances (B * A, 2n+1, 2n+1), one entry per bucket in
+    ascending degree.  Row s * A + i holds the bucket's agent i of seed s.
+    A `WorldState` holds the bank of one seed."""
 
     graph: Graph
     means: tuple[np.ndarray, ...]
@@ -265,7 +292,7 @@ class FilterBank:
 
     @classmethod
     def from_filters(cls, graph: Graph, filters) -> "FilterBank":
-        """Stack per-agent filters, given in agent order."""
+        """Stack one seed's per-agent filters, given in agent order."""
         buckets = _layout(graph).buckets
         return cls(
             graph=graph,
@@ -274,9 +301,28 @@ class FilterBank:
             covariances=tuple(np.array([filters[i].covariance for i in b.agents]) for b in buckets),
         )
 
+    @classmethod
+    def stack(cls, banks) -> "FilterBank":
+        """The seeds of several banks of one graph, in order, as one bank."""
+        return cls(banks[0].graph,
+                   *(tuple(map(np.concatenate, zip(*(getattr(b, name) for b in banks))))
+                     for name in ("means", "headings", "covariances")))
+
+    @property
+    def seeds(self) -> int:
+        return len(self.headings[0]) // len(_layout(self.graph).buckets[0].agents)
+
+    def take(self, keep: np.ndarray) -> "FilterBank":
+        """The bank of the seeds where the boolean mask `keep` is set."""
+        rows = [np.repeat(keep, len(b.agents)) for b in _layout(self.graph).buckets]
+        return FilterBank(self.graph, *(tuple(x[r] for x, r in zip(arrays, rows)) for arrays in
+                                        (self.means, self.headings, self.covariances)))
+
     @cached_property
     def filters(self) -> tuple[EstimatorState, ...]:
-        """Per-agent filter states in agent order."""
+        """Per-agent filter states of a one-seed bank, in agent order."""
+        if self.seeds != 1:
+            raise ValueError(f"a bank of {self.seeds} seeds has no single set of filters")
         out = [None] * self.graph.agent_count
         for b, bucket in enumerate(_layout(self.graph).buckets):
             for row, i in enumerate(bucket.agents):
@@ -286,8 +332,9 @@ class FilterBank:
 
     @cached_property
     def offsets(self) -> np.ndarray:
-        """The offset table: every tracked neighbor offset, (sum of degrees, 2)."""
-        return np.concatenate([m.reshape(-1, 2) for m in self.means])
+        """The offset table of each seed: every tracked neighbor offset,
+        (B, sum of degrees, 2)."""
+        return np.concatenate([m.reshape(self.seeds, -1, 2) for m in self.means], axis=1)
 
 
 @dataclass(eq=False)
@@ -303,6 +350,28 @@ class WorldState:
     @property
     def filters(self) -> tuple[EstimatorState, ...]:
         return self.bank.filters
+
+
+@dataclass(eq=False)
+class _Batch:
+    """B seeds of one config advancing in lockstep: true positions
+    (B, agents, 2) and headings (B, agents), their filter bank, and one
+    generator and one event log per seed.  After `_move`, v holds each
+    seed's average velocities over the step, (B, agents, 2)."""
+
+    r: np.ndarray
+    headings: np.ndarray
+    bank: FilterBank
+    t: float
+    rngs: list
+    events: list
+    v: np.ndarray | None = None
+
+    def take(self, keep: np.ndarray) -> "_Batch":
+        """The seeds that the boolean mask `keep` selects."""
+        return _Batch(r=self.r[keep], headings=self.headings[keep], bank=self.bank.take(keep),
+                      t=self.t, rngs=list(compress(self.rngs, keep)),
+                      events=list(compress(self.events, keep)), v=self.v[keep])
 
 
 @dataclass(eq=False)
@@ -332,39 +401,58 @@ def edge_labels(graph: Graph) -> tuple[str, ...]:
 
 def _estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
     """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i)."""
-    return -world.bank.offsets[_layout(graph).slot[(i, j)]]
+    return -world.bank.offsets[0, _layout(graph).slot[(i, j)]]
 
 
 def _vector_norms(x: np.ndarray) -> np.ndarray:
-    """Norm of each row of an (m, 2) array, each computed as a dot product
-    the way np.linalg.norm treats a single vector, to its last bit."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    """Norm of each 2-vector along x's last axis, each computed as a dot
+    product the way np.linalg.norm treats a single vector, to its last bit."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _edge_estimates(world: WorldState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge (t, h), the tail's estimate of r_t - r_h and the head's of
-    r_h - r_t, as (edges, 2) arrays."""
+def _edge_estimates(state, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per seed and edge (t, h), the tail's estimate of r_t - r_h and the
+    head's of r_h - r_t, as (B, edges, 2) arrays."""
     layout = _layout(graph)
-    offsets = world.bank.offsets
-    return -offsets[layout.tail_slots], -offsets[layout.head_slots]
+    offsets = state.bank.offsets
+    return -offsets[:, layout.tail_slots], -offsets[:, layout.head_slots]
 
 
-def _law_inputs(world: WorldState, config: ScenarioConfig):
+def _law_inputs(state, config: ScenarioConfig):
     """The variant's (E_t, E_h, a) for `controller._control_law`: the frozen
-    directions each edge's tail and head steer along, and the bias.  The
-    ideal law steers along the true offsets, which move with the positions;
-    its directions are None."""
+    directions each edge's tail and head steer along, per seed, and the
+    bias.  The ideal law steers along the true offsets, which move with the
+    positions; its directions are None."""
     if config.variant == "ideal":
         return None, None, 0.0
-    est_tail, est_head = _edge_estimates(world, config.graph)
+    est_tail, est_head = _edge_estimates(state, config.graph)
     if config.variant == "estimated":
         return est_tail, -est_head, 0.0
     return est_tail, est_tail, config.mismatch.values
 
 
-def _control_field(world: WorldState, config: ScenarioConfig):
-    """Velocity field r -> u with the estimate snapshot frozen; the distance
-    errors are re-measured wherever the integrator evaluates it.
+def _columns(x: np.ndarray) -> np.ndarray:
+    """(B, k, 2) per-seed rows as (k, 2B): seed b in columns 2b and 2b + 1."""
+    return x.swapaxes(0, 1).reshape(x.shape[1], -1)
+
+
+@lru_cache(maxsize=8)
+def _kernel_entries(config: ScenarioConfig, seeds: int) -> tuple:
+    """For B seeds side by side in the control kernel, flattened from
+    (edges, 2B): each entry's squared desired distance and bias, and the
+    index of the other coordinate of its (x, y) pair."""
+    per_edge = 2 * seeds
+    a = np.repeat(config.mismatch.values, per_edge) if config.mismatch is not None else 0.0
+    swap = np.arange(config.graph.edge_count * per_edge) ^ 1
+    return np.repeat(config.distances.values ** 2, per_edge), a, swap
+
+
+def _control_field(state, config: ScenarioConfig):
+    """Velocity field r -> u with the estimate snapshot of `state` (a
+    `WorldState` or a `_Batch`) frozen; the distance errors are re-measured
+    wherever the integrator evaluates it.  r and u are the seeds' positions
+    and velocities side by side, flattened from (agents, 2B) (see
+    `_columns`); for one seed that is its flat positions.
 
     It evaluates the public control laws' kernel without their per-call
     validation; a regression test holds the two bit-identical.
@@ -373,48 +461,61 @@ def _control_field(world: WorldState, config: ScenarioConfig):
     # r_tail - r_head per edge as one product: every row holds exactly two
     # nonzero terms, so the result is bit-identical to indexing both ends
     diff = (at - ah).T
-    dv2 = config.distances.values ** 2
-    tail_dirs, head_dirs, a = _law_inputs(world, config)
+    agents = config.graph.agent_count
+    dv2, a, swap = _kernel_entries(config, state.bank.seeds)
+    tail_dirs, head_dirs, _ = _law_inputs(state, config)
+    dirs = None if tail_dirs is None else (_columns(tail_dirs).ravel(), _columns(head_dirs).ravel())
 
-    def field(rf):
-        z1 = diff @ rf.reshape(-1, 2)
-        sq = z1 * z1
-        e = sq[:, 0] + sq[:, 1] - dv2
-        if tail_dirs is None:
-            return _control_law(at, ah, z1, z1, e, a)
-        return _control_law(at, ah, tail_dirs, head_dirs, e, a)
+    def field(r):
+        z = (diff @ r.reshape(agents, -1)).ravel()
+        sq = z * z
+        # x^2 + y^2 in both entries of each pair: a sum of two terms is the
+        # same either way round
+        e = sq + sq[swap] - dv2
+        return _control_law(at, ah, *(dirs or (z, z)), e, a)
     return field
 
 
-def _stiffness(world: WorldState, config: ScenarioConfig) -> float:
-    """Upper estimate of the control field's Jacobian scale, used to pick the
-    sub-step count that keeps the 4th-order scheme inside its stability region."""
-    graph = config.graph
-    tails, heads = _edge_arrays(graph)
-    z1 = edge_offsets(graph, world.r)
-    zn = np.linalg.norm(z1, axis=1)
-    e = np.abs(distance_errors(z1, config.distances))
-    tail_dirs, head_dirs, a = _law_inputs(world, config)
+def _stiffness(batch: _Batch, config: ScenarioConfig) -> np.ndarray:
+    """Per seed, an upper estimate of the control field's Jacobian scale,
+    used to pick the sub-step count that keeps the 4th-order scheme inside
+    its stability region."""
+    tails, heads = _edge_arrays(config.graph)
+    z1 = batch.r[:, tails] - batch.r[:, heads]
+    zn = np.linalg.norm(z1, axis=2)
+    e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
+    tail_dirs, head_dirs, a = _law_inputs(batch, config)
     if tail_dirs is None:
         dirs = zn
     else:
         dirs = np.maximum(_vector_norms(tail_dirs), _vector_norms(head_dirs))
     per_edge = 2.0 * dirs * zn + e + np.abs(a)
-    per_agent = np.zeros(graph.agent_count)
-    np.add.at(per_agent, tails, per_edge)
-    np.add.at(per_agent, heads, per_edge)
-    return float(per_agent.max())
+    per_agent = np.zeros(batch.r.shape[:2])
+    # tails then heads, each in edge order: the sums a per-edge loop makes
+    np.add.at(per_agent, (slice(None), tails), per_edge)
+    np.add.at(per_agent, (slice(None), heads), per_edge)
+    return per_agent.max(axis=1)
 
 
-def _integrate(u_of, r_flat: np.ndarray, dt: float, substeps: int) -> np.ndarray:
-    r = r_flat
+def _integrate(u_of, r: np.ndarray, dt: float, substeps) -> np.ndarray:
+    """Classical 4th-order scheme over dt in `substeps` equal sub-steps.
+
+    With one count per entry of r every entry takes its sub-steps in the
+    same rounds, each with its own h = dt/n; an entry whose count is reached
+    holds its value while the rest go on, so each ends exactly where it
+    would alone.
+    """
+    substeps = np.asarray(substeps)
     h = dt / substeps
-    for _ in range(substeps):
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    everyone = substeps.min()
+    for k in range(substeps.max()):
         k1 = u_of(r)
-        k2 = u_of(r + 0.5 * h * k1)
-        k3 = u_of(r + 0.5 * h * k2)
+        k2 = u_of(r + half_h * k1)
+        k3 = u_of(r + half_h * k2)
         k4 = u_of(r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r_next = r + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r = r_next if k < everyone else np.where(k < substeps, r_next, r)
     return r
 
 
@@ -461,124 +562,186 @@ def init_world(config: ScenarioConfig, rng: np.random.Generator | None = None) -
     return WorldState(r=r, headings=headings, bank=FilterBank.from_filters(graph, filters), t=0.0)
 
 
-def step(world: WorldState, config: ScenarioConfig,
-         rng: np.random.Generator | None = None) -> WorldState:
-    """Advance the closed loop by one sampling interval (see module docstring
-    for the phase order).  rng is only consulted when measurement noise is on."""
-    graph = config.graph
+def _divergence(t: float) -> DivergenceError:
+    return DivergenceError(f"positions diverged during the step ending at t={t:.6g}")
+
+
+def _move(batch: _Batch, config: ScenarioConfig) -> tuple[_Batch, np.ndarray]:
+    """Phases (1)-(2) for every seed: the batch at its new positions, with
+    its average velocities over the step and any capped sub-step count
+    logged, and the mask of the seeds whose positions diverged."""
     dt = config.dt
-    o = graph.agent_count
-    t_new = world.t + dt
-    events = world.events
-
-    u_of = _control_field(world, config)
-    wanted = max(1, math.ceil(dt * _stiffness(world, config) / 2.0))
-    substeps = min(MAX_SUBSTEPS, wanted)
-    if wanted > substeps:
-        events += (f"t={t_new:.6g} substeps capped at {MAX_SUBSTEPS}, stiffness asked for {wanted}",)
+    t_new = batch.t + dt
+    u_of = _control_field(batch, config)
+    # a non-finite stiffness is capped like a finite one above the cap
+    wanted = [max(1, math.ceil(dt * s / 2.0)) if s < math.inf else s
+              for s in _stiffness(batch, config).tolist()]
+    substeps = [w if w <= MAX_SUBSTEPS else MAX_SUBSTEPS for w in wanted]
+    events = batch.events
+    if wanted != substeps:
+        capped = f"t={t_new:.6g} substeps capped at {MAX_SUBSTEPS}, stiffness asked for"
+        events = [ev if w == n else ev + (f"{capped} {w}",)
+                  for ev, w, n in zip(events, wanted, substeps)]
+    agents = config.graph.agent_count
+    counts = set(substeps)
+    if len(counts) == 1:
+        (substeps,) = counts
+    else:
+        # each seed's count for each of its entries in the flattened columns
+        substeps = np.tile(np.repeat(substeps, 2), agents)
     with np.errstate(over="ignore", invalid="ignore"):
-        r_new = _integrate(u_of, world.r.ravel(), dt, substeps).reshape(o, 2)
-    if not np.all(np.isfinite(r_new)) or np.abs(r_new).max() > 1e9:
-        raise DivergenceError(
-            f"positions diverged during the step ending at t={t_new:.6g}"
-        )
-    v_avg = (r_new - world.r) / dt
+        r_new = _integrate(u_of, _columns(batch.r).ravel(), dt, substeps)
+        r_new = np.ascontiguousarray(r_new.reshape(agents, -1, 2).swapaxes(0, 1))
+        v = (r_new - batch.r) / dt
+        diverged = ~(np.abs(r_new) <= 1e9).all(axis=(1, 2))
+    return replace(batch, r=r_new, v=v, t=t_new, events=events), diverged
 
+
+def _sense(batch: _Batch, config: ScenarioConfig) -> _Batch:
+    """Phases (3)-(5) for every seed of a batch that `_move` advanced: one
+    batched predict/update per degree bucket, whose rows hold that bucket's
+    agents of every seed.  Refused updates are logged in agent order."""
     if not config.estimator_enabled:
-        return WorldState(r=r_new, headings=world.headings.copy(),
-                          bank=world.bank, t=t_new, events=events)
-
-    if config.measurement_noise and rng is None:
+        return batch
+    if config.measurement_noise and None in batch.rngs:
         raise ValueError("measurement noise requires a generator")
-
-    bank, skipped = _filter_step(world, config, v_avg, r_new, rng)
-    events += tuple(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}" for i, exc in skipped)
-    return WorldState(r=r_new, headings=world.headings.copy(),
-                      bank=bank, t=t_new, events=events)
-
-
-def _filter_step(world: WorldState, config: ScenarioConfig, v_avg: np.ndarray,
-                 r_new: np.ndarray, rng) -> tuple[FilterBank, list]:
-    """One batched predict/update per degree bucket.  Returns the new bank
-    and the (agent, error) pairs of refused updates in agent order."""
     noise = config.noise
     layout = _layout(config.graph)
-    bank = world.bank
+    bank, seeds = batch.bank, len(batch.r)
+    nbrs, trackers, agents, range_draws, heading_draws = _seed_gathers(config.graph, seeds)
     # velocities and measurements of every slot at once, then sliced per bucket
-    rel_world = v_avg[layout.slot_nbrs] - v_avg[layout.slot_agents]
-    diffs = r_new[layout.slot_nbrs] - r_new[layout.slot_agents]
+    v, r = batch.v.reshape(-1, 2), batch.r.reshape(-1, 2)
+    rel_world = v[nbrs] - v[trackers]
+    diffs = r[nbrs] - r[trackers]
     ranges = 0.5 * (diffs ** 2).sum(axis=1)
-    heading_meas = world.headings[layout.agents]
+    heading_meas = batch.headings.ravel()[agents]
     if config.measurement_noise:
-        draws = rng.standard_normal(layout.draw_count)
-        ranges += np.sqrt(noise.meas_distance_var) * draws[layout.range_draws]
-        heading_meas += np.sqrt(noise.meas_heading_var) * draws[layout.heading_draws]
-    to_body = _rotations(np.concatenate(bank.headings))
+        draws = np.concatenate([rng.standard_normal(layout.draw_count) for rng in batch.rngs])
+        ranges += np.sqrt(noise.meas_distance_var) * draws[range_draws]
+        heading_meas += np.sqrt(noise.meas_heading_var) * draws[heading_draws]
 
-    means, headings, covariances, skipped = [], [], [], []
+    means, headings, covariances = [], [], []
+    skipped = [[] for _ in range(seeds)]
     for b, bucket in enumerate(layout.buckets):
         a_count, n = bucket.nbrs.shape
-        v_body = rel_world[bucket.slots].reshape(a_count, n, 2) @ to_body[bucket.rows]
+        rows = seeds * a_count
+        slots = slice(seeds * bucket.slots.start, seeds * bucket.slots.stop)
+        members = slice(seeds * bucket.rows.start, seeds * bucket.rows.stop)
+        v_body = rel_world[slots].reshape(rows, n, 2) @ _rotations(bank.headings[b])
         p, theta, cov = predict_batch(bank.means[b], bank.headings[b], bank.covariances[b],
-                                      v_body.reshape(a_count, 2 * n), np.zeros(a_count),
-                                      config.dt, noise)
-        y = np.concatenate([ranges[bucket.slots].reshape(a_count, n),
-                            heading_meas[bucket.rows, None]], axis=1)
+                                      v_body.reshape(rows, 2 * n), np.zeros(rows), config.dt, noise)
+        y = np.concatenate([ranges[slots].reshape(rows, n), heading_meas[members, None]], axis=1)
         p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
-        skipped.extend((int(bucket.agents[row]), exc) for row, exc in errors.items())
+        for row, exc in errors.items():
+            seed, member = divmod(row, a_count)
+            skipped[seed].append((int(bucket.agents[member]), exc))
         means.append(p)
         headings.append(theta)
         covariances.append(cov)
-    skipped.sort(key=lambda item: item[0])
-    return FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances)), skipped
+
+    events = batch.events
+    if any(skipped):
+        events = [ev + tuple(f"t={batch.t:.6g} agent={i + 1} update skipped: {exc}"
+                             for i, exc in sorted(refused, key=lambda item: item[0]))
+                  for ev, refused in zip(events, skipped)]
+    bank = FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances))
+    return replace(batch, bank=bank, events=events)
 
 
-def _edge_estimate_errors(world: WorldState, graph: Graph, z1: np.ndarray) -> np.ndarray:
-    """Worst estimate error per edge over both endpoints' filters; z1 holds
-    the true offsets r_tail - r_head."""
-    est_tail, est_head = _edge_estimates(world, graph)
+def step(world: WorldState, config: ScenarioConfig,
+         rng: np.random.Generator | None = None) -> WorldState:
+    """Advance the closed loop by one sampling interval (see module docstring
+    for the phase order): `run`'s batched step, for one seed.  rng is only
+    consulted when measurement noise is on."""
+    batch = _Batch(r=world.r[None], headings=world.headings[None], bank=world.bank,
+                   t=world.t, rngs=[rng], events=[world.events])
+    batch, diverged = _move(batch, config)
+    if diverged[0]:
+        raise _divergence(batch.t)
+    batch = _sense(batch, config)
+    return WorldState(r=batch.r[0], headings=world.headings.copy(), bank=batch.bank,
+                      t=batch.t, events=batch.events[0])
+
+
+def _edge_estimate_errors(batch: _Batch, graph: Graph, z1: np.ndarray) -> np.ndarray:
+    """Worst estimate error per seed and edge over both endpoints' filters;
+    z1 holds the true offsets r_tail - r_head, (B, edges, 2)."""
+    est_tail, est_head = _edge_estimates(batch, graph)
     return np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
 
 
-def run(config: ScenarioConfig) -> MetricsSeries:
-    """Simulate duration/dt steps and record per-step metrics."""
-    steps = config.steps
-    rng = np.random.default_rng(config.seed)
-    world = init_world(config, rng)
-    graph = config.graph
-    m = graph.edge_count
+def run(config: ScenarioConfig, seeds=None):
+    """Simulate duration/dt steps and record per-step metrics.
 
-    t = np.empty(steps)
-    distances = np.empty((steps, m))
-    est_errors = np.empty((steps, m))
-    dist_errors_arr = np.empty((steps, m))
-    centroid_speed = np.empty(steps)
-    angular_rate = np.empty(steps)
-    max_speed = np.empty(steps)
+    Without `seeds`, run config.seed: return its MetricsSeries, or raise
+    DivergenceError if its positions diverge.  With `seeds`, run every seed
+    s of that sequence in one batch, each exactly as
+    `run(replace(config, seed=s))` runs it alone, and return a tuple with
+    one entry per seed: its MetricsSeries, or the DivergenceError that
+    ended it, with the message that run would raise.  A diverged seed
+    leaves the batch; the others go on.
+    """
+    single = seeds is None
+    seeds = (config.seed,) if single else tuple(seeds)
+    if not seeds:
+        return ()
+    steps, graph, dt = config.steps, config.graph, config.dt
+    tails, heads = _edge_arrays(graph)
+    dv2 = config.distances.values ** 2
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    worlds = [init_world(config, rng) for rng in rngs]
+    batch = _Batch(r=np.stack([w.r for w in worlds]), headings=np.stack([w.headings for w in worlds]),
+                   bank=FilterBank.stack([w.bank for w in worlds]), t=0.0, rngs=rngs,
+                   events=[()] * len(seeds))
+
+    count, m = len(seeds), graph.edge_count
+    distances = np.empty((count, steps, m))
+    est_errors = np.empty((count, steps, m))
+    dist_errors_arr = np.empty((count, steps, m))
+    centroid_speed = np.empty((count, steps))
+    angular_rate = np.empty((count, steps))
+    max_speed = np.empty((count, steps))
+    results = [None] * count
+    live = np.arange(count)   # the seed each row of the batch runs
+    rows = slice(None)        # where those rows are recorded; all seeds until one diverges
 
     for k in range(steps):
-        prev_r = world.r
-        world = step(world, config, rng)
-        v = (world.r - prev_r) / config.dt
-        v_mean = v.mean(axis=0)
-        z1 = edge_offsets(graph, world.r)
-        t[k] = (k + 1) * config.dt
-        distances[k] = np.linalg.norm(z1, axis=1)
-        dist_errors_arr[k] = distance_errors(z1, config.distances)
-        est_errors[k] = _edge_estimate_errors(world, graph, z1)
-        centroid_speed[k] = np.linalg.norm(v_mean)
-        max_speed[k] = np.linalg.norm(v, axis=1).max()
-        centered = world.r - world.r.mean(axis=0)
-        v_rel = v - v_mean
-        denom = (centered ** 2).sum()
-        spin = (centered[:, 0] * v_rel[:, 1] - centered[:, 1] * v_rel[:, 0]).sum()
-        angular_rate[k] = spin / denom if denom > 0 else 0.0
+        batch, diverged = _move(batch, config)
+        if diverged.any():
+            for b in live[diverged]:
+                results[b] = _divergence(batch.t)
+            live, batch = live[~diverged], batch.take(~diverged)
+            rows = live
+            if not live.size:
+                break
+        batch = _sense(batch, config)
+        r, v = batch.r, batch.v
+        v_mean = v.mean(axis=1)
+        z1 = r[:, tails] - r[:, heads]
+        distances[rows, k] = np.linalg.norm(z1, axis=2)
+        dist_errors_arr[rows, k] = (z1 ** 2).sum(axis=2) - dv2
+        est_errors[rows, k] = _edge_estimate_errors(batch, graph, z1)
+        centroid_speed[rows, k] = _vector_norms(v_mean)
+        max_speed[rows, k] = np.linalg.norm(v, axis=2).max(axis=1)
+        centered = r - r.mean(axis=1, keepdims=True)
+        v_rel = v - v_mean[:, None]
+        denom = (centered ** 2).sum(axis=(1, 2))
+        spin = (centered[..., 0] * v_rel[..., 1] - centered[..., 1] * v_rel[..., 0]).sum(axis=1)
+        angular_rate[rows, k] = np.divide(spin, denom, out=np.zeros_like(spin), where=denom > 0)
 
-    return MetricsSeries(t=t, distances=distances, est_errors=est_errors,
-                         dist_errors=dist_errors_arr, centroid_speed=centroid_speed,
-                         angular_rate=angular_rate, max_speed=max_speed,
-                         desired=config.distances.values, edge_labels=edge_labels(graph),
-                         events=world.events)
+    t = np.arange(1, steps + 1) * dt
+    labels = edge_labels(graph)
+    for row, b in enumerate(live):
+        results[b] = MetricsSeries(t=t, distances=distances[b], est_errors=est_errors[b],
+                                   dist_errors=dist_errors_arr[b], centroid_speed=centroid_speed[b],
+                                   angular_rate=angular_rate[b], max_speed=max_speed[b],
+                                   desired=config.distances.values, edge_labels=labels,
+                                   events=batch.events[row])
+    if not single:
+        return tuple(results)
+    if isinstance(results[0], DivergenceError):
+        raise results[0]
+    return results[0]
 
 
 def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> str:

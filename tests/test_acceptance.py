@@ -20,8 +20,6 @@ from formloc.lie_group import (
     AlgebraElement,
     GroupElement,
     compose,
-    embed,
-    embed_algebra,
     exp,
     identity,
     inverse,
@@ -42,6 +40,7 @@ from formloc.sim import (
     step,
 )
 from formloc import cli
+from oracles import embed, embed_algebra
 
 
 # Ten spawn seeds whose transient stays inside the rotating attractor's

@@ -1,0 +1,209 @@
+"""Seed axis: `run(config, seeds)` against one `run` per seed.
+
+The batch stacks every seed's positions, headings and filters and gives
+each seed its own sub-step count, generator and event log, so every seed
+must come out bit for bit as it does alone: the same arrays, the same
+events, and the same `DivergenceError` message when it diverges.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from formloc.sim import (
+    DivergenceError,
+    FilterBank,
+    MetricsSeries,
+    WorldState,
+    _Batch,
+    _move,
+    _sense,
+    detect_outcome,
+    init_world,
+    run,
+    scenario_nominal,
+    step,
+)
+from test_bank import _poison, _rest_world, rigid_scenarios
+
+ROOT = Path(__file__).resolve().parents[1]
+ARRAYS = ("t", "distances", "est_errors", "dist_errors", "centroid_speed",
+          "angular_rate", "max_speed", "desired")
+
+
+def serial(config, seed):
+    """What `run` gives for one seed alone: its series or its divergence."""
+    try:
+        return run(replace(config, seed=seed))
+    except DivergenceError as exc:
+        return exc
+
+
+def assert_same(got, want):
+    if isinstance(want, DivergenceError):
+        assert isinstance(got, DivergenceError)
+        assert str(got) == str(want)
+        return
+    for name in ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.edge_labels == want.edge_labels
+    assert got.events == want.events
+
+
+@st.composite
+def batches(draw):
+    """A `rigid_scenarios` config, half the time with random spawns (stiff,
+    with sub-step counts that differ between seeds), and a few seeds."""
+    config = draw(rigid_scenarios())
+    if draw(st.booleans()):
+        config = replace(config, initial_positions=None, spawn_box=12.0)
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3))
+    return config, seeds
+
+
+@settings(max_examples=25, deadline=None)
+@given(batches())
+def test_batch_matches_serial_runs(case):
+    config, seeds = case
+    got = run(config, seeds=seeds)
+    assert len(got) == len(seeds)
+    for seed, result in zip(seeds, got):
+        assert_same(result, serial(config, seed))
+
+
+def test_diverging_seed_leaves_the_batch():
+    # nominal seed 13 escapes within its first second; 12 and 14 run on
+    config = replace(scenario_nominal(), duration=12.0)
+    got = run(config, seeds=(12, 13, 14))
+    assert isinstance(got[1], DivergenceError)
+    with pytest.raises(DivergenceError) as alone:
+        run(replace(config, seed=13))
+    assert str(got[1]) == str(alone.value)
+    # the step-by-step loop names the same step
+    rng = np.random.default_rng(13)
+    world = init_world(config, rng)
+    with pytest.raises(DivergenceError) as stepped:
+        while True:
+            world = step(world, config, rng)
+    assert str(got[1]) == str(stepped.value) == "positions diverged during the step ending at t=0.65"
+    for seed, result in ((12, got[0]), (14, got[2])):
+        assert isinstance(result, MetricsSeries)
+        assert_same(result, serial(config, seed))
+
+
+def _first_substeps(config, seed):
+    """Sub-steps the ideal law's first step asks for, from the formula:
+    per agent the sum over its edges of 2|z|^2 + |e|, then dt * max / 2."""
+    r = init_world(config, np.random.default_rng(seed)).r
+    per_agent = np.zeros(config.graph.agent_count)
+    for (t, h), d in zip(config.graph.edges, config.distances.values):
+        zz = float((r[t] - r[h]) @ (r[t] - r[h]))
+        per_agent[[t, h]] += 2.0 * zz + abs(zz - d * d)
+    return max(1, math.ceil(config.dt * per_agent.max() / 2.0))
+
+
+def test_seeds_with_different_substep_counts():
+    config = replace(scenario_nominal(), variant="ideal", mismatch=None, dt=0.05,
+                     duration=1.0)
+    seeds = range(6)
+    assert len({_first_substeps(config, seed) for seed in seeds}) > 2
+    for seed, result in zip(seeds, run(config, seeds=seeds)):
+        assert_same(result, serial(config, seed))
+
+
+def test_events_stay_with_their_seed():
+    # seed 0 sits 2e9 out, past the divergence bound, and leaves the batch;
+    # the others refuse different updates on top of their own earlier events
+    config, world = _rest_world()
+    plans = ({}, {1: "singular"}, {}, {0: "singular", 3: "nonfinite"})
+    worlds = []
+    with np.errstate(invalid="ignore"):  # inf - inf in the symmetry checks
+        for b, plan in enumerate(plans):
+            filters = world.filters
+            for agent, kind in plan.items():
+                filters = _poison(filters, agent, kind)
+            worlds.append(WorldState(r=world.r + (2e9 if b == 0 else 0.0), headings=world.headings,
+                                     bank=FilterBank.from_filters(config.graph, filters), t=0.0,
+                                     events=(f"earlier event of seed {b}",)))
+        batch = _Batch(r=np.stack([w.r for w in worlds]),
+                       headings=np.stack([w.headings for w in worlds]),
+                       bank=FilterBank.stack([w.bank for w in worlds]), t=0.0,
+                       rngs=[None] * len(worlds), events=[w.events for w in worlds])
+        moved, diverged = _move(batch, config)
+        got = _sense(moved.take(~diverged), config)
+        with pytest.raises(DivergenceError):
+            step(worlds[0], config)
+        want = [step(w, config) for w in worlds[1:]]
+
+    assert diverged.tolist() == [True, False, False, False]
+    for row, (plan, alone) in enumerate(zip(plans[1:], want)):
+        refused = [int(e.split("agent=")[1].split()[0]) - 1 for e in got.events[row][1:]]
+        assert refused == sorted(plan)
+        assert got.events[row] == alone.events
+        np.testing.assert_array_equal(got.r[row], alone.r)
+        with np.errstate(invalid="ignore"):
+            mine, its = got.bank.take(np.arange(len(want)) == row).filters, alone.filters
+        for f_mine, f_alone in zip(mine, its, strict=True):
+            np.testing.assert_array_equal(f_mine.mean.p, f_alone.mean.p)
+            np.testing.assert_array_equal(f_mine.mean.theta, f_alone.mean.theta)
+            np.testing.assert_array_equal(f_mine.covariance, f_alone.covariance)
+
+
+def test_no_seeds_is_an_empty_batch():
+    assert run(scenario_nominal(), seeds=()) == ()
+
+
+# ------------------------------------------------------ scripts/seed_sweep.py
+
+
+def _sweep(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "seed_sweep.py"), *args],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("seeds, duration", [(4, 2.0), (14, 1.0)])  # seed 13 diverges
+def test_seed_sweep_prints_the_serial_tally(seeds, duration):
+    config = replace(scenario_nominal(), duration=duration)
+    window = config.thresholds.window(config.steps)
+    lines, tally = [], {}
+    for seed in range(seeds):
+        result = serial(config, seed)
+        if isinstance(result, DivergenceError):
+            outcome = "diverged"
+            lines.append(f"seed {seed:>3}: diverged")
+        else:
+            outcome = detect_outcome(result, config.thresholds)
+            lines.append(f"seed {seed:>3}: {outcome:<26} "
+                         f"est={result.est_errors[window].max():.3g} "
+                         f"cspd={result.centroid_speed[-1]:.3g}")
+        tally[outcome] = tally.get(outcome, 0) + 1
+    lines += ["", f"dt=0.01 duration={duration} seeds={seeds}"]
+    for outcome, count in sorted(tally.items(), key=lambda item: -item[1]):
+        lines.append(f"  {outcome:<26} {count:>4}  ({100.0 * count / seeds:.0f}%)")
+
+    proc = _sweep("--seeds", str(seeds), "--duration", str(duration), "--verbose")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("--seeds", "-1"),
+    ("--dt", "0"),
+    ("--dt", "-0.01"),
+    ("--duration", "0"),
+    ("--duration", "-2"),
+])
+def test_seed_sweep_rejects_bad_arguments(args):
+    proc = _sweep(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:")
+    assert "Traceback" not in proc.stderr

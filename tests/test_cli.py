@@ -7,6 +7,7 @@ Everything drives `cli.main` in-process; one subprocess test checks the
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,35 @@ def test_config_accepts_sharing_that_matches_the_variant(tmp_path):
                                  "variant = estimated\nsharing = per-agent\n"))
     assert cli.config_from_ini(path).variant == "estimated"
 
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_config_rejects_bad_initial_var(tmp_path, capsys, value):
+    # inf and nan used to fall back to the default variance without a word,
+    # and -1 ended in a traceback inside the filter set-up
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n"
+                    "[distances]\ndefault = 10.0\n"
+                    f"[init]\ninitial_var = {value}\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:7:" in err and "initial_var" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="initial_var"):
+        replace(scenario_nominal(), initial_var=float(value))
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    config = cli.config_from_ini(path)
+    np.testing.assert_array_equal(config.distances.values, [10.0, 10.0, 12.0])
+    assert config.variant == "algorithm1" and config.initial_var == 1.5
+    # ten steps at the example's dt: the shortest run that fills the outcome window
+    assert cli.main(["run", "--config", str(path), "--duration", "0.1",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert "outcome:" in capsys.readouterr().out
 
 def test_config_distance_default_and_overrides(tmp_path):
     path = tmp_path / "cfg.ini"

@@ -15,17 +15,15 @@ from formloc.lie_group import (
     AlgebraElement,
     GroupElement,
     compose,
-    embed,
-    embed_algebra,
     exp,
     identity,
     inverse,
-    left_invariant_basis,
     rotation,
     step_body_velocity,
     step_jacobian,
     wrap_angle,
 )
+from oracles import embed, embed_algebra, left_invariant_basis
 
 
 def hom(p, theta):

@@ -8,12 +8,11 @@ from formloc.network import (
     Graph,
     distance_errors,
     edge_offsets,
-    incidence_matrix,
     neighbors,
-    relative_position_stack,
     rigidity_matrix,
     sorted_neighbors,
 )
+from oracles import incidence_matrix, relative_position_stack
 
 
 @st.composite
