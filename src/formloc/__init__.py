@@ -16,14 +16,7 @@ from .controller import (
     ideal_control,
     mismatch_control,
 )
-from .estimator import (
-    EstimatorState,
-    NoiseConfig,
-    SingularUpdateError,
-    initialize,
-    predict,
-    update,
-)
+from .estimator import EstimatorState, NoiseConfig, SingularUpdateError
 from .lie_group import (
     AlgebraElement,
     GroupElement,
@@ -67,7 +60,6 @@ from .sim import (
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -101,13 +93,11 @@ __all__ = [
     "ideal_control",
     "identity",
     "init_world",
-    "initialize",
     "inverse",
     "mismatch_control",
     "neighbors",
     "observation",
     "observation_jacobian",
-    "predict",
     "rigidity_matrix",
     "rotation",
     "run",
@@ -116,10 +106,8 @@ __all__ = [
     "scenario_issue3",
     "scenario_nominal",
     "sorted_neighbors",
-    "step",
     "step_body_velocity",
     "step_jacobian",
-    "update",
     "wrap_angle",
     "__version__",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -38,6 +39,7 @@ from .sim import (
     MetricsSeries,
     OutcomeThresholds,
     ScenarioConfig,
+    SpawnError,
     detect_outcome,
     run,
     scenario_issue1,
@@ -237,23 +239,30 @@ def _parse_pair(text: str, where: str) -> np.ndarray:
     if len(parts) != 2:
         raise ConfigError(f"{where}: expected two comma-separated numbers, got {text!r}")
     try:
-        return np.array([float(parts[0]), float(parts[1])])
+        pair = np.array([float(parts[0]), float(parts[1])])
     except ValueError:
         raise ConfigError(f"{where}: non-numeric value in {text!r}") from None
+    if not np.isfinite(pair).all():
+        raise ConfigError(f"{where}: non-finite value in {text!r}")
+    return pair
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
 def _get(sec, key: str, default, where, kind=float):
-    """sec[key] as a float, int or bool (`kind`), or default when absent."""
+    """sec[key] as a float, int or bool (`kind`), or default when absent.
+    A float must be finite."""
     if key not in sec:
         return default
     try:
-        return sec.getboolean(key) if kind is bool else kind(sec[key])
+        value = sec.getboolean(key) if kind is bool else kind(sec[key])
     except ValueError:
         raise ConfigError(f"{where(key)}: {key} must be {_KIND_NAMES[kind]}, "
                           f"got {sec[key]!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where(key)}: {key} must be finite, got {sec[key]!r}")
+    return value
 
 
 def config_from_ini(path: str | Path) -> ScenarioConfig:
@@ -327,8 +336,8 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
 
     isec, iw = ini["init"], where("init")
     initial_var = _get(isec, "initial_var", None, iw)
-    if initial_var is not None and not 0.0 < initial_var < np.inf:
-        raise ConfigError(f"{iw('initial_var')}: initial_var must be positive and finite, "
+    if initial_var is not None and initial_var <= 0:
+        raise ConfigError(f"{iw('initial_var')}: initial_var must be positive, "
                           f"got {isec['initial_var']!r}")
     positions = None
     if "positions" in isec:
@@ -460,7 +469,7 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
     try:
         series, outcome = _run_and_save(config, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, SpawnError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
@@ -493,6 +502,12 @@ def _load_trajectory(path: Path):
         raise ConfigError(f"trajectory file not found: {path}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
+    if bad.size:
+        # the file lines loadtxt read as rows: after the header, neither blank nor comment
+        rows = [k for k, line in enumerate(path.read_text().splitlines()[1:], start=2)
+                if line.split("#", 1)[0].strip()]
+        raise ConfigError(f"{path}:{rows[bad[0]]}: non-finite trajectory value")
     cols = raw.shape[1]
     if cols < 7 or (cols - 3) % 4 != 0:
         raise ConfigError(
@@ -516,6 +531,9 @@ def _load_trajectory(path: Path):
 
 def cmd_check_observability(args) -> int:
     try:
+        for flag in ("theta", "tol"):
+            if not math.isfinite(getattr(args, flag)):
+                raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
         if args.trajectory is not None:
             traj, dt, n = _load_trajectory(Path(args.trajectory))
             report = empirical_gramian(traj, dt, rank_tol=args.tol)
@@ -539,6 +557,8 @@ def cmd_check_observability(args) -> int:
             p = np.array([float(x) for x in args.p.split(",")])
             if p.size != 2 * args.n:
                 raise ConfigError(f"--p needs {2 * args.n} numbers for n={args.n}")
+            if not np.isfinite(p).all():
+                raise ConfigError(f"--p must be finite, got {args.p}")
         else:
             rng = np.random.default_rng(args.seed if args.seed is not None else 0)
             p = rng.uniform(-5.0, 5.0, size=2 * args.n)

@@ -1,15 +1,14 @@
-"""Extended Kalman filter over the relative-configuration group.
+"""Extended Kalman filter over the relative-configuration group, stacked.
 
-The mean lives on the group and is propagated with the exact flow of the
-communicated body velocity, so prediction adds no discretization error of
-its own.  The covariance lives in the coordinate chart (p, theta) and uses
-the discrete linearization from `lie_group.step_jacobian`.  Updates fuse
-half squared distances plus the measured heading; the heading innovation is
-wrapped to (-pi, pi] while the stored heading stays unwrapped.
-
-`predict_batch` and `update_batch` apply the same formulas to A filters of
-one neighbor count at once, as stacked arrays; the scalar functions are
-their reference.
+`predict_batch` and `update_batch` advance A filters that each track n
+neighbors at once, as stacked arrays.  The mean lives on the group and is
+propagated with the exact flow of the communicated body velocity, so
+prediction adds no discretization error of its own.  The covariance lives
+in the coordinate chart (p, theta) and uses the discrete linearization of
+`lie_group.step_jacobian`.  Updates fuse half squared distances plus the
+measured heading; the heading innovation is wrapped to (-pi, pi] while the
+stored heading stays unwrapped.  `sim.FilterBank` holds every agent's
+filter in these arrays; `EstimatorState` is one filter's view of them.
 """
 
 from __future__ import annotations
@@ -19,24 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lie_group import (
-    _SMALL_W,
-    AlgebraElement,
-    GroupElement,
-    step_body_velocity,
-    step_jacobian,
-    wrap_angle,
-)
-from .observability import observation, observation_jacobian
+from .lie_group import _SMALL_W, GroupElement, wrap_angle
 
 __all__ = [
     "EstimatorState",
     "NoiseConfig",
     "SingularUpdateError",
-    "initialize",
-    "predict",
     "predict_batch",
-    "update",
     "update_batch",
 ]
 
@@ -81,71 +69,6 @@ class EstimatorState:
         object.__setattr__(self, "covariance", cov)
 
 
-def _trusted_state(mean: GroupElement, cov: np.ndarray) -> EstimatorState:
-    # hot-path constructor for covariances this module just computed;
-    # same symmetrize-and-freeze as __post_init__ without the re-validation
-    state = object.__new__(EstimatorState)
-    sym = 0.5 * (cov + cov.T)
-    sym.setflags(write=False)
-    state.mean = mean
-    state.covariance = sym
-    return state
-
-
-def predict(state: EstimatorState, xi: AlgebraElement, dt: float,
-            noise: NoiseConfig) -> EstimatorState:
-    """Propagate mean and covariance through one sampling interval.
-
-    The mean follows the exact group flow of xi; the covariance advances as
-    F P F^T + dt * diag(PSDs) with F the discrete linearization at the
-    current mean.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = state.mean.n
-    if xi.n != n:
-        raise ValueError(f"velocity tracks {xi.n} neighbors, state tracks {n}")
-    mean = step_body_velocity(state.mean, xi, dt)
-    f = step_jacobian(state.mean.theta, xi, dt)
-    qd = dt * np.concatenate([
-        np.full(2 * n, noise.process_position_psd),
-        [noise.process_heading_psd],
-    ])
-    cov = f @ state.covariance @ f.T + np.diag(qd)
-    return _trusted_state(mean, cov)
-
-
-def update(state: EstimatorState, y, noise: NoiseConfig) -> EstimatorState:
-    """Fuse one measurement vector (n half squared distances, then heading).
-
-    Uses the Joseph-form covariance update and re-symmetrizes, so the
-    covariance stays positive semidefinite for any gain.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n = state.mean.n
-    if y.size != n + 1:
-        raise ValueError(f"expected {n + 1} measurements, got {y.size}")
-    p_cov = state.covariance
-    h = observation_jacobian(state.mean)
-    rdiag = np.concatenate([np.full(n, noise.meas_distance_var), [noise.meas_heading_var]])
-    s = h @ p_cov @ h.T + np.diag(rdiag)
-    if not np.all(np.isfinite(s)):
-        raise SingularUpdateError("innovation covariance is not finite")
-    try:
-        gain = np.linalg.solve(s, h @ p_cov).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularUpdateError(f"innovation covariance not invertible: {exc}") from exc
-
-    innovation = y - observation(state.mean)
-    innovation[-1] = wrap_angle(innovation[-1])
-    delta = gain @ innovation
-    mean = GroupElement(state.mean.p + delta[:-1], state.mean.theta + delta[-1])
-
-    ikh = np.eye(2 * n + 1) - gain @ h
-    cov = ikh @ p_cov @ ikh.T + gain @ np.diag(rdiag) @ gain.T
-    return _trusted_state(mean, cov)
-
-
 def _rotations(theta: np.ndarray) -> np.ndarray:
     """Stacked 2x2 rotation matrices, (A, 2, 2) for A headings."""
     c, s = np.cos(theta), np.sin(theta)
@@ -167,12 +90,14 @@ def _batch_constants(n: int, noise: NoiseConfig) -> tuple:
 
 def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarray,
                   w: np.ndarray, dt: float, noise: NoiseConfig):
-    """`predict` for A filters that each track n neighbors, as stacked arrays.
+    """Propagate A filters that each track n neighbors through one sampling
+    interval.
 
     p is (A, 2n), theta (A,), cov (A, 2n+1, 2n+1); v (A, 2n) and w (A,)
-    are the body velocities.  The formulas are those of `predict`: the exact
-    group flow for the mean and F P F^T + dt * diag(PSDs) for the
-    covariance.  Returns the predicted (p, theta, cov).
+    are the body velocities.  The mean follows the exact group flow; the
+    covariance advances as F P F^T + dt * diag(PSDs), with F the discrete
+    linearization at the current mean.  Returns the predicted
+    (p, theta, cov).
     """
     a_count, two_n = p.shape
     eye, psd, _, _ = _batch_constants(two_n // 2, noise)
@@ -198,13 +123,16 @@ def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarr
 
 def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarray,
                  noise: NoiseConfig):
-    """`update` for A filters that each track n neighbors, as stacked arrays.
+    """Fuse one measurement vector into each of A filters that track n
+    neighbors.
 
     y is (A, n+1): n half squared distances, then the heading, per filter.
-    The formulas are those of `update`.  A filter whose update `update`
-    would refuse keeps its input state and is reported, and the others
-    still update: returns (p, theta, cov, errors) with errors mapping the
-    refused rows to their SingularUpdateError.
+    The covariance takes the Joseph form, re-symmetrized, so it stays
+    positive semidefinite for any gain.  A filter whose innovation
+    covariance is not finite or not invertible keeps its input state and
+    is reported, and the others still update: returns (p, theta, cov,
+    errors) with errors mapping the refused rows to their
+    SingularUpdateError.
     """
     a_count, two_n = p.shape
     n = two_n // 2
@@ -251,33 +179,3 @@ def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarra
         rows = np.array(sorted(errors))
         p_new[rows], theta_new[rows], cov_new[rows] = p[rows], theta[rows], cov[rows]
     return p_new, theta_new, cov_new, errors
-
-
-def initialize(truth: GroupElement, offset_bound: float, seed,
-               initial_var: float | None = None, heading_var: float | None = None,
-               noise: NoiseConfig | None = None) -> EstimatorState:
-    """Seed a filter near the true configuration.
-
-    Each position coordinate is offset by an independent uniform draw from
-    [-offset_bound, offset_bound]; the heading starts at its true (measured)
-    value.  The position variance defaults to offset_bound^2 / 3, the
-    variance of that draw; the heading variance defaults to the heading
-    measurement variance when a NoiseConfig is supplied.  `seed` may be an
-    integer or an existing numpy Generator.
-    """
-    if offset_bound < 0:
-        raise ValueError(f"offset_bound must be non-negative, got {offset_bound}")
-    if initial_var is not None and initial_var <= 0:
-        raise ValueError(f"initial_var must be positive, got {initial_var}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = truth.n
-    offsets = rng.uniform(-offset_bound, offset_bound, size=2 * n)
-    var = initial_var if initial_var is not None else offset_bound ** 2 / 3.0
-    if heading_var is not None:
-        hvar = heading_var
-    elif noise is not None:
-        hvar = noise.meas_heading_var
-    else:
-        hvar = var
-    cov = np.diag(np.concatenate([np.full(2 * n, var), [hvar]]))
-    return EstimatorState(GroupElement(truth.p + offsets, truth.theta), cov)

@@ -170,8 +170,8 @@ def step_jacobian(theta: float, xi: AlgebraElement, dt: float) -> np.ndarray:
 
     The offset rates R(theta) v_k depend on the state only through theta,
     so the only off-diagonal entries are d(dp_k/dt)/dtheta = R(theta + pi/2) v_k
-    in the last column.  Shared by the estimator predict step and the
-    empirical observability Gramian.
+    in the last column.  The empirical observability Gramian chains it;
+    `estimator.predict_batch` builds the same matrix for stacked filters.
     """
     n = xi.n
     f = np.eye(2 * n + 1)

@@ -179,7 +179,7 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
     """Accumulate G = sum_t Phi^T H^T H Phi dt over (state, velocity) samples.
 
     Phi is the state-transition Jacobian of the linearized kinematics from
-    the first sample (the same linearization the estimator predict step
+    the first sample (the same linearization `estimator.predict_batch`
     uses) and H the output Jacobian at each sample.  A neighbor k is
     reported deficient when the smallest eigenvalue of the (x_k, y_k)
     diagonal block falls below block_tol * trace(G) / (2n+1).

@@ -15,14 +15,13 @@ the output.
 The filters live in a `FilterBank`: stacked arrays with one bucket per agent
 degree, so phase (4) is one batched predict and one batched update per
 bucket, and every estimate read is an index gather from the bank's offset
-table.  The scalar `estimator.predict`/`update` stay the reference the bank
-is tested against.
+table.  `init_world` writes the initial filters straight into that table.
 
 `run(config, seeds)` advances many seeds of one config in lockstep: every
 array gains a leading seed axis, and the bank's buckets stack the seeds
 into their rows.  Each seed keeps its own sub-step count, generator and
 event log, so it comes out exactly as it would alone; a seed that diverges
-leaves the batch.  `step` is the same core for one seed.
+leaves the batch.  `run(config)` is the same core for one seed.
 
 Agents hold their headings in these scenarios (zero angular rate); the
 estimator and group layers support nonzero heading rates independently.
@@ -38,14 +37,7 @@ from itertools import compress
 import numpy as np
 
 from .controller import MismatchConfig, _control_law, _scatter_matrices
-from .estimator import (
-    EstimatorState,
-    NoiseConfig,
-    _rotations,
-    initialize,
-    predict_batch,
-    update_batch,
-)
+from .estimator import EstimatorState, NoiseConfig, _rotations, predict_batch, update_batch
 from .lie_group import GroupElement, rotation
 from .network import DesiredDistances, Graph, _edge_arrays, sorted_neighbors
 
@@ -55,6 +47,7 @@ __all__ = [
     "MetricsSeries",
     "OutcomeThresholds",
     "ScenarioConfig",
+    "SpawnError",
     "WorldState",
     "detect_outcome",
     "init_world",
@@ -63,11 +56,11 @@ __all__ = [
     "scenario_issue2",
     "scenario_issue3",
     "scenario_nominal",
-    "step",
 ]
 
 VARIANTS = ("ideal", "estimated", "algorithm1")
 MAX_SUBSTEPS = 10000
+MAX_SPAWN_DRAWS = 10000
 
 OUTCOME_LABELS = (
     "converged",
@@ -86,6 +79,11 @@ class DivergenceError(RuntimeError):
     spread agents that flow has no Lyapunov function and can escape to
     infinity within one sampling interval.
     """
+
+
+class SpawnError(ValueError):
+    """No spawn draw kept every agent pair min_separation apart inside
+    spawn_box within MAX_SPAWN_DRAWS draws."""
 
 
 @dataclass(frozen=True)
@@ -136,6 +134,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("dt", "duration", "offset_bound", "spawn_box", "min_separation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.duration <= 0:
@@ -291,17 +292,6 @@ class FilterBank:
     covariances: tuple[np.ndarray, ...]
 
     @classmethod
-    def from_filters(cls, graph: Graph, filters) -> "FilterBank":
-        """Stack one seed's per-agent filters, given in agent order."""
-        buckets = _layout(graph).buckets
-        return cls(
-            graph=graph,
-            means=tuple(np.array([filters[i].mean.p for i in b.agents]) for b in buckets),
-            headings=tuple(np.array([filters[i].mean.theta for i in b.agents]) for b in buckets),
-            covariances=tuple(np.array([filters[i].covariance for i in b.agents]) for b in buckets),
-        )
-
-    @classmethod
     def stack(cls, banks) -> "FilterBank":
         """The seeds of several banks of one graph, in order, as one bank."""
         return cls(banks[0].graph,
@@ -397,11 +387,6 @@ class MetricsSeries:
 def edge_labels(graph: Graph) -> tuple[str, ...]:
     """1-based edge labels like '12' for metric column names."""
     return tuple(f"{t + 1}{h + 1}" for t, h in graph.edges)
-
-
-def _estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
-    """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i)."""
-    return -world.bank.offsets[0, _layout(graph).slot[(i, j)]]
 
 
 def _vector_norms(x: np.ndarray) -> np.ndarray:
@@ -524,9 +509,13 @@ def init_world(config: ScenarioConfig, rng: np.random.Generator | None = None) -
 
     Positions come from the config when given, otherwise uniform draws in a
     centered spawn box, re-drawn until every agent pair is at least
-    min_separation apart.  Filter means come from explicit initial
-    estimates when given, otherwise from per-coordinate uniform offsets of
-    the truth within offset_bound.
+    min_separation apart; SpawnError after MAX_SPAWN_DRAWS draws.  Filter
+    means come from explicit initial estimates when given, otherwise from
+    per-coordinate uniform offsets of the truth within offset_bound, drawn
+    agent after agent in neighbor order.  Every filter starts at the true
+    heading with covariance diag(var, ..., var, heading measurement
+    variance), var being initial_var or else offset_bound^2 / 3, the
+    variance of that draw.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -536,30 +525,34 @@ def init_world(config: ScenarioConfig, rng: np.random.Generator | None = None) -
         r = np.array(config.initial_positions, dtype=float)
     else:
         half = 0.5 * config.spawn_box
-        while True:
+        for _ in range(MAX_SPAWN_DRAWS):
             r = rng.uniform(-half, half, size=(o, 2))
             diffs = r[:, None, :] - r[None, :, :]
             dist = np.sqrt((diffs ** 2).sum(-1))
             if o < 2 or dist[np.triu_indices(o, k=1)].min() >= config.min_separation:
                 break
+        else:
+            raise SpawnError(f"min_separation = {config.min_separation} cannot be met inside "
+                             f"spawn_box = {config.spawn_box}: no spawn in {MAX_SPAWN_DRAWS} "
+                             "draws kept every agent pair that far apart")
     headings = np.zeros(o)
 
-    filters = []
-    for i in range(o):
-        nbrs = list(sorted_neighbors(graph, i))
-        truth = GroupElement((r[nbrs] - r[i]).ravel(), headings[i])
-        if config.initial_estimates is not None:
-            p_hat = np.concatenate([-config.initial_estimates[(i, j)] for j in nbrs])
-            var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
-            cov = np.diag(np.concatenate([
-                np.full(2 * truth.n, var),
-                [config.noise.meas_heading_var],
-            ]))
-            filters.append(EstimatorState(GroupElement(p_hat, headings[i]), cov))
-        else:
-            filters.append(initialize(truth, config.offset_bound, rng,
-                                      initial_var=config.initial_var, noise=config.noise))
-    return WorldState(r=r, headings=headings, bank=FilterBank.from_filters(graph, filters), t=0.0)
+    layout = _layout(graph)
+    if config.initial_estimates is None:
+        offsets = r[layout.slot_nbrs] - r[layout.slot_agents]
+        draws = rng.uniform(-config.offset_bound, config.offset_bound, size=offsets.shape)
+        offsets[np.argsort(layout.slot_agents, kind="stable")] += draws
+    else:
+        offsets = -np.array([config.initial_estimates[pair] for pair in layout.slot])
+    var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
+    hvar = config.noise.meas_heading_var
+    buckets = layout.buckets
+    bank = FilterBank(graph=graph,
+                      means=tuple(offsets[b.slots].reshape(len(b.agents), -1) for b in buckets),
+                      headings=tuple(headings[b.agents] for b in buckets),
+                      covariances=tuple(np.tile(np.diag([var] * (2 * b.nbrs.shape[1]) + [hvar]),
+                                                (len(b.agents), 1, 1)) for b in buckets))
+    return WorldState(r=r, headings=headings, bank=bank, t=0.0)
 
 
 def _divergence(t: float) -> DivergenceError:
@@ -603,8 +596,6 @@ def _sense(batch: _Batch, config: ScenarioConfig) -> _Batch:
     agents of every seed.  Refused updates are logged in agent order."""
     if not config.estimator_enabled:
         return batch
-    if config.measurement_noise and None in batch.rngs:
-        raise ValueError("measurement noise requires a generator")
     noise = config.noise
     layout = _layout(config.graph)
     bank, seeds = batch.bank, len(batch.r)
@@ -646,21 +637,6 @@ def _sense(batch: _Batch, config: ScenarioConfig) -> _Batch:
                   for ev, refused in zip(events, skipped)]
     bank = FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances))
     return replace(batch, bank=bank, events=events)
-
-
-def step(world: WorldState, config: ScenarioConfig,
-         rng: np.random.Generator | None = None) -> WorldState:
-    """Advance the closed loop by one sampling interval (see module docstring
-    for the phase order): `run`'s batched step, for one seed.  rng is only
-    consulted when measurement noise is on."""
-    batch = _Batch(r=world.r[None], headings=world.headings[None], bank=world.bank,
-                   t=world.t, rngs=[rng], events=[world.events])
-    batch, diverged = _move(batch, config)
-    if diverged[0]:
-        raise _divergence(batch.t)
-    batch = _sense(batch, config)
-    return WorldState(r=batch.r[0], headings=world.headings.copy(), bank=batch.bank,
-                      t=batch.t, events=batch.events[0])
 
 
 def _edge_estimate_errors(batch: _Batch, graph: Graph, z1: np.ndarray) -> np.ndarray:

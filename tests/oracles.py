@@ -1,10 +1,30 @@
 """Test-only oracles: matrix forms of the group and graph quantities that
-the library computes in closed form, and that tests compare it against."""
+the library computes in closed form, and the scalar per-agent filter and
+one-seed stepper that the batched engine is checked against."""
 
 import numpy as np
 
-from formloc.lie_group import AlgebraElement, GroupElement, rotation
+from formloc.estimator import EstimatorState, NoiseConfig, SingularUpdateError
+from formloc.lie_group import (
+    AlgebraElement,
+    GroupElement,
+    rotation,
+    step_body_velocity,
+    step_jacobian,
+    wrap_angle,
+)
 from formloc.network import Graph, edge_offsets
+from formloc.observability import observation, observation_jacobian
+from formloc.sim import (
+    FilterBank,
+    ScenarioConfig,
+    WorldState,
+    _Batch,
+    _divergence,
+    _layout,
+    _move,
+    _sense,
+)
 
 
 def left_invariant_basis(q: GroupElement) -> np.ndarray:
@@ -57,3 +77,137 @@ def relative_position_stack(graph: Graph, r: np.ndarray) -> np.ndarray:
     half its negation (both edge orientations)."""
     z1 = edge_offsets(graph, r).ravel()
     return np.concatenate([z1, -z1])
+
+
+# ------------------------------------------------- scalar filter, per agent
+
+
+def _trusted_state(mean: GroupElement, cov: np.ndarray) -> EstimatorState:
+    # for covariances computed here: the same symmetrize-and-freeze as
+    # EstimatorState.__post_init__, without the re-validation
+    state = object.__new__(EstimatorState)
+    sym = 0.5 * (cov + cov.T)
+    sym.setflags(write=False)
+    state.mean = mean
+    state.covariance = sym
+    return state
+
+
+def predict(state: EstimatorState, xi: AlgebraElement, dt: float,
+            noise: NoiseConfig) -> EstimatorState:
+    """Propagate one filter's mean and covariance through one sampling interval.
+
+    The mean follows the exact group flow of xi; the covariance advances as
+    F P F^T + dt * diag(PSDs) with F the discrete linearization at the
+    current mean.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n = state.mean.n
+    if xi.n != n:
+        raise ValueError(f"velocity tracks {xi.n} neighbors, state tracks {n}")
+    mean = step_body_velocity(state.mean, xi, dt)
+    f = step_jacobian(state.mean.theta, xi, dt)
+    qd = dt * np.concatenate([
+        np.full(2 * n, noise.process_position_psd),
+        [noise.process_heading_psd],
+    ])
+    cov = f @ state.covariance @ f.T + np.diag(qd)
+    return _trusted_state(mean, cov)
+
+
+def update(state: EstimatorState, y, noise: NoiseConfig) -> EstimatorState:
+    """Fuse one measurement vector (n half squared distances, then heading).
+
+    Uses the Joseph-form covariance update and re-symmetrizes, so the
+    covariance stays positive semidefinite for any gain.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    n = state.mean.n
+    if y.size != n + 1:
+        raise ValueError(f"expected {n + 1} measurements, got {y.size}")
+    p_cov = state.covariance
+    h = observation_jacobian(state.mean)
+    rdiag = np.concatenate([np.full(n, noise.meas_distance_var), [noise.meas_heading_var]])
+    s = h @ p_cov @ h.T + np.diag(rdiag)
+    if not np.all(np.isfinite(s)):
+        raise SingularUpdateError("innovation covariance is not finite")
+    try:
+        gain = np.linalg.solve(s, h @ p_cov).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularUpdateError(f"innovation covariance not invertible: {exc}") from exc
+
+    innovation = y - observation(state.mean)
+    innovation[-1] = wrap_angle(innovation[-1])
+    delta = gain @ innovation
+    mean = GroupElement(state.mean.p + delta[:-1], state.mean.theta + delta[-1])
+
+    ikh = np.eye(2 * n + 1) - gain @ h
+    cov = ikh @ p_cov @ ikh.T + gain @ np.diag(rdiag) @ gain.T
+    return _trusted_state(mean, cov)
+
+
+def initialize(truth: GroupElement, offset_bound: float, seed,
+               initial_var: float | None = None, heading_var: float | None = None,
+               noise: NoiseConfig | None = None) -> EstimatorState:
+    """Seed a filter near the true configuration.
+
+    Each position coordinate is offset by an independent uniform draw from
+    [-offset_bound, offset_bound]; the heading starts at its true (measured)
+    value.  The position variance defaults to offset_bound^2 / 3, the
+    variance of that draw; the heading variance defaults to the heading
+    measurement variance when a NoiseConfig is supplied.  `seed` may be an
+    integer or an existing numpy Generator.
+    """
+    if offset_bound < 0:
+        raise ValueError(f"offset_bound must be non-negative, got {offset_bound}")
+    if initial_var is not None and initial_var <= 0:
+        raise ValueError(f"initial_var must be positive, got {initial_var}")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    n = truth.n
+    offsets = rng.uniform(-offset_bound, offset_bound, size=2 * n)
+    var = initial_var if initial_var is not None else offset_bound ** 2 / 3.0
+    if heading_var is not None:
+        hvar = heading_var
+    elif noise is not None:
+        hvar = noise.meas_heading_var
+    else:
+        hvar = var
+    cov = np.diag(np.concatenate([np.full(2 * n, var), [hvar]]))
+    return EstimatorState(GroupElement(truth.p + offsets, truth.theta), cov)
+
+
+# ------------------------------------------------------- one seed, one step
+
+
+def bank_of(graph: Graph, filters) -> FilterBank:
+    """Stack one seed's per-agent filters, given in agent order, as a bank."""
+    buckets = _layout(graph).buckets
+    return FilterBank(
+        graph=graph,
+        means=tuple(np.array([filters[i].mean.p for i in b.agents]) for b in buckets),
+        headings=tuple(np.array([filters[i].mean.theta for i in b.agents]) for b in buckets),
+        covariances=tuple(np.array([filters[i].covariance for i in b.agents]) for b in buckets),
+    )
+
+
+def estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
+    """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i)."""
+    return -world.bank.offsets[0, _layout(graph).slot[(i, j)]]
+
+
+def step(world: WorldState, config: ScenarioConfig,
+         rng: np.random.Generator | None = None) -> WorldState:
+    """Advance one seed's closed loop by one sampling interval with the
+    engine's batched phases, as a batch of one.  rng is only consulted when
+    measurement noise is on."""
+    if config.measurement_noise and rng is None:
+        raise ValueError("measurement noise requires a generator")
+    batch = _Batch(r=world.r[None], headings=world.headings[None], bank=world.bank,
+                   t=world.t, rngs=[rng], events=[world.events])
+    batch, diverged = _move(batch, config)
+    if diverged[0]:
+        raise _divergence(batch.t)
+    batch = _sense(batch, config)
+    return WorldState(r=batch.r[0], headings=world.headings.copy(), bank=batch.bank,
+                      t=batch.t, events=batch.events[0])

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 from formloc.controller import formation_potential, ideal_control
-from formloc.estimator import NoiseConfig, initialize, predict, update
+from formloc.estimator import NoiseConfig
 from formloc.lie_group import (
     AlgebraElement,
     GroupElement,
@@ -37,10 +37,9 @@ from formloc.sim import (
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
-    step,
 )
 from formloc import cli
-from oracles import embed, embed_algebra
+from oracles import embed, embed_algebra, initialize, predict, step, update
 
 
 # Ten spawn seeds whose transient stays inside the rotating attractor's

@@ -22,19 +22,12 @@ from formloc.controller import (
     ideal_control,
     mismatch_control,
 )
-from formloc.estimator import (
-    EstimatorState,
-    NoiseConfig,
-    SingularUpdateError,
-    predict,
-    update,
-)
+from formloc.estimator import EstimatorState, NoiseConfig, SingularUpdateError
 from formloc.lie_group import AlgebraElement, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.sim import (
     MAX_SUBSTEPS,
     DivergenceError,
-    FilterBank,
     MetricsSeries,
     ScenarioConfig,
     WorldState,
@@ -44,8 +37,8 @@ from formloc.sim import (
     init_world,
     run,
     scenario_nominal,
-    step,
 )
+from oracles import bank_of, predict, step, update
 
 # fixed before running: the bank reorders no sum the scalar path makes, so
 # only last-bit differences in a few reductions may appear
@@ -126,7 +119,7 @@ def reference_step(world, config, rng=None):
             events.append(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}")
         new_filters.append(state)
     return WorldState(r=r_new, headings=world.headings.copy(),
-                      bank=FilterBank.from_filters(graph, new_filters), t=t_new,
+                      bank=bank_of(graph, new_filters), t=t_new,
                       events=tuple(events))
 
 
@@ -299,7 +292,7 @@ def test_refused_update_is_isolated_to_its_agent(poisoned):
         for agent, kind in poisoned.items():
             filters = _poison(filters, agent, kind)
         world = WorldState(r=world.r, headings=world.headings,
-                           bank=FilterBank.from_filters(config.graph, filters), t=0.0)
+                           bank=bank_of(config.graph, filters), t=0.0)
         got = step(world, config)
         want = reference_step(world, config)
         got_filters, want_filters = got.filters, want.filters

@@ -29,8 +29,8 @@ from formloc.sim import (
     init_world,
     run,
     scenario_nominal,
-    step,
 )
+from oracles import bank_of, step
 from test_bank import _poison, _rest_world, rigid_scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,7 +130,7 @@ def test_events_stay_with_their_seed():
             for agent, kind in plan.items():
                 filters = _poison(filters, agent, kind)
             worlds.append(WorldState(r=world.r + (2e9 if b == 0 else 0.0), headings=world.headings,
-                                     bank=FilterBank.from_filters(config.graph, filters), t=0.0,
+                                     bank=bank_of(config.graph, filters), t=0.0,
                                      events=(f"earlier event of seed {b}",)))
         batch = _Batch(r=np.stack([w.r for w in worlds]),
                        headings=np.stack([w.headings for w in worlds]),

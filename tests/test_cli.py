@@ -155,6 +155,14 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[controller]\nvariant = estimated\ndefault = 3.0\n", 8, "'default'"),
     ("[controller]\nvariant = estimated\nsharing = per-edge-owner\n", 8, "sharing"),
     ("[controller]\nsharing = per-agent\n", 7, "sharing"),  # algorithm1 by default
+    # non-finite numbers: nan passed every sign check, inf overflowed
+    ("[init]\noffset_bound = nan\n", 7, "offset_bound"),
+    ("[init]\nspawn_box = inf\n", 7, "spawn_box"),
+    ("[init]\nmin_separation = -inf\n", 7, "min_separation"),
+    ("[sim]\ndt = nan\n", 7, "dt"),
+    ("[sim]\nseed = 1\nduration = inf\n", 8, "duration"),
+    ("[init]\npositions = 0,0; 10,nan; 5,8\n", 7, "non-finite"),  # read as a divergence
+    ("[init]\nest_1_2 = inf, 0\n", 7, "non-finite"),
 ])
 def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     path = tmp_path / "cfg.ini"
@@ -241,6 +249,27 @@ def test_run_too_short_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--duration", "inf"), ("--dt", "nan"),
+                                         ("--duration", "nan"), ("--dt", "inf")])
+def test_run_rejects_nonfinite_overrides(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "nominal", flag, value, "--out", str(out)]) == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_impossible_spawn_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n"
+                    "[distances]\ndefault = 10.0\n"
+                    "[init]\nmin_separation = 100\nspawn_box = 20\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "min_separation" in err and "spawn_box" in err
+    assert not out.exists()
+
+
 def test_run_out_is_a_file_exits_runtime(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
@@ -289,6 +318,29 @@ def test_check_observability_usage(capsys):
     assert cli.main(["check-observability", "--n", "0"]) == 2
     assert cli.main(["check-observability", "--n", "2", "--p", "1.0,2.0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--n", "2", "--p", "1,2,nan,4"], "--p"),
+    (["--n", "2", "--p", "1,inf,3,4"], "--p"),
+    (["--n", "2", "--theta", "nan"], "--theta"),
+    (["--n", "1", "--seed", "3", "--theta", "inf"], "--theta"),
+    (["--n", "2", "--tol", "nan"], "--tol"),  # read as rank 0 of 5, exit 3
+    (["--trajectory", "unread.csv", "--tol", "inf"], "--tol"),
+])
+def test_check_observability_rejects_nonfinite_state(capsys, args, flag):
+    # these used to end in "SVD did not converge"
+    assert cli.main(["check-observability"] + args) == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+
+
+def test_check_observability_rejects_nonfinite_trajectory_cell(tmp_path, capsys):
+    # a comment and a blank line sit between the header and the bad row
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,theta,x1,y1,w,vx1,vy1\n# first sample\n0.0,0,1,0,0,1,0\n\n"
+                    "0.1,0,1,nan,0,1,0\n0.2,0,1,0,0,1,0\n")
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    assert f"{traj}:5: non-finite" in capsys.readouterr().err
 
 
 def _write_trajectory(path, still_second=True):

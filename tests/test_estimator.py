@@ -13,14 +13,12 @@ from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
-    initialize,
-    predict,
     predict_batch,
-    update,
     update_batch,
 )
 from formloc.lie_group import AlgebraElement, GroupElement, rotation, step_body_velocity
 from formloc.observability import observation
+from oracles import initialize, predict, update
 
 
 def _random_state(rng, n=2, scale=4.0):

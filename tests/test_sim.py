@@ -5,9 +5,12 @@ Tolerances on frozen scenario numbers are loose on purpose; the pinned
 facts are the outcome labels and orders of magnitude, not exact floats.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from formloc.controller import (
     MismatchConfig,
@@ -15,16 +18,17 @@ from formloc.controller import (
     ideal_control,
     mismatch_control,
 )
-from formloc.estimator import NoiseConfig
+from formloc.estimator import EstimatorState, NoiseConfig
+from formloc.lie_group import GroupElement
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.sim import (
     DivergenceError,
     MetricsSeries,
     OutcomeThresholds,
     ScenarioConfig,
+    SpawnError,
     WorldState,
     _control_field,
-    _estimate_of,
     detect_outcome,
     edge_labels,
     init_world,
@@ -33,9 +37,9 @@ from formloc.sim import (
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
-    step,
 )
-from test_bank import rigid_graph
+from oracles import bank_of, estimate_of, initialize, step
+from test_bank import rigid_graph, rigid_scenarios
 
 
 def _basic_config(graph, **kw):
@@ -75,6 +79,15 @@ def test_config_rejects_bad_combinations(triangle):
         _basic_config(triangle, offset_bound=-0.1)
     with pytest.raises(ValueError):
         _basic_config(triangle, spawn_box=0.0)
+
+
+@pytest.mark.parametrize("name", ["dt", "duration", "offset_bound", "spawn_box",
+                                  "min_separation"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_config_rejects_nonfinite_scalars(triangle, name, value):
+    # nan slipped past every sign check; inf ended in an OverflowError
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _basic_config(triangle, **{name: value})
 
 
 def test_config_rejects_isolated_agent():
@@ -124,6 +137,64 @@ def test_init_world_deterministic_and_separated(triangle):
     assert a.t == 0.0 and a.events == ()
 
 
+def test_init_world_gives_up_on_impossible_spawn(triangle):
+    # three agents 100 apart never fit in a 20-wide box; the loop used to spin
+    config = _basic_config(triangle, min_separation=100.0, spawn_box=20.0)
+    with pytest.raises(SpawnError, match="min_separation = 100.0 .* spawn_box = 20.0"):
+        init_world(config)
+
+
+def reference_init(config, rng):
+    """`init_world` with one scalar filter per agent, stacked (the oracle):
+    its positions and its bank."""
+    graph, o = config.graph, config.graph.agent_count
+    if config.initial_positions is not None:
+        r = np.array(config.initial_positions)
+    else:
+        half = 0.5 * config.spawn_box
+        while True:
+            r = rng.uniform(-half, half, size=(o, 2))
+            gaps = [np.sqrt(((r[a] - r[b]) ** 2).sum()) for a in range(o) for b in range(a + 1, o)]
+            if min(gaps) >= config.min_separation:
+                break
+    var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
+    filters = []
+    for i in range(o):
+        nbrs = list(sorted_neighbors(graph, i))
+        truth = GroupElement((r[nbrs] - r[i]).ravel(), 0.0)
+        if config.initial_estimates is None:
+            filters.append(initialize(truth, config.offset_bound, rng,
+                                      initial_var=config.initial_var, noise=config.noise))
+        else:
+            p_hat = np.concatenate([-config.initial_estimates[(i, j)] for j in nbrs])
+            cov = np.diag(np.append(np.full(p_hat.size, var), config.noise.meas_heading_var))
+            filters.append(EstimatorState(GroupElement(p_hat, 0.0), cov))
+    return r, bank_of(graph, filters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rigid_scenarios(), st.sampled_from([0.0, 0.4, 2.0]),
+       st.one_of(st.none(), st.floats(1e-3, 10.0)), st.booleans(), st.booleans())
+def test_init_world_matches_per_agent_oracle(config, offset_bound, initial_var, explicit, spawn):
+    rng = np.random.default_rng(config.seed)
+    estimates = None
+    if explicit:
+        estimates = {(i, j): rng.uniform(-5.0, 5.0, size=2)
+                     for t, h in config.graph.edges for i, j in ((t, h), (h, t))}
+    config = replace(config, offset_bound=offset_bound, initial_var=initial_var,
+                     initial_estimates=estimates,
+                     initial_positions=None if spawn else config.initial_positions)
+    rng_ref = copy.deepcopy(rng)
+    got = init_world(config, rng)
+    r, want = reference_init(config, rng_ref)
+    np.testing.assert_array_equal(got.r, r)
+    for name in ("means", "headings", "covariances"):
+        for a, b in zip(getattr(got.bank, name), getattr(want, name), strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+    # both consumed the same draws, in the same order
+    assert rng.random() == rng_ref.random()
+
+
 def test_init_world_offsets_within_bound(triangle):
     config = _basic_config(triangle, offset_bound=0.5)
     world = init_world(config, np.random.default_rng(3))
@@ -148,7 +219,7 @@ def test_init_world_honors_explicit_state(triangle):
         for j in range(3):
             if i != j:
                 np.testing.assert_array_equal(
-                    _estimate_of(world, triangle, i, j), r[i] - r[j] + 0.25
+                    estimate_of(world, triangle, i, j), r[i] - r[j] + 0.25
                 )
         cov = world.filters[i].covariance
         np.testing.assert_allclose(np.diag(cov)[:4], 2.0)
@@ -186,7 +257,7 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
 
         est_cfg = replace(ideal_cfg, variant="estimated")
         field = _control_field(world, est_cfg)
-        snapshot = {pair: _estimate_of(world, graph, *pair) for pair in est}
+        snapshot = {pair: estimate_of(world, graph, *pair) for pair in est}
         for rf in points:
             e = distance_errors(edge_offsets(graph, rf), d)
             np.testing.assert_array_equal(field(rf), estimated_control(graph, snapshot, e))
@@ -194,7 +265,7 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
         a = MismatchConfig(rng.uniform(-2.0, 2.0, size=m))
         mm_cfg = replace(ideal_cfg, variant="algorithm1", mismatch=a)
         field = _control_field(world, mm_cfg)
-        shared = np.array([_estimate_of(world, graph, t, h) for t, h in graph.edges])
+        shared = np.array([estimate_of(world, graph, t, h) for t, h in graph.edges])
         for rf in points:
             e = distance_errors(edge_offsets(graph, rf), d)
             np.testing.assert_array_equal(field(rf), mismatch_control(graph, shared, e, a))
@@ -236,7 +307,7 @@ def test_step_centroid_rate_identity(triangle):
     a = MismatchConfig(np.array([1.0, -0.5, 0.7]))
     config = _basic_config(triangle, mismatch=a, duration=0.01)
     world = init_world(config, np.random.default_rng(9))
-    shared = np.array([_estimate_of(world, triangle, t, h) for t, h in triangle.edges])
+    shared = np.array([estimate_of(world, triangle, t, h) for t, h in triangle.edges])
     predicted = config.dt * 2.0 / 3.0 * (a.values[:, None] * shared).sum(axis=0)
     after = step(world, config)
     got = after.r.mean(axis=0) - world.r.mean(axis=0)
