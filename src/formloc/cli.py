@@ -32,7 +32,7 @@ from . import __version__
 from .controller import MismatchConfig
 from .estimator import NoiseConfig
 from .lie_group import AlgebraElement, GroupElement
-from .network import DesiredDistances, Graph, sorted_neighbors
+from .network import DesiredDistances, Graph
 from .observability import codistribution_rank, empirical_gramian
 from .sim import (
     VARIANTS,
@@ -119,6 +119,25 @@ def _estimate_keys(graph: Graph) -> dict:
             for t, h in graph.edges for i, j in ((t, h), (h, t))}
 
 
+# Every scalar setting as (section, key, type), in manifest order.  A key
+# is the name of its field: on ScenarioConfig, or on the NoiseConfig or
+# OutcomeThresholds that `_NESTED` names it under.
+_SCALARS = (
+    *(("noise", f.name, float) for f in fields(NoiseConfig)),
+    ("noise", "measurement_noise", bool),
+    ("init", "offset_bound", float),
+    ("init", "spawn_box", float),
+    ("init", "min_separation", float),
+    ("init", "initial_var", float),
+    ("sim", "dt", float),
+    ("sim", "duration", float),
+    ("sim", "seed", int),
+    ("sim", "estimator_enabled", bool),
+    *(("thresholds", f.name, float) for f in fields(OutcomeThresholds)),
+)
+_NESTED = ({f.name: "noise" for f in fields(NoiseConfig)}
+           | {f.name: "thresholds" for f in fields(OutcomeThresholds)})
+
 # Keys each config section accepts besides those that depend on the graph
 # or the variant (`d_i_j`, `est_i_j`, and the mismatch keys `default` and
 # `a_i_j` of [controller]); manifest-only sections are skipped.
@@ -126,14 +145,11 @@ _SECTION_KEYS = {
     "graph": {"agents", "edges"},
     "distances": {"default"},
     "controller": {"variant", "sharing"},
-    "noise": {f.name for f in fields(NoiseConfig)} | {"measurement_noise"},
-    "init": {"offset_bound", "spawn_box", "min_separation", "initial_var", "positions"},
-    "sim": {"dt", "duration", "seed", "estimator_enabled"},
-    "thresholds": {f.name for f in fields(OutcomeThresholds)},
+    "init": {"positions"},
 }
+for _section, _key, _ in _SCALARS:
+    _SECTION_KEYS.setdefault(_section, set()).add(_key)
 _MANIFEST_SECTIONS = ("artifact", "result")
-# ScenarioConfig's scalar field defaults, which the loader falls back on
-_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 # `sharing` is derived from the variant; older manifests still carry it
 _SHARING = {
     "ideal": ("per-agent", "per-edge-owner"),
@@ -185,15 +201,13 @@ def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
     if config.mismatch is not None:
         for k, (t, h) in enumerate(g.edges):
             ini["controller"][_pair_key("a", t, h)] = _fmt(config.mismatch.values[k])
-    ini["noise"] = {f.name: _fmt(getattr(config.noise, f.name)) for f in fields(NoiseConfig)}
-    ini["noise"]["measurement_noise"] = str(config.measurement_noise).lower()
-    ini["init"] = {
-        "offset_bound": _fmt(config.offset_bound),
-        "spawn_box": _fmt(config.spawn_box),
-        "min_separation": _fmt(config.min_separation),
-    }
-    if config.initial_var is not None:
-        ini["init"]["initial_var"] = _fmt(config.initial_var)
+    for section, key, kind in _SCALARS:
+        value = getattr(getattr(config, _NESTED[key]) if key in _NESTED else config, key)
+        if value is None:  # initial_var unset: the filters derive it
+            continue
+        if not ini.has_section(section):
+            ini.add_section(section)
+        ini[section][key] = _fmt(value) if kind is float else str(value).lower()
     if config.initial_positions is not None:
         ini["init"]["positions"] = "; ".join(
             f"{_fmt(x)}, {_fmt(y)}" for x, y in config.initial_positions
@@ -201,15 +215,6 @@ def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
     if config.initial_estimates is not None:
         for (i, j), v in sorted(config.initial_estimates.items()):
             ini["init"][_pair_key("est", i, j)] = f"{_fmt(v[0])}, {_fmt(v[1])}"
-    ini["sim"] = {
-        "dt": _fmt(config.dt),
-        "duration": _fmt(config.duration),
-        "seed": str(config.seed),
-        "estimator_enabled": str(config.estimator_enabled).lower(),
-    }
-    ini["thresholds"] = {
-        f.name: _fmt(getattr(config.thresholds, f.name)) for f in fields(OutcomeThresholds)
-    }
     return ini
 
 
@@ -299,7 +304,7 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
             ini.add_section(section)
 
     csec, cw = ini["controller"], where("controller")
-    variant = csec.get("variant", _DEFAULTS["variant"]).strip()
+    variant = csec.get("variant", ScenarioConfig.variant).strip()
     if variant not in VARIANTS:
         raise ConfigError(f"{cw('variant')}: unknown variant {variant!r}, "
                           f"expected one of {', '.join(VARIANTS)}")
@@ -327,18 +332,7 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
         a_vals = [_get(csec, _pair_key("a", t, h), default_a, cw) for t, h in graph.edges]
         mismatch = MismatchConfig(np.array(a_vals))
 
-    nsec, nw = ini["noise"], where("noise")
-    try:
-        noise = NoiseConfig(**{f.name: _get(nsec, f.name, f.default, nw)
-                               for f in fields(NoiseConfig)})
-    except ValueError as exc:
-        raise ConfigError(f"{nw()}: {exc}") from None
-
     isec, iw = ini["init"], where("init")
-    initial_var = _get(isec, "initial_var", None, iw)
-    if initial_var is not None and initial_var <= 0:
-        raise ConfigError(f"{iw('initial_var')}: initial_var must be positive, "
-                          f"got {isec['initial_var']!r}")
     positions = None
     if "positions" in isec:
         rows = [p for p in isec["positions"].split(";") if p.strip()]
@@ -354,38 +348,22 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
                 raise ConfigError(f"{iw()}: missing initial estimate {key}")
             estimates[pair] = _parse_pair(isec[key], iw(key))
 
-    ssec, sw = ini["sim"], where("sim")
-    tsec, tw = ini["thresholds"], where("thresholds")
-    try:
-        thresholds = OutcomeThresholds(**{f.name: _get(tsec, f.name, f.default, tw)
-                                          for f in fields(OutcomeThresholds)})
-    except ValueError as exc:
-        raise ConfigError(f"{tw()}: {exc}") from None
-
+    # absent keys are not passed, so each dataclass supplies its own default
+    values = {"noise": {}, "thresholds": {}, None: {}}
+    for section, key, kind in _SCALARS:
+        if key in ini[section]:
+            values[_NESTED.get(key)][key] = _get(ini[section], key, None, where(section), kind)
     try:
         return ScenarioConfig(
-            graph=graph,
-            distances=distances,
-            variant=variant,
-            mismatch=mismatch,
-            dt=_get(ssec, "dt", _DEFAULTS["dt"], sw),
-            duration=_get(ssec, "duration", _DEFAULTS["duration"], sw),
-            seed=_get(ssec, "seed", _DEFAULTS["seed"], sw, int),
-            noise=noise,
-            measurement_noise=_get(nsec, "measurement_noise",
-                                   _DEFAULTS["measurement_noise"], nw, bool),
-            offset_bound=_get(isec, "offset_bound", _DEFAULTS["offset_bound"], iw),
-            initial_var=initial_var,
-            initial_positions=positions,
-            spawn_box=_get(isec, "spawn_box", _DEFAULTS["spawn_box"], iw),
-            min_separation=_get(isec, "min_separation", _DEFAULTS["min_separation"], iw),
-            initial_estimates=estimates,
-            estimator_enabled=_get(ssec, "estimator_enabled",
-                                   _DEFAULTS["estimator_enabled"], sw, bool),
-            thresholds=thresholds,
-        )
+            graph=graph, distances=distances, variant=variant, mismatch=mismatch,
+            initial_positions=positions, initial_estimates=estimates,
+            noise=NoiseConfig(**values["noise"]),
+            thresholds=OutcomeThresholds(**values["thresholds"]), **values[None])
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        # every field check names its field first
+        name = str(exc).split(" ", 1)[0]
+        section = next((s for s, key, _ in _SCALARS if key == name), None)
+        raise ConfigError(f"{_line_of(path, section, name) if section else path}: {exc}") from None
 
 
 def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:

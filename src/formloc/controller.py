@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import DesiredDistances, Graph, _edge_arrays, distance_errors, edge_offsets
+from .network import Graph, distance_errors, edge_offsets
 
 __all__ = [
     "MismatchConfig",

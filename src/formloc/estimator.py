@@ -43,10 +43,12 @@ class NoiseConfig:
     meas_heading_var: float = 1e-6
 
     def __post_init__(self):
-        if self.process_position_psd < 0 or self.process_heading_psd < 0:
-            raise ValueError("process PSDs must be non-negative")
-        if self.meas_distance_var <= 0 or self.meas_heading_var <= 0:
-            raise ValueError("measurement variances must be positive")
+        for name in ("process_position_psd", "process_heading_psd"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("meas_distance_var", "meas_heading_var"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(eq=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_group import AlgebraElement, GroupElement, step_jacobian
+from .lie_group import GroupElement, step_jacobian
 
 __all__ = [
     "CodistributionReport",

@@ -153,9 +153,11 @@ class ScenarioConfig:
         elif self.mismatch is not None:
             raise ValueError(f"the {self.variant} variant reads no mismatch; only algorithm1 does")
         if self.offset_bound < 0:
-            raise ValueError("offset_bound must be non-negative")
-        if self.spawn_box <= 0 or self.min_separation < 0:
-            raise ValueError("spawn_box must be positive and min_separation non-negative")
+            raise ValueError(f"offset_bound must be non-negative, got {self.offset_bound}")
+        if self.spawn_box <= 0:
+            raise ValueError(f"spawn_box must be positive, got {self.spawn_box}")
+        if self.min_separation < 0:
+            raise ValueError(f"min_separation must be non-negative, got {self.min_separation}")
         if self.initial_var is not None and not 0.0 < self.initial_var < np.inf:
             raise ValueError(f"initial_var must be positive and finite, got {self.initial_var}")
         for i in range(self.graph.agent_count):

@@ -26,8 +26,8 @@ from formloc.lie_group import (
     rotation,
     step_body_velocity,
 )
-from formloc.network import DesiredDistances, Graph
-from formloc.observability import codistribution_rank, empirical_gramian, observation
+from formloc.network import DesiredDistances
+from formloc.observability import codistribution_rank, empirical_gramian
 from formloc.sim import (
     ScenarioConfig,
     detect_outcome,

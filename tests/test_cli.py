@@ -6,14 +6,19 @@ Everything drives `cli.main` in-process; one subprocess test checks the
 
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from formloc import cli
+from formloc.controller import MismatchConfig
+from formloc.estimator import NoiseConfig
+from formloc.network import DesiredDistances
 from formloc.sim import (
+    OutcomeThresholds,
+    ScenarioConfig,
     detect_outcome,
     run,
     scenario_issue1,
@@ -33,35 +38,53 @@ def _write_config(tmp_path, config, name="config.ini"):
     return path
 
 
-@pytest.mark.parametrize("factory", [scenario_nominal, scenario_issue1,
-                                     scenario_issue2, scenario_issue3])
+def scenario_explicit():
+    """Every setting away from its default: explicit positions and estimates."""
+    config = scenario_nominal()
+    pairs = [(i, j) for t, h in config.graph.edges for i, j in ((t, h), (h, t))]
+    return replace(
+        config, dt=0.02, duration=3.0, seed=42, measurement_noise=True,
+        offset_bound=0.4, initial_var=1.5, spawn_box=15.5, min_separation=0.75,
+        estimator_enabled=False, mismatch=MismatchConfig(np.array([1.0, 0.9, 1.1])),
+        initial_positions=np.array([[0.0, 1.0], [3.5, -2.0], [1e-3, 7.0]]),
+        initial_estimates={(i, j): np.array([0.1 * i - 1.25, 2.0 + j / 3]) for i, j in pairs},
+        noise=NoiseConfig(2e-4, 3e-6, 5e-4, 7e-6),
+        thresholds=OutcomeThresholds(0.4, 0.2, 2e-4, 3e-3, 0.15, 0.25),
+    )
+
+
+@pytest.mark.parametrize("factory", [scenario_nominal, scenario_issue1, scenario_issue2,
+                                     scenario_issue3, scenario_explicit])
 def test_config_ini_round_trip(tmp_path, factory):
     config = factory()
-    loaded = cli.config_from_ini(_write_config(tmp_path, config))
-    assert loaded.graph == config.graph
-    np.testing.assert_array_equal(loaded.distances.values, config.distances.values)
-    assert loaded.variant == config.variant
-    if config.mismatch is None:
-        assert loaded.mismatch is None
-    else:
-        np.testing.assert_array_equal(loaded.mismatch.values, config.mismatch.values)
-    assert (loaded.dt, loaded.duration, loaded.seed) == (config.dt, config.duration, config.seed)
-    assert loaded.noise == config.noise
-    assert loaded.measurement_noise == config.measurement_noise
-    assert loaded.offset_bound == config.offset_bound
-    assert loaded.initial_var == config.initial_var
-    assert loaded.estimator_enabled == config.estimator_enabled
-    assert loaded.thresholds == config.thresholds
-    if config.initial_positions is None:
-        assert loaded.initial_positions is None
-    else:
-        np.testing.assert_array_equal(loaded.initial_positions, config.initial_positions)
-    if config.initial_estimates is None:
-        assert loaded.initial_estimates is None
-    else:
-        assert set(loaded.initial_estimates) == set(config.initial_estimates)
-        for key, vec in config.initial_estimates.items():
-            np.testing.assert_array_equal(loaded.initial_estimates[key], vec)
+    written = _write_config(tmp_path, config)
+    loaded = cli.config_from_ini(written)
+    for f in fields(ScenarioConfig):
+        want, got = getattr(config, f.name), getattr(loaded, f.name)
+        if isinstance(want, (DesiredDistances, MismatchConfig)):
+            want, got = want.values, got.values
+        # exact equality; dicts are compared key by key, arrays element-wise
+        np.testing.assert_equal(got, want, err_msg=f.name)
+    # write, load, write: the manifest a replay writes is the one it read
+    assert _write_config(tmp_path, loaded, "again.ini").read_bytes() == written.read_bytes()
+
+
+def test_config_ini_scalar_lines_are_pinned(tmp_path):
+    # `run --config manifest.txt` must replay manifests written by earlier
+    # versions, so the text of every setting from [noise] on is fixed
+    text = _write_config(tmp_path, scenario_explicit()).read_text()
+    assert text.split("[noise]\n", 1)[1] == (
+        "process_position_psd = 0.0002\nprocess_heading_psd = 3e-06\n"
+        "meas_distance_var = 0.0005\nmeas_heading_var = 7e-06\nmeasurement_noise = true\n\n"
+        "[init]\noffset_bound = 0.4\nspawn_box = 15.5\nmin_separation = 0.75\n"
+        "initial_var = 1.5\npositions = 0.0, 1.0; 3.5, -2.0; 0.001, 7.0\n"
+        "est_1_2 = -1.25, 2.3333333333333335\nest_1_3 = -1.25, 2.6666666666666665\n"
+        "est_2_1 = -1.15, 2.0\nest_2_3 = -1.15, 2.6666666666666665\n"
+        "est_3_1 = -1.05, 2.0\nest_3_2 = -1.05, 2.3333333333333335\n\n"
+        "[sim]\ndt = 0.02\nduration = 3.0\nseed = 42\nestimator_enabled = false\n\n"
+        "[thresholds]\ndist_tol = 0.4\nest_tol = 0.2\nspeed_tol = 0.0002\n"
+        "centroid_tol = 0.003\nerror_floor = 0.15\nwindow_frac = 0.25\n\n"
+    )
 
 
 def test_run_scenario_writes_artifacts(tmp_path, capsys):
@@ -163,6 +186,15 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[sim]\nseed = 1\nduration = inf\n", 8, "duration"),
     ("[init]\npositions = 0,0; 10,nan; 5,8\n", 7, "non-finite"),  # read as a divergence
     ("[init]\nest_1_2 = inf, 0\n", 7, "non-finite"),
+    # out-of-range scalars, each at its own key rather than the file or section
+    ("[init]\noffset_bound = -1\n", 7, "offset_bound"),
+    ("[init]\noffset_bound = 1\nspawn_box = 0\n", 8, "spawn_box"),
+    ("[init]\nmin_separation = -1\n", 7, "min_separation"),
+    ("[sim]\nseed = 1\ndt = -0.01\n", 8, "dt"),
+    ("[sim]\nduration = -1\n", 7, "duration"),
+    ("[noise]\nmeas_heading_var = 1e-6\nmeas_distance_var = 0\n", 8, "meas_distance_var"),
+    ("[noise]\nprocess_heading_psd = -1\n", 7, "process_heading_psd"),
+    ("[thresholds]\ndist_tol = 0.5\nwindow_frac = 2\n", 8, "window_frac"),
 ])
 def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     path = tmp_path / "cfg.ini"

@@ -18,7 +18,7 @@ from formloc.controller import (
     ideal_control,
     mismatch_control,
 )
-from formloc.estimator import EstimatorState, NoiseConfig
+from formloc.estimator import EstimatorState
 from formloc.lie_group import GroupElement
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.sim import (
@@ -27,7 +27,6 @@ from formloc.sim import (
     OutcomeThresholds,
     ScenarioConfig,
     SpawnError,
-    WorldState,
     _control_field,
     detect_outcome,
     edge_labels,
