@@ -314,17 +314,21 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     _reject_unknown(ini, path, graph, variant)
 
     dsec, dw = ini["distances"], where("distances")
-    default_d = _get(dsec, "default", float("nan"), dw)
+
+    def distance(key, default):
+        value = _get(dsec, key, default, dw)
+        if key in dsec and value <= 0:
+            raise ConfigError(f"{dw(key)}: {key} must be positive, got {dsec[key]!r}")
+        return value
+
+    default_d = distance("default", float("nan"))
     d_vals = []
     for t, h in graph.edges:
-        val = _get(dsec, _pair_key("d", t, h), default_d, dw)
+        val = distance(_pair_key("d", t, h), default_d)
         if not np.isfinite(val):
             raise ConfigError(f"{dw()}: no distance for edge {t + 1}-{h + 1} and no default")
         d_vals.append(val)
-    try:
-        distances = DesiredDistances(np.array(d_vals))
-    except ValueError as exc:
-        raise ConfigError(f"{dw()}: {exc}") from None
+    distances = DesiredDistances(np.array(d_vals))
 
     mismatch = None
     if variant == "algorithm1":
@@ -411,11 +415,12 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _run_and_save(config: ScenarioConfig, out_dir: Path) -> tuple[MetricsSeries, str]:
-    series = run(config)
-    try:
-        outcome = detect_outcome(series, config.thresholds)
-    except ValueError as exc:  # the run is shorter than the evaluation window
+    try:  # refuse a run shorter than the evaluation window before simulating it
+        config.thresholds.window(config.steps)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    series = run(config)
+    outcome = detect_outcome(series, config.thresholds)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", series)
     write_manifest(out_dir / "manifest.txt", config, series, outcome, "metrics.csv")

@@ -15,13 +15,14 @@ the output.
 The filters live in a `FilterBank`: stacked arrays with one bucket per agent
 degree, so phase (4) is one batched predict and one batched update per
 bucket, and every estimate read is an index gather from the bank's offset
-table.  `init_world` writes the initial filters straight into that table.
+table.
 
-`run(config, seeds)` advances many seeds of one config in lockstep: every
-array gains a leading seed axis, and the bank's buckets stack the seeds
-into their rows.  Each seed keeps its own sub-step count, generator and
-event log, so it comes out exactly as it would alone; a seed that diverges
-leaves the batch.  `run(config)` is the same core for one seed.
+A `WorldState` holds B seeds of one config, advancing in lockstep: every
+array has a leading seed axis, and the bank's buckets stack the seeds into
+their rows.  `init_world(config, seeds)` builds it and `run(config, seeds)`
+steps it.  Each seed keeps its own sub-step count, generator and event
+log, so it comes out exactly as it would alone; a seed that diverges
+leaves the batch.  One seed is the case B = 1 of the same code.
 
 Agents hold their headings in these scenarios (zero angular rate); the
 estimator and group layers support nonzero heading rates independently.
@@ -61,14 +62,6 @@ __all__ = [
 VARIANTS = ("ideal", "estimated", "algorithm1")
 MAX_SUBSTEPS = 10000
 MAX_SPAWN_DRAWS = 10000
-
-OUTCOME_LABELS = (
-    "converged",
-    "stuck_wrong_shape",
-    "translating_drift",
-    "shape_ok_estimates_stale",
-    "undetermined",
-)
 
 
 class DivergenceError(RuntimeError):
@@ -158,6 +151,8 @@ class ScenarioConfig:
             raise ValueError(f"spawn_box must be positive, got {self.spawn_box}")
         if self.min_separation < 0:
             raise ValueError(f"min_separation must be non-negative, got {self.min_separation}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_var is not None and not 0.0 < self.initial_var < np.inf:
             raise ValueError(f"initial_var must be positive and finite, got {self.initial_var}")
         for i in range(self.graph.agent_count):
@@ -285,20 +280,12 @@ class FilterBank:
     """Every agent's filter, for B seeds, as stacked arrays with one bucket
     per agent degree n (see `_layout`): means (B * A, 2n), headings
     (B * A,), covariances (B * A, 2n+1, 2n+1), one entry per bucket in
-    ascending degree.  Row s * A + i holds the bucket's agent i of seed s.
-    A `WorldState` holds the bank of one seed."""
+    ascending degree.  Row s * A + i holds the bucket's agent i of seed s."""
 
     graph: Graph
     means: tuple[np.ndarray, ...]
     headings: tuple[np.ndarray, ...]
     covariances: tuple[np.ndarray, ...]
-
-    @classmethod
-    def stack(cls, banks) -> "FilterBank":
-        """The seeds of several banks of one graph, in order, as one bank."""
-        return cls(banks[0].graph,
-                   *(tuple(map(np.concatenate, zip(*(getattr(b, name) for b in banks))))
-                     for name in ("means", "headings", "covariances")))
 
     @property
     def seeds(self) -> int:
@@ -331,25 +318,10 @@ class FilterBank:
 
 @dataclass(eq=False)
 class WorldState:
-    """True positions and headings, the agents' filter bank, elapsed time."""
-
-    r: np.ndarray                      # (agents, 2) true positions
-    headings: np.ndarray               # (agents,)
-    bank: FilterBank
-    t: float
-    events: tuple[str, ...] = ()
-
-    @property
-    def filters(self) -> tuple[EstimatorState, ...]:
-        return self.bank.filters
-
-
-@dataclass(eq=False)
-class _Batch:
-    """B seeds of one config advancing in lockstep: true positions
-    (B, agents, 2) and headings (B, agents), their filter bank, and one
-    generator and one event log per seed.  After `_move`, v holds each
-    seed's average velocities over the step, (B, agents, 2)."""
+    """B seeds of one config: true positions (B, agents, 2) and headings
+    (B, agents), their filter bank, the elapsed time, and one generator and
+    one event log per seed.  After a step, v holds each seed's average
+    velocities over it, (B, agents, 2)."""
 
     r: np.ndarray
     headings: np.ndarray
@@ -359,11 +331,16 @@ class _Batch:
     events: list
     v: np.ndarray | None = None
 
-    def take(self, keep: np.ndarray) -> "_Batch":
+    @property
+    def filters(self) -> tuple[EstimatorState, ...]:
+        return self.bank.filters
+
+    def take(self, keep: np.ndarray) -> "WorldState":
         """The seeds that the boolean mask `keep` selects."""
-        return _Batch(r=self.r[keep], headings=self.headings[keep], bank=self.bank.take(keep),
-                      t=self.t, rngs=list(compress(self.rngs, keep)),
-                      events=list(compress(self.events, keep)), v=self.v[keep])
+        return WorldState(r=self.r[keep], headings=self.headings[keep], bank=self.bank.take(keep),
+                          t=self.t, rngs=list(compress(self.rngs, keep)),
+                          events=list(compress(self.events, keep)),
+                          v=None if self.v is None else self.v[keep])
 
 
 @dataclass(eq=False)
@@ -397,22 +374,22 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _edge_estimates(state, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+def _edge_estimates(world: WorldState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per seed and edge (t, h), the tail's estimate of r_t - r_h and the
     head's of r_h - r_t, as (B, edges, 2) arrays."""
     layout = _layout(graph)
-    offsets = state.bank.offsets
+    offsets = world.bank.offsets
     return -offsets[:, layout.tail_slots], -offsets[:, layout.head_slots]
 
 
-def _law_inputs(state, config: ScenarioConfig):
+def _law_inputs(world: WorldState, config: ScenarioConfig):
     """The variant's (E_t, E_h, a) for `controller._control_law`: the frozen
     directions each edge's tail and head steer along, per seed, and the
     bias.  The ideal law steers along the true offsets, which move with the
     positions; its directions are None."""
     if config.variant == "ideal":
         return None, None, 0.0
-    est_tail, est_head = _edge_estimates(state, config.graph)
+    est_tail, est_head = _edge_estimates(world, config.graph)
     if config.variant == "estimated":
         return est_tail, -est_head, 0.0
     return est_tail, est_tail, config.mismatch.values
@@ -434,12 +411,12 @@ def _kernel_entries(config: ScenarioConfig, seeds: int) -> tuple:
     return np.repeat(config.distances.values ** 2, per_edge), a, swap
 
 
-def _control_field(state, config: ScenarioConfig):
-    """Velocity field r -> u with the estimate snapshot of `state` (a
-    `WorldState` or a `_Batch`) frozen; the distance errors are re-measured
-    wherever the integrator evaluates it.  r and u are the seeds' positions
-    and velocities side by side, flattened from (agents, 2B) (see
-    `_columns`); for one seed that is its flat positions.
+def _control_field(world: WorldState, config: ScenarioConfig):
+    """Velocity field r -> u with the estimate snapshot of `world` frozen;
+    the distance errors are re-measured wherever the integrator evaluates
+    it.  r and u are the seeds' positions and velocities side by side,
+    flattened from (agents, 2B) (see `_columns`); for one seed that is its
+    flat positions.
 
     It evaluates the public control laws' kernel without their per-call
     validation; a regression test holds the two bit-identical.
@@ -449,8 +426,8 @@ def _control_field(state, config: ScenarioConfig):
     # nonzero terms, so the result is bit-identical to indexing both ends
     diff = (at - ah).T
     agents = config.graph.agent_count
-    dv2, a, swap = _kernel_entries(config, state.bank.seeds)
-    tail_dirs, head_dirs, _ = _law_inputs(state, config)
+    dv2, a, swap = _kernel_entries(config, world.bank.seeds)
+    tail_dirs, head_dirs, _ = _law_inputs(world, config)
     dirs = None if tail_dirs is None else (_columns(tail_dirs).ravel(), _columns(head_dirs).ravel())
 
     def field(r):
@@ -463,21 +440,21 @@ def _control_field(state, config: ScenarioConfig):
     return field
 
 
-def _stiffness(batch: _Batch, config: ScenarioConfig) -> np.ndarray:
+def _stiffness(world: WorldState, config: ScenarioConfig) -> np.ndarray:
     """Per seed, an upper estimate of the control field's Jacobian scale,
     used to pick the sub-step count that keeps the 4th-order scheme inside
     its stability region."""
     tails, heads = _edge_arrays(config.graph)
-    z1 = batch.r[:, tails] - batch.r[:, heads]
+    z1 = world.r[:, tails] - world.r[:, heads]
     zn = np.linalg.norm(z1, axis=2)
     e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
-    tail_dirs, head_dirs, a = _law_inputs(batch, config)
+    tail_dirs, head_dirs, a = _law_inputs(world, config)
     if tail_dirs is None:
         dirs = zn
     else:
         dirs = np.maximum(_vector_norms(tail_dirs), _vector_norms(head_dirs))
     per_edge = 2.0 * dirs * zn + e + np.abs(a)
-    per_agent = np.zeros(batch.r.shape[:2])
+    per_agent = np.zeros(world.r.shape[:2])
     # tails then heads, each in edge order: the sums a per-edge loop makes
     np.add.at(per_agent, (slice(None), tails), per_edge)
     np.add.at(per_agent, (slice(None), heads), per_edge)
@@ -506,73 +483,79 @@ def _integrate(u_of, r: np.ndarray, dt: float, substeps) -> np.ndarray:
     return r
 
 
-def init_world(config: ScenarioConfig, rng: np.random.Generator | None = None) -> WorldState:
-    """Spawn true positions and seed one filter per agent.
+def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
+    """The world every seed of `seeds` starts from; None means
+    (config.seed,).
 
-    Positions come from the config when given, otherwise uniform draws in a
-    centered spawn box, re-drawn until every agent pair is at least
-    min_separation apart; SpawnError after MAX_SPAWN_DRAWS draws.  Filter
-    means come from explicit initial estimates when given, otherwise from
-    per-coordinate uniform offsets of the truth within offset_bound, drawn
-    agent after agent in neighbor order.  Every filter starts at the true
-    heading with covariance diag(var, ..., var, heading measurement
-    variance), var being initial_var or else offset_bound^2 / 3, the
-    variance of that draw.
+    Each seed s gets its own generator, np.random.default_rng(s), which
+    makes all of that seed's draws.  Positions come from the config when
+    given, otherwise uniform draws in a centered spawn box, re-drawn until
+    every agent pair is at least min_separation apart; SpawnError after
+    MAX_SPAWN_DRAWS draws.  Filter means come from explicit initial
+    estimates when given, otherwise from per-coordinate uniform offsets of
+    the truth within offset_bound, drawn agent after agent in neighbor
+    order.  Every filter starts at the true heading with covariance
+    diag(var, ..., var, heading measurement variance), var being
+    initial_var or else offset_bound^2 / 3, the variance of that draw.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    graph = config.graph
-    o = graph.agent_count
+    seeds = (config.seed,) if seeds is None else tuple(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    count, o = len(seeds), config.graph.agent_count
+    r = np.empty((count, o, 2))
     if config.initial_positions is not None:
-        r = np.array(config.initial_positions, dtype=float)
+        r[:] = config.initial_positions
     else:
         half = 0.5 * config.spawn_box
-        for _ in range(MAX_SPAWN_DRAWS):
-            r = rng.uniform(-half, half, size=(o, 2))
-            diffs = r[:, None, :] - r[None, :, :]
-            dist = np.sqrt((diffs ** 2).sum(-1))
-            if o < 2 or dist[np.triu_indices(o, k=1)].min() >= config.min_separation:
-                break
-        else:
-            raise SpawnError(f"min_separation = {config.min_separation} cannot be met inside "
-                             f"spawn_box = {config.spawn_box}: no spawn in {MAX_SPAWN_DRAWS} "
-                             "draws kept every agent pair that far apart")
-    headings = np.zeros(o)
+        for s, rng in enumerate(rngs):
+            for _ in range(MAX_SPAWN_DRAWS):
+                r[s] = rng.uniform(-half, half, size=(o, 2))
+                diffs = r[s, :, None, :] - r[s, None, :, :]
+                dist = np.sqrt((diffs ** 2).sum(-1))
+                if o < 2 or dist[np.triu_indices(o, k=1)].min() >= config.min_separation:
+                    break
+            else:
+                raise SpawnError(f"min_separation = {config.min_separation} cannot be met "
+                                 f"inside spawn_box = {config.spawn_box}: no spawn in "
+                                 f"{MAX_SPAWN_DRAWS} draws kept every agent pair that far apart")
+    headings = np.zeros((count, o))
 
-    layout = _layout(graph)
+    layout = _layout(config.graph)
     if config.initial_estimates is None:
-        offsets = r[layout.slot_nbrs] - r[layout.slot_agents]
-        draws = rng.uniform(-config.offset_bound, config.offset_bound, size=offsets.shape)
-        offsets[np.argsort(layout.slot_agents, kind="stable")] += draws
+        offsets = r[:, layout.slot_nbrs] - r[:, layout.slot_agents]
+        draws = [rng.uniform(-config.offset_bound, config.offset_bound, size=offsets.shape[1:])
+                 for rng in rngs]
+        offsets[:, np.argsort(layout.slot_agents, kind="stable")] += draws
     else:
-        offsets = -np.array([config.initial_estimates[pair] for pair in layout.slot])
+        offsets = np.tile(-np.array([config.initial_estimates[pair] for pair in layout.slot]),
+                          (count, 1, 1))
     var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
     hvar = config.noise.meas_heading_var
     buckets = layout.buckets
-    bank = FilterBank(graph=graph,
-                      means=tuple(offsets[b.slots].reshape(len(b.agents), -1) for b in buckets),
-                      headings=tuple(headings[b.agents] for b in buckets),
+    bank = FilterBank(graph=config.graph,
+                      means=tuple(offsets[:, b.slots].reshape(count * len(b.agents), -1)
+                                  for b in buckets),
+                      headings=tuple(headings[:, b.agents].ravel() for b in buckets),
                       covariances=tuple(np.tile(np.diag([var] * (2 * b.nbrs.shape[1]) + [hvar]),
-                                                (len(b.agents), 1, 1)) for b in buckets))
-    return WorldState(r=r, headings=headings, bank=bank, t=0.0)
+                                                (count * len(b.agents), 1, 1)) for b in buckets))
+    return WorldState(r=r, headings=headings, bank=bank, t=0.0, rngs=rngs, events=[()] * count)
 
 
 def _divergence(t: float) -> DivergenceError:
     return DivergenceError(f"positions diverged during the step ending at t={t:.6g}")
 
 
-def _move(batch: _Batch, config: ScenarioConfig) -> tuple[_Batch, np.ndarray]:
-    """Phases (1)-(2) for every seed: the batch at its new positions, with
+def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.ndarray]:
+    """Phases (1)-(2) for every seed: the world at its new positions, with
     its average velocities over the step and any capped sub-step count
     logged, and the mask of the seeds whose positions diverged."""
     dt = config.dt
-    t_new = batch.t + dt
-    u_of = _control_field(batch, config)
+    t_new = world.t + dt
+    u_of = _control_field(world, config)
     # a non-finite stiffness is capped like a finite one above the cap
     wanted = [max(1, math.ceil(dt * s / 2.0)) if s < math.inf else s
-              for s in _stiffness(batch, config).tolist()]
+              for s in _stiffness(world, config).tolist()]
     substeps = [w if w <= MAX_SUBSTEPS else MAX_SUBSTEPS for w in wanted]
-    events = batch.events
+    events = world.events
     if wanted != substeps:
         capped = f"t={t_new:.6g} substeps capped at {MAX_SUBSTEPS}, stiffness asked for"
         events = [ev if w == n else ev + (f"{capped} {w}",)
@@ -585,31 +568,31 @@ def _move(batch: _Batch, config: ScenarioConfig) -> tuple[_Batch, np.ndarray]:
         # each seed's count for each of its entries in the flattened columns
         substeps = np.tile(np.repeat(substeps, 2), agents)
     with np.errstate(over="ignore", invalid="ignore"):
-        r_new = _integrate(u_of, _columns(batch.r).ravel(), dt, substeps)
+        r_new = _integrate(u_of, _columns(world.r).ravel(), dt, substeps)
         r_new = np.ascontiguousarray(r_new.reshape(agents, -1, 2).swapaxes(0, 1))
-        v = (r_new - batch.r) / dt
+        v = (r_new - world.r) / dt
         diverged = ~(np.abs(r_new) <= 1e9).all(axis=(1, 2))
-    return replace(batch, r=r_new, v=v, t=t_new, events=events), diverged
+    return replace(world, r=r_new, v=v, t=t_new, events=events), diverged
 
 
-def _sense(batch: _Batch, config: ScenarioConfig) -> _Batch:
-    """Phases (3)-(5) for every seed of a batch that `_move` advanced: one
+def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
+    """Phases (3)-(5) for every seed of a world that `_move` advanced: one
     batched predict/update per degree bucket, whose rows hold that bucket's
     agents of every seed.  Refused updates are logged in agent order."""
     if not config.estimator_enabled:
-        return batch
+        return world
     noise = config.noise
     layout = _layout(config.graph)
-    bank, seeds = batch.bank, len(batch.r)
+    bank, seeds = world.bank, len(world.r)
     nbrs, trackers, agents, range_draws, heading_draws = _seed_gathers(config.graph, seeds)
     # velocities and measurements of every slot at once, then sliced per bucket
-    v, r = batch.v.reshape(-1, 2), batch.r.reshape(-1, 2)
+    v, r = world.v.reshape(-1, 2), world.r.reshape(-1, 2)
     rel_world = v[nbrs] - v[trackers]
     diffs = r[nbrs] - r[trackers]
     ranges = 0.5 * (diffs ** 2).sum(axis=1)
-    heading_meas = batch.headings.ravel()[agents]
+    heading_meas = world.headings.ravel()[agents]
     if config.measurement_noise:
-        draws = np.concatenate([rng.standard_normal(layout.draw_count) for rng in batch.rngs])
+        draws = np.concatenate([rng.standard_normal(layout.draw_count) for rng in world.rngs])
         ranges += np.sqrt(noise.meas_distance_var) * draws[range_draws]
         heading_meas += np.sqrt(noise.meas_heading_var) * draws[heading_draws]
 
@@ -632,19 +615,19 @@ def _sense(batch: _Batch, config: ScenarioConfig) -> _Batch:
         headings.append(theta)
         covariances.append(cov)
 
-    events = batch.events
+    events = world.events
     if any(skipped):
-        events = [ev + tuple(f"t={batch.t:.6g} agent={i + 1} update skipped: {exc}"
+        events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
                              for i, exc in sorted(refused, key=lambda item: item[0]))
                   for ev, refused in zip(events, skipped)]
     bank = FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances))
-    return replace(batch, bank=bank, events=events)
+    return replace(world, bank=bank, events=events)
 
 
-def _edge_estimate_errors(batch: _Batch, graph: Graph, z1: np.ndarray) -> np.ndarray:
+def _edge_estimate_errors(world: WorldState, graph: Graph, z1: np.ndarray) -> np.ndarray:
     """Worst estimate error per seed and edge over both endpoints' filters;
     z1 holds the true offsets r_tail - r_head, (B, edges, 2)."""
-    est_tail, est_head = _edge_estimates(batch, graph)
+    est_tail, est_head = _edge_estimates(world, graph)
     return np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
 
 
@@ -653,11 +636,11 @@ def run(config: ScenarioConfig, seeds=None):
 
     Without `seeds`, run config.seed: return its MetricsSeries, or raise
     DivergenceError if its positions diverge.  With `seeds`, run every seed
-    s of that sequence in one batch, each exactly as
+    s of that sequence in lockstep, each exactly as
     `run(replace(config, seed=s))` runs it alone, and return a tuple with
     one entry per seed: its MetricsSeries, or the DivergenceError that
     ended it, with the message that run would raise.  A diverged seed
-    leaves the batch; the others go on.
+    is dropped; the others go on.
     """
     single = seeds is None
     seeds = (config.seed,) if single else tuple(seeds)
@@ -666,11 +649,7 @@ def run(config: ScenarioConfig, seeds=None):
     steps, graph, dt = config.steps, config.graph, config.dt
     tails, heads = _edge_arrays(graph)
     dv2 = config.distances.values ** 2
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    worlds = [init_world(config, rng) for rng in rngs]
-    batch = _Batch(r=np.stack([w.r for w in worlds]), headings=np.stack([w.headings for w in worlds]),
-                   bank=FilterBank.stack([w.bank for w in worlds]), t=0.0, rngs=rngs,
-                   events=[()] * len(seeds))
+    world = init_world(config, seeds)
 
     count, m = len(seeds), graph.edge_count
     distances = np.empty((count, steps, m))
@@ -680,25 +659,25 @@ def run(config: ScenarioConfig, seeds=None):
     angular_rate = np.empty((count, steps))
     max_speed = np.empty((count, steps))
     results = [None] * count
-    live = np.arange(count)   # the seed each row of the batch runs
+    live = np.arange(count)   # the seed each row of the world runs
     rows = slice(None)        # where those rows are recorded; all seeds until one diverges
 
     for k in range(steps):
-        batch, diverged = _move(batch, config)
+        world, diverged = _move(world, config)
         if diverged.any():
             for b in live[diverged]:
-                results[b] = _divergence(batch.t)
-            live, batch = live[~diverged], batch.take(~diverged)
+                results[b] = _divergence(world.t)
+            live, world = live[~diverged], world.take(~diverged)
             rows = live
             if not live.size:
                 break
-        batch = _sense(batch, config)
-        r, v = batch.r, batch.v
+        world = _sense(world, config)
+        r, v = world.r, world.v
         v_mean = v.mean(axis=1)
         z1 = r[:, tails] - r[:, heads]
         distances[rows, k] = np.linalg.norm(z1, axis=2)
         dist_errors_arr[rows, k] = (z1 ** 2).sum(axis=2) - dv2
-        est_errors[rows, k] = _edge_estimate_errors(batch, graph, z1)
+        est_errors[rows, k] = _edge_estimate_errors(world, graph, z1)
         centroid_speed[rows, k] = _vector_norms(v_mean)
         max_speed[rows, k] = np.linalg.norm(v, axis=2).max(axis=1)
         centered = r - r.mean(axis=1, keepdims=True)
@@ -714,7 +693,7 @@ def run(config: ScenarioConfig, seeds=None):
                                    dist_errors=dist_errors_arr[b], centroid_speed=centroid_speed[b],
                                    angular_rate=angular_rate[b], max_speed=max_speed[b],
                                    desired=config.distances.values, edge_labels=labels,
-                                   events=batch.events[row])
+                                   events=world.events[row])
     if not single:
         return tuple(results)
     if isinstance(results[0], DivergenceError):
@@ -723,7 +702,7 @@ def run(config: ScenarioConfig, seeds=None):
 
 
 def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> str:
-    """Classify the final window of a run into one of OUTCOME_LABELS.
+    """Classify the final window of a run.
 
     Checked in order: converged (shape and estimates both good);
     shape_ok_estimates_stale (shape good, estimates not); stuck_wrong_shape

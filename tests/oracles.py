@@ -1,6 +1,6 @@
 """Test-only oracles: matrix forms of the group and graph quantities that
 the library computes in closed form, and the scalar per-agent filter and
-one-seed stepper that the batched engine is checked against."""
+one-step stepper that the batched engine is checked against."""
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from formloc.sim import (
     FilterBank,
     ScenarioConfig,
     WorldState,
-    _Batch,
     _divergence,
     _layout,
     _move,
@@ -177,37 +176,33 @@ def initialize(truth: GroupElement, offset_bound: float, seed,
     return EstimatorState(GroupElement(truth.p + offsets, truth.theta), cov)
 
 
-# ------------------------------------------------------- one seed, one step
+# ------------------------------------------------------------------ one step
 
 
-def bank_of(graph: Graph, filters) -> FilterBank:
-    """Stack one seed's per-agent filters, given in agent order, as a bank."""
+def bank_of(graph: Graph, *seeds) -> FilterBank:
+    """Stack per-agent filters as a bank: each argument after the graph is
+    one seed's filters in agent order, and the seeds come in that order."""
     buckets = _layout(graph).buckets
     return FilterBank(
         graph=graph,
-        means=tuple(np.array([filters[i].mean.p for i in b.agents]) for b in buckets),
-        headings=tuple(np.array([filters[i].mean.theta for i in b.agents]) for b in buckets),
-        covariances=tuple(np.array([filters[i].covariance for i in b.agents]) for b in buckets),
+        means=tuple(np.array([f[i].mean.p for f in seeds for i in b.agents]) for b in buckets),
+        headings=tuple(np.array([f[i].mean.theta for f in seeds for i in b.agents])
+                       for b in buckets),
+        covariances=tuple(np.array([f[i].covariance for f in seeds for i in b.agents])
+                          for b in buckets),
     )
 
 
 def estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
-    """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i)."""
+    """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i),
+    in the world's first seed."""
     return -world.bank.offsets[0, _layout(graph).slot[(i, j)]]
 
 
-def step(world: WorldState, config: ScenarioConfig,
-         rng: np.random.Generator | None = None) -> WorldState:
-    """Advance one seed's closed loop by one sampling interval with the
-    engine's batched phases, as a batch of one.  rng is only consulted when
-    measurement noise is on."""
-    if config.measurement_noise and rng is None:
-        raise ValueError("measurement noise requires a generator")
-    batch = _Batch(r=world.r[None], headings=world.headings[None], bank=world.bank,
-                   t=world.t, rngs=[rng], events=[world.events])
-    batch, diverged = _move(batch, config)
-    if diverged[0]:
-        raise _divergence(batch.t)
-    batch = _sense(batch, config)
-    return WorldState(r=batch.r[0], headings=world.headings.copy(), bank=batch.bank,
-                      t=batch.t, events=batch.events[0])
+def step(world: WorldState, config: ScenarioConfig) -> WorldState:
+    """Advance every seed's closed loop by one sampling interval with the
+    engine's phases; DivergenceError if any seed diverges."""
+    world, diverged = _move(world, config)
+    if diverged.any():
+        raise _divergence(world.t)
+    return _sense(world, config)

@@ -209,12 +209,11 @@ def test_criterion_5_gradient_identity(triangle):
     config = ScenarioConfig(graph=triangle, distances=DesiredDistances.uniform(3, 5.0),
                             variant="ideal", mismatch=None, dt=0.01, duration=1.0,
                             seed=4, spawn_box=6.0)
-    rng = np.random.default_rng(config.seed)
-    world = init_world(config, rng)
+    world = init_world(config)
     for _ in range(20):
-        before = world.r.mean(axis=0)
-        world = step(world, config, rng)
-        assert np.abs(world.r.mean(axis=0) - before).max() < 1e-10
+        before = world.r[0].mean(axis=0)
+        world = step(world, config)
+        assert np.abs(world.r[0].mean(axis=0) - before).max() < 1e-10
 
 
 @pytest.mark.criterion("6 robustness failure reproductions")

@@ -56,10 +56,12 @@ def _estimate(filters, graph, i, j):
 
 
 def reference_step(world, config, rng=None):
-    """One engine step with a scalar filter per agent (the oracle)."""
+    """One engine step of a one-seed world with a scalar filter per agent
+    (the oracle); rng draws the measurement noise."""
     graph, dt, noise = config.graph, config.dt, config.noise
     d = config.distances
     filters = world.filters
+    r, headings = world.r[0], world.headings[0]
     snapshot = {(i, j): _estimate(filters, graph, i, j)
                 for t, h in graph.edges for i, j in ((t, h), (h, t))}
     if config.variant == "ideal":
@@ -75,7 +77,7 @@ def reference_step(world, config, rng=None):
             e = distance_errors(edge_offsets(graph, rf), d)
             return mismatch_control(graph, shared, e, config.mismatch)
 
-    z1 = edge_offsets(graph, world.r)
+    z1 = edge_offsets(graph, r)
     per_agent = np.zeros(graph.agent_count)
     for k, (t, h) in enumerate(graph.edges):
         zn = np.linalg.norm(z1[k])
@@ -90,16 +92,16 @@ def reference_step(world, config, rng=None):
         per_agent[t] += per_edge
         per_agent[h] += per_edge
     wanted = max(1, math.ceil(dt * per_agent.max() / 2.0))
-    events = list(world.events)
+    events = list(world.events[0])
     t_new = world.t + dt
     if wanted > MAX_SUBSTEPS:
         events.append(f"t={t_new:.6g} substeps capped at {MAX_SUBSTEPS}, stiffness asked for {wanted}")
     with np.errstate(over="ignore", invalid="ignore"):
-        r_new = _integrate(field, world.r.ravel(), dt, min(MAX_SUBSTEPS, wanted))
+        r_new = _integrate(field, r.ravel(), dt, min(MAX_SUBSTEPS, wanted))
     r_new = r_new.reshape(-1, 2)
     if not np.all(np.isfinite(r_new)) or np.abs(r_new).max() > 1e9:
         raise DivergenceError("reference diverged")
-    v_avg = (r_new - world.r) / dt
+    v_avg = (r_new - r) / dt
 
     new_filters = []
     for i in range(graph.agent_count):
@@ -109,7 +111,7 @@ def reference_step(world, config, rng=None):
         xi = AlgebraElement((rel_world @ rotation(state.mean.theta)).ravel(), 0.0)
         state = predict(state, xi, dt, noise)
         diffs = r_new[nbrs] - r_new[i]
-        y = np.append(0.5 * (diffs ** 2).sum(axis=1), world.headings[i])
+        y = np.append(0.5 * (diffs ** 2).sum(axis=1), headings[i])
         if config.measurement_noise:
             y[:-1] += rng.normal(0.0, np.sqrt(noise.meas_distance_var), size=y.size - 1)
             y[-1] += rng.normal(0.0, np.sqrt(noise.meas_heading_var))
@@ -118,25 +120,26 @@ def reference_step(world, config, rng=None):
         except SingularUpdateError as exc:
             events.append(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}")
         new_filters.append(state)
-    return WorldState(r=r_new, headings=world.headings.copy(),
-                      bank=bank_of(graph, new_filters), t=t_new,
-                      events=tuple(events))
+    return WorldState(r=r_new[None], headings=world.headings.copy(),
+                      bank=bank_of(graph, new_filters), t=t_new, rngs=[rng],
+                      events=[tuple(events)])
 
 
 def reference_run(config):
     """`run` on the oracle step, with the per-edge metric loop."""
     steps = int(round(config.duration / config.dt))
-    rng = np.random.default_rng(config.seed)
-    world = init_world(config, rng)
+    world = init_world(config)
+    rng = world.rngs[0]
     graph = config.graph
     m = graph.edge_count
     cols = {name: np.empty((steps, m)) for name in ("distances", "est_errors", "dist_errors")}
     scalars = {name: np.empty(steps) for name in ("centroid_speed", "angular_rate", "max_speed")}
     for k in range(steps):
-        prev_r = world.r
+        prev_r = world.r[0]
         world = reference_step(world, config, rng)
-        v = (world.r - prev_r) / config.dt
-        z1 = edge_offsets(graph, world.r)
+        r = world.r[0]
+        v = (r - prev_r) / config.dt
+        z1 = edge_offsets(graph, r)
         cols["distances"][k] = np.linalg.norm(z1, axis=1)
         cols["dist_errors"][k] = distance_errors(z1, config.distances)
         for e, (t, h) in enumerate(graph.edges):
@@ -145,12 +148,12 @@ def reference_run(config):
                 np.linalg.norm(_estimate(world.filters, graph, h, t) + z1[e]))
         scalars["centroid_speed"][k] = np.linalg.norm(v.mean(axis=0))
         scalars["max_speed"][k] = np.linalg.norm(v, axis=1).max()
-        centered = world.r - world.r.mean(axis=0)
+        centered = r - r.mean(axis=0)
         v_rel = v - v.mean(axis=0)
         spin = (centered[:, 0] * v_rel[:, 1] - centered[:, 1] * v_rel[:, 0]).sum()
         scalars["angular_rate"][k] = spin / (centered ** 2).sum()
     return MetricsSeries(t=(np.arange(steps) + 1) * config.dt, edge_labels=edge_labels(graph),
-                         desired=config.distances.values, events=world.events,
+                         desired=config.distances.values, events=world.events[0],
                          **cols, **scalars)
 
 
@@ -208,14 +211,13 @@ def rigid_scenarios(draw):
 @settings(max_examples=40, deadline=None)
 @given(rigid_scenarios())
 def test_bank_step_matches_scalar_oracle(config):
-    rng = np.random.default_rng(config.seed)
-    world = init_world(config, rng)
-    rng_ref = copy.deepcopy(rng)
-    got = step(world, config, rng)
+    world = init_world(config)
+    rng_ref = copy.deepcopy(world.rngs[0])
+    got = step(world, config)
     want = reference_step(world, config, rng_ref)
     _assert_worlds_match(got, want)
     # both generators consumed the same draws, in the same order
-    assert rng.random() == rng_ref.random()
+    assert got.rngs[0].random() == rng_ref.random()
 
 
 @settings(max_examples=15, deadline=None)
@@ -238,12 +240,11 @@ def test_noise_draws_stay_in_agent_order():
                             variant="ideal", mismatch=None, measurement_noise=True,
                             noise=NoiseConfig(meas_distance_var=1.0, meas_heading_var=0.25),
                             duration=0.05, seed=4)
-    rng = np.random.default_rng(4)
-    world = init_world(config, rng)
-    rng_ref = copy.deepcopy(rng)
+    world = init_world(config, (4,))
+    rng_ref = copy.deepcopy(world.rngs[0])
     for _ in range(5):
         world_ref = reference_step(world, config, rng_ref)
-        world = step(world, config, rng)
+        world = step(world, config)
         _assert_worlds_match(world, world_ref)
 
 
@@ -291,16 +292,15 @@ def test_refused_update_is_isolated_to_its_agent(poisoned):
     with np.errstate(invalid="ignore"):  # inf - inf in the symmetry checks
         for agent, kind in poisoned.items():
             filters = _poison(filters, agent, kind)
-        world = WorldState(r=world.r, headings=world.headings,
-                           bank=bank_of(config.graph, filters), t=0.0)
+        world = replace(world, bank=bank_of(config.graph, filters))
         got = step(world, config)
         want = reference_step(world, config)
         got_filters, want_filters = got.filters, want.filters
 
     np.testing.assert_array_equal(got.r, world.r)
     assert got.events == want.events
-    assert [int(e.split("agent=")[1].split()[0]) - 1 for e in got.events] == sorted(poisoned)
-    for event, (agent, kind) in zip(got.events, sorted(poisoned.items())):
+    assert [int(e.split("agent=")[1].split()[0]) - 1 for e in got.events[0]] == sorted(poisoned)
+    for event, (agent, kind) in zip(got.events[0], sorted(poisoned.items())):
         assert ("not finite" in event) == (kind == "nonfinite")
     for i, (f_got, f_want) in enumerate(zip(got_filters, want_filters)):
         np.testing.assert_array_equal(f_got.mean.p, f_want.mean.p)

@@ -1,9 +1,11 @@
-"""Seed axis: `run(config, seeds)` against one `run` per seed.
+"""Seed axis: `init_world(config, seeds)` and `run(config, seeds)` against
+one seed at a time.
 
-The batch stacks every seed's positions, headings and filters and gives
-each seed its own sub-step count, generator and event log, so every seed
-must come out bit for bit as it does alone: the same arrays, the same
-events, and the same `DivergenceError` message when it diverges.
+A `WorldState` stacks every seed's positions, headings and filters and
+gives each seed its own sub-step count, generator and event log, so every
+seed must come out bit for bit as it does alone: the same start, the same
+arrays, the same events, and the same `DivergenceError` message when it
+diverges.
 """
 
 import math
@@ -19,10 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from formloc.sim import (
     DivergenceError,
-    FilterBank,
     MetricsSeries,
     WorldState,
-    _Batch,
     _move,
     _sense,
     detect_outcome,
@@ -87,11 +87,10 @@ def test_diverging_seed_leaves_the_batch():
         run(replace(config, seed=13))
     assert str(got[1]) == str(alone.value)
     # the step-by-step loop names the same step
-    rng = np.random.default_rng(13)
-    world = init_world(config, rng)
+    world = init_world(config, (13,))
     with pytest.raises(DivergenceError) as stepped:
         while True:
-            world = step(world, config, rng)
+            world = step(world, config)
     assert str(got[1]) == str(stepped.value) == "positions diverged during the step ending at t=0.65"
     for seed, result in ((12, got[0]), (14, got[2])):
         assert isinstance(result, MetricsSeries)
@@ -101,7 +100,7 @@ def test_diverging_seed_leaves_the_batch():
 def _first_substeps(config, seed):
     """Sub-steps the ideal law's first step asks for, from the formula:
     per agent the sum over its edges of 2|z|^2 + |e|, then dt * max / 2."""
-    r = init_world(config, np.random.default_rng(seed)).r
+    r = init_world(config, (seed,)).r[0]
     per_agent = np.zeros(config.graph.agent_count)
     for (t, h), d in zip(config.graph.edges, config.distances.values):
         zz = float((r[t] - r[h]) @ (r[t] - r[h]))
@@ -123,19 +122,19 @@ def test_events_stay_with_their_seed():
     # the others refuse different updates on top of their own earlier events
     config, world = _rest_world()
     plans = ({}, {1: "singular"}, {}, {0: "singular", 3: "nonfinite"})
-    worlds = []
+    seeds = np.arange(len(plans))
     with np.errstate(invalid="ignore"):  # inf - inf in the symmetry checks
-        for b, plan in enumerate(plans):
-            filters = world.filters
+        filters = []
+        for plan in plans:
+            filters.append(world.filters)
             for agent, kind in plan.items():
-                filters = _poison(filters, agent, kind)
-            worlds.append(WorldState(r=world.r + (2e9 if b == 0 else 0.0), headings=world.headings,
-                                     bank=bank_of(config.graph, filters), t=0.0,
-                                     events=(f"earlier event of seed {b}",)))
-        batch = _Batch(r=np.stack([w.r for w in worlds]),
-                       headings=np.stack([w.headings for w in worlds]),
-                       bank=FilterBank.stack([w.bank for w in worlds]), t=0.0,
-                       rngs=[None] * len(worlds), events=[w.events for w in worlds])
+                filters[-1] = _poison(filters[-1], agent, kind)
+        batch = WorldState(r=world.r + np.where(seeds == 0, 2e9, 0.0)[:, None, None],
+                           headings=np.repeat(world.headings, len(plans), axis=0),
+                           bank=bank_of(config.graph, *filters), t=0.0,
+                           rngs=[None] * len(plans),
+                           events=[(f"earlier event of seed {b}",) for b in seeds])
+        worlds = [batch.take(seeds == b) for b in seeds]
         moved, diverged = _move(batch, config)
         got = _sense(moved.take(~diverged), config)
         with pytest.raises(DivergenceError):
@@ -146,8 +145,8 @@ def test_events_stay_with_their_seed():
     for row, (plan, alone) in enumerate(zip(plans[1:], want)):
         refused = [int(e.split("agent=")[1].split()[0]) - 1 for e in got.events[row][1:]]
         assert refused == sorted(plan)
-        assert got.events[row] == alone.events
-        np.testing.assert_array_equal(got.r[row], alone.r)
+        assert [got.events[row]] == alone.events
+        np.testing.assert_array_equal(got.r[row], alone.r[0])
         with np.errstate(invalid="ignore"):
             mine, its = got.bank.take(np.arange(len(want)) == row).filters, alone.filters
         for f_mine, f_alone in zip(mine, its, strict=True):
@@ -158,6 +157,35 @@ def test_events_stay_with_their_seed():
 
 def test_no_seeds_is_an_empty_batch():
     assert run(scenario_nominal(), seeds=()) == ()
+
+
+@st.composite
+def seed_tuples(draw):
+    """The nominal config or a `rigid_scenarios` one, each half the time
+    with random spawns, and a tuple of seeds, repeats allowed."""
+    config = draw(st.one_of(st.just(scenario_nominal()), rigid_scenarios()))
+    if draw(st.booleans()):
+        config = replace(config, initial_positions=None, spawn_box=12.0)
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4))
+    return config, tuple(seeds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed_tuples())
+def test_init_world_seeds_match_one_seed_at_a_time(case):
+    config, seeds = case
+    world = init_world(config, seeds)
+    assert len(world.rngs) == len(world.events) == len(seeds) and world.t == 0.0
+    for b, seed in enumerate(seeds):
+        alone = init_world(config, (seed,))
+        mine = world.take(np.arange(len(seeds)) == b)
+        assert np.array_equal(world.r[b], alone.r[0])
+        assert np.array_equal(world.headings[b], alone.headings[0])
+        for name in ("means", "headings", "covariances"):
+            for got, want in zip(getattr(mine.bank, name), getattr(alone.bank, name), strict=True):
+                assert got.shape == want.shape and np.array_equal(got, want), name
+        # both generators took the same draws
+        assert world.rngs[b].random() == alone.rngs[0].random()
 
 
 # ------------------------------------------------------ scripts/seed_sweep.py

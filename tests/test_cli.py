@@ -195,6 +195,9 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[noise]\nmeas_heading_var = 1e-6\nmeas_distance_var = 0\n", 8, "meas_distance_var"),
     ("[noise]\nprocess_heading_psd = -1\n", 7, "process_heading_psd"),
     ("[thresholds]\ndist_tol = 0.5\nwindow_frac = 2\n", 8, "window_frac"),
+    # numpy used to refuse these with a traceback, or the header took the blame
+    ("[sim]\ndt = 0.02\nseed = -3\n", 8, "seed must be non-negative, got -3"),
+    ("d_1_2 = 4.0\nd_2_3 = -1\n", 7, "d_2_3 must be positive"),
 ])
 def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     path = tmp_path / "cfg.ini"
@@ -254,6 +257,14 @@ def test_config_distance_default_and_overrides(tmp_path):
     np.testing.assert_array_equal(config.mismatch.values, [1.0, 1.0, 1.0])
 
 
+def test_config_rejects_nonpositive_default_distance(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n"
+                    "[distances]\nd_1_2 = 5.0\ndefault = 0\n")
+    with pytest.raises(cli.ConfigError, match=f"^{path}:6: default must be positive"):
+        cli.config_from_ini(path)
+
+
 def test_config_missing_distance_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n"
@@ -278,6 +289,30 @@ def test_run_too_short_is_usage_error(tmp_path, capsys):
         assert cli.main(["run", "--scenario", "issue2", "--duration", duration,
                          "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_outcome_window_is_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    # 10000 steps used to be simulated before this config was refused
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run was started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n"
+                    "[distances]\ndefault = 10.0\n"
+                    "[thresholds]\nwindow_frac = 1e-6\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "shorter than the evaluation window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_negative_seed_override(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "nominal", "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be non-negative, got -1" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -5,8 +5,6 @@ Tolerances on frozen scenario numbers are loose on purpose; the pinned
 facts are the outcome labels and orders of magnitude, not exact floats.
 """
 
-import copy
-
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -124,16 +122,17 @@ def test_edge_labels(triangle):
 
 def test_init_world_deterministic_and_separated(triangle):
     config = _basic_config(triangle, min_separation=3.0)
-    a = init_world(config, np.random.default_rng(5))
-    b = init_world(config, np.random.default_rng(5))
+    a = init_world(config, (5,))
+    b = init_world(config, (5,))
     np.testing.assert_array_equal(a.r, b.r)
     for i in range(3):
         np.testing.assert_array_equal(a.filters[i].mean.p, b.filters[i].mean.p)
-    d01 = np.linalg.norm(a.r[0] - a.r[1])
-    d02 = np.linalg.norm(a.r[0] - a.r[2])
-    d12 = np.linalg.norm(a.r[1] - a.r[2])
+    r = a.r[0]
+    d01 = np.linalg.norm(r[0] - r[1])
+    d02 = np.linalg.norm(r[0] - r[2])
+    d12 = np.linalg.norm(r[1] - r[2])
     assert min(d01, d02, d12) >= 3.0
-    assert a.t == 0.0 and a.events == ()
+    assert a.t == 0.0 and a.events == [()]
 
 
 def test_init_world_gives_up_on_impossible_spawn(triangle):
@@ -183,23 +182,25 @@ def test_init_world_matches_per_agent_oracle(config, offset_bound, initial_var, 
     config = replace(config, offset_bound=offset_bound, initial_var=initial_var,
                      initial_estimates=estimates,
                      initial_positions=None if spawn else config.initial_positions)
-    rng_ref = copy.deepcopy(rng)
-    got = init_world(config, rng)
+    # init_world draws from a generator of config.seed that it makes itself
+    rng_ref = np.random.default_rng(config.seed)
+    got = init_world(config)
     r, want = reference_init(config, rng_ref)
-    np.testing.assert_array_equal(got.r, r)
+    np.testing.assert_array_equal(got.r[0], r)
     for name in ("means", "headings", "covariances"):
         for a, b in zip(getattr(got.bank, name), getattr(want, name), strict=True):
             assert a.shape == b.shape and np.array_equal(a, b), name
     # both consumed the same draws, in the same order
-    assert rng.random() == rng_ref.random()
+    assert got.rngs[0].random() == rng_ref.random()
 
 
 def test_init_world_offsets_within_bound(triangle):
     config = _basic_config(triangle, offset_bound=0.5)
-    world = init_world(config, np.random.default_rng(3))
+    world = init_world(config, (3,))
+    r = world.r[0]
     nbrs = [(1, 2), (0, 2), (0, 1)]
     for i in range(3):
-        truth = np.concatenate([world.r[j] - world.r[i] for j in nbrs[i]])
+        truth = np.concatenate([r[j] - r[i] for j in nbrs[i]])
         assert np.abs(world.filters[i].mean.p - truth).max() <= 0.5
 
 
@@ -213,7 +214,7 @@ def test_init_world_honors_explicit_state(triangle):
     config = _basic_config(triangle, initial_positions=r, initial_estimates=est,
                            initial_var=2.0)
     world = init_world(config)
-    np.testing.assert_array_equal(world.r, r)
+    np.testing.assert_array_equal(world.r[0], r)
     for i in range(3):
         for j in range(3):
             if i != j:
@@ -275,7 +276,7 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
 
 def test_step_with_estimator_disabled_freezes_filters(triangle):
     config = _basic_config(triangle, estimator_enabled=False)
-    world = init_world(config, np.random.default_rng(0))
+    world = init_world(config, (0,))
     before = world.filters
     after = step(world, config)
     assert after.filters is before
@@ -285,18 +286,11 @@ def test_step_with_estimator_disabled_freezes_filters(triangle):
 
 def test_step_advances_filters_when_enabled(triangle):
     config = _basic_config(triangle)
-    world = init_world(config, np.random.default_rng(0))
+    world = init_world(config, (0,))
     after = step(world, config)
     assert after.filters is not world.filters
     for f_new, f_old in zip(after.filters, world.filters):
         assert not np.array_equal(f_new.mean.p, f_old.mean.p)
-
-
-def test_step_measurement_noise_needs_generator(triangle):
-    config = _basic_config(triangle, measurement_noise=True)
-    world = init_world(config, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        step(world, config, rng=None)
 
 
 def test_step_centroid_rate_identity(triangle):
@@ -305,11 +299,11 @@ def test_step_centroid_rate_identity(triangle):
     # exactly dt * (2 / agents) * sum_k a_k est_k
     a = MismatchConfig(np.array([1.0, -0.5, 0.7]))
     config = _basic_config(triangle, mismatch=a, duration=0.01)
-    world = init_world(config, np.random.default_rng(9))
+    world = init_world(config, (9,))
     shared = np.array([estimate_of(world, triangle, t, h) for t, h in triangle.edges])
     predicted = config.dt * 2.0 / 3.0 * (a.values[:, None] * shared).sum(axis=0)
     after = step(world, config)
-    got = after.r.mean(axis=0) - world.r.mean(axis=0)
+    got = after.r[0].mean(axis=0) - world.r[0].mean(axis=0)
     np.testing.assert_allclose(got, predicted, atol=1e-12)
 
 
@@ -348,12 +342,11 @@ def test_ideal_variant_dissipates_potential(triangle):
     config = _basic_config(triangle, variant="ideal", mismatch=None,
                            duration=2.0, seed=4, spawn_box=6.0,
                            distances=DesiredDistances.uniform(3, 5.0))
-    rng = np.random.default_rng(config.seed)
-    world = init_world(config, rng)
+    world = init_world(config)
     d = config.distances
     v_prev = formation_potential(triangle, world.r, d)
     for _ in range(200):
-        world = step(world, config, rng)
+        world = step(world, config)
         v = formation_potential(triangle, world.r, d)
         assert v <= v_prev + 1e-12
         v_prev = v
@@ -365,10 +358,9 @@ def test_ideal_variant_endpoint_stable_under_dt_halving(triangle):
                            duration=1.0, seed=4)
 
     def endpoint(cfg):
-        rng = np.random.default_rng(cfg.seed)
-        world = init_world(cfg, rng)
+        world = init_world(cfg)
         for _ in range(int(round(cfg.duration / cfg.dt))):
-            world = step(world, cfg, rng)
+            world = step(world, cfg)
         return world.r
 
     coarse = endpoint(config)
