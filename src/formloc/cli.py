@@ -593,8 +593,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes a value such as -inf or -1e-3 for an option; join each
+    # one that reads as a number to the option before it, as --dt=-inf
+    tokens = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if (tokens and tokens[-1].startswith("--") and tokens[-1] != "--"
+                and "=" not in tokens[-1] and arg.startswith("-") and _is_number(arg)):
+            tokens[-1] += "=" + arg
+        else:
+            tokens.append(arg)
+    args = build_parser().parse_args(tokens)
     return args.func(args)
 
 

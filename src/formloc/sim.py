@@ -24,14 +24,15 @@ steps it.  Each seed keeps its own sub-step count, generator and event
 log, so it comes out exactly as it would alone; a seed that diverges
 leaves the batch.  One seed is the case B = 1 of the same code.
 
-Agents hold their headings in these scenarios (zero angular rate); the
-estimator and group layers support nonzero heading rates independently.
+Every agent's true heading is fixed at 0 (zero angular rate), so its
+heading measurement is noise around 0; the estimator and group layers
+support nonzero headings and heading rates independently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from itertools import compress
 
@@ -91,6 +92,9 @@ class OutcomeThresholds:
     window_frac: float = 0.1     # fraction of the run evaluated, from the end
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 < self.window_frac <= 1.0:
             raise ValueError(f"window_frac must be in (0, 1], got {self.window_frac}")
 
@@ -163,6 +167,8 @@ class ScenarioConfig:
             if pos.size != 2 * self.graph.agent_count:
                 raise ValueError("initial_positions must give one planar point per agent")
             pos = pos.reshape(-1, 2)
+            if not np.isfinite(pos).all():
+                raise ValueError(f"initial_positions must be finite, got {pos.tolist()}")
             pos.setflags(write=False)
             object.__setattr__(self, "initial_positions", pos)
         if self.initial_estimates is not None:
@@ -171,6 +177,9 @@ class ScenarioConfig:
                 v = np.array(vec, dtype=float).reshape(-1)
                 if v.size != 2:
                     raise ValueError(f"estimate for pair ({i}, {j}) must be planar")
+                if not np.isfinite(v).all():
+                    raise ValueError(f"initial_estimates for pair ({i}, {j}) must be finite, "
+                                     f"got {v.tolist()}")
                 if j not in sorted_neighbors(self.graph, i):
                     raise ValueError(f"pair ({i}, {j}) is not an edge of the graph")
                 est[(int(i), int(j))] = v
@@ -192,7 +201,7 @@ class _Bucket:
     in the bank-wide tables of `_Layout`."""
 
     agents: np.ndarray   # (A,)
-    nbrs: np.ndarray     # (A, n) sorted neighbors: the filter block order
+    degree: int          # n
     rows: slice          # the agents' rows in bank order
     slots: slice         # their A * n rows of the offset table
 
@@ -212,7 +221,6 @@ class _Layout:
     slot: dict
     tail_slots: np.ndarray     # (edges,) slot of the tail's offset to the head
     head_slots: np.ndarray     # (edges,) slot of the head's offset to the tail
-    agents: np.ndarray         # (agents,) agent of each bank row
     slot_agents: np.ndarray    # (slots,) agent that tracks each slot
     slot_nbrs: np.ndarray      # (slots,) neighbor each slot tracks
     range_draws: np.ndarray    # (slots,) index of the slot's distance noise draw
@@ -228,7 +236,7 @@ def _layout(graph: Graph) -> _Layout:
         agents = [i for i, js in enumerate(nbrs) if len(js) == n]
         buckets.append(_Bucket(
             agents=np.array(agents),
-            nbrs=np.array([nbrs[i] for i in agents]),
+            degree=n,
             rows=slice(len(order), len(order) + len(agents)),
             slots=slice(slot_count, slot_count + n * len(agents)),
         ))
@@ -244,35 +252,12 @@ def _layout(graph: Graph) -> _Layout:
         slot=slot,
         tail_slots=np.array([slot[(t, h)] for t, h in graph.edges]),
         head_slots=np.array([slot[(h, t)] for t, h in graph.edges]),
-        agents=np.array(order),
         slot_agents=np.array([i for i, _ in pairs]),
         slot_nbrs=np.array([j for _, j in pairs]),
         range_draws=np.array([first_draw[i] + nbrs[i].index(j) for i, j in pairs]),
         heading_draws=first_draw[order] + np.array([len(nbrs[i]) for i in order]),
         draw_count=int(first_draw[-1]),
     )
-
-
-@lru_cache(maxsize=8)
-def _seed_gathers(graph: Graph, seeds: int) -> tuple:
-    """`_layout`'s slot and bank-row gathers for B seeds, in the bank's row
-    order (bucket after bucket, and within a bucket seed after seed): the
-    neighbor and the tracking agent of every slot, and the agent of every
-    row, as indices into arrays flattened over (seed, agent); then the
-    slots' and rows' noise draws, as indices into the seeds' draws laid end
-    to end."""
-    layout = _layout(graph)
-    starts = np.arange(seeds)[:, None]
-
-    def spread(per_seed, blocks, stride):
-        return np.concatenate([(starts * stride + per_seed[block]).ravel() for block in blocks])
-
-    slots = [b.slots for b in layout.buckets]
-    rows = [b.rows for b in layout.buckets]
-    agents, draws = graph.agent_count, layout.draw_count
-    return (spread(layout.slot_nbrs, slots, agents), spread(layout.slot_agents, slots, agents),
-            spread(layout.agents, rows, agents), spread(layout.range_draws, slots, draws),
-            spread(layout.heading_draws, rows, draws))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,13 +303,12 @@ class FilterBank:
 
 @dataclass(eq=False)
 class WorldState:
-    """B seeds of one config: true positions (B, agents, 2) and headings
-    (B, agents), their filter bank, the elapsed time, and one generator and
-    one event log per seed.  After a step, v holds each seed's average
-    velocities over it, (B, agents, 2)."""
+    """B seeds of one config: true positions (B, agents, 2), their filter
+    bank, the elapsed time, and one generator and one event log per seed.
+    After a step, v holds each seed's average velocities over it,
+    (B, agents, 2)."""
 
     r: np.ndarray
-    headings: np.ndarray
     bank: FilterBank
     t: float
     rngs: list
@@ -337,8 +321,8 @@ class WorldState:
 
     def take(self, keep: np.ndarray) -> "WorldState":
         """The seeds that the boolean mask `keep` selects."""
-        return WorldState(r=self.r[keep], headings=self.headings[keep], bank=self.bank.take(keep),
-                          t=self.t, rngs=list(compress(self.rngs, keep)),
+        return WorldState(r=self.r[keep], bank=self.bank.take(keep), t=self.t,
+                          rngs=list(compress(self.rngs, keep)),
                           events=list(compress(self.events, keep)),
                           v=None if self.v is None else self.v[keep])
 
@@ -494,11 +478,14 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     MAX_SPAWN_DRAWS draws.  Filter means come from explicit initial
     estimates when given, otherwise from per-coordinate uniform offsets of
     the truth within offset_bound, drawn agent after agent in neighbor
-    order.  Every filter starts at the true heading with covariance
+    order.  Every filter starts at the true heading 0 with covariance
     diag(var, ..., var, heading measurement variance), var being
     initial_var or else offset_bound^2 / 3, the variance of that draw.
     """
     seeds = (config.seed,) if seeds is None else tuple(seeds)
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     count, o = len(seeds), config.graph.agent_count
     r = np.empty((count, o, 2))
@@ -511,13 +498,12 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
                 r[s] = rng.uniform(-half, half, size=(o, 2))
                 diffs = r[s, :, None, :] - r[s, None, :, :]
                 dist = np.sqrt((diffs ** 2).sum(-1))
-                if o < 2 or dist[np.triu_indices(o, k=1)].min() >= config.min_separation:
+                if dist[np.triu_indices(o, k=1)].min() >= config.min_separation:
                     break
             else:
                 raise SpawnError(f"min_separation = {config.min_separation} cannot be met "
                                  f"inside spawn_box = {config.spawn_box}: no spawn in "
                                  f"{MAX_SPAWN_DRAWS} draws kept every agent pair that far apart")
-    headings = np.zeros((count, o))
 
     layout = _layout(config.graph)
     if config.initial_estimates is None:
@@ -534,10 +520,10 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     bank = FilterBank(graph=config.graph,
                       means=tuple(offsets[:, b.slots].reshape(count * len(b.agents), -1)
                                   for b in buckets),
-                      headings=tuple(headings[:, b.agents].ravel() for b in buckets),
-                      covariances=tuple(np.tile(np.diag([var] * (2 * b.nbrs.shape[1]) + [hvar]),
+                      headings=tuple(np.zeros(count * len(b.agents)) for b in buckets),
+                      covariances=tuple(np.tile(np.diag([var] * (2 * b.degree) + [hvar]),
                                                 (count * len(b.agents), 1, 1)) for b in buckets))
-    return WorldState(r=r, headings=headings, bank=bank, t=0.0, rngs=rngs, events=[()] * count)
+    return WorldState(r=r, bank=bank, t=0.0, rngs=rngs, events=[()] * count)
 
 
 def _divergence(t: float) -> DivergenceError:
@@ -584,29 +570,28 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     noise = config.noise
     layout = _layout(config.graph)
     bank, seeds = world.bank, len(world.r)
-    nbrs, trackers, agents, range_draws, heading_draws = _seed_gathers(config.graph, seeds)
-    # velocities and measurements of every slot at once, then sliced per bucket
-    v, r = world.v.reshape(-1, 2), world.r.reshape(-1, 2)
-    rel_world = v[nbrs] - v[trackers]
-    diffs = r[nbrs] - r[trackers]
-    ranges = 0.5 * (diffs ** 2).sum(axis=1)
-    heading_meas = world.headings.ravel()[agents]
+    # velocities and measurements of every seed and slot at once, then
+    # sliced per bucket; the true heading is 0, so its measurement is noise
+    rel_world = world.v[:, layout.slot_nbrs] - world.v[:, layout.slot_agents]
+    diffs = world.r[:, layout.slot_nbrs] - world.r[:, layout.slot_agents]
+    ranges = 0.5 * (diffs ** 2).sum(axis=2)
+    heading_meas = np.zeros((seeds, config.graph.agent_count))
     if config.measurement_noise:
-        draws = np.concatenate([rng.standard_normal(layout.draw_count) for rng in world.rngs])
-        ranges += np.sqrt(noise.meas_distance_var) * draws[range_draws]
-        heading_meas += np.sqrt(noise.meas_heading_var) * draws[heading_draws]
+        draws = np.array([rng.standard_normal(layout.draw_count) for rng in world.rngs])
+        ranges += np.sqrt(noise.meas_distance_var) * draws[:, layout.range_draws]
+        heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
 
     means, headings, covariances = [], [], []
     skipped = [[] for _ in range(seeds)]
     for b, bucket in enumerate(layout.buckets):
-        a_count, n = bucket.nbrs.shape
+        a_count, n = len(bucket.agents), bucket.degree
         rows = seeds * a_count
-        slots = slice(seeds * bucket.slots.start, seeds * bucket.slots.stop)
-        members = slice(seeds * bucket.rows.start, seeds * bucket.rows.stop)
-        v_body = rel_world[slots].reshape(rows, n, 2) @ _rotations(bank.headings[b])
+        # rows seed after seed, as the bank stacks them
+        v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(bank.headings[b])
         p, theta, cov = predict_batch(bank.means[b], bank.headings[b], bank.covariances[b],
                                       v_body.reshape(rows, 2 * n), np.zeros(rows), config.dt, noise)
-        y = np.concatenate([ranges[slots].reshape(rows, n), heading_meas[members, None]], axis=1)
+        y = np.concatenate([ranges[:, bucket.slots].reshape(rows, n),
+                            heading_meas[:, bucket.rows].reshape(rows, 1)], axis=1)
         p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
         for row, exc in errors.items():
             seed, member = divmod(row, a_count)

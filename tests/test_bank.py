@@ -61,7 +61,7 @@ def reference_step(world, config, rng=None):
     graph, dt, noise = config.graph, config.dt, config.noise
     d = config.distances
     filters = world.filters
-    r, headings = world.r[0], world.headings[0]
+    r = world.r[0]
     snapshot = {(i, j): _estimate(filters, graph, i, j)
                 for t, h in graph.edges for i, j in ((t, h), (h, t))}
     if config.variant == "ideal":
@@ -111,7 +111,7 @@ def reference_step(world, config, rng=None):
         xi = AlgebraElement((rel_world @ rotation(state.mean.theta)).ravel(), 0.0)
         state = predict(state, xi, dt, noise)
         diffs = r_new[nbrs] - r_new[i]
-        y = np.append(0.5 * (diffs ** 2).sum(axis=1), headings[i])
+        y = np.append(0.5 * (diffs ** 2).sum(axis=1), 0.0)  # the true heading is 0
         if config.measurement_noise:
             y[:-1] += rng.normal(0.0, np.sqrt(noise.meas_distance_var), size=y.size - 1)
             y[-1] += rng.normal(0.0, np.sqrt(noise.meas_heading_var))
@@ -120,8 +120,7 @@ def reference_step(world, config, rng=None):
         except SingularUpdateError as exc:
             events.append(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}")
         new_filters.append(state)
-    return WorldState(r=r_new[None], headings=world.headings.copy(),
-                      bank=bank_of(graph, new_filters), t=t_new, rngs=[rng],
+    return WorldState(r=r_new[None], bank=bank_of(graph, new_filters), t=t_new, rngs=[rng],
                       events=[tuple(events)])
 
 

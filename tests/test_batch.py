@@ -1,11 +1,11 @@
 """Seed axis: `init_world(config, seeds)` and `run(config, seeds)` against
 one seed at a time.
 
-A `WorldState` stacks every seed's positions, headings and filters and
-gives each seed its own sub-step count, generator and event log, so every
-seed must come out bit for bit as it does alone: the same start, the same
-arrays, the same events, and the same `DivergenceError` message when it
-diverges.
+A `WorldState` stacks every seed's positions and filters (the true
+headings are fixed at 0 and not stored) and gives each seed its own
+sub-step count, generator and event log, so every seed must come out bit
+for bit as it does alone: the same start, the same arrays, the same
+events, and the same `DivergenceError` message when it diverges.
 """
 
 import math
@@ -130,7 +130,6 @@ def test_events_stay_with_their_seed():
             for agent, kind in plan.items():
                 filters[-1] = _poison(filters[-1], agent, kind)
         batch = WorldState(r=world.r + np.where(seeds == 0, 2e9, 0.0)[:, None, None],
-                           headings=np.repeat(world.headings, len(plans), axis=0),
                            bank=bank_of(config.graph, *filters), t=0.0,
                            rngs=[None] * len(plans),
                            events=[(f"earlier event of seed {b}",) for b in seeds])
@@ -159,6 +158,17 @@ def test_no_seeds_is_an_empty_batch():
     assert run(scenario_nominal(), seeds=()) == ()
 
 
+def test_negative_seed_is_rejected_before_any_generator(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError(f"generator built for seed {seed}")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        init_world(scenario_nominal(), (0, -1))
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        run(scenario_nominal(), seeds=[-1])
+
+
 @st.composite
 def seed_tuples(draw):
     """The nominal config or a `rigid_scenarios` one, each half the time
@@ -180,7 +190,6 @@ def test_init_world_seeds_match_one_seed_at_a_time(case):
         alone = init_world(config, (seed,))
         mine = world.take(np.arange(len(seeds)) == b)
         assert np.array_equal(world.r[b], alone.r[0])
-        assert np.array_equal(world.headings[b], alone.headings[0])
         for name in ("means", "headings", "covariances"):
             for got, want in zip(getattr(mine.bank, name), getattr(alone.bank, name), strict=True):
                 assert got.shape == want.shape and np.array_equal(got, want), name

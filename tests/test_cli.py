@@ -317,11 +317,20 @@ def test_run_rejects_negative_seed_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--duration", "inf"), ("--dt", "nan"),
-                                         ("--duration", "nan"), ("--dt", "inf")])
+                                         ("--duration", "nan"), ("--dt", "inf"),
+                                         ("--dt", "-inf"), ("--duration", "-inf")])
 def test_run_rejects_nonfinite_overrides(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", "nominal", flag, value, "--out", str(out)]) == 2
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_reads_a_negative_exponent_override_as_a_value(tmp_path, capsys):
+    # argparse alone takes -1e-3 for an option: "expected one argument"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "nominal", "--duration", "-1e-3", "--out", str(out)]) == 2
+    assert "duration must be positive, got -0.001" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -394,6 +403,7 @@ def test_check_observability_usage(capsys):
     (["--n", "1", "--seed", "3", "--theta", "inf"], "--theta"),
     (["--n", "2", "--tol", "nan"], "--tol"),  # read as rank 0 of 5, exit 3
     (["--trajectory", "unread.csv", "--tol", "inf"], "--tol"),
+    (["--n", "1", "--theta", "-inf"], "--theta"),
 ])
 def test_check_observability_rejects_nonfinite_state(capsys, args, flag):
     # these used to end in "SVD did not converge"

@@ -5,9 +5,11 @@ Tolerances on frozen scenario numbers are loose on purpose; the pinned
 facts are the outcome labels and orders of magnitude, not exact floats.
 """
 
+import math
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 
 from formloc.controller import (
@@ -16,7 +18,7 @@ from formloc.controller import (
     ideal_control,
     mismatch_control,
 )
-from formloc.estimator import EstimatorState
+from formloc.estimator import EstimatorState, NoiseConfig
 from formloc.lie_group import GroupElement
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.sim import (
@@ -104,6 +106,14 @@ def test_config_validates_explicit_initialization(triangle):
     bad_pair[(0, 0)] = (0.0, 0.0)
     with pytest.raises(ValueError):
         _basic_config(triangle, initial_estimates=bad_pair)
+    # non-finite entries used to be accepted and end in a DivergenceError at t = 0.01
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^initial_positions must be finite"):
+            _basic_config(triangle, initial_positions=[[value, 0.0], [10.0, 0.0], [5.0, 8.0]])
+        est = {(i, j): (1.0, 0.0) for t, h in triangle.edges for i, j in ((t, h), (h, t))}
+        est[(2, 1)] = (0.0, -value)
+        with pytest.raises(ValueError, match=r"^initial_estimates for pair \(2, 1\) must be"):
+            _basic_config(triangle, initial_estimates=est)
 
 
 def test_thresholds_validation():
@@ -111,6 +121,16 @@ def test_thresholds_validation():
         OutcomeThresholds(window_frac=0.0)
     with pytest.raises(ValueError):
         OutcomeThresholds(window_frac=1.5)
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    (kind, f.name, value) for kind in (NoiseConfig, OutcomeThresholds)
+    for f in fields(kind) for value in (math.nan, math.inf)])
+def test_noise_and_thresholds_reject_nonfinite_fields(kind, name, value):
+    # a nan variance skipped every update; a nan tolerance made every
+    # comparison in detect_outcome false
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        kind(**{name: value})
 
 
 def test_edge_labels(triangle):
