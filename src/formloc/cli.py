@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .controller import MismatchConfig
 from .estimator import NoiseConfig
-from .lie_group import AlgebraElement, GroupElement
+from .lie_group import GroupElement
 from .network import DesiredDistances, Graph
 from .observability import codistribution_rank, empirical_gramian
 from .sim import (
@@ -367,6 +367,8 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
         # every field check names its field first
         name = str(exc).split(" ", 1)[0]
         section = next((s for s, key, _ in _SCALARS if key == name), None)
+        if name == "initial_positions":
+            section, name = "init", "positions"
         raise ConfigError(f"{_line_of(path, section, name) if section else path}: {exc}") from None
 
 
@@ -478,7 +480,9 @@ def cmd_reproduce(args) -> int:
 
 
 def _load_trajectory(path: Path):
-    """Trajectory CSV: t, theta, x1, y1, ..., w, vx1, vy1, ... per row."""
+    """Trajectory CSV: t, theta, x1, y1, ..., w, vx1, vy1, ... per row.
+    Returns the rows without t (the trajectory `empirical_gramian` reads),
+    the sampling interval and the neighbor count."""
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError:
@@ -499,17 +503,11 @@ def _load_trajectory(path: Path):
     n = (cols - 3) // 4
     if raw.shape[0] < 2:
         raise ConfigError(f"{path}: at least two samples required")
-    t = raw[:, 0]
-    steps = np.diff(t)
+    steps = np.diff(raw[:, 0])
     dt = float(steps[0])
     if dt <= 0 or np.abs(steps - dt).max() > 1e-9 * max(1.0, abs(dt)):
         raise ConfigError(f"{path}: time column must be uniformly increasing")
-    traj = []
-    for row in raw:
-        q = GroupElement(row[2:2 + 2 * n], row[1])
-        xi = AlgebraElement(row[3 + 2 * n:3 + 4 * n], row[2 + 2 * n])
-        traj.append((q, xi))
-    return traj, dt, n
+    return raw[:, 1:], dt, n
 
 
 def cmd_check_observability(args) -> int:
@@ -582,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--theta", type=float, default=0.0, help="heading (default 0)")
     p_chk.add_argument("--seed", type=int, help="seed for a random state when --p is omitted")
     p_chk.add_argument("--tol", type=float, default=1e-9, help="rank tolerance")
-    p_chk.add_argument("--depth", type=int, default=1, help="derivative depth for the codistribution")
+    p_chk.add_argument("--depth", type=int, default=1,
+                       help="derivative depth for the codistribution (above 3 adds no function)")
     p_chk.add_argument("--trajectory", help="CSV trajectory for the empirical gramian")
     p_chk.set_defaults(func=cmd_check_observability)
 
@@ -593,21 +592,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(text: str) -> bool:
+def _is_numbers(text: str) -> bool:
+    """Whether text is one number or a comma-separated list of them."""
     try:
-        float(text)
+        for part in text.split(","):
+            float(part)
     except ValueError:
         return False
     return True
 
 
 def main(argv=None) -> int:
-    # argparse takes a value such as -inf or -1e-3 for an option; join each
-    # one that reads as a number to the option before it, as --dt=-inf
+    # argparse takes a value such as -inf, -1e-3 or -1,2 for an option; join
+    # each one that reads as numbers to the option before it, as --dt=-inf
     tokens = []
     for arg in sys.argv[1:] if argv is None else argv:
         if (tokens and tokens[-1].startswith("--") and tokens[-1] != "--"
-                and "=" not in tokens[-1] and arg.startswith("-") and _is_number(arg)):
+                and "=" not in tokens[-1] and arg.startswith("-") and _is_numbers(arg)):
             tokens[-1] += "=" + arg
         else:
             tokens.append(arg)

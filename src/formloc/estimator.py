@@ -82,6 +82,14 @@ def _rotations(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step_jacobian_columns(theta: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """dt * R(theta + pi/2) v_k for A headings (A,) and body rates (A, 2n):
+    the offset rows of the last column of `lie_group.step_jacobian`, the
+    only entries off its diagonal, stacked as (A, 2n)."""
+    quarter = _rotations(theta + 0.5 * np.pi).swapaxes(1, 2)
+    return dt * (v.reshape(theta.shape[0], -1, 2) @ quarter).reshape(v.shape)
+
+
 @lru_cache(maxsize=None)
 def _batch_constants(n: int, noise: NoiseConfig) -> tuple:
     """Per-degree arrays shared by every batched step: identity, process
@@ -120,8 +128,7 @@ def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarr
 
     f = np.empty(cov.shape)
     f[:] = eye
-    quarter = _rotations(theta + 0.5 * np.pi).swapaxes(1, 2)
-    f[:, :two_n, two_n] = dt * (v.reshape(a_count, -1, 2) @ quarter).reshape(a_count, two_n)
+    f[:, :two_n, two_n] = _step_jacobian_columns(theta, v, dt)
     cov_new = f @ cov @ f.swapaxes(1, 2) + dt * psd * eye
     return p_new, theta + wd, 0.5 * (cov_new + cov_new.swapaxes(1, 2))
 

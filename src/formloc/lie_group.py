@@ -170,8 +170,10 @@ def step_jacobian(theta: float, xi: AlgebraElement, dt: float) -> np.ndarray:
 
     The offset rates R(theta) v_k depend on the state only through theta,
     so the only off-diagonal entries are d(dp_k/dt)/dtheta = R(theta + pi/2) v_k
-    in the last column.  The empirical observability Gramian chains it;
-    `estimator.predict_batch` builds the same matrix for stacked filters.
+    in the last column.  A product of such matrices is again the identity
+    plus one last column, the sum of theirs; `observability.empirical_gramian`
+    uses that closed-form product, and `estimator.predict_batch` builds the
+    same matrix for stacked filters.
     """
     n = xi.n
     f = np.eye(2 * n + 1)

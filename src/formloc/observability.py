@@ -1,19 +1,25 @@
 """Observability analysis for the squared-distance plus heading outputs.
 
-An agent measures half squared distances to its n neighbors and its own
-heading.  `codistribution_rank` checks instantaneous local observability by
-stacking the differentials of those outputs together with their derivatives
-along the left-invariant frame; the span has dimension 2n+1 at every state,
-which is the full state dimension.
+An agent measures half squared distances h_k = |p_k|^2 / 2 to its n
+neighbors and its own heading.  `codistribution_rank` is the instantaneous
+rank test: it stacks the differentials of the outputs and of their Lie
+derivatives along the left-invariant frame, a closed family whose rows
+`codistribution_matrix` writes down directly.  Their span has dimension
+2n+1, the full state dimension, at every state.
 
 That rank test says nothing about a particular motion, so
 `empirical_gramian` accumulates, along a discrete trajectory, how output
 perturbations propagate back to the initial state through the linearized
-kinematics.  A neighbor k whose relative position p_k = (x_k, y_k) never
-moves leaves the direction tangent to its distance circle unexcited: its
-2x2 diagonal block of the Gramian loses exactly one direction, the tangent
-(-y_k, x_k), and the neighbor is flagged.  Its range (x_k, y_k) stays
-observable.
+kinematics.  The product of the step Jacobians has a closed form, so the
+Gramian is a set of per-neighbor sums over the samples.  A neighbor k whose
+relative position p_k = (x_k, y_k) never moves leaves the direction tangent
+to its distance circle unexcited: its 2x2 diagonal block of the Gramian
+loses exactly one direction, the tangent (-y_k, x_k), and the neighbor is
+flagged.  Its range (x_k, y_k) stays observable.
+
+A trajectory is a (T, 4n+2) array with one row per sample: the heading
+theta, the 2n offsets p, the heading rate w and the 2n body-frame neighbor
+rates v.  These are a trajectory CSV's columns without `t`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_group import GroupElement, step_jacobian
+from .estimator import _step_jacobian_columns
+from .lie_group import GroupElement
 
 __all__ = [
     "CodistributionReport",
@@ -51,98 +58,32 @@ def observation_jacobian(q: GroupElement) -> np.ndarray:
     return jac
 
 
-# Derivatives along the left-invariant frame keep the outputs inside the
-# finite function family [1, theta, h_1..h_n, u_1..u_n, s_1..s_n], where
-# u_k = x_k cos(theta) + y_k sin(theta) and s_k = -x_k sin(theta) + y_k cos(theta)
-# are the derivatives of h_k along neighbor k's two translational fields.
-# A function is a coefficient vector over that basis, so iterated Lie
-# derivatives reduce to sparse linear maps and stay exact at any depth.
-
-
-def _derivative_ops(n: int) -> list:
-    dim = 2 + 3 * n
-    ops = []
-    for j in range(n):  # heading-aligned translational fields, then quarter-turns
-        d = np.zeros((dim, dim))
-        d[2 + n + j, 2 + j] = 1.0  # h_j -> u_j
-        d[0, 2 + n + j] = 1.0      # u_j -> 1
-        ops.append(d)
-    for j in range(n):
-        d = np.zeros((dim, dim))
-        d[2 + 2 * n + j, 2 + j] = 1.0  # h_j -> s_j
-        d[0, 2 + 2 * n + j] = 1.0      # s_j -> 1
-        ops.append(d)
-    d = np.zeros((dim, dim))  # heading field
-    d[0, 1] = 1.0
-    for k in range(n):
-        d[2 + 2 * n + k, 2 + n + k] = 1.0   # u_k -> s_k
-        d[2 + n + k, 2 + 2 * n + k] = -1.0  # s_k -> -u_k
-    ops.append(d)
-    return ops
-
-
-def _differential(coeffs: np.ndarray, q: GroupElement) -> np.ndarray:
-    n = q.n
-    c, s = np.cos(q.theta), np.sin(q.theta)
-    row = np.zeros(2 * n + 1)
-    row[2 * n] = coeffs[1]
-    for k in range(n):
-        x, y = q.offset(k)
-        ch = coeffs[2 + k]
-        cu = coeffs[2 + n + k]
-        cs = coeffs[2 + 2 * n + k]
-        row[2 * k] += ch * x + cu * c - cs * s
-        row[2 * k + 1] += ch * y + cu * s + cs * c
-        row[2 * n] += cu * (-x * s + y * c) + cs * (-x * c - y * s)
-    return row
-
-
 def codistribution_matrix(q: GroupElement, depth: int = 1) -> np.ndarray:
     """Stack the output differentials and their Lie derivatives up to `depth`.
 
-    Depth 1 yields the (3n+1) x (2n+1) matrix of the instantaneous rank
-    test: rows d(h_k), d(theta), then the derivatives of each h_k along its
-    own two translational fields (derivatives along other agents' fields
-    and along the heading field vanish identically and are omitted).
-    Higher depths append further iterated derivatives; constants and exact
-    repeats are dropped.
+    Along neighbor k's two translational fields h_k has the derivatives
+    u_k = x_k cos(theta) + y_k sin(theta) and s_k = -x_k sin(theta) + y_k cos(theta),
+    and the heading field maps u_k -> s_k -> -u_k -> -s_k -> u_k; every
+    other derivative is a constant or zero.  So the family is closed, and
+    the rows are d(h_k), d(theta), d(u_k), d(s_k), then d(-u_k) at depth 2
+    and d(-s_k) at depth 3: (3n+1) + n * min(depth-1, 2) rows of 2n+1.
+    Depth 1 is the instantaneous rank test; no depth adds a new direction.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     n = q.n
-    dim = 2 + 3 * n
-    ops = _derivative_ops(n)
-
-    funcs = []
-    for k in range(n):  # generation 0: the outputs themselves
-        c = np.zeros(dim)
-        c[2 + k] = 1.0
-        funcs.append(c)
-    c = np.zeros(dim)
-    c[1] = 1.0
-    funcs.append(c)
-
-    seen = {f.tobytes() for f in funcs}
-    frontier = list(funcs)
-    for _ in range(depth):
-        nxt = []
-        for op in ops:
-            for f in frontier:
-                g = op @ f
-                # constants (and zero) have identically zero differentials
-                # and no further derivatives
-                if not g[1:].any():
-                    continue
-                key = g.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(g)
-        funcs.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return np.array([_differential(f, q) for f in funcs])
+    c, s = np.cos(q.theta), np.sin(q.theta)
+    x, y = q.offsets().T
+    k = np.arange(n)
+    ru, rs = n + 1 + k, 2 * n + 1 + k  # the rows of d(u_k) and d(s_k)
+    mat = np.zeros((5 * n + 1, 2 * n + 1))
+    mat[k, 2 * k], mat[k, 2 * k + 1] = x, y
+    mat[n, 2 * n] = 1.0
+    mat[ru, 2 * k], mat[ru, 2 * k + 1], mat[ru, 2 * n] = c, s, y * c - x * s
+    mat[rs, 2 * k], mat[rs, 2 * k + 1], mat[rs, 2 * n] = -s, c, -(x * c + y * s)
+    mat[3 * n + 1 :] = -mat[n + 1 : 3 * n + 1]
+    # + 0.0 turns every -0.0 into 0.0: the SVD's last bits see the sign of a zero
+    return mat[: 3 * n + 1 + n * min(depth - 1, 2)] + 0.0
 
 
 @dataclass(eq=False)
@@ -176,45 +117,51 @@ class GramianReport:
 
 def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
                       block_tol: float = 1e-8) -> GramianReport:
-    """Accumulate G = sum_t Phi^T H^T H Phi dt over (state, velocity) samples.
+    """G = sum_t Phi_t^T H_t^T H_t Phi_t dt over a trajectory: (T, 4n+2) rows
+    (see the module docstring) or (GroupElement, AlgebraElement) pairs.
 
-    Phi is the state-transition Jacobian of the linearized kinematics from
-    the first sample (the same linearization `estimator.predict_batch`
-    uses) and H the output Jacobian at each sample.  A neighbor k is
-    reported deficient when the smallest eigenvalue of the (x_k, y_k)
-    diagonal block falls below block_tol * trace(G) / (2n+1).
-
-    Phi leaves every offset column untouched, so a stationary neighbor's
-    columns of H Phi hold the constant p_k in output row k only.  Its block
-    is then the rank-1 term samples * dt * p_k p_k^T: exactly one direction,
-    the range-circle tangent (-y_k, x_k), is lost, and the range stays
-    observable.
+    H_t is the output Jacobian at sample t and Phi_t the product of the step
+    Jacobians I + f_s e^T before it (`lie_group.step_jacobian`), which is
+    I + c_t e^T with c_t = sum_{s<t} f_s.  So row k of H_t Phi_t holds p_k in
+    block k and a_tk = p_k . c_tk in the last column, and G is made of the
+    per-block sums of p_k p_k^T, p_k a_tk and a_tk^2 (plus T in the corner).
+    A neighbor k is reported deficient when the smallest eigenvalue of its
+    (x_k, y_k) block falls below block_tol * trace(G) / (2n+1).  A stationary
+    neighbor's block is T dt p_k p_k^T: it loses exactly the range-circle
+    tangent (-y_k, x_k), and the range stays observable.
     """
-    samples = list(trajectory)
-    if len(samples) < 2:
-        raise ValueError(f"need at least two trajectory samples, got {len(samples)}")
+    if not isinstance(trajectory, np.ndarray):
+        samples = list(trajectory)
+        if len({q.n for q, _ in samples} | {xi.n for _, xi in samples}) > 1:
+            raise ValueError("inconsistent neighbor counts along the trajectory")
+        trajectory = [np.concatenate(([q.theta], q.p, [xi.w], xi.v)) for q, xi in samples]
+    rows = np.asarray(trajectory, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 6 or (rows.shape[1] - 2) % 4:
+        raise ValueError(f"trajectory rows need 4n+2 columns with n >= 1, got shape {rows.shape}")
+    if rows.shape[0] < 2:
+        raise ValueError(f"need at least two trajectory samples, got {rows.shape[0]}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n = samples[0][0].n
+    count, n = rows.shape[0], rows.shape[1] // 4
     dim = 2 * n + 1
-    phi = np.eye(dim)
+    theta, p, v = rows[:, 0], rows[:, 1:dim], rows[:, dim + 1 :]
+    f = _step_jacobian_columns(theta, v, dt)
+    c = np.zeros_like(f)
+    np.cumsum(f[:-1], axis=0, out=c[1:])
+    p = p.reshape(count, n, 2)
+    a = (p * c.reshape(count, n, 2)).sum(axis=2)
+
+    pk = np.arange(2 * n).reshape(n, 2)
+    block = (pk[:, :, None], pk[:, None, :])  # the (x_k, y_k) diagonal blocks
     gram = np.zeros((dim, dim))
-    for q, xi in samples:
-        if q.n != n or xi.n != n:
-            raise ValueError("inconsistent neighbor counts along the trajectory")
-        hphi = observation_jacobian(q) @ phi
-        gram += hphi.T @ hphi * dt
-        phi = step_jacobian(q.theta, xi, dt) @ phi
-    gram = 0.5 * (gram + gram.T)
+    gram[block] = np.einsum("tki,tkj->kij", p, p)
+    gram[2 * n, : 2 * n] = gram[: 2 * n, 2 * n] = np.einsum("tki,tk->ki", p, a).ravel()
+    gram[2 * n, 2 * n] = (a * a).sum() + count
+    gram *= dt
 
     eig = np.linalg.eigvalsh(gram)
     top = eig[-1]
     rank = 0 if top <= 0.0 else int(np.sum(eig > rank_tol * top))
-
     floor = block_tol * np.trace(gram) / dim
-    deficient = []
-    for k in range(n):
-        block = gram[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-        if np.linalg.eigvalsh(block)[0] < floor:
-            deficient.append(k)
-    return GramianReport(gramian=gram, rank=rank, deficient_neighbor_blocks=tuple(deficient))
+    deficient = np.flatnonzero(np.linalg.eigvalsh(gram[block])[:, 0] < floor)
+    return GramianReport(gramian=gram, rank=rank, deficient_neighbor_blocks=tuple(deficient.tolist()))

@@ -106,6 +106,16 @@ class OutcomeThresholds:
         return slice(steps - int(round(steps * self.window_frac)), steps)
 
 
+def _closest_pair(r: np.ndarray) -> tuple[int, int, float]:
+    """The two agents i < j of the (N, 2) positions r that sit closest
+    together, and their distance."""
+    diffs = r[:, None, :] - r[None, :, :]
+    dist = np.sqrt((diffs ** 2).sum(-1))
+    i, j = np.triu_indices(len(r), k=1)
+    k = np.argmin(dist[i, j])
+    return int(i[k]), int(j[k]), float(dist[i[k], j[k]])
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything a run needs; immutable so `replace` derives variants."""
@@ -169,6 +179,10 @@ class ScenarioConfig:
             pos = pos.reshape(-1, 2)
             if not np.isfinite(pos).all():
                 raise ValueError(f"initial_positions must be finite, got {pos.tolist()}")
+            i, j, dist = _closest_pair(pos)
+            if dist < self.min_separation:
+                raise ValueError(f"initial_positions of agents {i} and {j} are {dist!r} apart, "
+                                 f"closer than min_separation = {self.min_separation}")
             pos.setflags(write=False)
             object.__setattr__(self, "initial_positions", pos)
         if self.initial_estimates is not None:
@@ -496,9 +510,7 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
         for s, rng in enumerate(rngs):
             for _ in range(MAX_SPAWN_DRAWS):
                 r[s] = rng.uniform(-half, half, size=(o, 2))
-                diffs = r[s, :, None, :] - r[s, None, :, :]
-                dist = np.sqrt((diffs ** 2).sum(-1))
-                if dist[np.triu_indices(o, k=1)].min() >= config.min_separation:
+                if _closest_pair(r[s])[2] >= config.min_separation:
                     break
             else:
                 raise SpawnError(f"min_separation = {config.min_separation} cannot be met "

@@ -1,6 +1,8 @@
 """Test-only oracles: matrix forms of the group and graph quantities that
-the library computes in closed form, and the scalar per-agent filter and
-one-step stepper that the batched engine is checked against."""
+the library computes in closed form, the symbolic Lie-derivative search and
+the per-sample Gramian loop that the observability closed forms replace, and
+the scalar per-agent filter and one-step stepper that the batched engine is
+checked against."""
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from formloc.lie_group import (
     wrap_angle,
 )
 from formloc.network import Graph, edge_offsets
-from formloc.observability import observation, observation_jacobian
+from formloc.observability import GramianReport, observation, observation_jacobian
 from formloc.sim import (
     FilterBank,
     ScenarioConfig,
@@ -76,6 +78,131 @@ def relative_position_stack(graph: Graph, r: np.ndarray) -> np.ndarray:
     half its negation (both edge orientations)."""
     z1 = edge_offsets(graph, r).ravel()
     return np.concatenate([z1, -z1])
+
+
+# ------------------------------------------------------------ observability
+
+
+# Derivatives along the left-invariant frame keep the outputs inside the
+# finite function family [1, theta, h_1..h_n, u_1..u_n, s_1..s_n], where
+# u_k = x_k cos(theta) + y_k sin(theta) and s_k = -x_k sin(theta) + y_k cos(theta)
+# are the derivatives of h_k along neighbor k's two translational fields.
+# A function is a coefficient vector over that basis, so iterated Lie
+# derivatives reduce to sparse linear maps and stay exact at any depth.
+
+
+def _derivative_ops(n: int) -> list:
+    dim = 2 + 3 * n
+    ops = []
+    for j in range(n):  # heading-aligned translational fields, then quarter-turns
+        d = np.zeros((dim, dim))
+        d[2 + n + j, 2 + j] = 1.0  # h_j -> u_j
+        d[0, 2 + n + j] = 1.0      # u_j -> 1
+        ops.append(d)
+    for j in range(n):
+        d = np.zeros((dim, dim))
+        d[2 + 2 * n + j, 2 + j] = 1.0  # h_j -> s_j
+        d[0, 2 + 2 * n + j] = 1.0      # s_j -> 1
+        ops.append(d)
+    d = np.zeros((dim, dim))  # heading field
+    d[0, 1] = 1.0
+    for k in range(n):
+        d[2 + 2 * n + k, 2 + n + k] = 1.0   # u_k -> s_k
+        d[2 + n + k, 2 + 2 * n + k] = -1.0  # s_k -> -u_k
+    ops.append(d)
+    return ops
+
+
+def _differential(coeffs: np.ndarray, q: GroupElement) -> np.ndarray:
+    n = q.n
+    c, s = np.cos(q.theta), np.sin(q.theta)
+    row = np.zeros(2 * n + 1)
+    row[2 * n] = coeffs[1]
+    for k in range(n):
+        x, y = q.offset(k)
+        ch = coeffs[2 + k]
+        cu = coeffs[2 + n + k]
+        cs = coeffs[2 + 2 * n + k]
+        row[2 * k] += ch * x + cu * c - cs * s
+        row[2 * k + 1] += ch * y + cu * s + cs * c
+        row[2 * n] += cu * (-x * s + y * c) + cs * (-x * c - y * s)
+    return row
+
+
+def symbolic_codistribution(q: GroupElement, depth: int = 1) -> np.ndarray:
+    """Breadth-first search of iterated Lie derivatives up to `depth`:
+    differentials of the outputs, then of each new non-constant derivative
+    in (field, function) order; constants and exact repeats are dropped."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    n = q.n
+    dim = 2 + 3 * n
+    ops = _derivative_ops(n)
+
+    funcs = []
+    for k in range(n):  # generation 0: the outputs themselves
+        c = np.zeros(dim)
+        c[2 + k] = 1.0
+        funcs.append(c)
+    c = np.zeros(dim)
+    c[1] = 1.0
+    funcs.append(c)
+
+    seen = {f.tobytes() for f in funcs}
+    frontier = list(funcs)
+    for _ in range(depth):
+        nxt = []
+        for op in ops:
+            for f in frontier:
+                g = op @ f
+                # constants (and zero) have identically zero differentials
+                # and no further derivatives
+                if not g[1:].any():
+                    continue
+                key = g.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt.append(g)
+        funcs.extend(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return np.array([_differential(f, q) for f in funcs])
+
+
+def sequential_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
+                       block_tol: float = 1e-8) -> GramianReport:
+    """Empirical Gramian by chaining Phi = step_jacobian @ Phi sample after
+    sample over (GroupElement, AlgebraElement) pairs."""
+    samples = list(trajectory)
+    if len(samples) < 2:
+        raise ValueError(f"need at least two trajectory samples, got {len(samples)}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n = samples[0][0].n
+    dim = 2 * n + 1
+    phi = np.eye(dim)
+    gram = np.zeros((dim, dim))
+    for q, xi in samples:
+        if q.n != n or xi.n != n:
+            raise ValueError("inconsistent neighbor counts along the trajectory")
+        hphi = observation_jacobian(q) @ phi
+        gram += hphi.T @ hphi * dt
+        phi = step_jacobian(q.theta, xi, dt) @ phi
+    gram = 0.5 * (gram + gram.T)
+
+    eig = np.linalg.eigvalsh(gram)
+    top = eig[-1]
+    rank = 0 if top <= 0.0 else int(np.sum(eig > rank_tol * top))
+
+    floor = block_tol * np.trace(gram) / dim
+    deficient = []
+    for k in range(n):
+        block = gram[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+        if np.linalg.eigvalsh(block)[0] < floor:
+            deficient.append(k)
+    return GramianReport(gramian=gram, rank=rank, deficient_neighbor_blocks=tuple(deficient))
 
 
 # ------------------------------------------------- scalar filter, per agent

@@ -182,7 +182,9 @@ def rigid_graph(rng, agents):
 
 @st.composite
 def rigid_scenarios(draw):
-    """A `rigid_graph` with a spawn near a random shape, and a variant."""
+    """A `rigid_graph` with a spawn near a random shape, and a variant.
+    The spawn's jitter is drawn again until every agent pair is at least the
+    default min_separation apart."""
     agents = draw(st.integers(3, 8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -193,6 +195,11 @@ def rigid_scenarios(draw):
     distances = DesiredDistances(np.maximum(np.linalg.norm(z, axis=1), 1.0))
     variant = draw(st.sampled_from(("ideal", "estimated", "algorithm1")))
     mismatch = MismatchConfig(rng.uniform(-1.0, 1.0, size=len(edges))) if variant == "algorithm1" else None
+    pairs = np.triu_indices(agents, k=1)
+    while True:
+        spawn = shape + rng.uniform(-1.0, 1.0, size=shape.shape)
+        if np.linalg.norm(spawn[pairs[0]] - spawn[pairs[1]], axis=1).min() >= 1.0:
+            break
     return ScenarioConfig(
         graph=graph,
         distances=distances,
@@ -202,7 +209,7 @@ def rigid_scenarios(draw):
         duration=0.5,
         seed=seed,
         measurement_noise=draw(st.booleans()),
-        initial_positions=shape + rng.uniform(-1.0, 1.0, size=shape.shape),
+        initial_positions=spawn,
         offset_bound=1.0,
     )
 

@@ -185,6 +185,8 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[sim]\ndt = nan\n", 7, "dt"),
     ("[sim]\nseed = 1\nduration = inf\n", 8, "duration"),
     ("[init]\npositions = 0,0; 10,nan; 5,8\n", 7, "non-finite"),  # read as a divergence
+    ("[init]\npositions = 0,0; 0,0; 0,0\n", 7, "agents 0 and 1 are 0.0 apart"),  # used to run
+    ("[init]\nmin_separation = 2\npositions = 0,0; 10,0; 1,1\n", 8, "agents 0 and 2"),
     ("[init]\nest_1_2 = inf, 0\n", 7, "non-finite"),
     # out-of-range scalars, each at its own key rather than the file or section
     ("[init]\noffset_bound = -1\n", 7, "offset_bound"),
@@ -387,6 +389,8 @@ def test_check_observability_point(capsys):
 
     assert cli.main(["check-observability", "--n", "2",
                      "--p", "1.0,0.0,0.0,2.0", "--theta", "0.3"]) == 0
+    # a list that starts with a minus sign used to read as an unknown option
+    assert cli.main(["check-observability", "--n", "1", "--p", "-1,2"]) == 0
 
 
 def test_check_observability_usage(capsys):
@@ -404,6 +408,7 @@ def test_check_observability_usage(capsys):
     (["--n", "2", "--tol", "nan"], "--tol"),  # read as rank 0 of 5, exit 3
     (["--trajectory", "unread.csv", "--tol", "inf"], "--tol"),
     (["--n", "1", "--theta", "-inf"], "--theta"),
+    (["--n", "2", "--p", "-inf,1,2,3"], "--p"),
 ])
 def test_check_observability_rejects_nonfinite_state(capsys, args, flag):
     # these used to end in "SVD did not converge"

@@ -11,11 +11,14 @@ translational frame fields gives
     (0, 1, -1)       -x sin + y cos
 
 of rank 3 = 2n + 1.  The Gramian oracle differentiates the discrete Euler
-chain numerically instead of chaining analytic Jacobians.
+chain numerically instead of chaining analytic Jacobians.  Both closed forms
+are also checked against what they replaced: the symbolic Lie-derivative
+search and the per-sample Gramian loop of `oracles`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formloc.lie_group import AlgebraElement, GroupElement, rotation
 from formloc.observability import (
@@ -25,6 +28,7 @@ from formloc.observability import (
     observation,
     observation_jacobian,
 )
+from oracles import sequential_gramian, symbolic_codistribution
 
 
 def test_observation_fixed_values():
@@ -83,6 +87,23 @@ def test_codistribution_depth_stable(rng):
     r3 = codistribution_rank(q, depth=3)
     assert r1.rank == r3.rank == 5
     assert codistribution_matrix(q, depth=3).shape[0] >= codistribution_matrix(q, depth=1).shape[0]
+
+
+_zeros = st.sampled_from((0.0, -0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_codistribution_matches_symbolic_search(n, depth, data):
+    # byte for byte, signed zeros included
+    p = data.draw(st.lists(_zeros | st.floats(-10.0, 10.0), min_size=2 * n, max_size=2 * n))
+    theta = data.draw(_zeros | st.floats(-2 * np.pi, 2 * np.pi))
+    q = GroupElement(np.array(p), theta)
+    want = symbolic_codistribution(q, depth)
+    got = codistribution_matrix(q, depth)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    sv = codistribution_rank(q, depth=depth).singular_values
+    assert sv.tobytes() == np.linalg.svd(want, compute_uv=False).tobytes()
 
 
 def test_codistribution_validation():
@@ -183,6 +204,54 @@ def test_gramian_full_rank_under_rigid_rotation():
     report = empirical_gramian(traj, dt)
     assert report.rank == 2 * n + 1
     assert report.deficient_neighbor_blocks == ()
+
+
+def _rows_and_pairs(rng, n, count):
+    """Samples of an agent turning at a nonzero rate while about half of its
+    neighbors (at least one) sit still, as rows and as pairs."""
+    dt = 0.05
+    still = rng.random(n) < 0.5
+    still[rng.integers(n)] = True
+    w = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0)
+    theta = rng.uniform(-np.pi, np.pi) + w * dt * np.arange(count)
+    v = rng.uniform(-2.0, 2.0, size=(count, n, 2))
+    v[:, still] = 0.0
+    steps = dt * np.einsum("tij,tkj->tki", np.array([rotation(a) for a in theta]), v)
+    p = rng.uniform(-5.0, 5.0, size=(n, 2)) + np.cumsum(steps, axis=0) - steps
+    rows = np.column_stack([theta, p.reshape(count, -1), np.full(count, w),
+                            v.reshape(count, -1)])
+    pairs = [(GroupElement(r[1 : 2 * n + 1], r[0]), AlgebraElement(r[2 * n + 2 :], r[2 * n + 1]))
+             for r in rows]
+    return rows, pairs, dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 120), st.integers(0, 2 ** 32 - 1))
+def test_gramian_matches_sequential_loop(n, count, seed):
+    rows, pairs, dt = _rows_and_pairs(np.random.default_rng(seed), n, count)
+    got = empirical_gramian(rows, dt)
+    want = sequential_gramian(pairs, dt)
+    scale = np.abs(want.gramian).max()
+    assert np.abs(got.gramian - want.gramian).max() <= 1e-12 * scale
+    assert got.rank == want.rank
+    assert got.deficient_neighbor_blocks == want.deficient_neighbor_blocks
+
+    from_pairs = empirical_gramian(pairs, dt)
+    assert from_pairs.gramian.tobytes() == got.gramian.tobytes()
+    assert (from_pairs.rank, from_pairs.deficient_neighbor_blocks) == (
+        got.rank, got.deficient_neighbor_blocks)
+
+
+@pytest.mark.parametrize("shape", [
+    (5, 7),   # 4n+2 columns for no n
+    (5, 2),   # n = 0
+    (1, 6),   # a single sample
+    (6,),     # not a table
+    (2, 3, 6),
+])
+def test_gramian_rejects_malformed_rows(shape):
+    with pytest.raises(ValueError):
+        empirical_gramian(np.ones(shape), 0.1)
 
 
 def test_gramian_validation(rng):

@@ -114,6 +114,11 @@ def test_config_validates_explicit_initialization(triangle):
         est[(2, 1)] = (0.0, -value)
         with pytest.raises(ValueError, match=r"^initial_estimates for pair \(2, 1\) must be"):
             _basic_config(triangle, initial_estimates=est)
+    # explicit positions used to skip min_separation, which only the random spawn kept
+    close = [[0.0, 0.0], [10.0, 0.0], [10.0, 0.5]]
+    with pytest.raises(ValueError, match=r"^initial_positions of agents 1 and 2 are 0\.5 apart"):
+        _basic_config(triangle, initial_positions=close)
+    _basic_config(triangle, initial_positions=close, min_separation=0.5)
 
 
 def test_thresholds_validation():
@@ -266,7 +271,8 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
 
         ideal_cfg = _basic_config(graph, variant="ideal", mismatch=None,
                                   distances=d, initial_estimates=est,
-                                  initial_positions=rng.uniform(-8, 8, size=(o, 2)))
+                                  initial_positions=rng.uniform(-8, 8, size=(o, 2)),
+                                  min_separation=0.0)
         world = init_world(ideal_cfg)
 
         points = [world.r.ravel()] + [world.r.ravel() + rng.normal(size=2 * o) for _ in range(5)]
