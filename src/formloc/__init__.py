@@ -30,6 +30,7 @@ from .lie_group import (
     wrap_angle,
 )
 from .network import (
+    AgentError,
     DesiredDistances,
     Graph,
     distance_errors,
@@ -65,6 +66,7 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AgentError",
     "AlgebraElement",
     "CodistributionReport",
     "DesiredDistances",

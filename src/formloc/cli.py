@@ -32,7 +32,7 @@ from . import __version__
 from .controller import MismatchConfig
 from .estimator import NoiseConfig
 from .lie_group import GroupElement
-from .network import DesiredDistances, Graph
+from .network import AgentError, DesiredDistances, Graph
 from .observability import codistribution_rank, empirical_gramian
 from .sim import (
     VARIANTS,
@@ -252,6 +252,11 @@ def _parse_pair(text: str, where: str) -> np.ndarray:
     return pair
 
 
+def _one_based(exc: ValueError) -> str:
+    """The library's message, with any agents it names labelled from 1."""
+    return exc.one_based() if isinstance(exc, AgentError) else str(exc)
+
+
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
@@ -298,7 +303,7 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     try:
         graph = Graph.from_one_based(agents, edge_list)
     except ValueError as exc:
-        raise ConfigError(f"{gw('edges')}: {exc}") from None
+        raise ConfigError(f"{gw('edges')}: {_one_based(exc)}") from None
     for section in _SECTION_KEYS:
         if section not in ini:
             ini.add_section(section)
@@ -364,12 +369,16 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
             noise=NoiseConfig(**values["noise"]),
             thresholds=OutcomeThresholds(**values["thresholds"]), **values[None])
     except ValueError as exc:
-        # every field check names its field first
+        # every field check names its field first, except the one that finds
+        # an agent without edges
         name = str(exc).split(" ", 1)[0]
         section = next((s for s, key, _ in _SCALARS if key == name), None)
         if name == "initial_positions":
             section, name = "init", "positions"
-        raise ConfigError(f"{_line_of(path, section, name) if section else path}: {exc}") from None
+        elif name == "agent":
+            section, name = "graph", "edges"
+        where = _line_of(path, section, name) if section else path
+        raise ConfigError(f"{where}: {_one_based(exc)}") from None
 
 
 def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:
@@ -429,6 +438,15 @@ def _run_and_save(config: ScenarioConfig, out_dir: Path) -> tuple[MetricsSeries,
     return series, outcome
 
 
+def _report_events(command: str, series: MetricsSeries) -> None:
+    """One stderr line for the engine events of a run, if it recorded any
+    (capped sub-steps, skipped filter updates): their count and the first."""
+    if series.events:
+        count = len(series.events)
+        print(f"{command}: {count} engine event{'s' * (count > 1)}, the first: {series.events[0]}",
+              file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     if (args.scenario is None) == (args.config is None):
         print("run: give exactly one of --scenario or --config", file=sys.stderr)
@@ -460,6 +478,7 @@ def cmd_run(args) -> int:
     except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    _report_events("run", series)
     print(f"outcome: {outcome}")
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
     return EXIT_OK
@@ -473,6 +492,7 @@ def cmd_reproduce(args) -> int:
     except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
         print(f"reproduce: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    _report_events("reproduce", series)
     expected = EXPECTED_OUTCOME[args.name]
     print(f"outcome: {outcome} (expected {expected})")
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")

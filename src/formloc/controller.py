@@ -79,8 +79,9 @@ def _control_law(at, ah, tail_dirs, head_dirs, e, a) -> np.ndarray:
     `a` per entry, for B configurations evaluated side by side; each agent's
     velocity then comes out as B pairs."""
     edges = ah.shape[1]
-    return (ah @ (head_dirs * (e + a)).reshape(edges, -1)
-            - at @ (tail_dirs * (e - a)).reshape(edges, -1)).ravel()
+    # .dot: the same gemm as @, at less dispatch cost on these small 2-D operands
+    return (ah.dot((head_dirs * (e + a)).reshape(edges, -1))
+            - at.dot((tail_dirs * (e - a)).reshape(edges, -1))).ravel()
 
 
 def formation_potential(graph: Graph, r, d) -> float:

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "AgentError",
     "DesiredDistances",
     "Graph",
     "distance_errors",
@@ -22,6 +23,19 @@ __all__ = [
     "rigidity_matrix",
     "sorted_neighbors",
 ]
+
+
+class AgentError(ValueError):
+    """A ValueError that names agents.  `agents` holds their 0-based
+    indices in the order the message names them, so a front end that labels
+    agents from 1 can restate it (`one_based`)."""
+
+    def __init__(self, template: str, *agents: int):
+        super().__init__(template.format(*agents))
+        self.template, self.agents = template, agents
+
+    def one_based(self) -> str:
+        return self.template.format(*(i + 1 for i in self.agents))
 
 
 @dataclass(frozen=True)
@@ -44,10 +58,10 @@ class Graph:
             if not (0 <= t < self.agent_count and 0 <= h < self.agent_count):
                 raise ValueError(f"edge ({t}, {h}) references an agent outside 0..{self.agent_count - 1}")
             if t == h:
-                raise ValueError(f"self-loop at agent {t}")
+                raise AgentError("self-loop at agent {}", t)
             key = (min(t, h), max(t, h))
             if key in seen:
-                raise ValueError(f"duplicate edge between agents {t} and {h}")
+                raise AgentError("duplicate edge between agents {} and {}", t, h)
             seen.add(key)
         object.__setattr__(self, "edges", edges)
 

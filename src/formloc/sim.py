@@ -41,7 +41,7 @@ import numpy as np
 from .controller import MismatchConfig, _control_law, _scatter_matrices
 from .estimator import EstimatorState, NoiseConfig, _rotations, predict_batch, update_batch
 from .lie_group import GroupElement, rotation
-from .network import DesiredDistances, Graph, _edge_arrays, sorted_neighbors
+from .network import AgentError, DesiredDistances, Graph, _edge_arrays, sorted_neighbors
 
 __all__ = [
     "DivergenceError",
@@ -63,6 +63,7 @@ __all__ = [
 VARIANTS = ("ideal", "estimated", "algorithm1")
 MAX_SUBSTEPS = 10000
 MAX_SPAWN_DRAWS = 10000
+BLOCK_STEPS = 64  # steps whose metrics `run` extracts in one pass
 
 
 class DivergenceError(RuntimeError):
@@ -171,7 +172,7 @@ class ScenarioConfig:
             raise ValueError(f"initial_var must be positive and finite, got {self.initial_var}")
         for i in range(self.graph.agent_count):
             if not sorted_neighbors(self.graph, i):
-                raise ValueError(f"agent {i} has no neighbors; every filter needs at least one")
+                raise AgentError("agent {} has no neighbors; every filter needs at least one", i)
         if self.initial_positions is not None:
             pos = np.array(self.initial_positions, dtype=float).reshape(-1)
             if pos.size != 2 * self.graph.agent_count:
@@ -181,8 +182,8 @@ class ScenarioConfig:
                 raise ValueError(f"initial_positions must be finite, got {pos.tolist()}")
             i, j, dist = _closest_pair(pos)
             if dist < self.min_separation:
-                raise ValueError(f"initial_positions of agents {i} and {j} are {dist!r} apart, "
-                                 f"closer than min_separation = {self.min_separation}")
+                raise AgentError(f"initial_positions of agents {{}} and {{}} are {dist!r} apart, "
+                                 f"closer than min_separation = {self.min_separation}", i, j)
             pos.setflags(write=False)
             object.__setattr__(self, "initial_positions", pos)
         if self.initial_estimates is not None:
@@ -372,12 +373,11 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _edge_estimates(world: WorldState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per seed and edge (t, h), the tail's estimate of r_t - r_h and the
-    head's of r_h - r_t, as (B, edges, 2) arrays."""
+def _edge_estimates(offsets: np.ndarray, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge (t, h) of offset tables (..., slots, 2), the tail's estimate
+    of r_t - r_h and the head's of r_h - r_t, as (..., edges, 2) arrays."""
     layout = _layout(graph)
-    offsets = world.bank.offsets
-    return -offsets[:, layout.tail_slots], -offsets[:, layout.head_slots]
+    return -offsets[..., layout.tail_slots, :], -offsets[..., layout.head_slots, :]
 
 
 def _law_inputs(world: WorldState, config: ScenarioConfig):
@@ -387,7 +387,7 @@ def _law_inputs(world: WorldState, config: ScenarioConfig):
     positions; its directions are None."""
     if config.variant == "ideal":
         return None, None, 0.0
-    est_tail, est_head = _edge_estimates(world, config.graph)
+    est_tail, est_head = _edge_estimates(world.bank.offsets, config.graph)
     if config.variant == "estimated":
         return est_tail, -est_head, 0.0
     return est_tail, est_tail, config.mismatch.values
@@ -429,7 +429,8 @@ def _control_field(world: WorldState, config: ScenarioConfig):
     dirs = None if tail_dirs is None else (_columns(tail_dirs).ravel(), _columns(head_dirs).ravel())
 
     def field(r):
-        z = (diff @ r.reshape(agents, -1)).ravel()
+        # .dot: the gemm of @ without its dispatch cost (see _control_law)
+        z = diff.dot(r.reshape(agents, -1)).ravel()
         sq = z * z
         # x^2 + y^2 in both entries of each pair: a sum of two terms is the
         # same either way round
@@ -621,11 +622,25 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     return replace(world, bank=bank, events=events)
 
 
-def _edge_estimate_errors(world: WorldState, graph: Graph, z1: np.ndarray) -> np.ndarray:
-    """Worst estimate error per seed and edge over both endpoints' filters;
-    z1 holds the true offsets r_tail - r_head, (B, edges, 2)."""
-    est_tail, est_head = _edge_estimates(world, graph)
-    return np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
+def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, config: ScenarioConfig) -> tuple:
+    """The six per-step series of `MetricsSeries`, in field order, from
+    positions and velocities (..., agents, 2) and offset tables
+    (..., slots, 2) that share their leading axes; each reduction runs over
+    the same trailing axes whatever leads."""
+    tails, heads = _edge_arrays(config.graph)
+    est_tail, est_head = _edge_estimates(offsets, config.graph)
+    v_mean = v.mean(axis=-2)
+    z1 = r[..., tails, :] - r[..., heads, :]
+    centered = r - r.mean(axis=-2, keepdims=True)
+    v_rel = v - v_mean[..., None, :]
+    denom = (centered ** 2).sum(axis=(-2, -1))
+    spin = (centered[..., 0] * v_rel[..., 1] - centered[..., 1] * v_rel[..., 0]).sum(axis=-1)
+    return (np.linalg.norm(z1, axis=-1),
+            np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1)),
+            (z1 ** 2).sum(axis=-1) - config.distances.values ** 2,
+            _vector_norms(v_mean),
+            np.divide(spin, denom, out=np.zeros_like(spin), where=denom > 0),
+            np.linalg.norm(v, axis=-1).max(axis=-1))
 
 
 def run(config: ScenarioConfig, seeds=None):
@@ -638,30 +653,40 @@ def run(config: ScenarioConfig, seeds=None):
     one entry per seed: its MetricsSeries, or the DivergenceError that
     ended it, with the message that run would raise.  A diverged seed
     is dropped; the others go on.
+
+    Each step's positions, velocities and offset table are kept for up to
+    BLOCK_STEPS steps, and the metrics of those steps are extracted in one
+    pass (`_metrics`) when the block fills, before a diverged seed leaves
+    and after the last step.
     """
     single = seeds is None
     seeds = (config.seed,) if single else tuple(seeds)
     if not seeds:
         return ()
-    steps, graph, dt = config.steps, config.graph, config.dt
-    tails, heads = _edge_arrays(graph)
-    dv2 = config.distances.values ** 2
+    steps, graph = config.steps, config.graph
     world = init_world(config, seeds)
 
     count, m = len(seeds), graph.edge_count
-    distances = np.empty((count, steps, m))
-    est_errors = np.empty((count, steps, m))
-    dist_errors_arr = np.empty((count, steps, m))
-    centroid_speed = np.empty((count, steps))
-    angular_rate = np.empty((count, steps))
-    max_speed = np.empty((count, steps))
+    # the MetricsSeries arrays in field order: three per edge, then three per step
+    series = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
     results = [None] * count
     live = np.arange(count)   # the seed each row of the world runs
     rows = slice(None)        # where those rows are recorded; all seeds until one diverges
+    block, start = [], 0      # (r, v, offsets) of steps start, start + 1, ...
 
-    for k in range(steps):
+    def flush():
+        nonlocal start
+        if block:
+            stop = start + len(block)
+            for out, values in zip(series, _metrics(*map(np.stack, zip(*block)), config)):
+                out[rows, start:stop] = values.swapaxes(0, 1)
+            block.clear()
+            start = stop
+
+    for _ in range(steps):
         world, diverged = _move(world, config)
         if diverged.any():
+            flush()
             for b in live[diverged]:
                 results[b] = _divergence(world.t)
             live, world = live[~diverged], world.take(~diverged)
@@ -669,28 +694,16 @@ def run(config: ScenarioConfig, seeds=None):
             if not live.size:
                 break
         world = _sense(world, config)
-        r, v = world.r, world.v
-        v_mean = v.mean(axis=1)
-        z1 = r[:, tails] - r[:, heads]
-        distances[rows, k] = np.linalg.norm(z1, axis=2)
-        dist_errors_arr[rows, k] = (z1 ** 2).sum(axis=2) - dv2
-        est_errors[rows, k] = _edge_estimate_errors(world, graph, z1)
-        centroid_speed[rows, k] = _vector_norms(v_mean)
-        max_speed[rows, k] = np.linalg.norm(v, axis=2).max(axis=1)
-        centered = r - r.mean(axis=1, keepdims=True)
-        v_rel = v - v_mean[:, None]
-        denom = (centered ** 2).sum(axis=(1, 2))
-        spin = (centered[..., 0] * v_rel[..., 1] - centered[..., 1] * v_rel[..., 0]).sum(axis=1)
-        angular_rate[rows, k] = np.divide(spin, denom, out=np.zeros_like(spin), where=denom > 0)
+        block.append((world.r, world.v, world.bank.offsets))
+        if len(block) == BLOCK_STEPS:
+            flush()
+    flush()
 
-    t = np.arange(1, steps + 1) * dt
+    t = np.arange(1, steps + 1) * config.dt
     labels = edge_labels(graph)
     for row, b in enumerate(live):
-        results[b] = MetricsSeries(t=t, distances=distances[b], est_errors=est_errors[b],
-                                   dist_errors=dist_errors_arr[b], centroid_speed=centroid_speed[b],
-                                   angular_rate=angular_rate[b], max_speed=max_speed[b],
-                                   desired=config.distances.values, edge_labels=labels,
-                                   events=world.events[row])
+        results[b] = MetricsSeries(t, *(out[b] for out in series), desired=config.distances.values,
+                                   edge_labels=labels, events=world.events[row])
     if not single:
         return tuple(results)
     if isinstance(results[0], DivergenceError):

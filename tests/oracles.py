@@ -1,8 +1,9 @@
 """Test-only oracles: matrix forms of the group and graph quantities that
 the library computes in closed form, the symbolic Lie-derivative search and
-the per-sample Gramian loop that the observability closed forms replace, and
-the scalar per-agent filter and one-step stepper that the batched engine is
-checked against."""
+the per-sample Gramian loop that the observability closed forms replace, the
+scalar per-agent filter and one-step stepper that the batched engine is
+checked against, and the run loop that extracts metrics one step at a time,
+which `run`'s block-wise extraction is checked against."""
 
 import numpy as np
 
@@ -15,16 +16,21 @@ from formloc.lie_group import (
     step_jacobian,
     wrap_angle,
 )
-from formloc.network import Graph, edge_offsets
+from formloc.network import Graph, _edge_arrays, edge_offsets
 from formloc.observability import GramianReport, observation, observation_jacobian
 from formloc.sim import (
+    DivergenceError,
     FilterBank,
+    MetricsSeries,
     ScenarioConfig,
     WorldState,
     _divergence,
     _layout,
     _move,
     _sense,
+    _vector_norms,
+    edge_labels,
+    init_world,
 )
 
 
@@ -333,3 +339,68 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     if diverged.any():
         raise _divergence(world.t)
     return _sense(world, config)
+
+
+def per_step_run(config: ScenarioConfig, seeds=None):
+    """`run` with every metric extracted right after its step, for the
+    seeds still in the batch; same arguments and results."""
+    single = seeds is None
+    seeds = (config.seed,) if single else tuple(seeds)
+    if not seeds:
+        return ()
+    steps, graph, dt = config.steps, config.graph, config.dt
+    tails, heads = _edge_arrays(graph)
+    layout = _layout(graph)
+    dv2 = config.distances.values ** 2
+    world = init_world(config, seeds)
+
+    count, m = len(seeds), graph.edge_count
+    distances = np.empty((count, steps, m))
+    est_errors = np.empty((count, steps, m))
+    dist_errors_arr = np.empty((count, steps, m))
+    centroid_speed = np.empty((count, steps))
+    angular_rate = np.empty((count, steps))
+    max_speed = np.empty((count, steps))
+    results = [None] * count
+    live = np.arange(count)
+    rows = slice(None)
+
+    for k in range(steps):
+        world, diverged = _move(world, config)
+        if diverged.any():
+            for b in live[diverged]:
+                results[b] = _divergence(world.t)
+            live, world = live[~diverged], world.take(~diverged)
+            rows = live
+            if not live.size:
+                break
+        world = _sense(world, config)
+        r, v = world.r, world.v
+        v_mean = v.mean(axis=1)
+        z1 = r[:, tails] - r[:, heads]
+        distances[rows, k] = np.linalg.norm(z1, axis=2)
+        dist_errors_arr[rows, k] = (z1 ** 2).sum(axis=2) - dv2
+        offsets = world.bank.offsets
+        est_tail, est_head = -offsets[:, layout.tail_slots], -offsets[:, layout.head_slots]
+        est_errors[rows, k] = np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
+        centroid_speed[rows, k] = _vector_norms(v_mean)
+        max_speed[rows, k] = np.linalg.norm(v, axis=2).max(axis=1)
+        centered = r - r.mean(axis=1, keepdims=True)
+        v_rel = v - v_mean[:, None]
+        denom = (centered ** 2).sum(axis=(1, 2))
+        spin = (centered[..., 0] * v_rel[..., 1] - centered[..., 1] * v_rel[..., 0]).sum(axis=1)
+        angular_rate[rows, k] = np.divide(spin, denom, out=np.zeros_like(spin), where=denom > 0)
+
+    t = np.arange(1, steps + 1) * dt
+    labels = edge_labels(graph)
+    for row, b in enumerate(live):
+        results[b] = MetricsSeries(t=t, distances=distances[b], est_errors=est_errors[b],
+                                   dist_errors=dist_errors_arr[b], centroid_speed=centroid_speed[b],
+                                   angular_rate=angular_rate[b], max_speed=max_speed[b],
+                                   desired=config.distances.values, edge_labels=labels,
+                                   events=world.events[row])
+    if not single:
+        return tuple(results)
+    if isinstance(results[0], DivergenceError):
+        raise results[0]
+    return results[0]

@@ -15,7 +15,7 @@ import pytest
 from formloc import cli
 from formloc.controller import MismatchConfig
 from formloc.estimator import NoiseConfig
-from formloc.network import DesiredDistances
+from formloc.network import DesiredDistances, Graph
 from formloc.sim import (
     OutcomeThresholds,
     ScenarioConfig,
@@ -185,8 +185,8 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[sim]\ndt = nan\n", 7, "dt"),
     ("[sim]\nseed = 1\nduration = inf\n", 8, "duration"),
     ("[init]\npositions = 0,0; 10,nan; 5,8\n", 7, "non-finite"),  # read as a divergence
-    ("[init]\npositions = 0,0; 0,0; 0,0\n", 7, "agents 0 and 1 are 0.0 apart"),  # used to run
-    ("[init]\nmin_separation = 2\npositions = 0,0; 10,0; 1,1\n", 8, "agents 0 and 2"),
+    ("[init]\npositions = 0,0; 0,0; 0,0\n", 7, "agents 1 and 2 are 0.0 apart"),  # used to run
+    ("[init]\nmin_separation = 2\npositions = 0,0; 10,0; 1,1\n", 8, "agents 1 and 3"),
     ("[init]\nest_1_2 = inf, 0\n", 7, "non-finite"),
     # out-of-range scalars, each at its own key rather than the file or section
     ("[init]\noffset_bound = -1\n", 7, "offset_bound"),
@@ -208,6 +208,23 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     with pytest.raises(cli.ConfigError) as exc:
         cli.config_from_ini(path)
     assert f"{path}:{line}:" in str(exc.value) and name in str(exc.value)
+
+
+@pytest.mark.parametrize("graph, text, line, message", [
+    ("agents = 3\nedges = 1-2, 2-1\n", "", 3, "duplicate edge between agents 2 and 1"),
+    ("agents = 3\nedges = 1-2, 2-2, 1-3\n", "", 3, "self-loop at agent 2"),
+    ("agents = 4\nedges = 1-2, 2-3, 1-3\n", "", 3,
+     "agent 4 has no neighbors; every filter needs at least one"),
+    ("agents = 3\nedges = 1-2, 2-3, 1-3\n", "[init]\npositions = 0,0; 5,0; 5,0\n", 7,
+     "initial_positions of agents 2 and 3 are 0.0 apart, closer than min_separation = 1.0"),
+])
+def test_config_errors_name_agents_from_one(tmp_path, graph, text, line, message):
+    # the library names agents from 0; these messages used to pass through
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\n" + graph + "[distances]\ndefault = 10.0\n" + text)
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.config_from_ini(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
 
 
 def test_config_accepts_sharing_that_matches_the_variant(tmp_path):
@@ -281,6 +298,34 @@ def test_run_divergence_exits_runtime(tmp_path, capsys):
                      "--duration", "1.0", "--out", str(out)])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def _capped_config():
+    """A 60-wide triangle at dt = 1, whose first step asks for more than
+    MAX_SUBSTEPS sub-steps."""
+    side = 60.0
+    return ScenarioConfig(
+        graph=Graph(3, ((0, 1), (1, 2), (0, 2))), distances=DesiredDistances.uniform(3, 10.0),
+        variant="ideal", dt=1.0, duration=10.0,
+        initial_positions=np.array([[0.0, 0.0], [side, 0.0], [0.5 * side, 0.5 * np.sqrt(3.0) * side]]))
+
+
+def test_run_reports_engine_events_on_stderr(tmp_path, capsys, monkeypatch):
+    # the run used to exit 0 without a word about its capped sub-steps
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, _capped_config())
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("run: 1 engine event, the first: t=1 substeps capped at 10000, "
+                            "stiffness asked for 10700\n")
+    assert captured.out == (f"outcome: shape_ok_estimates_stale\n"
+                            f"wrote {out / 'metrics.csv'} and {out / 'manifest.txt'}\n")
+    # a run without events prints nothing there
+    assert cli.main(["run", "--scenario", "issue2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setitem(cli.SCENARIOS, "issue2", _capped_config)
+    assert cli.main(["reproduce", "issue2", "--out", str(tmp_path / "rep")]) == 3
+    assert capsys.readouterr().err.startswith("reproduce: 1 engine event, the first: t=1 ")
 
 
 def test_run_too_short_is_usage_error(tmp_path, capsys):
