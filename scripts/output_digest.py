@@ -31,7 +31,8 @@ import numpy as np
 
 import generate
 from formloc.cli import SCENARIOS, config_from_ini
-from formloc.sim import DivergenceError, run, scenario_nominal
+from formloc.scenario import scenario_nominal
+from formloc.sim import DivergenceError, run
 
 SERIES_ARRAYS = ("t", "distances", "est_errors", "dist_errors", "centroid_speed",
                  "angular_rate", "max_speed", "desired")

@@ -17,7 +17,8 @@ import collections
 import sys
 from dataclasses import replace
 
-from formloc.sim import DivergenceError, detect_outcome, run, scenario_nominal
+from formloc.scenario import detect_outcome, scenario_nominal
+from formloc.sim import DivergenceError, run
 
 
 def main() -> int:

@@ -5,8 +5,8 @@ Agents measure squared distances to their graph neighbors plus their own
 heading, estimate the neighbors' relative positions with a Kalman filter
 whose prediction runs on a matrix Lie group of stacked planar offsets, and
 feed those estimates to gradient-style formation controllers.  The package
-bundles the group/filter/controller layers, observability rank tests, a
-deterministic closed-loop scenario engine, and a CLI.
+bundles the group/filter/controller layers, observability rank tests, the
+paper's scenarios, a deterministic closed-loop engine, and a CLI.
 """
 
 from .controller import (
@@ -48,20 +48,17 @@ from .observability import (
     observation,
     observation_jacobian,
 )
-from .sim import (
-    DivergenceError,
+from .scenario import (
     MetricsSeries,
     OutcomeThresholds,
     ScenarioConfig,
-    WorldState,
     detect_outcome,
-    init_world,
-    run,
     scenario_issue1,
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
 )
+from .sim import DivergenceError, WorldState, init_world, run
 
 __version__ = "0.1.0"
 

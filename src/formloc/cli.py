@@ -34,19 +34,19 @@ from .estimator import NoiseConfig
 from .lie_group import GroupElement
 from .network import AgentError, DesiredDistances, Graph
 from .observability import codistribution_rank, empirical_gramian
-from .sim import (
+from .scenario import (
     VARIANTS,
     MetricsSeries,
     OutcomeThresholds,
     ScenarioConfig,
     SpawnError,
     detect_outcome,
-    run,
     scenario_issue1,
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
 )
+from .sim import run
 
 __all__ = [
     "config_from_ini",
@@ -438,12 +438,12 @@ def _run_and_save(config: ScenarioConfig, out_dir: Path) -> tuple[MetricsSeries,
     return series, outcome
 
 
-def _report_events(command: str, series: MetricsSeries) -> None:
+def _report_events(command: str, events: tuple[str, ...]) -> None:
     """One stderr line for the engine events of a run, if it recorded any
     (capped sub-steps, skipped filter updates): their count and the first."""
-    if series.events:
-        count = len(series.events)
-        print(f"{command}: {count} engine event{'s' * (count > 1)}, the first: {series.events[0]}",
+    if events:
+        count = len(events)
+        print(f"{command}: {count} engine event{'s' * (count > 1)}, the first: {events[0]}",
               file=sys.stderr)
 
 
@@ -476,9 +476,10 @@ def cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
+        _report_events("run", getattr(exc, "events", ()))  # a divergence keeps its events
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    _report_events("run", series)
+    _report_events("run", series.events)
     print(f"outcome: {outcome}")
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
     return EXIT_OK
@@ -490,9 +491,10 @@ def cmd_reproduce(args) -> int:
     try:
         series, outcome = _run_and_save(config, out_dir)
     except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
+        _report_events("reproduce", getattr(exc, "events", ()))
         print(f"reproduce: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    _report_events("reproduce", series)
+    _report_events("reproduce", series.events)
     expected = EXPECTED_OUTCOME[args.name]
     print(f"outcome: {outcome} (expected {expected})")
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
@@ -532,9 +534,13 @@ def _load_trajectory(path: Path):
 
 def cmd_check_observability(args) -> int:
     try:
-        for flag in ("theta", "tol"):
-            if not math.isfinite(getattr(args, flag)):
-                raise ConfigError(f"--{flag} must be finite, got {getattr(args, flag)}")
+        mode = "trajectory" if args.trajectory is not None else "p" if args.p is not None else ""
+        for flag in {"trajectory": ("n", "p", "seed", "theta", "depth"), "p": ("seed",)}.get(mode, ()):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} is not read with --{mode}")
+        for flag, value in (("theta", args.theta), ("tol", args.tol)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"--{flag} must be finite, got {value}")
         if args.trajectory is not None:
             traj, dt, n = _load_trajectory(Path(args.trajectory))
             report = empirical_gramian(traj, dt, rank_tol=args.tol)
@@ -551,9 +557,7 @@ def cmd_check_observability(args) -> int:
             return EXIT_OK if observable else EXIT_DEFICIENT
 
         if args.n is None or args.n < 1:
-            print("check-observability: --n must be a positive integer "
-                  "(or use --trajectory)", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError("--n must be a positive integer (or use --trajectory)")
         if args.p is not None:
             p = np.array([float(x) for x in args.p.split(",")])
             if p.size != 2 * args.n:
@@ -563,8 +567,8 @@ def cmd_check_observability(args) -> int:
         else:
             rng = np.random.default_rng(args.seed if args.seed is not None else 0)
             p = rng.uniform(-5.0, 5.0, size=2 * args.n)
-        q = GroupElement(p, args.theta)
-        report = codistribution_rank(q, tol=args.tol, depth=args.depth)
+        q = GroupElement(p, 0.0 if args.theta is None else args.theta)
+        report = codistribution_rank(q, tol=args.tol, depth=1 if args.depth is None else args.depth)
         dim = 2 * args.n + 1
         print(f"neighbors: {args.n}")
         print(f"codistribution rank: {report.rank} of {dim}")
@@ -597,11 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rank of the observability codistribution or trajectory gramian")
     p_chk.add_argument("--n", type=int, help="number of neighbors")
     p_chk.add_argument("--p", help="comma-separated relative positions x1,y1,...")
-    p_chk.add_argument("--theta", type=float, default=0.0, help="heading (default 0)")
+    p_chk.add_argument("--theta", type=float, help="heading (default 0)")
     p_chk.add_argument("--seed", type=int, help="seed for a random state when --p is omitted")
     p_chk.add_argument("--tol", type=float, default=1e-9, help="rank tolerance")
-    p_chk.add_argument("--depth", type=int, default=1,
-                       help="derivative depth for the codistribution (above 3 adds no function)")
+    p_chk.add_argument("--depth", type=int, help="derivative depth for the codistribution "
+                       "(default 1; above 3 adds no function)")
     p_chk.add_argument("--trajectory", help="CSV trajectory for the empirical gramian")
     p_chk.set_defaults(func=cmd_check_observability)
 

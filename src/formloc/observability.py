@@ -117,8 +117,7 @@ class GramianReport:
 
 def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
                       block_tol: float = 1e-8) -> GramianReport:
-    """G = sum_t Phi_t^T H_t^T H_t Phi_t dt over a trajectory: (T, 4n+2) rows
-    (see the module docstring) or (GroupElement, AlgebraElement) pairs.
+    """G = sum_t Phi_t^T H_t^T H_t Phi_t dt over the (T, 4n+2) rows of a trajectory.
 
     H_t is the output Jacobian at sample t and Phi_t the product of the step
     Jacobians I + f_s e^T before it (`lie_group.step_jacobian`), which is
@@ -130,11 +129,6 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
     neighbor's block is T dt p_k p_k^T: it loses exactly the range-circle
     tangent (-y_k, x_k), and the range stays observable.
     """
-    if not isinstance(trajectory, np.ndarray):
-        samples = list(trajectory)
-        if len({q.n for q, _ in samples} | {xi.n for _, xi in samples}) > 1:
-            raise ValueError("inconsistent neighbor counts along the trajectory")
-        trajectory = [np.concatenate(([q.theta], q.p, [xi.w], xi.v)) for q, xi in samples]
     rows = np.asarray(trajectory, dtype=float)
     if rows.ndim != 2 or rows.shape[1] < 6 or (rows.shape[1] - 2) % 4:
         raise ValueError(f"trajectory rows need 4n+2 columns with n >= 1, got shape {rows.shape}")

@@ -1,4 +1,4 @@
-"""Closed-loop scenario engine: true world, per-agent filters, controllers.
+"""Closed-loop engine that steps the seeds of one `scenario.ScenarioConfig`.
 
 One step runs, in order: (1) controllers compute agent velocities from the
 start-of-step estimate snapshot and the measured distance errors; (2) the
@@ -10,7 +10,7 @@ body frame; (4) each filter runs one predict/update cycle against
 measurements synthesized at the new positions; (5) the updated estimates
 are what the next step's controllers read.  All randomness of a run flows
 through one seeded generator, so a (config, seed) pair fixes every byte of
-the output.
+the output.  `scenario` says what a run is; this module re-exports its names.
 
 The filters live in a `FilterBank`: stacked arrays with one bucket per agent
 degree, so phase (4) is one batched predict and one batched update per
@@ -32,16 +32,27 @@ support nonzero headings and heading rates independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import compress
 
 import numpy as np
 
-from .controller import MismatchConfig, _control_law, _scatter_matrices
-from .estimator import EstimatorState, NoiseConfig, _rotations, predict_batch, update_batch
-from .lie_group import GroupElement, rotation
-from .network import AgentError, DesiredDistances, Graph, _edge_arrays, sorted_neighbors
+from .controller import _control_law, _scatter_matrices
+from .estimator import EstimatorState, _rotations, predict_batch, update_batch
+from .lie_group import GroupElement
+from .network import Graph, _edge_arrays, sorted_neighbors
+from .scenario import (
+    MetricsSeries,
+    OutcomeThresholds,
+    ScenarioConfig,
+    SpawnError,
+    detect_outcome,
+    scenario_issue1,
+    scenario_issue2,
+    scenario_issue3,
+    scenario_nominal,
+)
 
 __all__ = [
     "DivergenceError",
@@ -60,9 +71,7 @@ __all__ = [
     "scenario_nominal",
 ]
 
-VARIANTS = ("ideal", "estimated", "algorithm1")
 MAX_SUBSTEPS = 10000
-MAX_SPAWN_DRAWS = 10000
 BLOCK_STEPS = 64  # steps whose metrics `run` extracts in one pass
 
 
@@ -72,142 +81,12 @@ class DivergenceError(RuntimeError):
     The estimate-driven control laws follow frozen direction estimates
     between measurement updates; for unlucky estimate draws on widely
     spread agents that flow has no Lyapunov function and can escape to
-    infinity within one sampling interval.
+    infinity within one sampling interval.  `events` is that seed's event log.
     """
 
-
-class SpawnError(ValueError):
-    """No spawn draw kept every agent pair min_separation apart inside
-    spawn_box within MAX_SPAWN_DRAWS draws."""
-
-
-@dataclass(frozen=True)
-class OutcomeThresholds:
-    """Decision thresholds for `detect_outcome`, applied over the final window."""
-
-    dist_tol: float = 0.5        # max | |r_ij| - d_k | for the shape to count as formed
-    est_tol: float = 0.1         # max estimate error for localization to count as solved
-    speed_tol: float = 1e-4      # below this every agent counts as stopped
-    centroid_tol: float = 1e-3   # above this the centroid counts as drifting
-    error_floor: float = 0.1     # |e_k| above this counts as a genuinely wrong shape
-    window_frac: float = 0.1     # fraction of the run evaluated, from the end
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not 0.0 < self.window_frac <= 1.0:
-            raise ValueError(f"window_frac must be in (0, 1], got {self.window_frac}")
-
-    def window(self, steps: int) -> slice:
-        """The final steps of a run of `steps` steps that outcomes are judged on."""
-        if steps * self.window_frac < 1.0:
-            raise ValueError(f"a run of {steps} steps is shorter than the evaluation window "
-                             f"(window_frac {self.window_frac})")
-        return slice(steps - int(round(steps * self.window_frac)), steps)
-
-
-def _closest_pair(r: np.ndarray) -> tuple[int, int, float]:
-    """The two agents i < j of the (N, 2) positions r that sit closest
-    together, and their distance."""
-    diffs = r[:, None, :] - r[None, :, :]
-    dist = np.sqrt((diffs ** 2).sum(-1))
-    i, j = np.triu_indices(len(r), k=1)
-    k = np.argmin(dist[i, j])
-    return int(i[k]), int(j[k]), float(dist[i[k], j[k]])
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioConfig:
-    """Everything a run needs; immutable so `replace` derives variants."""
-
-    graph: Graph
-    distances: DesiredDistances
-    variant: str = "algorithm1"
-    mismatch: MismatchConfig | None = None
-    dt: float = 0.01
-    duration: float = 100.0
-    seed: int = 0
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    measurement_noise: bool = False
-    offset_bound: float = 2.0
-    initial_var: float | None = None
-    initial_positions: np.ndarray | None = None
-    spawn_box: float = 20.0
-    min_separation: float = 1.0
-    initial_estimates: dict | None = None
-    estimator_enabled: bool = True
-    thresholds: OutcomeThresholds = field(default_factory=OutcomeThresholds)
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("dt", "duration", "offset_bound", "spawn_box", "min_separation"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.steps < 1:
-            raise ValueError(f"duration {self.duration} is shorter than one step of dt {self.dt}")
-        if self.distances.values.size != self.graph.edge_count:
-            raise ValueError("one desired distance per edge required")
-        if self.variant == "algorithm1":
-            if self.mismatch is None:
-                raise ValueError("algorithm1 needs a MismatchConfig")
-            if self.mismatch.values.size != self.graph.edge_count:
-                raise ValueError("one mismatch per edge required")
-        elif self.mismatch is not None:
-            raise ValueError(f"the {self.variant} variant reads no mismatch; only algorithm1 does")
-        if self.offset_bound < 0:
-            raise ValueError(f"offset_bound must be non-negative, got {self.offset_bound}")
-        if self.spawn_box <= 0:
-            raise ValueError(f"spawn_box must be positive, got {self.spawn_box}")
-        if self.min_separation < 0:
-            raise ValueError(f"min_separation must be non-negative, got {self.min_separation}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.initial_var is not None and not 0.0 < self.initial_var < np.inf:
-            raise ValueError(f"initial_var must be positive and finite, got {self.initial_var}")
-        for i in range(self.graph.agent_count):
-            if not sorted_neighbors(self.graph, i):
-                raise AgentError("agent {} has no neighbors; every filter needs at least one", i)
-        if self.initial_positions is not None:
-            pos = np.array(self.initial_positions, dtype=float).reshape(-1)
-            if pos.size != 2 * self.graph.agent_count:
-                raise ValueError("initial_positions must give one planar point per agent")
-            pos = pos.reshape(-1, 2)
-            if not np.isfinite(pos).all():
-                raise ValueError(f"initial_positions must be finite, got {pos.tolist()}")
-            i, j, dist = _closest_pair(pos)
-            if dist < self.min_separation:
-                raise AgentError(f"initial_positions of agents {{}} and {{}} are {dist!r} apart, "
-                                 f"closer than min_separation = {self.min_separation}", i, j)
-            pos.setflags(write=False)
-            object.__setattr__(self, "initial_positions", pos)
-        if self.initial_estimates is not None:
-            est = {}
-            for (i, j), vec in self.initial_estimates.items():
-                v = np.array(vec, dtype=float).reshape(-1)
-                if v.size != 2:
-                    raise ValueError(f"estimate for pair ({i}, {j}) must be planar")
-                if not np.isfinite(v).all():
-                    raise ValueError(f"initial_estimates for pair ({i}, {j}) must be finite, "
-                                     f"got {v.tolist()}")
-                if j not in sorted_neighbors(self.graph, i):
-                    raise ValueError(f"pair ({i}, {j}) is not an edge of the graph")
-                est[(int(i), int(j))] = v
-            for i in range(self.graph.agent_count):
-                for j in sorted_neighbors(self.graph, i):
-                    if (i, j) not in est:
-                        raise ValueError(f"missing initial estimate for pair ({i}, {j})")
-            object.__setattr__(self, "initial_estimates", est)
-
-    @property
-    def steps(self) -> int:
-        """Number of sampling intervals `run` simulates."""
-        return int(round(self.duration / self.dt))
+    def __init__(self, message: str, events: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.events = events
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,26 +221,6 @@ class WorldState:
                           v=None if self.v is None else self.v[keep])
 
 
-@dataclass(eq=False)
-class MetricsSeries:
-    """Per-step records extracted by `run`; one row per simulated step."""
-
-    t: np.ndarray
-    distances: np.ndarray       # (steps, edges) inter-agent distances
-    est_errors: np.ndarray      # (steps, edges) worst estimate error per edge
-    dist_errors: np.ndarray     # (steps, edges) squared-distance errors e_k
-    centroid_speed: np.ndarray  # (steps,)
-    angular_rate: np.ndarray    # (steps,) least-squares rigid rotation rate
-    max_speed: np.ndarray       # (steps,) fastest agent
-    desired: np.ndarray         # (edges,) desired distances d_k
-    edge_labels: tuple[str, ...]
-    events: tuple[str, ...] = ()  # skipped filter updates and capped sub-steps
-
-    @property
-    def steps(self) -> int:
-        return self.t.size
-
-
 def edge_labels(graph: Graph) -> tuple[str, ...]:
     """1-based edge labels like '12' for metric column names."""
     return tuple(f"{t + 1}{h + 1}" for t, h in graph.edges)
@@ -486,37 +345,24 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     """The world every seed of `seeds` starts from; None means
     (config.seed,).
 
-    Each seed s gets its own generator, np.random.default_rng(s), which
-    makes all of that seed's draws.  Positions come from the config when
-    given, otherwise uniform draws in a centered spawn box, re-drawn until
-    every agent pair is at least min_separation apart; SpawnError after
-    MAX_SPAWN_DRAWS draws.  Filter means come from explicit initial
-    estimates when given, otherwise from per-coordinate uniform offsets of
-    the truth within offset_bound, drawn agent after agent in neighbor
-    order.  Every filter starts at the true heading 0 with covariance
-    diag(var, ..., var, heading measurement variance), var being
-    initial_var or else offset_bound^2 / 3, the variance of that draw.
+    Each seed s gets its own generator, np.random.default_rng(s), for all of
+    its draws: its positions (`ScenarioConfig.draw_positions`), then its
+    filter offsets.  Filter means come from explicit initial estimates when
+    given, otherwise from per-coordinate uniform offsets of the truth within
+    offset_bound, drawn agent after agent in neighbor order.  Every filter
+    starts at the true heading 0 with covariance diag(var, ..., var, heading
+    measurement variance), var being initial_var or else offset_bound^2 / 3,
+    the variance of that draw.
     """
     seeds = (config.seed,) if seeds is None else tuple(seeds)
     for seed in seeds:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    count, o = len(seeds), config.graph.agent_count
-    r = np.empty((count, o, 2))
-    if config.initial_positions is not None:
-        r[:] = config.initial_positions
-    else:
-        half = 0.5 * config.spawn_box
-        for s, rng in enumerate(rngs):
-            for _ in range(MAX_SPAWN_DRAWS):
-                r[s] = rng.uniform(-half, half, size=(o, 2))
-                if _closest_pair(r[s])[2] >= config.min_separation:
-                    break
-            else:
-                raise SpawnError(f"min_separation = {config.min_separation} cannot be met "
-                                 f"inside spawn_box = {config.spawn_box}: no spawn in "
-                                 f"{MAX_SPAWN_DRAWS} draws kept every agent pair that far apart")
+    count = len(seeds)
+    r = np.empty((count, config.graph.agent_count, 2))
+    for s, rng in enumerate(rngs):
+        r[s] = config.draw_positions(rng)
 
     layout = _layout(config.graph)
     if config.initial_estimates is None:
@@ -539,8 +385,8 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     return WorldState(r=r, bank=bank, t=0.0, rngs=rngs, events=[()] * count)
 
 
-def _divergence(t: float) -> DivergenceError:
-    return DivergenceError(f"positions diverged during the step ending at t={t:.6g}")
+def _divergence(t: float, events: tuple[str, ...]) -> DivergenceError:
+    return DivergenceError(f"positions diverged during the step ending at t={t:.6g}", events)
 
 
 def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.ndarray]:
@@ -687,8 +533,8 @@ def run(config: ScenarioConfig, seeds=None):
         world, diverged = _move(world, config)
         if diverged.any():
             flush()
-            for b in live[diverged]:
-                results[b] = _divergence(world.t)
+            for row in np.flatnonzero(diverged):
+                results[live[row]] = _divergence(world.t, world.events[row])
             live, world = live[~diverged], world.take(~diverged)
             rows = live
             if not live.size:
@@ -709,160 +555,3 @@ def run(config: ScenarioConfig, seeds=None):
     if isinstance(results[0], DivergenceError):
         raise results[0]
     return results[0]
-
-
-def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> str:
-    """Classify the final window of a run.
-
-    Checked in order: converged (shape and estimates both good);
-    shape_ok_estimates_stale (shape good, estimates not); stuck_wrong_shape
-    (everyone stopped with a sustained wrong shape); translating_drift
-    (sustained centroid motion with a sustained wrong shape); otherwise
-    undetermined.
-    """
-    th = thresholds if thresholds is not None else OutcomeThresholds()
-    sl = th.window(series.steps)
-    dist_dev = np.abs(series.distances[sl] - series.desired).max()
-    est_err = series.est_errors[sl].max()
-    wrong_shape_sustained = np.abs(series.dist_errors[sl]).max(axis=1).min() > th.error_floor
-    stopped = series.max_speed[sl].max() < th.speed_tol
-    drifting = series.centroid_speed[sl].min() > th.centroid_tol
-
-    if dist_dev < th.dist_tol and est_err < th.est_tol:
-        return "converged"
-    if dist_dev < th.dist_tol:
-        return "shape_ok_estimates_stale"
-    if stopped and wrong_shape_sustained:
-        return "stuck_wrong_shape"
-    if drifting and wrong_shape_sustained:
-        return "translating_drift"
-    return "undetermined"
-
-
-def _triangle_graph() -> Graph:
-    return Graph.from_one_based(3, [(1, 2), (2, 3), (1, 3)])
-
-
-def _equilateral(side: float, angle: float = 0.0, center=(0.0, 0.0)) -> np.ndarray:
-    base = np.array([
-        [0.0, 0.0],
-        [side, 0.0],
-        [0.5 * side, 0.5 * np.sqrt(3.0) * side],
-    ])
-    base = base - base.mean(axis=0)
-    return base @ rotation(angle).T + np.asarray(center, dtype=float)
-
-
-def scenario_nominal() -> ScenarioConfig:
-    """Three agents, complete graph, target distance 10, mismatch 1.
-
-    Random spread in a 20 x 20 box and estimator offsets within +-2; the
-    shared-estimate mismatch law should settle into a rotating equilateral
-    formation with converged estimates.
-    """
-    graph = _triangle_graph()
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="algorithm1",
-        mismatch=MismatchConfig.uniform(3, 1.0),
-        dt=0.01,
-        duration=100.0,
-        seed=0,
-        offset_bound=2.0,
-        spawn_box=20.0,
-        min_separation=1.0,
-    )
-
-
-def scenario_issue1() -> ScenarioConfig:
-    """Wrong estimates whose control contributions cancel: stuck wrong shape.
-
-    True positions form an equilateral triangle of side 8 (every squared
-    error is -36) and each agent's two estimates are antiparallel with the
-    true magnitudes, so the two error-weighted terms cancel exactly: nobody
-    moves, measurements match the estimated ranges, and the filters hold
-    the bad directions forever.  Without relative motion nothing excites
-    the unobservable tangential directions, so the wrong shape persists.
-    """
-    graph = _triangle_graph()
-    r = _equilateral(8.0)
-    directions = {0: 0.3, 1: 1.7, 2: 2.9}  # one ray per agent, otherwise arbitrary
-    estimates = {}
-    for i in range(3):
-        u = np.array([np.cos(directions[i]), np.sin(directions[i])])
-        js = sorted_neighbors(graph, i)
-        for sign, j in zip((1.0, -1.0), js):
-            estimates[(i, j)] = sign * np.linalg.norm(r[i] - r[j]) * u
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="estimated",
-        dt=0.01,
-        duration=10.0,
-        seed=11,
-        initial_positions=r,
-        initial_estimates=estimates,
-        initial_var=4.0 / 3.0,
-        offset_bound=0.0,
-    )
-
-
-def scenario_issue2() -> ScenarioConfig:
-    """Fixed wrong estimates driving a pure translation.
-
-    Same wrong equilateral shape as issue 1, but each agent's two estimate
-    directions are chosen so its error-weighted sum equals the common
-    velocity (c, c): the whole formation translates at constant speed and
-    the distance errors never change.  The estimator is off, as in issue 1;
-    relative measurements would (eventually) perturb this kernel motion.
-    """
-    graph = _triangle_graph()
-    side = 8.0
-    r = _equilateral(side)
-    c = 0.1
-    e = side ** 2 - 10.0 ** 2
-    target = np.array([c, c])
-    # unit pair with u1 + u2 = -target / (side * e), split along the normal
-    w = -target / (side * e)
-    t = np.sqrt(1.0 - 0.25 * float(w @ w))
-    n_hat = np.array([-w[1], w[0]])
-    n_hat /= np.linalg.norm(n_hat)
-    u_pair = (0.5 * w + t * n_hat, 0.5 * w - t * n_hat)
-    estimates = {}
-    for i in range(3):
-        for u, j in zip(u_pair, sorted_neighbors(graph, i)):
-            estimates[(i, j)] = side * u
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="estimated",
-        dt=0.01,
-        duration=8.0,
-        seed=22,
-        initial_positions=r,
-        initial_estimates=estimates,
-        initial_var=4.0 / 3.0,
-        offset_bound=0.0,
-        estimator_enabled=False,
-    )
-
-
-def scenario_issue3() -> ScenarioConfig:
-    """Distances converge before the estimates do.
-
-    Agents start close to the target shape with loosely initialized
-    estimators; the shape snaps into place almost immediately, motion stops,
-    and the unexcited filters keep their stale tangential errors.
-    """
-    graph = _triangle_graph()
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="estimated",
-        dt=0.01,
-        duration=12.0,
-        seed=33,
-        initial_positions=_equilateral(10.2, angle=0.4, center=(1.0, 2.0)),
-        offset_bound=2.0,
-    )

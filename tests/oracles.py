@@ -18,11 +18,10 @@ from formloc.lie_group import (
 )
 from formloc.network import Graph, _edge_arrays, edge_offsets
 from formloc.observability import GramianReport, observation, observation_jacobian
+from formloc.scenario import MetricsSeries, ScenarioConfig
 from formloc.sim import (
     DivergenceError,
     FilterBank,
-    MetricsSeries,
-    ScenarioConfig,
     WorldState,
     _divergence,
     _layout,
@@ -175,6 +174,12 @@ def symbolic_codistribution(q: GroupElement, depth: int = 1) -> np.ndarray:
         if not frontier:
             break
     return np.array([_differential(f, q) for f in funcs])
+
+
+def trajectory_rows(samples) -> np.ndarray:
+    """(GroupElement, AlgebraElement) samples as the (T, 4n+2) rows that
+    `empirical_gramian` reads: theta, p, w and v of each sample."""
+    return np.array([np.concatenate(([q.theta], q.p, [xi.w], xi.v)) for q, xi in samples])
 
 
 def sequential_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
@@ -337,7 +342,7 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     engine's phases; DivergenceError if any seed diverges."""
     world, diverged = _move(world, config)
     if diverged.any():
-        raise _divergence(world.t)
+        raise _divergence(world.t, world.events[np.flatnonzero(diverged)[0]])
     return _sense(world, config)
 
 
@@ -368,8 +373,8 @@ def per_step_run(config: ScenarioConfig, seeds=None):
     for k in range(steps):
         world, diverged = _move(world, config)
         if diverged.any():
-            for b in live[diverged]:
-                results[b] = _divergence(world.t)
+            for row in np.flatnonzero(diverged):
+                results[live[row]] = _divergence(world.t, world.events[row])
             live, world = live[~diverged], world.take(~diverged)
             rows = live
             if not live.size:

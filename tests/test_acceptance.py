@@ -28,18 +28,17 @@ from formloc.lie_group import (
 )
 from formloc.network import DesiredDistances
 from formloc.observability import codistribution_rank, empirical_gramian
-from formloc.sim import (
+from formloc.scenario import (
     ScenarioConfig,
     detect_outcome,
-    init_world,
-    run,
     scenario_issue1,
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
 )
+from formloc.sim import init_world, run
 from formloc import cli
-from oracles import embed, embed_algebra, initialize, predict, step, update
+from oracles import embed, embed_algebra, initialize, predict, step, trajectory_rows, update
 
 
 # Ten spawn seeds whose transient stays inside the rotating attractor's
@@ -94,7 +93,7 @@ def test_criterion_3_gramian_degeneracy():
     for k in range(20):
         still = k % 2
         traj, dt = _stationary_trajectory(rng, still)
-        report = empirical_gramian(traj, dt)
+        report = empirical_gramian(trajectory_rows(traj), dt)
         assert report.deficient_neighbor_blocks == (still,), f"trajectory {k}"
         reports.append(report)
 
@@ -108,7 +107,7 @@ def test_criterion_3_gramian_degeneracy():
         dp = spin * (p.reshape(-1, 2) @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
         v = (dp @ rotation(w * t)).ravel()
         traj.append((GroupElement(p, w * t), AlgebraElement(v, w)))
-    assert empirical_gramian(traj, dt).rank == 5
+    assert empirical_gramian(trajectory_rows(traj), dt).rank == 5
 
     # One lost direction per stationary neighbor: step_jacobian is the
     # identity except for its heading column, so the still neighbor's
@@ -130,7 +129,7 @@ def test_stationary_neighbor_loses_only_its_range_tangent():
     for k in range(20):
         still = k % 2
         traj, dt = _stationary_trajectory(rng, still)
-        gram = empirical_gramian(traj, dt).gramian
+        gram = empirical_gramian(trajectory_rows(traj), dt).gramian
         x, y = traj[0][0].offset(still)
         radius = np.hypot(x, y)
         tangent, radial = np.zeros(5), np.zeros(5)

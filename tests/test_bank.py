@@ -25,18 +25,15 @@ from formloc.controller import (
 from formloc.estimator import EstimatorState, NoiseConfig, SingularUpdateError
 from formloc.lie_group import AlgebraElement, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
+from formloc.scenario import MetricsSeries, ScenarioConfig, detect_outcome, scenario_nominal
 from formloc.sim import (
     MAX_SUBSTEPS,
     DivergenceError,
-    MetricsSeries,
-    ScenarioConfig,
     WorldState,
     _integrate,
-    detect_outcome,
     edge_labels,
     init_world,
     run,
-    scenario_nominal,
 )
 from oracles import bank_of, predict, step, update
 

@@ -19,17 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formloc.sim import (
-    DivergenceError,
-    MetricsSeries,
-    WorldState,
-    _move,
-    _sense,
-    detect_outcome,
-    init_world,
-    run,
-    scenario_nominal,
-)
+from formloc.scenario import MetricsSeries, detect_outcome, scenario_nominal
+from formloc.sim import DivergenceError, WorldState, _move, _sense, init_world, run
 from oracles import bank_of, step
 from test_bank import _poison, _rest_world, rigid_scenarios
 
@@ -50,6 +41,7 @@ def assert_same(got, want):
     if isinstance(want, DivergenceError):
         assert isinstance(got, DivergenceError)
         assert str(got) == str(want)
+        assert got.events == want.events
         return
     for name in ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -95,6 +87,24 @@ def test_diverging_seed_leaves_the_batch():
     for seed, result in ((12, got[0]), (14, got[2])):
         assert isinstance(result, MetricsSeries)
         assert_same(result, serial(config, seed))
+
+
+def test_diverged_seed_keeps_its_events():
+    # nominal seed 64 hits the sub-step cap in the step where it diverges;
+    # its error carries that event at B = 1, in a batch and from the oracle
+    config = replace(scenario_nominal(), duration=1.0)
+    capped = ("t=0.52 substeps capped at 10000, stiffness asked for 46707",)
+    got = run(config, seeds=(13, 64, 0))
+    with pytest.raises(DivergenceError) as alone:
+        run(replace(config, seed=64))
+    world = init_world(config, (64,))
+    with pytest.raises(DivergenceError) as stepped:
+        while True:
+            world = step(world, config)
+    assert got[1].events == alone.value.events == stepped.value.events == capped
+    assert str(got[1]) == str(alone.value) == "positions diverged during the step ending at t=0.52"
+    # seed 13 diverges at t=0.65 without an event
+    assert isinstance(got[0], DivergenceError) and got[0].events == ()
 
 
 def _first_substeps(config, seed):

@@ -16,16 +16,16 @@ from formloc import cli
 from formloc.controller import MismatchConfig
 from formloc.estimator import NoiseConfig
 from formloc.network import DesiredDistances, Graph
-from formloc.sim import (
+from formloc.scenario import (
     OutcomeThresholds,
     ScenarioConfig,
     detect_outcome,
-    run,
     scenario_issue1,
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
 )
+from formloc.sim import run
 
 HEADER = ("t,dist_12,dist_23,dist_13,esterr_12,esterr_23,esterr_13,"
           "centroid_speed,angular_rate")
@@ -292,12 +292,23 @@ def test_config_missing_distance_rejected(tmp_path):
         cli.config_from_ini(path)
 
 
-def test_run_divergence_exits_runtime(tmp_path, capsys):
+def test_run_divergence_exits_runtime(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     code = cli.main(["run", "--scenario", "nominal", "--seed", "13",
                      "--duration", "1.0", "--out", str(out)])
     assert code == 1
-    assert "diverged" in capsys.readouterr().err
+    assert capsys.readouterr().err == "run: positions diverged during the step ending at t=0.65\n"
+    # nominal seed 64 hits the sub-step cap in the step where it diverges:
+    # the event line names the likely cause before the divergence message
+    capped = "1 engine event, the first: t=0.52 substeps capped at 10000, stiffness asked for 46707"
+    diverged = "positions diverged during the step ending at t=0.52"
+    assert cli.main(["run", "--scenario", "nominal", "--seed", "64", "--duration", "1",
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"run: {capped}\nrun: {diverged}\n"
+    monkeypatch.setitem(cli.SCENARIOS, "nominal",
+                        lambda: replace(scenario_nominal(), seed=64, duration=1.0))
+    assert cli.main(["reproduce", "nominal", "--out", str(tmp_path / "rep")]) == 1
+    assert capsys.readouterr().err == f"reproduce: {capped}\nreproduce: {diverged}\n"
 
 
 def _capped_config():
@@ -443,6 +454,18 @@ def test_check_observability_usage(capsys):
     assert cli.main(["check-observability", "--n", "0"]) == 2
     assert cli.main(["check-observability", "--n", "2", "--p", "1.0,2.0"]) == 2
     capsys.readouterr()
+    # a flag the chosen mode never reads, even at its default value, is
+    # refused by name rather than dropped
+    for args, flag, mode in [
+        (["--n", "2", "--p", "1,2,3,4", "--seed", "5"], "--seed", "--p"),
+        (["--trajectory", "unread.csv", "--n", "2"], "--n", "--trajectory"),
+        (["--trajectory", "unread.csv", "--p", "1,2"], "--p", "--trajectory"),
+        (["--trajectory", "unread.csv", "--seed", "5"], "--seed", "--trajectory"),
+        (["--trajectory", "unread.csv", "--theta", "0"], "--theta", "--trajectory"),
+        (["--trajectory", "unread.csv", "--depth", "1"], "--depth", "--trajectory"),
+    ]:
+        assert cli.main(["check-observability"] + args) == 2
+        assert capsys.readouterr().err == f"check-observability: {flag} is not read with {mode}\n"
 
 
 @pytest.mark.parametrize("args, flag", [

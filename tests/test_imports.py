@@ -1,5 +1,8 @@
 """Every name a `formloc` module imports is read somewhere in that module,
 and every name a `formloc` module defines is read somewhere in the repo.
+The scenario side (`formloc.scenario`) imports nothing from the engine
+(`formloc.sim`), no private name crosses between the two, and every name
+`formloc.sim` exports is the one object its defining module holds.
 
 No linter runs with the tests, so these AST scans are what catch an import
 or a definition left behind when the code that used it moved or went away.
@@ -8,9 +11,12 @@ surface); `from __future__` imports and dunder names are exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import formloc.sim
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "formloc"
@@ -107,3 +113,61 @@ def test_every_definition_is_read():
     sources = [path.read_text() for top in READERS for path in sorted((ROOT / top).rglob("*.py"))]
     modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_definitions(modules, sources) == []
+
+
+def imported_from(source: str, module: str) -> list[str]:
+    """The names that `source`, a module of `formloc`, imports from its
+    sibling `module`; '*' stands for the module itself (`from . import sim`,
+    `import formloc.sim`)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            target = "." * node.level + (node.module or "")
+            if target in (f".{module}", f"formloc.{module}"):
+                names += [alias.name for alias in node.names]
+            elif target in (".", "formloc"):
+                names += ["*" for alias in node.names if alias.name == module]
+        elif isinstance(node, ast.Import):
+            names += ["*" for alias in node.names if alias.name == f"formloc.{module}"]
+    return names
+
+
+def test_import_scan_sees_every_form():
+    source = ("from .sim import run, _layout\n"
+              "from . import sim, network\n"
+              "import formloc.sim\n"
+              "from formloc.sim import _move\n"
+              "from .simulate import run\n")
+    assert imported_from(source, "sim") == ["run", "_layout", "*", "*", "_move"]
+
+
+def test_scenario_imports_nothing_from_the_engine():
+    assert imported_from((SRC / "scenario.py").read_text(), "sim") == []
+
+
+@pytest.mark.parametrize("reader, module", [("sim.py", "scenario"), ("scenario.py", "sim")])
+def test_no_private_name_crosses_the_split(reader, module):
+    names = imported_from((SRC / reader).read_text(), module)
+    assert [name for name in names if name.startswith("_")] == []
+
+
+# every name `formloc.sim` exports, by the module that defines it
+SIM_EXPORTS = {
+    "formloc.scenario": ("MetricsSeries", "OutcomeThresholds", "ScenarioConfig", "SpawnError",
+                         "detect_outcome", "scenario_issue1", "scenario_issue2",
+                         "scenario_issue3", "scenario_nominal"),
+    "formloc.sim": ("DivergenceError", "FilterBank", "WorldState", "init_world", "run"),
+}
+
+
+def test_sim_exports_are_listed():
+    assert sorted(formloc.sim.__all__) == sorted(n for names in SIM_EXPORTS.values() for n in names)
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in SIM_EXPORTS.items() for n in names])
+def test_sim_export_is_one_object(module, name):
+    obj = getattr(importlib.import_module(module), name)
+    assert obj.__module__ == module
+    assert getattr(formloc.sim, name) is obj
+    if name in formloc.__all__:  # FilterBank and SpawnError are not package-level
+        assert getattr(formloc, name) is obj

@@ -14,7 +14,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formloc.sim import BLOCK_STEPS, DivergenceError, run, scenario_issue2, scenario_nominal
+from formloc.scenario import scenario_issue2, scenario_nominal
+from formloc.sim import BLOCK_STEPS, DivergenceError, run
 from oracles import per_step_run
 from test_batch import assert_same, batches
 

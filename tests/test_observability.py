@@ -28,7 +28,7 @@ from formloc.observability import (
     observation,
     observation_jacobian,
 )
-from oracles import sequential_gramian, symbolic_codistribution
+from oracles import sequential_gramian, symbolic_codistribution, trajectory_rows
 
 
 def test_observation_fixed_values():
@@ -159,7 +159,7 @@ def test_gramian_matches_finite_difference_oracle(rng):
     dt = 0.05
     xs = _euler_chain(x0, velocities, dt, n)
     traj = [(GroupElement(x[:-1], x[-1]), xi) for x, xi in zip(xs, velocities)]
-    report = empirical_gramian(traj, dt)
+    report = empirical_gramian(trajectory_rows(traj), dt)
     oracle = _fd_gramian(x0, velocities, dt, n)
     np.testing.assert_allclose(report.gramian, oracle, atol=1e-5)
     assert report.rank == 5
@@ -182,7 +182,7 @@ def _stationary_neighbor_trajectory(rng, still):
 def test_gramian_flags_stationary_neighbor(rng):
     for still in (0, 1):
         traj = _stationary_neighbor_trajectory(rng, still)
-        report = empirical_gramian(traj, 0.05)
+        report = empirical_gramian(trajectory_rows(traj), 0.05)
         assert report.deficient_neighbor_blocks == (still,)
         # only the tangential direction of the frozen block is lost
         assert report.rank == 4
@@ -201,7 +201,7 @@ def test_gramian_full_rank_under_rigid_rotation():
         dp = spin * (p.reshape(-1, 2) @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
         v = (dp @ rotation(theta)).ravel()
         traj.append((GroupElement(p, theta), AlgebraElement(v, w)))
-    report = empirical_gramian(traj, dt)
+    report = empirical_gramian(trajectory_rows(traj), dt)
     assert report.rank == 2 * n + 1
     assert report.deficient_neighbor_blocks == ()
 
@@ -236,11 +236,6 @@ def test_gramian_matches_sequential_loop(n, count, seed):
     assert got.rank == want.rank
     assert got.deficient_neighbor_blocks == want.deficient_neighbor_blocks
 
-    from_pairs = empirical_gramian(pairs, dt)
-    assert from_pairs.gramian.tobytes() == got.gramian.tobytes()
-    assert (from_pairs.rank, from_pairs.deficient_neighbor_blocks) == (
-        got.rank, got.deficient_neighbor_blocks)
-
 
 @pytest.mark.parametrize("shape", [
     (5, 7),   # 4n+2 columns for no n
@@ -258,9 +253,9 @@ def test_gramian_validation(rng):
     q = GroupElement(np.array([1.0, 0.0]), 0.0)
     xi = AlgebraElement(np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
-        empirical_gramian([(q, xi)], 0.1)
+        empirical_gramian(trajectory_rows([(q, xi)]), 0.1)
     with pytest.raises(ValueError):
-        empirical_gramian([(q, xi), (q, xi)], 0.0)
-    q2 = GroupElement(np.array([1.0, 0.0, 2.0, 0.0]), 0.0)
+        empirical_gramian(trajectory_rows([(q, xi), (q, xi)]), 0.0)
+    # rows of one and of two neighbors
     with pytest.raises(ValueError):
-        empirical_gramian([(q, xi), (q2, xi)], 0.1)
+        empirical_gramian([np.ones(6), np.ones(10)], 0.1)

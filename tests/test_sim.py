@@ -21,22 +21,18 @@ from formloc.controller import (
 from formloc.estimator import EstimatorState, NoiseConfig
 from formloc.lie_group import GroupElement
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
-from formloc.sim import (
-    DivergenceError,
+from formloc.scenario import (
     MetricsSeries,
     OutcomeThresholds,
     ScenarioConfig,
     SpawnError,
-    _control_field,
     detect_outcome,
-    edge_labels,
-    init_world,
-    run,
     scenario_issue1,
     scenario_issue2,
     scenario_issue3,
     scenario_nominal,
 )
+from formloc.sim import DivergenceError, _control_field, edge_labels, init_world, run
 from oracles import bank_of, estimate_of, initialize, step
 from test_bank import rigid_graph, rigid_scenarios
 
