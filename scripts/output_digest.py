@@ -9,7 +9,10 @@ Two checkouts print the same lines exactly when these outputs are byte-identical
 - the text of `scripts/seed_sweep.py --seeds 16 --verbose` and `--seeds 60`;
 - every metric array and event of `run(config, seeds=range(6))` with
   measurement noise, for nominal at 3 s and rigid20 instance 1 at 1 s (none
-  of the runs above draws measurement noise).
+  of the runs above draws measurement noise);
+- the same of `run(config, seeds=range(4))` with measurement noise on a
+  4-agent graph whose agent 4 has one neighbor (degrees 3, 2, 2, 1), so its
+  filter bucket has one row per seed.
 
 Every run uses this checkout's `src/`.  Compare two checkouts with
 
@@ -31,7 +34,8 @@ import numpy as np
 
 import generate
 from formloc.cli import SCENARIOS, config_from_ini
-from formloc.scenario import scenario_nominal
+from formloc.network import DesiredDistances, Graph
+from formloc.scenario import ScenarioConfig, scenario_nominal
 from formloc.sim import DivergenceError, run
 
 SERIES_ARRAYS = ("t", "distances", "est_errors", "dist_errors", "centroid_speed",
@@ -86,6 +90,11 @@ def main() -> int:
         for label, config in noisy.items():
             config = replace(config, measurement_noise=True)
             _show(_series_digest(run(config, seeds=range(6))), f"run {label} noisy, seeds 0-5")
+        pendant = ScenarioConfig(graph=Graph(4, ((0, 1), (1, 2), (2, 0), (0, 3))),
+                                 distances=DesiredDistances.uniform(4, 5.0), variant="estimated",
+                                 mismatch=None, measurement_noise=True, duration=3.0)
+        _show(_series_digest(run(pendant, seeds=range(4))),
+              "run degree-1 graph 3 s noisy, seeds 0-3")
     return 0
 
 

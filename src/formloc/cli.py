@@ -565,6 +565,8 @@ def cmd_check_observability(args) -> int:
             if not np.isfinite(p).all():
                 raise ConfigError(f"--p must be finite, got {args.p}")
         else:
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             rng = np.random.default_rng(args.seed if args.seed is not None else 0)
             p = rng.uniform(-5.0, 5.0, size=2 * args.n)
         q = GroupElement(p, 0.0 if args.theta is None else args.theta)

@@ -9,6 +9,17 @@ in the coordinate chart (p, theta) and uses the discrete linearization of
 measured heading; the heading innovation is wrapped to (-pi, pi] while the
 stored heading stays unwrapped.  `sim.FilterBank` holds every agent's
 filter in these arrays; `EstimatorState` is one filter's view of them.
+
+Each step has two parts.  The per-row part is elementwise, so it can run
+once over the stacked rows of filters of every degree: the rotations
+R(theta) and R(theta + pi/2)^T and the heading flow (`_predict_rows`), the
+range and wrapped-heading innovations (`_innovations`), and the increments
+p + delta and theta + delta.  The per-degree part is the stacked matrix
+algebra of one degree: the flow and Jacobian products and F P F^T + Q
+(`_predict_degree`); H, H P, S, the stacked solve and the gain (`_gain`);
+the increments delta and the Joseph form (`_correct`).  `predict_batch` and
+`update_batch` compose the two for one degree; `sim._sense` runs the
+per-row part once over its whole bank and the per-degree part per bucket.
 """
 
 from __future__ import annotations
@@ -82,23 +93,74 @@ def _rotations(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_jacobian_columns(theta: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """dt * R(theta + pi/2) v_k for A headings (A,) and body rates (A, 2n):
-    the offset rows of the last column of `lie_group.step_jacobian`, the
-    only entries off its diagonal, stacked as (A, 2n)."""
-    quarter = _rotations(theta + 0.5 * np.pi).swapaxes(1, 2)
-    return dt * (v.reshape(theta.shape[0], -1, 2) @ quarter).reshape(v.shape)
+def _quarter_rotations(theta: np.ndarray) -> np.ndarray:
+    """R(theta + pi/2)^T stacked, (A, 2, 2): the factor of
+    `_step_jacobian_columns`."""
+    return _rotations(theta + 0.5 * np.pi).swapaxes(1, 2)
+
+
+def _step_jacobian_columns(quarter: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """dt * R(theta + pi/2) v_k for body rates (A, 2n), given the headings'
+    `_quarter_rotations`: the offset rows of the last column of
+    `lie_group.step_jacobian`, the only entries off its diagonal, stacked as
+    (A, 2n)."""
+    return dt * (v.reshape(quarter.shape[0], -1, 2) @ quarter).reshape(v.shape)
 
 
 @lru_cache(maxsize=None)
-def _batch_constants(n: int, noise: NoiseConfig) -> tuple:
-    """Per-degree arrays shared by every batched step: identity, process
-    PSD and measurement variance diagonals, and the (row, column) indices
-    of the offsets in the observation Jacobian."""
-    dim = 2 * n + 1
+def _predict_constants(n: int, noise: NoiseConfig, dt: float) -> tuple:
+    """Per-degree arrays shared by every batched predict: the identity and
+    Q = dt * diag(process PSDs)."""
+    eye = np.eye(2 * n + 1)
     psd = np.concatenate([np.full(2 * n, noise.process_position_psd), [noise.process_heading_psd]])
+    return eye, dt * psd * eye
+
+
+@lru_cache(maxsize=None)
+def _update_constants(n: int, noise: NoiseConfig) -> tuple:
+    """Per-degree arrays shared by every batched update: the identity, the
+    measurement variance diagonal as a vector and as the matrix R, and the
+    (row, column) indices of the offsets in the observation Jacobian."""
+    eye = np.eye(2 * n + 1)
     rdiag = np.concatenate([np.full(n, noise.meas_distance_var), [noise.meas_heading_var]])
-    return np.eye(dim), psd, rdiag, (np.repeat(np.arange(n), 2), np.arange(2 * n))
+    return eye, rdiag, rdiag * eye[: n + 1, : n + 1], (np.repeat(np.arange(n), 2), np.arange(2 * n))
+
+
+def _predict_rows(theta: np.ndarray, w: np.ndarray, dt: float) -> tuple:
+    """The elementwise part of a predict, for A headings (A,) and heading
+    rates (A,): R(theta) and `_quarter_rotations`, each (A, 2, 2); the
+    coefficients (a, b) of the flow exp(dt * xi), (A, 2), or None when no
+    heading turns; and the headings after the flow."""
+    wd = dt * w
+    flow = None
+    if wd.any():
+        # exp(dt * xi) per filter, with the series branch below _SMALL_W
+        small = np.abs(wd) < _SMALL_W
+        ws = np.where(small, 1.0, wd)
+        flow = np.stack([np.where(small, 1.0 - wd * wd / 6.0, np.sin(ws) / ws),
+                         np.where(small, 0.5 * wd, 2.0 * np.sin(0.5 * ws) ** 2 / ws)], axis=1)
+    return _rotations(theta), _quarter_rotations(theta), flow, theta + wd
+
+
+def _predict_degree(p: np.ndarray, cov: np.ndarray, v: np.ndarray, rot: np.ndarray,
+                    quarter: np.ndarray, flow, dt: float, noise: NoiseConfig) -> tuple:
+    """The per-degree part of a predict, for A filters that track n
+    neighbors, given their rows of `_predict_rows`: the predicted means
+    (A, 2n) and covariances (A, 2n+1, 2n+1)."""
+    a_count, two_n = p.shape
+    vd = (dt * v).reshape(a_count, -1, 2)
+    if flow is not None:
+        a, b = flow[:, :1], flow[:, 1:]
+        vd = np.stack([a * vd[..., 0] - b * vd[..., 1], b * vd[..., 0] + a * vd[..., 1]], axis=-1)
+    # (at w = 0 the series coefficients are exactly 1 and 0: vd is the flow)
+    p_new = (vd @ rot.swapaxes(1, 2)).reshape(a_count, two_n) + p
+
+    eye, q = _predict_constants(two_n // 2, noise, dt)
+    f = np.empty(cov.shape)
+    f[:] = eye
+    f[:, :two_n, two_n] = _step_jacobian_columns(quarter, v, dt)
+    cov_new = f @ cov @ f.swapaxes(1, 2) + q
+    return p_new, 0.5 * (cov_new + cov_new.swapaxes(1, 2))
 
 
 def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarray,
@@ -112,48 +174,24 @@ def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarr
     linearization at the current mean.  Returns the predicted
     (p, theta, cov).
     """
-    a_count, two_n = p.shape
-    eye, psd, _, _ = _batch_constants(two_n // 2, noise)
-    vd = (dt * v).reshape(a_count, -1, 2)
-    wd = dt * w
-    if wd.any():
-        # exp(dt * xi) per filter, with the series branch below _SMALL_W
-        small = np.abs(wd) < _SMALL_W
-        ws = np.where(small, 1.0, wd)
-        a = np.where(small, 1.0 - wd * wd / 6.0, np.sin(ws) / ws)[:, None]
-        b = np.where(small, 0.5 * wd, 2.0 * np.sin(0.5 * ws) ** 2 / ws)[:, None]
-        vd = np.stack([a * vd[..., 0] - b * vd[..., 1], b * vd[..., 0] + a * vd[..., 1]], axis=-1)
-    # (at w = 0 the series coefficients are exactly 1 and 0: vd is the flow)
-    p_new = (vd @ _rotations(theta).swapaxes(1, 2)).reshape(a_count, two_n) + p
-
-    f = np.empty(cov.shape)
-    f[:] = eye
-    f[:, :two_n, two_n] = _step_jacobian_columns(theta, v, dt)
-    cov_new = f @ cov @ f.swapaxes(1, 2) + dt * psd * eye
-    return p_new, theta + wd, 0.5 * (cov_new + cov_new.swapaxes(1, 2))
+    rot, quarter, flow, theta_new = _predict_rows(theta, w, dt)
+    p_new, cov_new = _predict_degree(p, cov, v, rot, quarter, flow, dt, noise)
+    return p_new, theta_new, cov_new
 
 
-def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarray,
-                 noise: NoiseConfig):
-    """Fuse one measurement vector into each of A filters that track n
-    neighbors.
-
-    y is (A, n+1): n half squared distances, then the heading, per filter.
-    The covariance takes the Joseph form, re-symmetrized, so it stays
-    positive semidefinite for any gain.  A filter whose innovation
-    covariance is not finite or not invertible keeps its input state and
-    is reported, and the others still update: returns (p, theta, cov,
-    errors) with errors mapping the refused rows to their
-    SingularUpdateError.
-    """
+def _gain(p: np.ndarray, cov: np.ndarray, noise: NoiseConfig) -> tuple:
+    """The per-degree part of an update up to the gain, for A filters that
+    track n neighbors: the observation Jacobians H (A, n+1, 2n+1), the gains
+    (A, 2n+1, n+1), the covariances the Joseph form starts from, and the
+    refused rows mapped to their SingularUpdateError."""
     a_count, two_n = p.shape
     n = two_n // 2
-    eye, _, rdiag, offset_entries = _batch_constants(n, noise)
+    eye, _, r_matrix, offset_entries = _update_constants(n, noise)
     h = np.zeros((a_count, n + 1, two_n + 1))
     h[(slice(None),) + offset_entries] = p
     h[:, n, two_n] = 1.0
     hp = h @ cov
-    s = hp @ h.swapaxes(1, 2) + rdiag * eye[: n + 1, : n + 1]
+    s = hp @ h.swapaxes(1, 2) + r_matrix
 
     errors = {}
     work = cov
@@ -176,18 +214,58 @@ def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarra
                 gain[row] = np.linalg.solve(s[row], hp[row]).T
             except np.linalg.LinAlgError as exc:
                 errors[row] = SingularUpdateError(f"innovation covariance not invertible: {exc}")
+    return h, gain, work, errors
 
-    innovation = y.copy()
-    innovation[:, :n] -= 0.5 * (p.reshape(a_count, n, 2) ** 2).sum(axis=2)
-    innovation[:, n] = wrap_angle(innovation[:, n] - theta)
+
+def _innovations(offsets: np.ndarray, theta: np.ndarray, ranges: np.ndarray,
+                 headings: np.ndarray) -> tuple:
+    """The elementwise part of an update's innovation, for stacked rows of
+    filters of any degree: each tracked offset (k, 2) against its measured
+    half squared distance (k,), and each heading (A,) against its
+    measurement (A,), wrapped to (-pi, pi]."""
+    return ranges - 0.5 * (offsets ** 2).sum(axis=1), wrap_angle(headings - theta)
+
+
+def _correct(h: np.ndarray, gain: np.ndarray, work: np.ndarray, innovation: np.ndarray,
+             noise: NoiseConfig) -> tuple:
+    """The per-degree part of an update after the gain, for A filters with
+    innovations (A, n+1): the increments (A, 2n+1) of the means, and the
+    Joseph-form covariances, re-symmetrized."""
+    eye, rdiag, _, _ = _update_constants(innovation.shape[1] - 1, noise)
     delta = (gain @ innovation[:, :, None])[:, :, 0]
-
     ikh = eye - gain @ h
     cov_new = ikh @ work @ ikh.swapaxes(1, 2) + (gain * rdiag) @ gain.swapaxes(1, 2)
-    cov_new = 0.5 * (cov_new + cov_new.swapaxes(1, 2))
-    p_new = p + delta[:, :-1]
-    theta_new = theta + delta[:, -1]
+    return delta, 0.5 * (cov_new + cov_new.swapaxes(1, 2))
+
+
+def _keep_refused(errors: dict, updated: tuple, inputs: tuple) -> None:
+    """Copy the refused rows (the keys of `errors`) of each input array back
+    over its updated array: a refused filter keeps its input state."""
     if errors:
         rows = np.array(sorted(errors))
-        p_new[rows], theta_new[rows], cov_new[rows] = p[rows], theta[rows], cov[rows]
+        for new, old in zip(updated, inputs):
+            new[rows] = old[rows]
+
+
+def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarray,
+                 noise: NoiseConfig):
+    """Fuse one measurement vector into each of A filters that track n
+    neighbors.
+
+    y is (A, n+1): n half squared distances, then the heading, per filter.
+    The covariance takes the Joseph form, re-symmetrized, so it stays
+    positive semidefinite for any gain.  A filter whose innovation
+    covariance is not finite or not invertible keeps its input state and
+    is reported, and the others still update: returns (p, theta, cov,
+    errors) with errors mapping the refused rows to their
+    SingularUpdateError.
+    """
+    a_count, two_n = p.shape
+    n = two_n // 2
+    h, gain, work, errors = _gain(p, cov, noise)
+    ranges, heading = _innovations(p.reshape(-1, 2), theta, y[:, :n].ravel(), y[:, n])
+    innovation = np.concatenate([ranges.reshape(a_count, n), heading[:, None]], axis=1)
+    delta, cov_new = _correct(h, gain, work, innovation, noise)
+    p_new, theta_new = p + delta[:, :-1], theta + delta[:, -1]
+    _keep_refused(errors, (p_new, theta_new, cov_new), (p, theta, cov))
     return p_new, theta_new, cov_new, errors

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _step_jacobian_columns
+from .estimator import _quarter_rotations, _step_jacobian_columns
 from .lie_group import GroupElement
 
 __all__ = [
@@ -139,7 +139,7 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
     count, n = rows.shape[0], rows.shape[1] // 4
     dim = 2 * n + 1
     theta, p, v = rows[:, 0], rows[:, 1:dim], rows[:, dim + 1 :]
-    f = _step_jacobian_columns(theta, v, dt)
+    f = _step_jacobian_columns(_quarter_rotations(theta), v, dt)
     c = np.zeros_like(f)
     np.cumsum(f[:-1], axis=0, out=c[1:])
     p = p.reshape(count, n, 2)

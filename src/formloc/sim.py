@@ -13,9 +13,13 @@ through one seeded generator, so a (config, seed) pair fixes every byte of
 the output.  `scenario` says what a run is; this module re-exports its names.
 
 The filters live in a `FilterBank`: stacked arrays with one bucket per agent
-degree, so phase (4) is one batched predict and one batched update per
-bucket, and every estimate read is an index gather from the bank's offset
-table.
+degree, and every estimate read is an index gather from the bank's offset
+table.  Phase (4) runs the filters' elementwise work (`estimator`'s per-row
+part) once over the rows of all buckets, one bucket after another
+(`_BankOrder`), and their matmuls, stacked solve and covariance algebra
+once per bucket.  Its measurements are gathered in that order too: the
+heading measurements come in bank order (`_Layout.heading_draws`), not in
+agent order.
 
 A `WorldState` holds B seeds of one config, advancing in lockstep: every
 array has a leading seed axis, and the bank's buckets stack the seeds into
@@ -39,7 +43,15 @@ from itertools import compress
 import numpy as np
 
 from .controller import _control_law, _scatter_matrices
-from .estimator import EstimatorState, _rotations, predict_batch, update_batch
+from .estimator import (
+    EstimatorState,
+    _correct,
+    _gain,
+    _innovations,
+    _keep_refused,
+    _predict_degree,
+    _predict_rows,
+)
 from .lie_group import GroupElement
 from .network import Graph, _edge_arrays, sorted_neighbors
 from .scenario import (
@@ -268,12 +280,12 @@ def _kernel_entries(config: ScenarioConfig, seeds: int) -> tuple:
     return np.repeat(config.distances.values ** 2, per_edge), a, swap
 
 
-def _control_field(world: WorldState, config: ScenarioConfig):
-    """Velocity field r -> u with the estimate snapshot of `world` frozen;
-    the distance errors are re-measured wherever the integrator evaluates
-    it.  r and u are the seeds' positions and velocities side by side,
-    flattened from (agents, 2B) (see `_columns`); for one seed that is its
-    flat positions.
+def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
+    """Velocity field r -> u with the estimate snapshot of `world` frozen
+    in `law`, its `_law_inputs`; the distance errors are re-measured
+    wherever the integrator evaluates it.  r and u are the seeds' positions
+    and velocities side by side, flattened from (agents, 2B) (see
+    `_columns`); for one seed that is its flat positions.
 
     It evaluates the public control laws' kernel without their per-call
     validation; a regression test holds the two bit-identical.
@@ -284,7 +296,7 @@ def _control_field(world: WorldState, config: ScenarioConfig):
     diff = (at - ah).T
     agents = config.graph.agent_count
     dv2, a, swap = _kernel_entries(config, world.bank.seeds)
-    tail_dirs, head_dirs, _ = _law_inputs(world, config)
+    tail_dirs, head_dirs, _ = law
     dirs = None if tail_dirs is None else (_columns(tail_dirs).ravel(), _columns(head_dirs).ravel())
 
     def field(r):
@@ -298,15 +310,15 @@ def _control_field(world: WorldState, config: ScenarioConfig):
     return field
 
 
-def _stiffness(world: WorldState, config: ScenarioConfig) -> np.ndarray:
-    """Per seed, an upper estimate of the control field's Jacobian scale,
-    used to pick the sub-step count that keeps the 4th-order scheme inside
-    its stability region."""
+def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndarray:
+    """Per seed, an upper estimate of the Jacobian scale of the control
+    field with `_law_inputs` `law`, used to pick the sub-step count that
+    keeps the 4th-order scheme inside its stability region."""
     tails, heads = _edge_arrays(config.graph)
     z1 = world.r[:, tails] - world.r[:, heads]
     zn = np.linalg.norm(z1, axis=2)
     e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
-    tail_dirs, head_dirs, a = _law_inputs(world, config)
+    tail_dirs, head_dirs, a = law
     if tail_dirs is None:
         dirs = zn
     else:
@@ -395,10 +407,11 @@ def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.nda
     logged, and the mask of the seeds whose positions diverged."""
     dt = config.dt
     t_new = world.t + dt
-    u_of = _control_field(world, config)
+    law = _law_inputs(world, config)
+    u_of = _control_field(world, config, law)
     # a non-finite stiffness is capped like a finite one above the cap
     wanted = [max(1, math.ceil(dt * s / 2.0)) if s < math.inf else s
-              for s in _stiffness(world, config).tolist()]
+              for s in _stiffness(world, config, law).tolist()]
     substeps = [w if w <= MAX_SUBSTEPS else MAX_SUBSTEPS for w in wanted]
     events = world.events
     if wanted != substeps:
@@ -420,44 +433,107 @@ def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.nda
     return replace(world, r=r_new, v=v, t=t_new, events=events), diverged
 
 
+@dataclass(frozen=True, eq=False)
+class _BankOrder:
+    """The rows of a bank of B seeds stacked bucket after bucket, with each
+    bucket's rows seed after seed as the bank holds them, and their tracked
+    offsets stacked the same way as slots, so that each bucket is one slice
+    of each.  The indices gather per-seed arrays into that order."""
+
+    buckets: tuple             # per bucket, its (rows, slots) slices
+    nbrs: np.ndarray           # (slots,) each slot's neighbor, in (B * agents)
+    trackers: np.ndarray       # (slots,) the agent that tracks it, likewise
+    range_draws: np.ndarray    # (slots,) its distance noise draw, in (B * draw_count)
+    heading_draws: np.ndarray  # (rows,) each row's heading noise draw, likewise
+
+
+@lru_cache(maxsize=8)
+def _bank_order(graph: Graph, seeds: int) -> _BankOrder:
+    layout = _layout(graph)
+    agent_base = graph.agent_count * np.arange(seeds)[:, None]
+    draw_base = layout.draw_count * np.arange(seeds)[:, None]
+    buckets, row, slot = [], 0, 0
+    for b in layout.buckets:
+        rows = seeds * len(b.agents)
+        buckets.append((slice(row, row + rows), slice(slot, slot + rows * b.degree)))
+        row, slot = row + rows, slot + rows * b.degree
+
+    def stacked(base, per_seed, part):
+        # seed after seed within each bucket, buckets one after another
+        return np.concatenate([(base + per_seed[getattr(b, part)]).ravel() for b in layout.buckets])
+
+    return _BankOrder(
+        buckets=tuple(buckets),
+        nbrs=stacked(agent_base, layout.slot_nbrs, "slots"),
+        trackers=stacked(agent_base, layout.slot_agents, "slots"),
+        range_draws=stacked(draw_base, layout.range_draws, "slots"),
+        heading_draws=stacked(draw_base, layout.heading_draws, "rows"),
+    )
+
+
 def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
-    """Phases (3)-(5) for every seed of a world that `_move` advanced: one
-    batched predict/update per degree bucket, whose rows hold that bucket's
-    agents of every seed.  Refused updates are logged in agent order."""
+    """Phases (3)-(5) for every seed of a world that `_move` advanced.
+
+    The filters' elementwise work (rotations, innovations, mean increments)
+    runs once over the rows of all buckets in `_BankOrder`, so the
+    measurements are gathered in that order: `heading_meas` holds one entry
+    per bank row (`_Layout.heading_draws`), not per agent.  The matmuls and
+    the per-degree matrix algebra run once per bucket, whose rows hold that
+    bucket's agents of every seed.  Refused updates are logged in agent
+    order."""
     if not config.estimator_enabled:
         return world
-    noise = config.noise
+    noise, dt = config.noise, config.dt
     layout = _layout(config.graph)
     bank, seeds = world.bank, len(world.r)
-    # velocities and measurements of every seed and slot at once, then
-    # sliced per bucket; the true heading is 0, so its measurement is noise
-    rel_world = world.v[:, layout.slot_nbrs] - world.v[:, layout.slot_agents]
-    diffs = world.r[:, layout.slot_nbrs] - world.r[:, layout.slot_agents]
-    ranges = 0.5 * (diffs ** 2).sum(axis=2)
-    heading_meas = np.zeros((seeds, config.graph.agent_count))
+    order = _bank_order(config.graph, seeds)
+    # velocities and measurements of every seed and slot at once; the true
+    # heading is 0, so its measurement is noise
+    v, r = world.v.reshape(-1, 2), world.r.reshape(-1, 2)
+    rel_world = v[order.nbrs] - v[order.trackers]
+    diffs = r[order.nbrs] - r[order.trackers]
+    ranges = 0.5 * (diffs ** 2).sum(axis=1)
+    heading_meas = np.zeros(len(order.heading_draws))
     if config.measurement_noise:
-        draws = np.array([rng.standard_normal(layout.draw_count) for rng in world.rngs])
-        ranges += np.sqrt(noise.meas_distance_var) * draws[:, layout.range_draws]
-        heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
+        draws = np.concatenate([rng.standard_normal(layout.draw_count) for rng in world.rngs])
+        ranges += np.sqrt(noise.meas_distance_var) * draws[order.range_draws]
+        heading_meas += np.sqrt(noise.meas_heading_var) * draws[order.heading_draws]
 
-    means, headings, covariances = [], [], []
-    skipped = [[] for _ in range(seeds)]
-    for b, bucket in enumerate(layout.buckets):
-        a_count, n = len(bucket.agents), bucket.degree
-        rows = seeds * a_count
-        # rows seed after seed, as the bank stacks them
-        v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(bank.headings[b])
-        p, theta, cov = predict_batch(bank.means[b], bank.headings[b], bank.covariances[b],
-                                      v_body.reshape(rows, 2 * n), np.zeros(rows), config.dt, noise)
-        y = np.concatenate([ranges[:, bucket.slots].reshape(rows, n),
-                            heading_meas[:, bucket.rows].reshape(rows, 1)], axis=1)
-        p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
-        for row, exc in errors.items():
-            seed, member = divmod(row, a_count)
-            skipped[seed].append((int(bucket.agents[member]), exc))
-        means.append(p)
-        headings.append(theta)
+    rot, quarter, flow, theta = _predict_rows(np.concatenate(bank.headings),
+                                              np.zeros(len(heading_meas)), dt)
+    predicted, gains = [], []
+    for b, (rows, slots) in enumerate(order.buckets):
+        count, two_n = bank.means[b].shape
+        v_body = rel_world[slots].reshape(count, -1, 2) @ rot[rows]
+        p, cov = _predict_degree(bank.means[b], bank.covariances[b], v_body.reshape(count, two_n),
+                                 rot[rows], quarter[rows], None if flow is None else flow[rows],
+                                 dt, noise)
+        predicted.append((p, cov))
+        gains.append(_gain(p, cov, noise))
+    offsets = np.concatenate([p.reshape(-1, 2) for p, _ in predicted])
+    range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
+
+    deltas, covariances = [], []
+    for (rows, slots), (h, gain, work, _) in zip(order.buckets, gains):
+        innovation = np.concatenate([range_innov[slots].reshape(len(h), -1),
+                                     heading_innov[rows, None]], axis=1)
+        delta, cov = _correct(h, gain, work, innovation, noise)
+        deltas.append(delta)
         covariances.append(cov)
+    offsets_new = offsets + np.concatenate([d[:, :-1].reshape(-1, 2) for d in deltas])
+    theta_new = theta + np.concatenate([d[:, -1] for d in deltas])
+
+    means, headings = [], []
+    skipped = [[] for _ in range(seeds)]
+    for bucket, (rows, slots), (p, cov), (_, _, _, errors), cov_new in zip(
+            layout.buckets, order.buckets, predicted, gains, covariances):
+        p_new, heading = offsets_new[slots].reshape(p.shape), theta_new[rows]
+        _keep_refused(errors, (p_new, heading, cov_new), (p, theta[rows], cov))
+        for row, exc in errors.items():
+            seed, member = divmod(row, len(bucket.agents))
+            skipped[seed].append((int(bucket.agents[member]), exc))
+        means.append(p_new)
+        headings.append(heading)
 
     events = world.events
     if any(skipped):

@@ -2,12 +2,23 @@
 the library computes in closed form, the symbolic Lie-derivative search and
 the per-sample Gramian loop that the observability closed forms replace, the
 scalar per-agent filter and one-step stepper that the batched engine is
-checked against, and the run loop that extracts metrics one step at a time,
-which `run`'s block-wise extraction is checked against."""
+checked against, the filter phase run bucket by bucket, which the engine's
+once-per-step elementwise work is checked against, and the run loop that
+extracts metrics one step at a time, which `run`'s block-wise extraction is
+checked against."""
+
+from dataclasses import replace
 
 import numpy as np
 
-from formloc.estimator import EstimatorState, NoiseConfig, SingularUpdateError
+from formloc.estimator import (
+    EstimatorState,
+    NoiseConfig,
+    SingularUpdateError,
+    _rotations,
+    predict_batch,
+    update_batch,
+)
 from formloc.lie_group import (
     AlgebraElement,
     GroupElement,
@@ -344,6 +355,56 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     if diverged.any():
         raise _divergence(world.t, world.events[np.flatnonzero(diverged)[0]])
     return _sense(world, config)
+
+
+def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
+    """`sim._sense` as one `predict_batch` and one `update_batch` per degree
+    bucket, each with its own rotations, noise constants and innovations:
+    the engine's filter phase before its elementwise work ran once over all
+    buckets.  Refused updates are logged in agent order."""
+    if not config.estimator_enabled:
+        return world
+    noise = config.noise
+    layout = _layout(config.graph)
+    bank, seeds = world.bank, len(world.r)
+    # velocities and measurements of every seed and slot at once, then
+    # sliced per bucket; the true heading is 0, so its measurement is noise
+    rel_world = world.v[:, layout.slot_nbrs] - world.v[:, layout.slot_agents]
+    diffs = world.r[:, layout.slot_nbrs] - world.r[:, layout.slot_agents]
+    ranges = 0.5 * (diffs ** 2).sum(axis=2)
+    heading_meas = np.zeros((seeds, config.graph.agent_count))
+    if config.measurement_noise:
+        draws = np.array([rng.standard_normal(layout.draw_count) for rng in world.rngs])
+        ranges += np.sqrt(noise.meas_distance_var) * draws[:, layout.range_draws]
+        heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
+
+    means, headings, covariances = [], [], []
+    skipped = [[] for _ in range(seeds)]
+    for b, bucket in enumerate(layout.buckets):
+        a_count, n = len(bucket.agents), bucket.degree
+        rows = seeds * a_count
+        # rows seed after seed, as the bank stacks them
+        v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(bank.headings[b])
+        p, theta, cov = predict_batch(bank.means[b], bank.headings[b], bank.covariances[b],
+                                      v_body.reshape(rows, 2 * n), np.zeros(rows), config.dt, noise)
+        y = np.concatenate([ranges[:, bucket.slots].reshape(rows, n),
+                            heading_meas[:, bucket.rows].reshape(rows, 1)], axis=1)
+        p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
+        for row, exc in errors.items():
+            seed, member = divmod(row, a_count)
+            skipped[seed].append((int(bucket.agents[member]), exc))
+        means.append(p)
+        headings.append(theta)
+        covariances.append(cov)
+
+    events = world.events
+    if any(skipped):
+        events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
+                             for i, exc in sorted(refused, key=lambda item: item[0]))
+                  for ev, refused in zip(events, skipped)]
+    bank = FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances))
+    return replace(world, bank=bank, events=events)
+
 
 
 def per_step_run(config: ScenarioConfig, seeds=None):

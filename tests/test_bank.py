@@ -5,7 +5,9 @@
 public control laws, which is how the engine worked before its filters were
 stacked into degree buckets.  The bank must reproduce it on random
 minimally rigid graphs with mixed degrees, refuse updates agent by agent,
-and keep the measurement-noise draws in agent order.
+and keep the measurement-noise draws in agent order.  `oracles.bucket_sense`
+is the filter phase run bucket by bucket; the engine, which runs its
+elementwise work once over all buckets, must match it bit for bit.
 """
 
 import copy
@@ -14,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from formloc.controller import (
     MismatchConfig,
@@ -22,7 +24,7 @@ from formloc.controller import (
     ideal_control,
     mismatch_control,
 )
-from formloc.estimator import EstimatorState, NoiseConfig, SingularUpdateError
+from formloc.estimator import EstimatorState, NoiseConfig, SingularUpdateError, predict_batch
 from formloc.lie_group import AlgebraElement, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.scenario import MetricsSeries, ScenarioConfig, detect_outcome, scenario_nominal
@@ -31,11 +33,14 @@ from formloc.sim import (
     DivergenceError,
     WorldState,
     _integrate,
+    _layout,
+    _move,
+    _sense,
     edge_labels,
     init_world,
     run,
 )
-from oracles import bank_of, predict, step, update
+from oracles import bank_of, bucket_sense, predict, step, update
 
 # fixed before running: the bank reorders no sum the scalar path makes, so
 # only last-bit differences in a few reductions may appear
@@ -341,3 +346,81 @@ def test_run_carries_skipped_updates_out():
         f"t={t} agent={i} update skipped: innovation covariance is not finite"
         for t in ("0.01", "0.02", "0.03") for i in (1, 2, 3)
     )
+
+
+# ------------------------------------------- filter phase, once per step
+
+
+def _sense_matching_oracle(world, config, steps=4):
+    """Advance `world` by `steps` steps, checking each step's filter phase
+    bit for bit against the phase run bucket by bucket; returns the last
+    world."""
+    for _ in range(steps):
+        moved, diverged = _move(world, config)
+        moved = moved.take(~diverged)
+        if not len(moved.r):
+            break
+        want = bucket_sense(replace(moved, rngs=copy.deepcopy(moved.rngs)), config)
+        world = _sense(moved, config)
+        for name in ("means", "headings", "covariances"):
+            for got, expected in zip(getattr(world.bank, name), getattr(want.bank, name),
+                                     strict=True):
+                np.testing.assert_array_equal(got, expected)
+        assert world.events == want.events
+        # both drew the same noise from each seed's generator
+        assert [g.bit_generator.state for g in world.rngs] == [g.bit_generator.state
+                                                              for g in want.rngs]
+    return world
+
+
+@settings(max_examples=20, deadline=None)
+@given(rigid_scenarios(), st.sampled_from((1, 3)))
+def test_filter_phase_matches_bucket_oracle(config, seeds):
+    graph = config.graph
+    assume(len({len(sorted_neighbors(graph, i)) for i in range(graph.agent_count)}) > 1)
+    config = replace(config, measurement_noise=True)
+    _sense_matching_oracle(init_world(config, range(seeds)), config)
+
+
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_filter_phase_with_a_degree_one_agent(seeds):
+    # agent 4 has one neighbor: its bucket stacks one (1, 2) offset block per seed
+    config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
+                            variant="estimated", mismatch=None, measurement_noise=True,
+                            noise=NoiseConfig(meas_distance_var=0.1, meas_heading_var=0.01))
+    _sense_matching_oracle(init_world(config, range(seeds)), config, steps=6)
+
+
+@pytest.mark.parametrize("kind", ["nonfinite", "singular"])
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
+    # agent 2 (degree 2) of the last seed refuses every update; at rest the
+    # body velocities are exactly 0, so its prediction is predict_batch at v = 0
+    config, _ = _rest_world()
+    config = replace(config, measurement_noise=True)
+    world = init_world(config, range(seeds))
+    agent, bucket = 1, 1
+    row = (seeds - 1) * 2 + list(_layout(config.graph).buckets[bucket].agents).index(agent)
+    covariances = list(world.bank.covariances)
+    covariances[bucket] = covariances[bucket].copy()
+    if kind == "nonfinite":
+        covariances[bucket][row, 0, 0] = np.inf
+    else:
+        covariances[bucket][row, -1, :] = covariances[bucket][row, :, -1] = 0.0
+        covariances[bucket][row, -1, -1] = -0.5
+    world = replace(world, bank=replace(world.bank, covariances=tuple(covariances)))
+    reason = "is not finite" if kind == "nonfinite" else "not invertible: "
+    for step_count in (1, 2, 3):
+        bank = world.bank
+        rows = len(bank.headings[bucket])
+        with np.errstate(invalid="ignore"):
+            world = _sense_matching_oracle(world, config, steps=1)
+            p, theta, cov = predict_batch(bank.means[bucket], bank.headings[bucket],
+                                          bank.covariances[bucket], np.zeros((rows, 4)),
+                                          np.zeros(rows), config.dt, config.noise)
+        np.testing.assert_array_equal(world.bank.means[bucket][row], p[row])
+        np.testing.assert_array_equal(world.bank.headings[bucket][row], theta[row])
+        np.testing.assert_array_equal(world.bank.covariances[bucket][row], cov[row])
+        assert [len(ev) for ev in world.events] == [0] * (seeds - 1) + [step_count]
+        assert world.events[-1][-1].startswith(
+            f"t={world.t:.6g} agent=2 update skipped: innovation covariance {reason}")

@@ -468,6 +468,12 @@ def test_check_observability_usage(capsys):
         assert capsys.readouterr().err == f"check-observability: {flag} is not read with {mode}\n"
 
 
+def test_check_observability_rejects_negative_seed(capsys):
+    # numpy's own refusal ("expected non-negative integer") names no flag
+    assert cli.main(["check-observability", "--n", "1", "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == "check-observability: --seed must be non-negative, got -3\n"
+
+
 @pytest.mark.parametrize("args, flag", [
     (["--n", "2", "--p", "1,2,nan,4"], "--p"),
     (["--n", "2", "--p", "1,inf,3,4"], "--p"),

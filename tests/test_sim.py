@@ -32,7 +32,7 @@ from formloc.scenario import (
     scenario_issue3,
     scenario_nominal,
 )
-from formloc.sim import DivergenceError, _control_field, edge_labels, init_world, run
+from formloc.sim import DivergenceError, _control_field, _law_inputs, edge_labels, init_world, run
 from oracles import bank_of, estimate_of, initialize, step
 from test_bank import rigid_graph, rigid_scenarios
 
@@ -273,12 +273,12 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
 
         points = [world.r.ravel()] + [world.r.ravel() + rng.normal(size=2 * o) for _ in range(5)]
 
-        field = _control_field(world, ideal_cfg)
+        field = _control_field(world, ideal_cfg, _law_inputs(world, ideal_cfg))
         for rf in points:
             np.testing.assert_array_equal(field(rf), ideal_control(graph, rf, d))
 
         est_cfg = replace(ideal_cfg, variant="estimated")
-        field = _control_field(world, est_cfg)
+        field = _control_field(world, est_cfg, _law_inputs(world, est_cfg))
         snapshot = {pair: estimate_of(world, graph, *pair) for pair in est}
         for rf in points:
             e = distance_errors(edge_offsets(graph, rf), d)
@@ -286,7 +286,7 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
 
         a = MismatchConfig(rng.uniform(-2.0, 2.0, size=m))
         mm_cfg = replace(ideal_cfg, variant="algorithm1", mismatch=a)
-        field = _control_field(world, mm_cfg)
+        field = _control_field(world, mm_cfg, _law_inputs(world, mm_cfg))
         shared = np.array([estimate_of(world, graph, t, h) for t, h in graph.edges])
         for rf in points:
             e = distance_errors(edge_offsets(graph, rf), d)
