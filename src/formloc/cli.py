@@ -559,6 +559,8 @@ def cmd_check_observability(args) -> int:
         if args.n is None or args.n < 1:
             raise ConfigError("--n must be a positive integer (or use --trajectory)")
         if args.p is not None:
+            if not _is_numbers(args.p):
+                raise ConfigError(f"--p must be comma-separated numbers, got {args.p!r}")
             p = np.array([float(x) for x in args.p.split(",")])
             if p.size != 2 * args.n:
                 raise ConfigError(f"--p needs {2 * args.n} numbers for n={args.n}")

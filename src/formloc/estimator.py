@@ -7,8 +7,9 @@ prediction adds no discretization error of its own.  The covariance lives
 in the coordinate chart (p, theta) and uses the discrete linearization of
 `lie_group.step_jacobian`.  Updates fuse half squared distances plus the
 measured heading; the heading innovation is wrapped to (-pi, pi] while the
-stored heading stays unwrapped.  `sim.FilterBank` holds every agent's
-filter in these arrays; `EstimatorState` is one filter's view of them.
+stored heading stays unwrapped.  `sim.FilterBank` holds every filter in a
+flat offset table and heading array, with the covariances per degree; a
+degree's means are a view of the table, and `EstimatorState` one filter's.
 
 Each step has two parts.  The per-row part is elementwise, so it can run
 once over the stacked rows of filters of every degree: the rotations

@@ -12,21 +12,20 @@ are what the next step's controllers read.  All randomness of a run flows
 through one seeded generator, so a (config, seed) pair fixes every byte of
 the output.  `scenario` says what a run is; this module re-exports its names.
 
-The filters live in a `FilterBank`: stacked arrays with one bucket per agent
-degree, and every estimate read is an index gather from the bank's offset
-table.  Phase (4) runs the filters' elementwise work (`estimator`'s per-row
-part) once over the rows of all buckets, one bucket after another
-(`_BankOrder`), and their matmuls, stacked solve and covariance algebra
-once per bucket.  Its measurements are gathered in that order too: the
-heading measurements come in bank order (`_Layout.heading_draws`), not in
-agent order.
+The filters live in a flat `FilterBank`: an offset table, a heading array
+and per-degree covariance stacks in the bank order of the `_Layout` it
+carries, and every estimate read is a gather from the offset table.  Phase
+(4) runs the filters' elementwise work (`estimator`'s per-row part) once
+over the flat arrays, and their matmuls, stacked solve and covariance
+algebra once per degree bucket, on views of them.  Its measurements come
+in bank order too: one heading measurement per bank row, not per agent.
 
-A `WorldState` holds B seeds of one config, advancing in lockstep: every
-array has a leading seed axis, and the bank's buckets stack the seeds into
-their rows.  `init_world(config, seeds)` builds it and `run(config, seeds)`
-steps it.  Each seed keeps its own sub-step count, generator and event
-log, so it comes out exactly as it would alone; a seed that diverges
-leaves the batch.  One seed is the case B = 1 of the same code.
+A `WorldState` holds B seeds of one config, advancing in lockstep: the
+positions have a leading seed axis, and each bucket of the bank stacks the
+seeds into its rows.  `init_world(config, seeds)` builds it and
+`run(config, seeds)` steps it.  Each seed keeps its own sub-step count,
+generator and event log, so it comes out exactly as it would alone; a seed
+that diverges leaves the batch.  One seed is the case B = 1 of the same code.
 
 Every agent's true heading is fixed at 0 (zero angular rate), so its
 heading measurement is noise around 0; the estimator and group layers
@@ -103,108 +102,142 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class _Bucket:
-    """The agents of one degree n, in ascending order, and where they sit
-    in the bank-wide tables of `_Layout`."""
+    """The agents of one degree n, in ascending order, and where a bank
+    holds them."""
 
     agents: np.ndarray   # (A,)
     degree: int          # n
-    rows: slice          # the agents' rows in bank order
-    slots: slice         # their A * n rows of the offset table
+    rows: slice          # its B * A rows in bank order, seed after seed
+    slots: slice         # their B * A * n slots of the offset table
 
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Degree buckets of a graph and the index arrays that gather estimates
-    and measurements.
+    """Where a bank of B seeds of a graph holds each filter, and every index
+    a step gathers with.  Bank order lists the rows bucket after bucket and
+    a bucket's rows seed after seed (row s * A + k is `agents[k]` of seed
+    s); the offset table holds each row's means as n slots.  Agents count
+    over (B * agents) and noise draws over (B * draw_count), seed-major."""
 
-    Bank order lists the agents bucket after bucket.  The offset table
-    stacks every bucket's means as (A * n, 2) rows in that order: one slot
-    per tracked (agent, neighbor) pair, and `slot[(i, j)]` is the row of
-    agent i's offset to j.
-    """
-
+    graph: Graph
+    seeds: int                 # B
     buckets: tuple[_Bucket, ...]
-    slot: dict
-    tail_slots: np.ndarray     # (edges,) slot of the tail's offset to the head
-    head_slots: np.ndarray     # (edges,) slot of the head's offset to the tail
-    slot_agents: np.ndarray    # (slots,) agent that tracks each slot
-    slot_nbrs: np.ndarray      # (slots,) neighbor each slot tracks
-    range_draws: np.ndarray    # (slots,) index of the slot's distance noise draw
-    heading_draws: np.ndarray  # (agents,) index of each bank row's heading draw
-    draw_count: int            # noise draws per step: degree + 1 per agent
+    nbrs: np.ndarray           # (slots,) the neighbor each slot tracks
+    trackers: np.ndarray       # (slots,) the agent that tracks it
+    range_draws: np.ndarray    # (slots,) its distance noise draw
+    heading_draws: np.ndarray  # (rows,) each row's heading noise draw
+    row_seeds: np.ndarray      # (rows,) the seed of each row
+    slot_seeds: np.ndarray     # (slots,) the seed of each slot
+    tail_slots: np.ndarray     # (B, edges) slot of the tail's offset to the head
+    head_slots: np.ndarray     # (B, edges) slot of the head's offset to the tail
+    draw_count: int            # noise draws per seed and step: degree + 1 per agent
+    tails: np.ndarray          # (edges,) `network._edge_arrays`
+    heads: np.ndarray
+    at: np.ndarray             # (agents, edges) `controller._scatter_matrices`
+    ah: np.ndarray
+    diff: np.ndarray           # (edges, agents) (at - ah)^T: r_tail - r_head per edge
 
 
-@lru_cache(maxsize=None)
-def _layout(graph: Graph) -> _Layout:
-    nbrs = [sorted_neighbors(graph, i) for i in range(graph.agent_count)]
-    buckets, order, slot_count = [], [], 0
-    for n in sorted({len(js) for js in nbrs}):
-        agents = [i for i, js in enumerate(nbrs) if len(js) == n]
-        buckets.append(_Bucket(
-            agents=np.array(agents),
-            degree=n,
-            rows=slice(len(order), len(order) + len(agents)),
-            slots=slice(slot_count, slot_count + n * len(agents)),
-        ))
-        order += agents
-        slot_count += n * len(agents)
-    pairs = [(i, j) for i in order for j in nbrs[i]]
-    slot = {pair: k for k, pair in enumerate(pairs)}
+@lru_cache(maxsize=16)
+def _layout(graph: Graph, seeds: int = 1) -> _Layout:
+    """Looked up only where a bank is built (`init_world`, `FilterBank.take`);
+    a step reads the layout its bank carries."""
+    agent_count = graph.agent_count
+    nbrs = [sorted_neighbors(graph, i) for i in range(agent_count)]
     # noise draws follow agent order, as a per-agent loop draws them: the
     # agent's n distances, then its heading
     first_draw = np.cumsum([0] + [len(js) + 1 for js in nbrs])
+    draw_count = int(first_draw[-1])
+    first_slot = np.empty(agent_count, dtype=int)  # seed 0's slot of the agent's first neighbor
+    seed_step = np.empty(agent_count, dtype=int)   # slots per seed in the agent's bucket
+    buckets, one_seed, row, slot = [], [], 0, 0
+    for n in sorted({len(js) for js in nbrs}):
+        agents = np.array([i for i, js in enumerate(nbrs) if len(js) == n])
+        count = seeds * len(agents)
+        buckets.append(_Bucket(agents, n, slice(row, row + count), slice(slot, slot + n * count)))
+        first_slot[agents] = slot + n * np.arange(len(agents))
+        seed_step[agents] = n * len(agents)
+        row, slot = row + count, slot + n * count
+        # one seed's slots (neighbor, tracker, range draw) and rows (heading draw)
+        trackers = np.repeat(agents, n)
+        one_seed.append((np.array([j for i in agents for j in nbrs[i]], dtype=int), trackers,
+                         first_draw[trackers] + np.tile(np.arange(n), len(agents)),
+                         first_draw[agents] + n))
+    nbr_parts, tracker_parts, range_parts, heading_parts = zip(*one_seed)
+    seed = np.arange(seeds)[:, None]
+
+    def bank_order(parts, per_seed):
+        # each bucket's entries of every seed, seed after seed, bucket after bucket
+        return np.concatenate([(per_seed * seed + x).ravel() for x in parts])
+
+    def edge_slots(ends, others):
+        k = [nbrs[i].index(j) for i, j in zip(ends, others)]
+        return first_slot[ends] + k + seed * seed_step[ends]
+
+    tails, heads = _edge_arrays(graph)
+    at, ah = _scatter_matrices(graph)
     return _Layout(
+        graph=graph,
+        seeds=seeds,
         buckets=tuple(buckets),
-        slot=slot,
-        tail_slots=np.array([slot[(t, h)] for t, h in graph.edges]),
-        head_slots=np.array([slot[(h, t)] for t, h in graph.edges]),
-        slot_agents=np.array([i for i, _ in pairs]),
-        slot_nbrs=np.array([j for _, j in pairs]),
-        range_draws=np.array([first_draw[i] + nbrs[i].index(j) for i, j in pairs]),
-        heading_draws=first_draw[order] + np.array([len(nbrs[i]) for i in order]),
-        draw_count=int(first_draw[-1]),
+        nbrs=bank_order(nbr_parts, agent_count),
+        trackers=bank_order(tracker_parts, agent_count),
+        range_draws=bank_order(range_parts, draw_count),
+        heading_draws=bank_order(heading_parts, draw_count),
+        row_seeds=np.concatenate([np.repeat(np.arange(seeds), len(x)) for x in heading_parts]),
+        slot_seeds=np.concatenate([np.repeat(np.arange(seeds), len(x)) for x in tracker_parts]),
+        tail_slots=edge_slots(tails, heads),
+        head_slots=edge_slots(heads, tails),
+        draw_count=draw_count,
+        tails=tails,
+        heads=heads,
+        at=at,
+        ah=ah,
+        # each row holds exactly two nonzero terms, so its product with the
+        # positions is bit-identical to indexing both ends
+        diff=(at - ah).T,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Every agent's filter, for B seeds, as stacked arrays with one bucket
-    per agent degree n (see `_layout`): means (B * A, 2n), headings
-    (B * A,), covariances (B * A, 2n+1, 2n+1), one entry per bucket in
-    ascending degree.  Row s * A + i holds the bucket's agent i of seed s."""
+    """Every agent's filter, for B seeds, in the bank order of `layout`:
+    the offset table (B * slots, 2) of every tracked neighbor offset, the
+    headings (B * agents,), and per bucket of degree n the covariances
+    (B * A, 2n+1, 2n+1)."""
 
-    graph: Graph
-    means: tuple[np.ndarray, ...]
-    headings: tuple[np.ndarray, ...]
+    layout: _Layout
+    offsets: np.ndarray
+    headings: np.ndarray
     covariances: tuple[np.ndarray, ...]
 
-    @property
-    def seeds(self) -> int:
-        return len(self.headings[0]) // len(_layout(self.graph).buckets[0].agents)
+    def bucket(self, b: int) -> tuple:
+        """Bucket b's means (B * A, 2n), headings (B * A,) and covariances,
+        the first two as views of the bank's arrays."""
+        bucket = self.layout.buckets[b]
+        return (self.offsets[bucket.slots].reshape(-1, 2 * bucket.degree),
+                self.headings[bucket.rows], self.covariances[b])
 
     def take(self, keep: np.ndarray) -> "FilterBank":
         """The bank of the seeds where the boolean mask `keep` is set."""
-        rows = [np.repeat(keep, len(b.agents)) for b in _layout(self.graph).buckets]
-        return FilterBank(self.graph, *(tuple(x[r] for x, r in zip(arrays, rows)) for arrays in
-                                        (self.means, self.headings, self.covariances)))
+        layout = self.layout
+        rows = keep[layout.row_seeds]
+        return FilterBank(_layout(layout.graph, int(keep.sum())),
+                          self.offsets[keep[layout.slot_seeds]], self.headings[rows],
+                          tuple(c[rows[b.rows]] for b, c in zip(layout.buckets, self.covariances)))
 
     @cached_property
     def filters(self) -> tuple[EstimatorState, ...]:
         """Per-agent filter states of a one-seed bank, in agent order."""
-        if self.seeds != 1:
-            raise ValueError(f"a bank of {self.seeds} seeds has no single set of filters")
-        out = [None] * self.graph.agent_count
-        for b, bucket in enumerate(_layout(self.graph).buckets):
+        layout = self.layout
+        if layout.seeds != 1:
+            raise ValueError(f"a bank of {layout.seeds} seeds has no single set of filters")
+        out = [None] * layout.graph.agent_count
+        for b, bucket in enumerate(layout.buckets):
+            means, headings, covariances = self.bucket(b)
             for row, i in enumerate(bucket.agents):
-                out[i] = EstimatorState(GroupElement(self.means[b][row], self.headings[b][row]),
-                                        self.covariances[b][row])
+                out[i] = EstimatorState(GroupElement(means[row], headings[row]), covariances[row])
         return tuple(out)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """The offset table of each seed: every tracked neighbor offset,
-        (B, sum of degrees, 2)."""
-        return np.concatenate([m.reshape(self.seeds, -1, 2) for m in self.means], axis=1)
 
 
 @dataclass(eq=False)
@@ -244,10 +277,10 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _edge_estimates(offsets: np.ndarray, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge (t, h) of offset tables (..., slots, 2), the tail's estimate
-    of r_t - r_h and the head's of r_h - r_t, as (..., edges, 2) arrays."""
-    layout = _layout(graph)
+def _edge_estimates(offsets: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Per edge (t, h) of offset tables (..., B * slots, 2) in the bank order
+    of `layout`, the tail's estimate of r_t - r_h and the head's of
+    r_h - r_t, as (..., B, edges, 2) arrays."""
     return -offsets[..., layout.tail_slots, :], -offsets[..., layout.head_slots, :]
 
 
@@ -258,7 +291,7 @@ def _law_inputs(world: WorldState, config: ScenarioConfig):
     positions; its directions are None."""
     if config.variant == "ideal":
         return None, None, 0.0
-    est_tail, est_head = _edge_estimates(world.bank.offsets, config.graph)
+    est_tail, est_head = _edge_estimates(world.bank.offsets, world.bank.layout)
     if config.variant == "estimated":
         return est_tail, -est_head, 0.0
     return est_tail, est_tail, config.mismatch.values
@@ -290,12 +323,10 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
     It evaluates the public control laws' kernel without their per-call
     validation; a regression test holds the two bit-identical.
     """
-    at, ah = _scatter_matrices(config.graph)
-    # r_tail - r_head per edge as one product: every row holds exactly two
-    # nonzero terms, so the result is bit-identical to indexing both ends
-    diff = (at - ah).T
+    layout = world.bank.layout
+    at, ah, diff = layout.at, layout.ah, layout.diff
     agents = config.graph.agent_count
-    dv2, a, swap = _kernel_entries(config, world.bank.seeds)
+    dv2, a, swap = _kernel_entries(config, layout.seeds)
     tail_dirs, head_dirs, _ = law
     dirs = None if tail_dirs is None else (_columns(tail_dirs).ravel(), _columns(head_dirs).ravel())
 
@@ -314,7 +345,7 @@ def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndar
     """Per seed, an upper estimate of the Jacobian scale of the control
     field with `_law_inputs` `law`, used to pick the sub-step count that
     keeps the 4th-order scheme inside its stability region."""
-    tails, heads = _edge_arrays(config.graph)
+    tails, heads = world.bank.layout.tails, world.bank.layout.heads
     z1 = world.r[:, tails] - world.r[:, heads]
     zn = np.linalg.norm(z1, axis=2)
     e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
@@ -371,29 +402,27 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    count = len(seeds)
-    r = np.empty((count, config.graph.agent_count, 2))
+    count, agents = len(seeds), config.graph.agent_count
+    r = np.empty((count, agents, 2))
     for s, rng in enumerate(rngs):
         r[s] = config.draw_positions(rng)
 
-    layout = _layout(config.graph)
+    layout = _layout(config.graph, count)
     if config.initial_estimates is None:
-        offsets = r[:, layout.slot_nbrs] - r[:, layout.slot_agents]
-        draws = [rng.uniform(-config.offset_bound, config.offset_bound, size=offsets.shape[1:])
-                 for rng in rngs]
-        offsets[:, np.argsort(layout.slot_agents, kind="stable")] += draws
+        flat = r.reshape(-1, 2)
+        offsets = flat[layout.nbrs] - flat[layout.trackers]
+        # each seed draws one offset per tracked neighbor, agent after agent
+        draws = [rng.uniform(-config.offset_bound, config.offset_bound,
+                             size=(2 * config.graph.edge_count, 2)) for rng in rngs]
+        offsets[np.argsort(layout.trackers, kind="stable")] += np.concatenate(draws)
     else:
-        offsets = np.tile(-np.array([config.initial_estimates[pair] for pair in layout.slot]),
-                          (count, 1, 1))
+        offsets = -np.array([config.initial_estimates[pair]
+                             for pair in zip(layout.trackers % agents, layout.nbrs % agents)])
     var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
     hvar = config.noise.meas_heading_var
-    buckets = layout.buckets
-    bank = FilterBank(graph=config.graph,
-                      means=tuple(offsets[:, b.slots].reshape(count * len(b.agents), -1)
-                                  for b in buckets),
-                      headings=tuple(np.zeros(count * len(b.agents)) for b in buckets),
-                      covariances=tuple(np.tile(np.diag([var] * (2 * b.degree) + [hvar]),
-                                                (count * len(b.agents), 1, 1)) for b in buckets))
+    bank = FilterBank(layout, offsets, np.zeros(len(layout.row_seeds)),
+                      tuple(np.tile(np.diag([var] * (2 * b.degree) + [hvar]),
+                                    (count * len(b.agents), 1, 1)) for b in layout.buckets))
     return WorldState(r=r, bank=bank, t=0.0, rngs=rngs, events=[()] * count)
 
 
@@ -433,124 +462,81 @@ def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.nda
     return replace(world, r=r_new, v=v, t=t_new, events=events), diverged
 
 
-@dataclass(frozen=True, eq=False)
-class _BankOrder:
-    """The rows of a bank of B seeds stacked bucket after bucket, with each
-    bucket's rows seed after seed as the bank holds them, and their tracked
-    offsets stacked the same way as slots, so that each bucket is one slice
-    of each.  The indices gather per-seed arrays into that order."""
-
-    buckets: tuple             # per bucket, its (rows, slots) slices
-    nbrs: np.ndarray           # (slots,) each slot's neighbor, in (B * agents)
-    trackers: np.ndarray       # (slots,) the agent that tracks it, likewise
-    range_draws: np.ndarray    # (slots,) its distance noise draw, in (B * draw_count)
-    heading_draws: np.ndarray  # (rows,) each row's heading noise draw, likewise
-
-
-@lru_cache(maxsize=8)
-def _bank_order(graph: Graph, seeds: int) -> _BankOrder:
-    layout = _layout(graph)
-    agent_base = graph.agent_count * np.arange(seeds)[:, None]
-    draw_base = layout.draw_count * np.arange(seeds)[:, None]
-    buckets, row, slot = [], 0, 0
-    for b in layout.buckets:
-        rows = seeds * len(b.agents)
-        buckets.append((slice(row, row + rows), slice(slot, slot + rows * b.degree)))
-        row, slot = row + rows, slot + rows * b.degree
-
-    def stacked(base, per_seed, part):
-        # seed after seed within each bucket, buckets one after another
-        return np.concatenate([(base + per_seed[getattr(b, part)]).ravel() for b in layout.buckets])
-
-    return _BankOrder(
-        buckets=tuple(buckets),
-        nbrs=stacked(agent_base, layout.slot_nbrs, "slots"),
-        trackers=stacked(agent_base, layout.slot_agents, "slots"),
-        range_draws=stacked(draw_base, layout.range_draws, "slots"),
-        heading_draws=stacked(draw_base, layout.heading_draws, "rows"),
-    )
-
-
 def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     """Phases (3)-(5) for every seed of a world that `_move` advanced.
 
     The filters' elementwise work (rotations, innovations, mean increments)
-    runs once over the rows of all buckets in `_BankOrder`, so the
-    measurements are gathered in that order: `heading_meas` holds one entry
-    per bank row (`_Layout.heading_draws`), not per agent.  The matmuls and
-    the per-degree matrix algebra run once per bucket, whose rows hold that
-    bucket's agents of every seed.  Refused updates are logged in agent
-    order."""
+    runs once over the bank's flat arrays, so the measurements are gathered
+    in bank order (`_Layout`): `heading_meas` holds one entry per bank row,
+    not per agent.  The matmuls and the per-degree matrix algebra run once
+    per bucket, on views of those arrays.  Refused updates are logged in
+    agent order."""
     if not config.estimator_enabled:
         return world
     noise, dt = config.noise, config.dt
-    layout = _layout(config.graph)
-    bank, seeds = world.bank, len(world.r)
-    order = _bank_order(config.graph, seeds)
+    bank = world.bank
+    layout = bank.layout
     # velocities and measurements of every seed and slot at once; the true
     # heading is 0, so its measurement is noise
     v, r = world.v.reshape(-1, 2), world.r.reshape(-1, 2)
-    rel_world = v[order.nbrs] - v[order.trackers]
-    diffs = r[order.nbrs] - r[order.trackers]
+    rel_world = v[layout.nbrs] - v[layout.trackers]
+    diffs = r[layout.nbrs] - r[layout.trackers]
     ranges = 0.5 * (diffs ** 2).sum(axis=1)
-    heading_meas = np.zeros(len(order.heading_draws))
+    heading_meas = np.zeros(len(layout.heading_draws))
     if config.measurement_noise:
         draws = np.concatenate([rng.standard_normal(layout.draw_count) for rng in world.rngs])
-        ranges += np.sqrt(noise.meas_distance_var) * draws[order.range_draws]
-        heading_meas += np.sqrt(noise.meas_heading_var) * draws[order.heading_draws]
+        ranges += np.sqrt(noise.meas_distance_var) * draws[layout.range_draws]
+        heading_meas += np.sqrt(noise.meas_heading_var) * draws[layout.heading_draws]
 
-    rot, quarter, flow, theta = _predict_rows(np.concatenate(bank.headings),
-                                              np.zeros(len(heading_meas)), dt)
+    rot, quarter, flow, theta = _predict_rows(bank.headings, np.zeros(len(heading_meas)), dt)
     predicted, gains = [], []
-    for b, (rows, slots) in enumerate(order.buckets):
-        count, two_n = bank.means[b].shape
-        v_body = rel_world[slots].reshape(count, -1, 2) @ rot[rows]
-        p, cov = _predict_degree(bank.means[b], bank.covariances[b], v_body.reshape(count, two_n),
-                                 rot[rows], quarter[rows], None if flow is None else flow[rows],
-                                 dt, noise)
+    for b, bucket in enumerate(layout.buckets):
+        means, _, cov = bank.bucket(b)
+        count, two_n = means.shape
+        rows = bucket.rows
+        v_body = rel_world[bucket.slots].reshape(count, -1, 2) @ rot[rows]
+        p, cov = _predict_degree(means, cov, v_body.reshape(count, two_n), rot[rows],
+                                 quarter[rows], None if flow is None else flow[rows], dt, noise)
         predicted.append((p, cov))
         gains.append(_gain(p, cov, noise))
     offsets = np.concatenate([p.reshape(-1, 2) for p, _ in predicted])
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
 
-    deltas, covariances = [], []
-    for (rows, slots), (h, gain, work, _) in zip(order.buckets, gains):
-        innovation = np.concatenate([range_innov[slots].reshape(len(h), -1),
-                                     heading_innov[rows, None]], axis=1)
+    offset_deltas, heading_deltas, covariances = np.empty_like(offsets), np.empty_like(theta), []
+    for bucket, (h, gain, work, _) in zip(layout.buckets, gains):
+        innovation = np.concatenate([range_innov[bucket.slots].reshape(len(h), -1),
+                                     heading_innov[bucket.rows, None]], axis=1)
         delta, cov = _correct(h, gain, work, innovation, noise)
-        deltas.append(delta)
+        offset_deltas[bucket.slots] = delta[:, :-1].reshape(-1, 2)
+        heading_deltas[bucket.rows] = delta[:, -1]
         covariances.append(cov)
-    offsets_new = offsets + np.concatenate([d[:, :-1].reshape(-1, 2) for d in deltas])
-    theta_new = theta + np.concatenate([d[:, -1] for d in deltas])
+    bank = FilterBank(layout, offsets + offset_deltas, theta + heading_deltas, tuple(covariances))
 
-    means, headings = [], []
-    skipped = [[] for _ in range(seeds)]
-    for bucket, (rows, slots), (p, cov), (_, _, _, errors), cov_new in zip(
-            layout.buckets, order.buckets, predicted, gains, covariances):
-        p_new, heading = offsets_new[slots].reshape(p.shape), theta_new[rows]
-        _keep_refused(errors, (p_new, heading, cov_new), (p, theta[rows], cov))
+    # a refused filter keeps its prediction; the bucket views write through
+    skipped = [[] for _ in range(layout.seeds)]
+    for b, (bucket, (p, cov), (_, _, _, errors)) in enumerate(zip(layout.buckets, predicted, gains)):
+        _keep_refused(errors, bank.bucket(b), (p, theta[bucket.rows], cov))
         for row, exc in errors.items():
             seed, member = divmod(row, len(bucket.agents))
             skipped[seed].append((int(bucket.agents[member]), exc))
-        means.append(p_new)
-        headings.append(heading)
 
     events = world.events
     if any(skipped):
         events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
                              for i, exc in sorted(refused, key=lambda item: item[0]))
                   for ev, refused in zip(events, skipped)]
-    bank = FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances))
     return replace(world, bank=bank, events=events)
 
 
-def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, config: ScenarioConfig) -> tuple:
+def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
+             config: ScenarioConfig) -> tuple:
     """The six per-step series of `MetricsSeries`, in field order, from
-    positions and velocities (..., agents, 2) and offset tables
-    (..., slots, 2) that share their leading axes; each reduction runs over
-    the same trailing axes whatever leads."""
-    tails, heads = _edge_arrays(config.graph)
-    est_tail, est_head = _edge_estimates(offsets, config.graph)
+    positions and velocities (..., B, agents, 2) and offset tables
+    (..., B * slots, 2) in the bank order of `layout` that share their
+    leading axes; each reduction runs over the same trailing axes whatever
+    leads."""
+    tails, heads = layout.tails, layout.heads
+    est_tail, est_head = _edge_estimates(offsets, layout)
     v_mean = v.mean(axis=-2)
     z1 = r[..., tails, :] - r[..., heads, :]
     centered = r - r.mean(axis=-2, keepdims=True)
@@ -600,7 +586,9 @@ def run(config: ScenarioConfig, seeds=None):
         nonlocal start
         if block:
             stop = start + len(block)
-            for out, values in zip(series, _metrics(*map(np.stack, zip(*block)), config)):
+            # a block ends before a seed leaves, so its steps share one layout
+            metrics = _metrics(*map(np.stack, zip(*block)), world.bank.layout, config)
+            for out, values in zip(series, metrics):
                 out[rows, start:stop] = values.swapaxes(0, 1)
             block.clear()
             start = stop

@@ -331,12 +331,13 @@ def initialize(truth: GroupElement, offset_bound: float, seed,
 def bank_of(graph: Graph, *seeds) -> FilterBank:
     """Stack per-agent filters as a bank: each argument after the graph is
     one seed's filters in agent order, and the seeds come in that order."""
-    buckets = _layout(graph).buckets
+    layout = _layout(graph, len(seeds))
+    buckets = layout.buckets
     return FilterBank(
-        graph=graph,
-        means=tuple(np.array([f[i].mean.p for f in seeds for i in b.agents]) for b in buckets),
-        headings=tuple(np.array([f[i].mean.theta for f in seeds for i in b.agents])
-                       for b in buckets),
+        layout=layout,
+        offsets=np.concatenate([f[i].mean.p for b in buckets for f in seeds for i in b.agents]
+                               ).reshape(-1, 2),
+        headings=np.array([f[i].mean.theta for b in buckets for f in seeds for i in b.agents]),
         covariances=tuple(np.array([f[i].covariance for f in seeds for i in b.agents])
                           for b in buckets),
     )
@@ -345,7 +346,8 @@ def bank_of(graph: Graph, *seeds) -> FilterBank:
 def estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
     """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i),
     in the world's first seed."""
-    return -world.bank.offsets[0, _layout(graph).slot[(i, j)]]
+    layout = world.bank.layout
+    return -world.bank.offsets[np.flatnonzero((layout.trackers == i) & (layout.nbrs == j))[0]]
 
 
 def step(world: WorldState, config: ScenarioConfig) -> WorldState:
@@ -369,8 +371,8 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     bank, seeds = world.bank, len(world.r)
     # velocities and measurements of every seed and slot at once, then
     # sliced per bucket; the true heading is 0, so its measurement is noise
-    rel_world = world.v[:, layout.slot_nbrs] - world.v[:, layout.slot_agents]
-    diffs = world.r[:, layout.slot_nbrs] - world.r[:, layout.slot_agents]
+    rel_world = world.v[:, layout.nbrs] - world.v[:, layout.trackers]
+    diffs = world.r[:, layout.nbrs] - world.r[:, layout.trackers]
     ranges = 0.5 * (diffs ** 2).sum(axis=2)
     heading_meas = np.zeros((seeds, config.graph.agent_count))
     if config.measurement_noise:
@@ -384,9 +386,10 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         a_count, n = len(bucket.agents), bucket.degree
         rows = seeds * a_count
         # rows seed after seed, as the bank stacks them
-        v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(bank.headings[b])
-        p, theta, cov = predict_batch(bank.means[b], bank.headings[b], bank.covariances[b],
-                                      v_body.reshape(rows, 2 * n), np.zeros(rows), config.dt, noise)
+        prior = bank.bucket(b)  # means, headings, covariances
+        v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(prior[1])
+        p, theta, cov = predict_batch(*prior, v_body.reshape(rows, 2 * n), np.zeros(rows),
+                                      config.dt, noise)
         y = np.concatenate([ranges[:, bucket.slots].reshape(rows, n),
                             heading_meas[:, bucket.rows].reshape(rows, 1)], axis=1)
         p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
@@ -402,7 +405,8 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
                              for i, exc in sorted(refused, key=lambda item: item[0]))
                   for ev, refused in zip(events, skipped)]
-    bank = FilterBank(config.graph, tuple(means), tuple(headings), tuple(covariances))
+    bank = FilterBank(bank.layout, np.concatenate([p.reshape(-1, 2) for p in means]),
+                      np.concatenate(headings), tuple(covariances))
     return replace(world, bank=bank, events=events)
 
 
@@ -416,7 +420,6 @@ def per_step_run(config: ScenarioConfig, seeds=None):
         return ()
     steps, graph, dt = config.steps, config.graph, config.dt
     tails, heads = _edge_arrays(graph)
-    layout = _layout(graph)
     dv2 = config.distances.values ** 2
     world = init_world(config, seeds)
 
@@ -446,8 +449,8 @@ def per_step_run(config: ScenarioConfig, seeds=None):
         z1 = r[:, tails] - r[:, heads]
         distances[rows, k] = np.linalg.norm(z1, axis=2)
         dist_errors_arr[rows, k] = (z1 ** 2).sum(axis=2) - dv2
-        offsets = world.bank.offsets
-        est_tail, est_head = -offsets[:, layout.tail_slots], -offsets[:, layout.head_slots]
+        offsets, layout = world.bank.offsets, world.bank.layout
+        est_tail, est_head = -offsets[layout.tail_slots], -offsets[layout.head_slots]
         est_errors[rows, k] = np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
         centroid_speed[rows, k] = _vector_norms(v_mean)
         max_speed[rows, k] = np.linalg.norm(v, axis=2).max(axis=1)

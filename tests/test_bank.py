@@ -362,7 +362,7 @@ def _sense_matching_oracle(world, config, steps=4):
             break
         want = bucket_sense(replace(moved, rngs=copy.deepcopy(moved.rngs)), config)
         world = _sense(moved, config)
-        for name in ("means", "headings", "covariances"):
+        for name in ("offsets", "headings", "covariances"):
             for got, expected in zip(getattr(world.bank, name), getattr(want.bank, name),
                                      strict=True):
                 np.testing.assert_array_equal(got, expected)
@@ -391,6 +391,26 @@ def test_filter_phase_with_a_degree_one_agent(seeds):
     _sense_matching_oracle(init_world(config, range(seeds)), config, steps=6)
 
 
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
+    # the bank carries its layout, so once a world is built no step hashes
+    # its graph; lookups keyed on the config or the noise may stay
+    config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
+                            mismatch=MismatchConfig.uniform(4, 0.5), measurement_noise=True)
+    world = step(init_world(config, range(seeds)), config)
+    hashed = []
+    graph_hash = Graph.__hash__
+
+    def counting_hash(graph):
+        hashed.append(graph)
+        return graph_hash(graph)
+
+    monkeypatch.setattr(Graph, "__hash__", counting_hash)
+    for _ in range(3):
+        world = step(world, config)
+    assert len(hashed) == 0
+
+
 @pytest.mark.parametrize("kind", ["nonfinite", "singular"])
 @pytest.mark.parametrize("seeds", [1, 3])
 def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
@@ -411,16 +431,16 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
     world = replace(world, bank=replace(world.bank, covariances=tuple(covariances)))
     reason = "is not finite" if kind == "nonfinite" else "not invertible: "
     for step_count in (1, 2, 3):
-        bank = world.bank
-        rows = len(bank.headings[bucket])
+        prior = world.bank.bucket(bucket)  # means, headings, covariances
+        rows = len(prior[1])
         with np.errstate(invalid="ignore"):
             world = _sense_matching_oracle(world, config, steps=1)
-            p, theta, cov = predict_batch(bank.means[bucket], bank.headings[bucket],
-                                          bank.covariances[bucket], np.zeros((rows, 4)),
+            p, theta, cov = predict_batch(*prior, np.zeros((rows, 4)),
                                           np.zeros(rows), config.dt, config.noise)
-        np.testing.assert_array_equal(world.bank.means[bucket][row], p[row])
-        np.testing.assert_array_equal(world.bank.headings[bucket][row], theta[row])
-        np.testing.assert_array_equal(world.bank.covariances[bucket][row], cov[row])
+        means, headings, covs = world.bank.bucket(bucket)
+        np.testing.assert_array_equal(means[row], p[row])
+        np.testing.assert_array_equal(headings[row], theta[row])
+        np.testing.assert_array_equal(covs[row], cov[row])
         assert [len(ev) for ev in world.events] == [0] * (seeds - 1) + [step_count]
         assert world.events[-1][-1].startswith(
             f"t={world.t:.6g} agent=2 update skipped: innovation covariance {reason}")

@@ -200,7 +200,7 @@ def test_init_world_seeds_match_one_seed_at_a_time(case):
         alone = init_world(config, (seed,))
         mine = world.take(np.arange(len(seeds)) == b)
         assert np.array_equal(world.r[b], alone.r[0])
-        for name in ("means", "headings", "covariances"):
+        for name in ("offsets", "headings", "covariances"):
             for got, want in zip(getattr(mine.bank, name), getattr(alone.bank, name), strict=True):
                 assert got.shape == want.shape and np.array_equal(got, want), name
         # both generators took the same draws

@@ -454,6 +454,11 @@ def test_check_observability_usage(capsys):
     assert cli.main(["check-observability", "--n", "0"]) == 2
     assert cli.main(["check-observability", "--n", "2", "--p", "1.0,2.0"]) == 2
     capsys.readouterr()
+    # a --p that is not a list of numbers is refused by name
+    for text in ("1,,2", "1,x", ""):
+        assert cli.main(["check-observability", "--n", "1", "--p", text]) == 2
+        assert capsys.readouterr().err == (
+            f"check-observability: --p must be comma-separated numbers, got {text!r}\n")
     # a flag the chosen mode never reads, even at its default value, is
     # refused by name rather than dropped
     for args, flag, mode in [

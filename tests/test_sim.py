@@ -208,7 +208,7 @@ def test_init_world_matches_per_agent_oracle(config, offset_bound, initial_var, 
     got = init_world(config)
     r, want = reference_init(config, rng_ref)
     np.testing.assert_array_equal(got.r[0], r)
-    for name in ("means", "headings", "covariances"):
+    for name in ("offsets", "headings", "covariances"):
         for a, b in zip(getattr(got.bank, name), getattr(want, name), strict=True):
             assert a.shape == b.shape and np.array_equal(a, b), name
     # both consumed the same draws, in the same order
