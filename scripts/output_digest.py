@@ -3,9 +3,10 @@
 
 Two checkouts print the same lines exactly when these outputs are byte-identical:
 
-- `metrics.csv` and `manifest.txt` of `formloc reproduce` for the four presets;
-- the same two files of `formloc run --config` on the rigid20 instances 0-2
-  that `perfbench/generate.rigid_ini` writes;
+- `metrics.csv`, `manifest.txt` and the stdout and stderr text of
+  `formloc reproduce` for the four presets;
+- the same of `formloc run --config` on the rigid20 instances 0-2 that
+  `perfbench/generate.rigid_ini` writes;
 - the text of `scripts/seed_sweep.py --seeds 16 --verbose` and `--seeds 60`;
 - every metric array and event of `run(config, seeds=range(6))` with
   measurement noise, for nominal at 3 s and rigid20 instance 1 at 1 s (none
@@ -52,8 +53,12 @@ def _show(digest: str, label: str) -> None:
 
 
 def _artifacts(label: str, out: Path, *argv: str) -> None:
-    code = _python("-m", "formloc", *argv, "--out", str(out)).returncode
-    print(f"exit {code}  {label}", flush=True)
+    proc = _python("-m", "formloc", *argv, "--out", str(out))
+    print(f"exit {proc.returncode}  {label}", flush=True)
+    # the output directory is a fresh temp path each time: hash the text without it
+    text = proc.stdout + b"\n-- stderr --\n" + proc.stderr
+    _show(hashlib.sha256(text.replace(str(out).encode(), b"<out>")).hexdigest(),
+          f"{label} stdout+stderr")
     for name in ("metrics.csv", "manifest.txt"):
         path = out / name
         _show(hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing",

@@ -447,6 +447,26 @@ def _report_events(command: str, events: tuple[str, ...]) -> None:
               file=sys.stderr)
 
 
+def _run_and_report(command: str, config: ScenarioConfig, out: str | None,
+                    expected: str | None = None) -> int:
+    """Run and save `config` (`_run_and_save`) and print its outcome, with
+    ` (expected X)` after it when an outcome is expected; a mismatch exits 3."""
+    out_dir = _out_dir(out)
+    try:
+        series, outcome = _run_and_save(config, out_dir)
+    except (ConfigError, SpawnError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
+        _report_events(command, getattr(exc, "events", ()))  # a divergence keeps its events
+        print(f"{command}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    _report_events(command, series.events)
+    print(f"outcome: {outcome}" + ("" if expected is None else f" (expected {expected})"))
+    print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
+    return EXIT_OK if expected in (None, outcome) else EXIT_DEFICIENT
+
+
 def cmd_run(args) -> int:
     if (args.scenario is None) == (args.config is None):
         print("run: give exactly one of --scenario or --config", file=sys.stderr)
@@ -468,37 +488,11 @@ def cmd_run(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    out_dir = _out_dir(args.out)
-    try:
-        series, outcome = _run_and_save(config, out_dir)
-    except (ConfigError, SpawnError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
-        _report_events("run", getattr(exc, "events", ()))  # a divergence keeps its events
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    _report_events("run", series.events)
-    print(f"outcome: {outcome}")
-    print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
-    return EXIT_OK
+    return _run_and_report("run", config, args.out)
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = _out_dir(args.out)
-    config = SCENARIOS[args.name]()
-    try:
-        series, outcome = _run_and_save(config, out_dir)
-    except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
-        _report_events("reproduce", getattr(exc, "events", ()))
-        print(f"reproduce: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    _report_events("reproduce", series.events)
-    expected = EXPECTED_OUTCOME[args.name]
-    print(f"outcome: {outcome} (expected {expected})")
-    print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
-    return EXIT_OK if outcome == expected else EXIT_DEFICIENT
+    return _run_and_report("reproduce", SCENARIOS[args.name](), args.out, EXPECTED_OUTCOME[args.name])
 
 
 def _load_trajectory(path: Path):
@@ -541,6 +535,8 @@ def cmd_check_observability(args) -> int:
         for flag, value in (("theta", args.theta), ("tol", args.tol)):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"--{flag} must be finite, got {value}")
+        if args.tol <= 0:
+            raise ConfigError(f"--tol must be positive, got {args.tol}")
         if args.trajectory is not None:
             traj, dt, n = _load_trajectory(Path(args.trajectory))
             report = empirical_gramian(traj, dt, rank_tol=args.tol)

@@ -136,6 +136,9 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
         raise ValueError(f"need at least two trajectory samples, got {rows.shape[0]}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    for name, tol in (("rank_tol", rank_tol), ("block_tol", block_tol)):
+        if tol <= 0:
+            raise ValueError(f"{name} must be positive, got {tol}")
     count, n = rows.shape[0], rows.shape[1] // 4
     dim = 2 * n + 1
     theta, p, v = rows[:, 0], rows[:, 1:dim], rows[:, dim + 1 :]

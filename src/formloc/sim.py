@@ -10,7 +10,7 @@ body frame; (4) each filter runs one predict/update cycle against
 measurements synthesized at the new positions; (5) the updated estimates
 are what the next step's controllers read.  All randomness of a run flows
 through one seeded generator, so a (config, seed) pair fixes every byte of
-the output.  `scenario` says what a run is; this module re-exports its names.
+the output.  `scenario` says what a run is; this module only runs it.
 
 The filters live in a flat `FilterBank`: an offset table, a heading array
 and per-degree covariance stacks in the bank order of the `_Layout` it
@@ -53,33 +53,14 @@ from .estimator import (
 )
 from .lie_group import GroupElement
 from .network import Graph, _edge_arrays, sorted_neighbors
-from .scenario import (
-    MetricsSeries,
-    OutcomeThresholds,
-    ScenarioConfig,
-    SpawnError,
-    detect_outcome,
-    scenario_issue1,
-    scenario_issue2,
-    scenario_issue3,
-    scenario_nominal,
-)
+from .scenario import MetricsSeries, ScenarioConfig
 
 __all__ = [
     "DivergenceError",
     "FilterBank",
-    "MetricsSeries",
-    "OutcomeThresholds",
-    "ScenarioConfig",
-    "SpawnError",
     "WorldState",
-    "detect_outcome",
     "init_world",
     "run",
-    "scenario_issue1",
-    "scenario_issue2",
-    "scenario_issue3",
-    "scenario_nominal",
 ]
 
 MAX_SUBSTEPS = 10000
@@ -386,7 +367,7 @@ def _integrate(u_of, r: np.ndarray, dt: float, substeps) -> np.ndarray:
 
 def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     """The world every seed of `seeds` starts from; None means
-    (config.seed,).
+    (config.seed,), and an empty sequence is refused.
 
     Each seed s gets its own generator, np.random.default_rng(s), for all of
     its draws: its positions (`ScenarioConfig.draw_positions`), then its
@@ -398,6 +379,8 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     the variance of that draw.
     """
     seeds = (config.seed,) if seeds is None else tuple(seeds)
+    if not seeds:
+        raise ValueError("seeds is empty: a world needs at least one seed")
     for seed in seeds:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
@@ -489,7 +472,7 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         heading_meas += np.sqrt(noise.meas_heading_var) * draws[layout.heading_draws]
 
     rot, quarter, flow, theta = _predict_rows(bank.headings, np.zeros(len(heading_meas)), dt)
-    predicted, gains = [], []
+    offsets, predicted, gains = np.empty_like(bank.offsets), [], []
     for b, bucket in enumerate(layout.buckets):
         means, _, cov = bank.bucket(b)
         count, two_n = means.shape
@@ -497,9 +480,9 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         v_body = rel_world[bucket.slots].reshape(count, -1, 2) @ rot[rows]
         p, cov = _predict_degree(means, cov, v_body.reshape(count, two_n), rot[rows],
                                  quarter[rows], None if flow is None else flow[rows], dt, noise)
+        offsets[bucket.slots] = p.reshape(-1, 2)
         predicted.append((p, cov))
         gains.append(_gain(p, cov, noise))
-    offsets = np.concatenate([p.reshape(-1, 2) for p, _ in predicted])
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
 
     offset_deltas, heading_deltas, covariances = np.empty_like(offsets), np.empty_like(theta), []

@@ -168,6 +168,15 @@ def test_no_seeds_is_an_empty_batch():
     assert run(scenario_nominal(), seeds=()) == ()
 
 
+def test_init_world_refuses_no_seeds(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError(f"generator built for seed {seed}")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match="^seeds is empty"):
+        init_world(scenario_nominal(), ())
+
+
 def test_negative_seed_is_rejected_before_any_generator(monkeypatch):
     def no_generator(seed):
         raise AssertionError(f"generator built for seed {seed}")

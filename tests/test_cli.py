@@ -414,10 +414,13 @@ def test_run_out_is_a_file_exits_runtime(tmp_path, capsys):
 
 def test_reproduce_checks_outcome(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rep"
+    wrote = f"wrote {out / 'metrics.csv'} and {out / 'manifest.txt'}\n"
     assert cli.main(["reproduce", "issue2", "--out", str(out)]) == 0
-    assert "expected translating_drift" in capsys.readouterr().out
+    assert capsys.readouterr() == (
+        "outcome: translating_drift (expected translating_drift)\n" + wrote, "")
     monkeypatch.setitem(cli.EXPECTED_OUTCOME, "issue2", "converged")
     assert cli.main(["reproduce", "issue2", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("outcome: translating_drift (expected converged)\n" + wrote, "")
 
 
 def test_reproduce_rejects_unknown_name():
@@ -493,6 +496,18 @@ def test_check_observability_rejects_nonfinite_state(capsys, args, flag):
     # these used to end in "SVD did not converge"
     assert cli.main(["check-observability"] + args) == 2
     assert f"{flag} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("mode", ["n", "trajectory"])
+def test_check_observability_rejects_nonpositive_tol(tmp_path, capsys, mode, tol):
+    # below 0, --tol would count every gramian eigenvalue toward the rank,
+    # a negative one too; --n mode refused it without naming the flag
+    args = (["--n", "2"] if mode == "n"
+            else ["--trajectory", str(_write_trajectory(tmp_path / "traj.csv"))])
+    assert cli.main(["check-observability", *args, "--tol", tol]) == 2
+    assert capsys.readouterr().err == (
+        f"check-observability: --tol must be positive, got {float(tol)}\n")
 
 
 def test_check_observability_rejects_nonfinite_trajectory_cell(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Every name a `formloc` module imports is read somewhere in that module,
 and every name a `formloc` module defines is read somewhere in the repo.
 The scenario side (`formloc.scenario`) imports nothing from the engine
-(`formloc.sim`), no private name crosses between the two, and every name
-`formloc.sim` exports is the one object its defining module holds.
+(`formloc.sim`) and no private name crosses between the two.  Every name a
+module's `__all__` lists is defined in that module, so no module re-exports
+another's names, and the package's scenario names are `formloc.scenario`'s.
 
 No linter runs with the tests, so these AST scans are what catch an import
 or a definition left behind when the code that used it moved or went away.
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import formloc.scenario
 import formloc.sim
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,17 +66,22 @@ def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]
                 read.add(node.attr)
     unread = []
     for module, source in modules.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            unread += [f"{module}: {name} (line {node.lineno})" for name in names
-                       if name not in read and not (name.startswith("__") and name.endswith("__"))]
+        unread += [f"{module}: {name} (line {line})" for name, line in _definitions(ast.parse(source))
+                   if name not in read and not (name.startswith("__") and name.endswith("__"))]
     return unread
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each module-level function, class or assigned name."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(n.id, node.lineno) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return found
 
 
 def test_scan_flags_what_is_never_read():
@@ -151,23 +158,44 @@ def test_no_private_name_crosses_the_split(reader, module):
     assert [name for name in names if name.startswith("_")] == []
 
 
-# every name `formloc.sim` exports, by the module that defines it
-SIM_EXPORTS = {
-    "formloc.scenario": ("MetricsSeries", "OutcomeThresholds", "ScenarioConfig", "SpawnError",
-                         "detect_outcome", "scenario_issue1", "scenario_issue2",
-                         "scenario_issue3", "scenario_nominal"),
-    "formloc.sim": ("DivergenceError", "FilterBank", "WorldState", "init_world", "run"),
-}
+def undefined_exports(source: str) -> list[str]:
+    """The names the `__all__` of `source` lists that it does not define."""
+    tree = ast.parse(source)
+    defined = {name for name, _ in _definitions(tree)}
+    return sorted(_exported(tree) - defined)
+
+
+def test_export_scan_flags_a_re_export():
+    source = ("from .x import Borrowed\n"
+              "__all__ = ['Borrowed', 'Own', 'LIMIT']\n"
+              "LIMIT = 3\n"
+              "class Own: pass\n")
+    assert undefined_exports(source) == ["Borrowed"]
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_module_exports_only_its_own_names(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+SIM_EXPORTS = ("DivergenceError", "FilterBank", "WorldState", "init_world", "run")
 
 
 def test_sim_exports_are_listed():
-    assert sorted(formloc.sim.__all__) == sorted(n for names in SIM_EXPORTS.values() for n in names)
+    assert sorted(formloc.sim.__all__) == sorted(SIM_EXPORTS)
 
 
-@pytest.mark.parametrize("module, name", [(m, n) for m, names in SIM_EXPORTS.items() for n in names])
+@pytest.mark.parametrize("module, name", [("formloc.sim", n) for n in SIM_EXPORTS])
 def test_sim_export_is_one_object(module, name):
     obj = getattr(importlib.import_module(module), name)
     assert obj.__module__ == module
-    assert getattr(formloc.sim, name) is obj
-    if name in formloc.__all__:  # FilterBank and SpawnError are not package-level
+    if name in formloc.__all__:  # FilterBank is not package-level
         assert getattr(formloc, name) is obj
+
+
+@pytest.mark.parametrize("name", [n for n in formloc.scenario.__all__ if n in formloc.__all__])
+def test_package_name_is_the_scenario_object(name):
+    obj = getattr(formloc.scenario, name)
+    assert obj.__module__ == "formloc.scenario"
+    assert getattr(formloc, name) is obj

@@ -259,3 +259,7 @@ def test_gramian_validation(rng):
     # rows of one and of two neighbors
     with pytest.raises(ValueError):
         empirical_gramian([np.ones(6), np.ones(10)], 0.1)
+    # a tolerance below 0 would count every eigenvalue toward the rank, a negative one too
+    for tol in ("rank_tol", "block_tol"):
+        with pytest.raises(ValueError, match=f"^{tol} must be positive, got -1.0$"):
+            empirical_gramian(trajectory_rows([(q, xi), (q, xi)]), 0.1, **{tol: -1.0})
