@@ -8,8 +8,9 @@ in the coordinate chart (p, theta) and uses the discrete linearization of
 `lie_group.step_jacobian`.  Updates fuse half squared distances plus the
 measured heading; the heading innovation is wrapped to (-pi, pi] while the
 stored heading stays unwrapped.  `sim.FilterBank` holds every filter in a
-flat offset table and heading array, with the covariances per degree; a
-degree's means are a view of the table, and `EstimatorState` one filter's.
+flat offset table and heading array, with the covariances per degree, all
+behind a leading seed axis; a degree's means are a view of the table, and
+`EstimatorState` one filter's.
 
 Each step has two parts.  The per-row part is elementwise, so it can run
 once over the stacked rows of filters of every degree: the rotations
@@ -21,6 +22,8 @@ algebra of one degree: the flow and Jacobian products and F P F^T + Q
 the increments delta and the Joseph form (`_correct`).  `predict_batch` and
 `update_batch` compose the two for one degree; `sim._sense` runs the
 per-row part once over its whole bank and the per-degree part per bucket.
+The private parts take any leading axes, such as (seeds, filters), and
+key a refused filter by its flat index over them.
 """
 
 from __future__ import annotations
@@ -87,25 +90,25 @@ class EstimatorState:
 
 
 def _rotations(theta: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 rotation matrices, (A, 2, 2) for A headings."""
+    """Stacked 2x2 rotation matrices, (..., 2, 2) for headings (...)."""
     c, s = np.cos(theta), np.sin(theta)
     out = np.empty(theta.shape + (2, 2))
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = c, -s, s, c
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
     return out
 
 
 def _quarter_rotations(theta: np.ndarray) -> np.ndarray:
-    """R(theta + pi/2)^T stacked, (A, 2, 2): the factor of
+    """R(theta + pi/2)^T stacked, (..., 2, 2): the factor of
     `_step_jacobian_columns`."""
-    return _rotations(theta + 0.5 * np.pi).swapaxes(1, 2)
+    return _rotations(theta + 0.5 * np.pi).swapaxes(-1, -2)
 
 
 def _step_jacobian_columns(quarter: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """dt * R(theta + pi/2) v_k for body rates (A, 2n), given the headings'
+    """dt * R(theta + pi/2) v_k for body rates (..., 2n), given the headings'
     `_quarter_rotations`: the offset rows of the last column of
     `lie_group.step_jacobian`, the only entries off its diagonal, stacked as
-    (A, 2n)."""
-    return dt * (v.reshape(quarter.shape[0], -1, 2) @ quarter).reshape(v.shape)
+    (..., 2n)."""
+    return dt * (v.reshape(quarter.shape[:-2] + (-1, 2)) @ quarter).reshape(v.shape)
 
 
 @lru_cache(maxsize=None)
@@ -128,9 +131,9 @@ def _update_constants(n: int, noise: NoiseConfig) -> tuple:
 
 
 def _predict_rows(theta: np.ndarray, w: np.ndarray, dt: float) -> tuple:
-    """The elementwise part of a predict, for A headings (A,) and heading
-    rates (A,): R(theta) and `_quarter_rotations`, each (A, 2, 2); the
-    coefficients (a, b) of the flow exp(dt * xi), (A, 2), or None when no
+    """The elementwise part of a predict, for headings (...) and heading
+    rates (...): R(theta) and `_quarter_rotations`, each (..., 2, 2); the
+    coefficients (a, b) of the flow exp(dt * xi), (..., 2), or None when no
     heading turns; and the headings after the flow."""
     wd = dt * w
     flow = None
@@ -139,29 +142,29 @@ def _predict_rows(theta: np.ndarray, w: np.ndarray, dt: float) -> tuple:
         small = np.abs(wd) < _SMALL_W
         ws = np.where(small, 1.0, wd)
         flow = np.stack([np.where(small, 1.0 - wd * wd / 6.0, np.sin(ws) / ws),
-                         np.where(small, 0.5 * wd, 2.0 * np.sin(0.5 * ws) ** 2 / ws)], axis=1)
+                         np.where(small, 0.5 * wd, 2.0 * np.sin(0.5 * ws) ** 2 / ws)], axis=-1)
     return _rotations(theta), _quarter_rotations(theta), flow, theta + wd
 
 
 def _predict_degree(p: np.ndarray, cov: np.ndarray, v: np.ndarray, rot: np.ndarray,
                     quarter: np.ndarray, flow, dt: float, noise: NoiseConfig) -> tuple:
-    """The per-degree part of a predict, for A filters that track n
-    neighbors, given their rows of `_predict_rows`: the predicted means
-    (A, 2n) and covariances (A, 2n+1, 2n+1)."""
-    a_count, two_n = p.shape
-    vd = (dt * v).reshape(a_count, -1, 2)
+    """The per-degree part of a predict, for filters (...) that track n
+    neighbors, given their entries of `_predict_rows`: the predicted means
+    (..., 2n) and covariances (..., 2n+1, 2n+1)."""
+    two_n = p.shape[-1]
+    vd = (dt * v).reshape(p.shape[:-1] + (-1, 2))
     if flow is not None:
-        a, b = flow[:, :1], flow[:, 1:]
+        a, b = flow[..., :1], flow[..., 1:]
         vd = np.stack([a * vd[..., 0] - b * vd[..., 1], b * vd[..., 0] + a * vd[..., 1]], axis=-1)
     # (at w = 0 the series coefficients are exactly 1 and 0: vd is the flow)
-    p_new = (vd @ rot.swapaxes(1, 2)).reshape(a_count, two_n) + p
+    p_new = (vd @ rot.swapaxes(-1, -2)).reshape(p.shape) + p
 
     eye, q = _predict_constants(two_n // 2, noise, dt)
     f = np.empty(cov.shape)
     f[:] = eye
-    f[:, :two_n, two_n] = _step_jacobian_columns(quarter, v, dt)
-    cov_new = f @ cov @ f.swapaxes(1, 2) + q
-    return p_new, 0.5 * (cov_new + cov_new.swapaxes(1, 2))
+    f[..., :two_n, two_n] = _step_jacobian_columns(quarter, v, dt)
+    cov_new = f @ cov @ f.swapaxes(-1, -2) + q
+    return p_new, 0.5 * (cov_new + cov_new.swapaxes(-1, -2))
 
 
 def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarray,
@@ -181,22 +184,23 @@ def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarr
 
 
 def _gain(p: np.ndarray, cov: np.ndarray, noise: NoiseConfig) -> tuple:
-    """The per-degree part of an update up to the gain, for A filters that
-    track n neighbors: the observation Jacobians H (A, n+1, 2n+1), the gains
-    (A, 2n+1, n+1), the covariances the Joseph form starts from, and the
-    refused rows mapped to their SingularUpdateError."""
-    a_count, two_n = p.shape
+    """The per-degree part of an update up to the gain, for filters (...)
+    that track n neighbors: the observation Jacobians H (..., n+1, 2n+1), the
+    gains (..., 2n+1, n+1), the covariances the Joseph form starts from, and
+    the refused filters, by their flat index over (...), mapped to their
+    SingularUpdateError."""
+    two_n = p.shape[-1]
     n = two_n // 2
     eye, _, r_matrix, offset_entries = _update_constants(n, noise)
-    h = np.zeros((a_count, n + 1, two_n + 1))
-    h[(slice(None),) + offset_entries] = p
-    h[:, n, two_n] = 1.0
+    h = np.zeros(p.shape[:-1] + (n + 1, two_n + 1))
+    h[(Ellipsis,) + offset_entries] = p
+    h[..., n, two_n] = 1.0
     hp = h @ cov
-    s = hp @ h.swapaxes(1, 2) + r_matrix
+    s = hp @ h.swapaxes(-1, -2) + r_matrix
 
     errors = {}
     work = cov
-    finite = np.isfinite(s).all(axis=(1, 2))
+    finite = np.isfinite(s).all(axis=(-2, -1))
     if not finite.all():
         # neutral stand-ins keep the refused rows out of the shared arithmetic
         bad = ~finite
@@ -206,13 +210,14 @@ def _gain(p: np.ndarray, cov: np.ndarray, noise: NoiseConfig) -> tuple:
         for row in np.flatnonzero(bad):
             errors[row] = SingularUpdateError("innovation covariance is not finite")
     try:
-        gain = np.linalg.solve(s, hp).swapaxes(1, 2)
+        gain = np.linalg.solve(s, hp).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         # one singular matrix fails the stacked solve: redo it row by row
-        gain = np.zeros((a_count, two_n + 1, n + 1))
+        gain = np.zeros(h.shape[:-2] + (two_n + 1, n + 1))
         for row in np.flatnonzero(finite):
+            at = np.unravel_index(row, finite.shape)
             try:
-                gain[row] = np.linalg.solve(s[row], hp[row]).T
+                gain[at] = np.linalg.solve(s[at], hp[at]).T
             except np.linalg.LinAlgError as exc:
                 errors[row] = SingularUpdateError(f"innovation covariance not invertible: {exc}")
     return h, gain, work, errors
@@ -220,32 +225,33 @@ def _gain(p: np.ndarray, cov: np.ndarray, noise: NoiseConfig) -> tuple:
 
 def _innovations(offsets: np.ndarray, theta: np.ndarray, ranges: np.ndarray,
                  headings: np.ndarray) -> tuple:
-    """The elementwise part of an update's innovation, for stacked rows of
-    filters of any degree: each tracked offset (k, 2) against its measured
-    half squared distance (k,), and each heading (A,) against its
-    measurement (A,), wrapped to (-pi, pi]."""
-    return ranges - 0.5 * (offsets ** 2).sum(axis=1), wrap_angle(headings - theta)
+    """The elementwise part of an update's innovation, for stacked filters
+    of any degree: each tracked offset (..., 2) against its measured half
+    squared distance (...), and each heading against its measurement, both
+    of one shape, wrapped to (-pi, pi]."""
+    return ranges - 0.5 * (offsets ** 2).sum(axis=-1), wrap_angle(headings - theta)
 
 
 def _correct(h: np.ndarray, gain: np.ndarray, work: np.ndarray, innovation: np.ndarray,
              noise: NoiseConfig) -> tuple:
-    """The per-degree part of an update after the gain, for A filters with
-    innovations (A, n+1): the increments (A, 2n+1) of the means, and the
-    Joseph-form covariances, re-symmetrized."""
-    eye, rdiag, _, _ = _update_constants(innovation.shape[1] - 1, noise)
-    delta = (gain @ innovation[:, :, None])[:, :, 0]
+    """The per-degree part of an update after the gain, for filters (...)
+    with innovations (..., n+1): the increments (..., 2n+1) of the means, and
+    the Joseph-form covariances, re-symmetrized."""
+    eye, rdiag, _, _ = _update_constants(innovation.shape[-1] - 1, noise)
+    delta = (gain @ innovation[..., None])[..., 0]
     ikh = eye - gain @ h
-    cov_new = ikh @ work @ ikh.swapaxes(1, 2) + (gain * rdiag) @ gain.swapaxes(1, 2)
-    return delta, 0.5 * (cov_new + cov_new.swapaxes(1, 2))
+    cov_new = ikh @ work @ ikh.swapaxes(-1, -2) + (gain * rdiag) @ gain.swapaxes(-1, -2)
+    return delta, 0.5 * (cov_new + cov_new.swapaxes(-1, -2))
 
 
 def _keep_refused(errors: dict, updated: tuple, inputs: tuple) -> None:
-    """Copy the refused rows (the keys of `errors`) of each input array back
+    """Copy the refused filters (the keys of `errors`, flat indices over the
+    leading axes of the headings, the second array) of each input array back
     over its updated array: a refused filter keeps its input state."""
     if errors:
-        rows = np.array(sorted(errors))
+        at = np.unravel_index(sorted(errors), updated[1].shape)
         for new, old in zip(updated, inputs):
-            new[rows] = old[rows]
+            new[at] = old[at]
 
 
 def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarray,

@@ -98,6 +98,8 @@ class CodistributionReport:
 def codistribution_rank(q: GroupElement, tol: float = 1e-9, depth: int = 1) -> CodistributionReport:
     """Rank of the codistribution at q, with `tol` relative to the largest
     singular value.  Observable means rank equals the state dimension 2n+1."""
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     mat = codistribution_matrix(q, depth)
@@ -134,11 +136,11 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
         raise ValueError(f"trajectory rows need 4n+2 columns with n >= 1, got shape {rows.shape}")
     if rows.shape[0] < 2:
         raise ValueError(f"need at least two trajectory samples, got {rows.shape[0]}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    for name, tol in (("rank_tol", rank_tol), ("block_tol", block_tol)):
-        if tol <= 0:
-            raise ValueError(f"{name} must be positive, got {tol}")
+    for name, value in (("dt", dt), ("rank_tol", rank_tol), ("block_tol", block_tol)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     count, n = rows.shape[0], rows.shape[1] // 4
     dim = 2 * n + 1
     theta, p, v = rows[:, 0], rows[:, 1:dim], rows[:, dim + 1 :]

@@ -13,19 +13,20 @@ through one seeded generator, so a (config, seed) pair fixes every byte of
 the output.  `scenario` says what a run is; this module only runs it.
 
 The filters live in a flat `FilterBank`: an offset table, a heading array
-and per-degree covariance stacks in the bank order of the `_Layout` it
-carries, and every estimate read is a gather from the offset table.  Phase
-(4) runs the filters' elementwise work (`estimator`'s per-row part) once
-over the flat arrays, and their matmuls, stacked solve and covariance
-algebra once per degree bucket, on views of them.  Its measurements come
-in bank order too: one heading measurement per bank row, not per agent.
+and per-degree covariance stacks, each with a leading seed axis and then
+the bank order of the one-seed `_Layout` it carries, and every estimate
+read is a gather from the offset table.  Phase (4) runs the filters'
+elementwise work (`estimator`'s per-row part) once over the flat arrays,
+and their matmuls, stacked solve and covariance algebra once per degree
+bucket, on views of them.  Its measurements come in bank order too: one
+heading measurement per bank row, not per agent.
 
 A `WorldState` holds B seeds of one config, advancing in lockstep: the
-positions have a leading seed axis, and each bucket of the bank stacks the
-seeds into its rows.  `init_world(config, seeds)` builds it and
-`run(config, seeds)` steps it.  Each seed keeps its own sub-step count,
-generator and event log, so it comes out exactly as it would alone; a seed
-that diverges leaves the batch.  One seed is the case B = 1 of the same code.
+positions and every array of the bank have a leading seed axis.
+`init_world(config, seeds)` builds it and `run(config, seeds)` steps it.
+Each seed keeps its own sub-step count, generator and event log, so it
+comes out exactly as it would alone; a seed that diverges leaves the
+batch.  One seed is the case B = 1 of the same code.
 
 Every agent's true heading is fixed at 0 (zero angular rate), so its
 heading measurement is noise around 0; the estimator and group layers
@@ -88,29 +89,24 @@ class _Bucket:
 
     agents: np.ndarray   # (A,)
     degree: int          # n
-    rows: slice          # its B * A rows in bank order, seed after seed
-    slots: slice         # their B * A * n slots of the offset table
+    rows: slice          # its A rows in bank order
+    slots: slice         # their A * n slots of the offset table
 
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Where a bank of B seeds of a graph holds each filter, and every index
-    a step gathers with.  Bank order lists the rows bucket after bucket and
-    a bucket's rows seed after seed (row s * A + k is `agents[k]` of seed
-    s); the offset table holds each row's means as n slots.  Agents count
-    over (B * agents) and noise draws over (B * draw_count), seed-major."""
+    """Where each seed of a bank of a graph holds each filter, and every
+    index a step gathers with along the axes after the seed axis.  Bank
+    order lists the rows (agents) bucket after bucket; the offset table
+    holds each row's means as n slots."""
 
-    graph: Graph
-    seeds: int                 # B
     buckets: tuple[_Bucket, ...]
     nbrs: np.ndarray           # (slots,) the neighbor each slot tracks
     trackers: np.ndarray       # (slots,) the agent that tracks it
     range_draws: np.ndarray    # (slots,) its distance noise draw
     heading_draws: np.ndarray  # (rows,) each row's heading noise draw
-    row_seeds: np.ndarray      # (rows,) the seed of each row
-    slot_seeds: np.ndarray     # (slots,) the seed of each slot
-    tail_slots: np.ndarray     # (B, edges) slot of the tail's offset to the head
-    head_slots: np.ndarray     # (B, edges) slot of the head's offset to the tail
+    tail_slots: np.ndarray     # (edges,) slot of the tail's offset to the head
+    head_slots: np.ndarray     # (edges,) slot of the head's offset to the tail
     draw_count: int            # noise draws per seed and step: degree + 1 per agent
     tails: np.ndarray          # (edges,) `network._edge_arrays`
     heads: np.ndarray
@@ -120,56 +116,34 @@ class _Layout:
 
 
 @lru_cache(maxsize=16)
-def _layout(graph: Graph, seeds: int = 1) -> _Layout:
-    """Looked up only where a bank is built (`init_world`, `FilterBank.take`);
-    a step reads the layout its bank carries."""
-    agent_count = graph.agent_count
-    nbrs = [sorted_neighbors(graph, i) for i in range(agent_count)]
+def _layout(graph: Graph) -> _Layout:
+    """Looked up only where a bank is built (`init_world`); a step, and a
+    bank that keeps some of its seeds, reads the layout the bank carries."""
+    nbrs = [sorted_neighbors(graph, i) for i in range(graph.agent_count)]
     # noise draws follow agent order, as a per-agent loop draws them: the
     # agent's n distances, then its heading
     first_draw = np.cumsum([0] + [len(js) + 1 for js in nbrs])
-    draw_count = int(first_draw[-1])
-    first_slot = np.empty(agent_count, dtype=int)  # seed 0's slot of the agent's first neighbor
-    seed_step = np.empty(agent_count, dtype=int)   # slots per seed in the agent's bucket
-    buckets, one_seed, row, slot = [], [], 0, 0
+    buckets, row, slot = [], 0, 0
     for n in sorted({len(js) for js in nbrs}):
         agents = np.array([i for i, js in enumerate(nbrs) if len(js) == n])
-        count = seeds * len(agents)
-        buckets.append(_Bucket(agents, n, slice(row, row + count), slice(slot, slot + n * count)))
-        first_slot[agents] = slot + n * np.arange(len(agents))
-        seed_step[agents] = n * len(agents)
-        row, slot = row + count, slot + n * count
-        # one seed's slots (neighbor, tracker, range draw) and rows (heading draw)
-        trackers = np.repeat(agents, n)
-        one_seed.append((np.array([j for i in agents for j in nbrs[i]], dtype=int), trackers,
-                         first_draw[trackers] + np.tile(np.arange(n), len(agents)),
-                         first_draw[agents] + n))
-    nbr_parts, tracker_parts, range_parts, heading_parts = zip(*one_seed)
-    seed = np.arange(seeds)[:, None]
-
-    def bank_order(parts, per_seed):
-        # each bucket's entries of every seed, seed after seed, bucket after bucket
-        return np.concatenate([(per_seed * seed + x).ravel() for x in parts])
-
-    def edge_slots(ends, others):
-        k = [nbrs[i].index(j) for i, j in zip(ends, others)]
-        return first_slot[ends] + k + seed * seed_step[ends]
-
+        buckets.append(_Bucket(agents, n, slice(row, row + len(agents)),
+                               slice(slot, slot + n * len(agents))))
+        row, slot = row + len(agents), slot + n * len(agents)
+    order = [i for bucket in buckets for i in bucket.agents]
+    slots = [(i, k, j) for i in order for k, j in enumerate(nbrs[i])]
+    trackers, ks, slot_nbrs = (np.array(x) for x in zip(*slots))
+    slot_of = {(i, j): s for s, (i, _, j) in enumerate(slots)}
     tails, heads = _edge_arrays(graph)
     at, ah = _scatter_matrices(graph)
     return _Layout(
-        graph=graph,
-        seeds=seeds,
         buckets=tuple(buckets),
-        nbrs=bank_order(nbr_parts, agent_count),
-        trackers=bank_order(tracker_parts, agent_count),
-        range_draws=bank_order(range_parts, draw_count),
-        heading_draws=bank_order(heading_parts, draw_count),
-        row_seeds=np.concatenate([np.repeat(np.arange(seeds), len(x)) for x in heading_parts]),
-        slot_seeds=np.concatenate([np.repeat(np.arange(seeds), len(x)) for x in tracker_parts]),
-        tail_slots=edge_slots(tails, heads),
-        head_slots=edge_slots(heads, tails),
-        draw_count=draw_count,
+        nbrs=slot_nbrs,
+        trackers=trackers,
+        range_draws=first_draw[trackers] + ks,
+        heading_draws=first_draw[order] + [len(nbrs[i]) for i in order],
+        tail_slots=np.array([slot_of[edge] for edge in graph.edges]),
+        head_slots=np.array([slot_of[edge[::-1]] for edge in graph.edges]),
+        draw_count=int(first_draw[-1]),
         tails=tails,
         heads=heads,
         at=at,
@@ -182,10 +156,10 @@ def _layout(graph: Graph, seeds: int = 1) -> _Layout:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Every agent's filter, for B seeds, in the bank order of `layout`:
-    the offset table (B * slots, 2) of every tracked neighbor offset, the
-    headings (B * agents,), and per bucket of degree n the covariances
-    (B * A, 2n+1, 2n+1)."""
+    """Every agent's filter, for B seeds, in the bank order of `layout`
+    after a leading seed axis: the offset table (B, slots, 2) of every
+    tracked neighbor offset, the headings (B, agents), and per bucket of
+    degree n the covariances (B, A, 2n+1, 2n+1)."""
 
     layout: _Layout
     offsets: np.ndarray
@@ -193,31 +167,28 @@ class FilterBank:
     covariances: tuple[np.ndarray, ...]
 
     def bucket(self, b: int) -> tuple:
-        """Bucket b's means (B * A, 2n), headings (B * A,) and covariances,
+        """Bucket b's means (B, A, 2n), headings (B, A) and covariances,
         the first two as views of the bank's arrays."""
         bucket = self.layout.buckets[b]
-        return (self.offsets[bucket.slots].reshape(-1, 2 * bucket.degree),
-                self.headings[bucket.rows], self.covariances[b])
+        return (self.offsets[:, bucket.slots].reshape(len(self.offsets), -1, 2 * bucket.degree),
+                self.headings[:, bucket.rows], self.covariances[b])
 
     def take(self, keep: np.ndarray) -> "FilterBank":
         """The bank of the seeds where the boolean mask `keep` is set."""
-        layout = self.layout
-        rows = keep[layout.row_seeds]
-        return FilterBank(_layout(layout.graph, int(keep.sum())),
-                          self.offsets[keep[layout.slot_seeds]], self.headings[rows],
-                          tuple(c[rows[b.rows]] for b, c in zip(layout.buckets, self.covariances)))
+        return FilterBank(self.layout, self.offsets[keep], self.headings[keep],
+                          tuple(c[keep] for c in self.covariances))
 
     @cached_property
     def filters(self) -> tuple[EstimatorState, ...]:
         """Per-agent filter states of a one-seed bank, in agent order."""
-        layout = self.layout
-        if layout.seeds != 1:
-            raise ValueError(f"a bank of {layout.seeds} seeds has no single set of filters")
-        out = [None] * layout.graph.agent_count
-        for b, bucket in enumerate(layout.buckets):
+        if len(self.offsets) != 1:
+            raise ValueError(f"a bank of {len(self.offsets)} seeds has no single set of filters")
+        out = [None] * self.headings.shape[1]
+        for b, bucket in enumerate(self.layout.buckets):
             means, headings, covariances = self.bucket(b)
             for row, i in enumerate(bucket.agents):
-                out[i] = EstimatorState(GroupElement(means[row], headings[row]), covariances[row])
+                out[i] = EstimatorState(GroupElement(means[0, row], headings[0, row]),
+                                        covariances[0, row])
         return tuple(out)
 
 
@@ -259,9 +230,9 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _edge_estimates(offsets: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge (t, h) of offset tables (..., B * slots, 2) in the bank order
+    """Per edge (t, h) of offset tables (..., slots, 2) in the bank order
     of `layout`, the tail's estimate of r_t - r_h and the head's of
-    r_h - r_t, as (..., B, edges, 2) arrays."""
+    r_h - r_t, as (..., edges, 2) arrays."""
     return -offsets[..., layout.tail_slots, :], -offsets[..., layout.head_slots, :]
 
 
@@ -307,7 +278,7 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
     layout = world.bank.layout
     at, ah, diff = layout.at, layout.ah, layout.diff
     agents = config.graph.agent_count
-    dv2, a, swap = _kernel_entries(config, layout.seeds)
+    dv2, a, swap = _kernel_entries(config, len(world.r))
     tail_dirs, head_dirs, _ = law
     dirs = None if tail_dirs is None else (_columns(tail_dirs).ravel(), _columns(head_dirs).ravel())
 
@@ -390,22 +361,21 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     for s, rng in enumerate(rngs):
         r[s] = config.draw_positions(rng)
 
-    layout = _layout(config.graph, count)
+    layout = _layout(config.graph)
     if config.initial_estimates is None:
-        flat = r.reshape(-1, 2)
-        offsets = flat[layout.nbrs] - flat[layout.trackers]
+        offsets = r[:, layout.nbrs] - r[:, layout.trackers]
         # each seed draws one offset per tracked neighbor, agent after agent
         draws = [rng.uniform(-config.offset_bound, config.offset_bound,
                              size=(2 * config.graph.edge_count, 2)) for rng in rngs]
-        offsets[np.argsort(layout.trackers, kind="stable")] += np.concatenate(draws)
+        offsets[:, np.argsort(layout.trackers, kind="stable")] += draws
     else:
-        offsets = -np.array([config.initial_estimates[pair]
-                             for pair in zip(layout.trackers % agents, layout.nbrs % agents)])
+        offsets = np.tile(-np.array([config.initial_estimates[pair]
+                                     for pair in zip(layout.trackers, layout.nbrs)]), (count, 1, 1))
     var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
     hvar = config.noise.meas_heading_var
-    bank = FilterBank(layout, offsets, np.zeros(len(layout.row_seeds)),
+    bank = FilterBank(layout, offsets, np.zeros((count, agents)),
                       tuple(np.tile(np.diag([var] * (2 * b.degree) + [hvar]),
-                                    (count * len(b.agents), 1, 1)) for b in layout.buckets))
+                                    (count, len(b.agents), 1, 1)) for b in layout.buckets))
     return WorldState(r=r, bank=bank, t=0.0, rngs=rngs, events=[()] * count)
 
 
@@ -449,11 +419,11 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     """Phases (3)-(5) for every seed of a world that `_move` advanced.
 
     The filters' elementwise work (rotations, innovations, mean increments)
-    runs once over the bank's flat arrays, so the measurements are gathered
-    in bank order (`_Layout`): `heading_meas` holds one entry per bank row,
-    not per agent.  The matmuls and the per-degree matrix algebra run once
-    per bucket, on views of those arrays.  Refused updates are logged in
-    agent order."""
+    runs once over the bank's arrays, so the measurements are gathered in
+    bank order (`_Layout`) after the seed axis: `heading_meas` holds one
+    entry per bank row, not per agent.  The matmuls and the per-degree
+    matrix algebra run once per bucket, on views of those arrays.  Refused
+    updates are logged in agent order."""
     if not config.estimator_enabled:
         return world
     noise, dt = config.noise, config.dt
@@ -461,44 +431,46 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     layout = bank.layout
     # velocities and measurements of every seed and slot at once; the true
     # heading is 0, so its measurement is noise
-    v, r = world.v.reshape(-1, 2), world.r.reshape(-1, 2)
-    rel_world = v[layout.nbrs] - v[layout.trackers]
-    diffs = r[layout.nbrs] - r[layout.trackers]
-    ranges = 0.5 * (diffs ** 2).sum(axis=1)
-    heading_meas = np.zeros(len(layout.heading_draws))
+    rel_world = world.v[:, layout.nbrs] - world.v[:, layout.trackers]
+    diffs = world.r[:, layout.nbrs] - world.r[:, layout.trackers]
+    ranges = 0.5 * (diffs ** 2).sum(axis=-1)
+    heading_meas = np.zeros(bank.headings.shape)
     if config.measurement_noise:
-        draws = np.concatenate([rng.standard_normal(layout.draw_count) for rng in world.rngs])
-        ranges += np.sqrt(noise.meas_distance_var) * draws[layout.range_draws]
-        heading_meas += np.sqrt(noise.meas_heading_var) * draws[layout.heading_draws]
+        draws = np.array([rng.standard_normal(layout.draw_count) for rng in world.rngs])
+        ranges += np.sqrt(noise.meas_distance_var) * draws[:, layout.range_draws]
+        heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
 
-    rot, quarter, flow, theta = _predict_rows(bank.headings, np.zeros(len(heading_meas)), dt)
+    rot, quarter, flow, theta = _predict_rows(bank.headings, np.zeros(heading_meas.shape), dt)
     offsets, predicted, gains = np.empty_like(bank.offsets), [], []
     for b, bucket in enumerate(layout.buckets):
         means, _, cov = bank.bucket(b)
-        count, two_n = means.shape
         rows = bucket.rows
-        v_body = rel_world[bucket.slots].reshape(count, -1, 2) @ rot[rows]
-        p, cov = _predict_degree(means, cov, v_body.reshape(count, two_n), rot[rows],
-                                 quarter[rows], None if flow is None else flow[rows], dt, noise)
-        offsets[bucket.slots] = p.reshape(-1, 2)
+        v_body = rel_world[:, bucket.slots].reshape(means.shape[:-1] + (-1, 2)) @ rot[:, rows]
+        p, cov = _predict_degree(means, cov, v_body.reshape(means.shape), rot[:, rows],
+                                 quarter[:, rows], None if flow is None else flow[:, rows],
+                                 dt, noise)
+        offsets[:, bucket.slots] = p.reshape(len(p), -1, 2)
         predicted.append((p, cov))
         gains.append(_gain(p, cov, noise))
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
 
     offset_deltas, heading_deltas, covariances = np.empty_like(offsets), np.empty_like(theta), []
     for bucket, (h, gain, work, _) in zip(layout.buckets, gains):
-        innovation = np.concatenate([range_innov[bucket.slots].reshape(len(h), -1),
-                                     heading_innov[bucket.rows, None]], axis=1)
+        # C-contiguous: a strided innovation takes another matmul kernel,
+        # whose last bits differ at B > 1
+        innovation = np.empty(h.shape[:-1])
+        innovation[..., :-1] = range_innov[:, bucket.slots].reshape(len(h), -1, bucket.degree)
+        innovation[..., -1] = heading_innov[:, bucket.rows]
         delta, cov = _correct(h, gain, work, innovation, noise)
-        offset_deltas[bucket.slots] = delta[:, :-1].reshape(-1, 2)
-        heading_deltas[bucket.rows] = delta[:, -1]
+        offset_deltas[:, bucket.slots] = delta[..., :-1].reshape(len(delta), -1, 2)
+        heading_deltas[:, bucket.rows] = delta[..., -1]
         covariances.append(cov)
     bank = FilterBank(layout, offsets + offset_deltas, theta + heading_deltas, tuple(covariances))
 
     # a refused filter keeps its prediction; the bucket views write through
-    skipped = [[] for _ in range(layout.seeds)]
+    skipped = [[] for _ in world.rngs]
     for b, (bucket, (p, cov), (_, _, _, errors)) in enumerate(zip(layout.buckets, predicted, gains)):
-        _keep_refused(errors, bank.bucket(b), (p, theta[bucket.rows], cov))
+        _keep_refused(errors, bank.bucket(b), (p, theta[:, bucket.rows], cov))
         for row, exc in errors.items():
             seed, member = divmod(row, len(bucket.agents))
             skipped[seed].append((int(bucket.agents[member]), exc))
@@ -515,7 +487,7 @@ def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
              config: ScenarioConfig) -> tuple:
     """The six per-step series of `MetricsSeries`, in field order, from
     positions and velocities (..., B, agents, 2) and offset tables
-    (..., B * slots, 2) in the bank order of `layout` that share their
+    (..., B, slots, 2) in the bank order of `layout` that share their
     leading axes; each reduction runs over the same trailing axes whatever
     leads."""
     tails, heads = layout.tails, layout.heads
@@ -562,17 +534,16 @@ def run(config: ScenarioConfig, seeds=None):
     series = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
     results = [None] * count
     live = np.arange(count)   # the seed each row of the world runs
-    rows = slice(None)        # where those rows are recorded; all seeds until one diverges
     block, start = [], 0      # (r, v, offsets) of steps start, start + 1, ...
 
     def flush():
         nonlocal start
         if block:
             stop = start + len(block)
-            # a block ends before a seed leaves, so its steps share one layout
+            # a block ends before a seed leaves, so its steps share `live`
             metrics = _metrics(*map(np.stack, zip(*block)), world.bank.layout, config)
             for out, values in zip(series, metrics):
-                out[rows, start:stop] = values.swapaxes(0, 1)
+                out[live, start:stop] = values.swapaxes(0, 1)
             block.clear()
             start = stop
 
@@ -583,7 +554,6 @@ def run(config: ScenarioConfig, seeds=None):
             for row in np.flatnonzero(diverged):
                 results[live[row]] = _divergence(world.t, world.events[row])
             live, world = live[~diverged], world.take(~diverged)
-            rows = live
             if not live.size:
                 break
         world = _sense(world, config)

@@ -331,15 +331,15 @@ def initialize(truth: GroupElement, offset_bound: float, seed,
 def bank_of(graph: Graph, *seeds) -> FilterBank:
     """Stack per-agent filters as a bank: each argument after the graph is
     one seed's filters in agent order, and the seeds come in that order."""
-    layout = _layout(graph, len(seeds))
-    buckets = layout.buckets
+    layout = _layout(graph)
+    order = [i for b in layout.buckets for i in b.agents]
     return FilterBank(
         layout=layout,
-        offsets=np.concatenate([f[i].mean.p for b in buckets for f in seeds for i in b.agents]
-                               ).reshape(-1, 2),
-        headings=np.array([f[i].mean.theta for b in buckets for f in seeds for i in b.agents]),
-        covariances=tuple(np.array([f[i].covariance for f in seeds for i in b.agents])
-                          for b in buckets),
+        offsets=np.array([np.concatenate([f[i].mean.p for i in order]).reshape(-1, 2)
+                          for f in seeds]),
+        headings=np.array([[f[i].mean.theta for i in order] for f in seeds]),
+        covariances=tuple(np.array([[f[i].covariance for i in b.agents] for f in seeds])
+                          for b in layout.buckets),
     )
 
 
@@ -347,7 +347,7 @@ def estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
     """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i),
     in the world's first seed."""
     layout = world.bank.layout
-    return -world.bank.offsets[np.flatnonzero((layout.trackers == i) & (layout.nbrs == j))[0]]
+    return -world.bank.offsets[0, np.flatnonzero((layout.trackers == i) & (layout.nbrs == j))[0]]
 
 
 def step(world: WorldState, config: ScenarioConfig) -> WorldState:
@@ -385,8 +385,8 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     for b, bucket in enumerate(layout.buckets):
         a_count, n = len(bucket.agents), bucket.degree
         rows = seeds * a_count
-        # rows seed after seed, as the bank stacks them
-        prior = bank.bucket(b)  # means, headings, covariances
+        # means, headings and covariances, their rows seed after seed
+        prior = [x.reshape((rows,) + x.shape[2:]) for x in bank.bucket(b)]
         v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(prior[1])
         p, theta, cov = predict_batch(*prior, v_body.reshape(rows, 2 * n), np.zeros(rows),
                                       config.dt, noise)
@@ -405,8 +405,9 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
                              for i, exc in sorted(refused, key=lambda item: item[0]))
                   for ev, refused in zip(events, skipped)]
-    bank = FilterBank(bank.layout, np.concatenate([p.reshape(-1, 2) for p in means]),
-                      np.concatenate(headings), tuple(covariances))
+    bank = FilterBank(bank.layout, np.concatenate([p.reshape(seeds, -1, 2) for p in means], axis=1),
+                      np.concatenate([theta.reshape(seeds, -1) for theta in headings], axis=1),
+                      tuple(cov.reshape((seeds, -1) + cov.shape[1:]) for cov in covariances))
     return replace(world, bank=bank, events=events)
 
 
@@ -450,7 +451,7 @@ def per_step_run(config: ScenarioConfig, seeds=None):
         distances[rows, k] = np.linalg.norm(z1, axis=2)
         dist_errors_arr[rows, k] = (z1 ** 2).sum(axis=2) - dv2
         offsets, layout = world.bank.offsets, world.bank.layout
-        est_tail, est_head = -offsets[layout.tail_slots], -offsets[layout.head_slots]
+        est_tail, est_head = -offsets[:, layout.tail_slots], -offsets[:, layout.head_slots]
         est_errors[rows, k] = np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
         centroid_speed[rows, k] = _vector_norms(v_mean)
         max_speed[rows, k] = np.linalg.norm(v, axis=2).max(axis=1)

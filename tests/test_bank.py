@@ -393,8 +393,9 @@ def test_filter_phase_with_a_degree_one_agent(seeds):
 
 @pytest.mark.parametrize("seeds", [1, 3])
 def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
-    # the bank carries its layout, so once a world is built no step hashes
-    # its graph; lookups keyed on the config or the noise may stay
+    # the bank carries its layout, so once a world is built no step, and no
+    # seed leaving the batch, hashes its graph; lookups keyed on the config
+    # or the noise may stay
     config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
                             mismatch=MismatchConfig.uniform(4, 0.5), measurement_noise=True)
     world = step(init_world(config, range(seeds)), config)
@@ -408,7 +409,10 @@ def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     monkeypatch.setattr(Graph, "__hash__", counting_hash)
     for _ in range(3):
         world = step(world, config)
+    kept = world.take(np.arange(seeds) % 2 == 0)
+    step(kept, config)
     assert len(hashed) == 0
+    assert kept.bank.layout is world.bank.layout
 
 
 @pytest.mark.parametrize("kind", ["nonfinite", "singular"])
@@ -420,22 +424,22 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
     config = replace(config, measurement_noise=True)
     world = init_world(config, range(seeds))
     agent, bucket = 1, 1
-    row = (seeds - 1) * 2 + list(_layout(config.graph).buckets[bucket].agents).index(agent)
+    row = (seeds - 1, list(_layout(config.graph).buckets[bucket].agents).index(agent))
     covariances = list(world.bank.covariances)
     covariances[bucket] = covariances[bucket].copy()
     if kind == "nonfinite":
-        covariances[bucket][row, 0, 0] = np.inf
+        covariances[bucket][row][0, 0] = np.inf
     else:
-        covariances[bucket][row, -1, :] = covariances[bucket][row, :, -1] = 0.0
-        covariances[bucket][row, -1, -1] = -0.5
+        covariances[bucket][row][-1, :] = covariances[bucket][row][:, -1] = 0.0
+        covariances[bucket][row][-1, -1] = -0.5
     world = replace(world, bank=replace(world.bank, covariances=tuple(covariances)))
     reason = "is not finite" if kind == "nonfinite" else "not invertible: "
     for step_count in (1, 2, 3):
         prior = world.bank.bucket(bucket)  # means, headings, covariances
-        rows = len(prior[1])
+        rows = prior[1].shape
         with np.errstate(invalid="ignore"):
             world = _sense_matching_oracle(world, config, steps=1)
-            p, theta, cov = predict_batch(*prior, np.zeros((rows, 4)),
+            p, theta, cov = predict_batch(*prior, np.zeros(rows + (4,)),
                                           np.zeros(rows), config.dt, config.noise)
         means, headings, covs = world.bank.bucket(bucket)
         np.testing.assert_array_equal(means[row], p[row])

@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from formloc.scenario import MetricsSeries, detect_outcome, scenario_nominal
+from formloc.network import DesiredDistances, Graph
+from formloc.scenario import MetricsSeries, ScenarioConfig, detect_outcome, scenario_nominal
 from formloc.sim import DivergenceError, WorldState, _move, _sense, init_world, run
 from oracles import bank_of, step
 from test_bank import _poison, _rest_world, rigid_scenarios
@@ -62,6 +63,21 @@ def batches(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(batches())
+# a degree-5 bucket at B = 2: an innovation built with np.concatenate from the
+# bank's strided views came out non-C-contiguous, and the gain product took
+# other last bits than at B = 1
+@example((ScenarioConfig(
+    graph=Graph(6, ((2, 0), (0, 3), (3, 2), (0, 4), (4, 2), (4, 5), (5, 0), (1, 0), (5, 1))),
+    distances=DesiredDistances([10.05644370853702, 15.514804070731389, 7.422840393995118,
+                                13.795957578847776, 5.455073817889031, 5.286221310016589,
+                                11.17308587526706, 11.331799337957776, 8.42364394575707]),
+    variant="ideal", mismatch=None, duration=0.5, offset_bound=1.0,
+    initial_positions=np.array([[-1.4591616128792573, -8.27669225162777],
+                                [-5.5684908956188135, 2.7806992800495367],
+                                [1.9755159363059127, 1.8178325013636398],
+                                [-1.0821834631118645, 8.823446004539875],
+                                [7.408955813837822, 3.111731413150637],
+                                [2.0510872024369453, 3.203747749534435]])), [0, 0]))
 def test_batch_matches_serial_runs(case):
     config, seeds = case
     got = run(config, seeds=seeds)

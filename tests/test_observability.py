@@ -110,6 +110,12 @@ def test_codistribution_validation():
     q = GroupElement(np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
         codistribution_rank(q, tol=0.0)
+    # a NaN or infinite tolerance passed the `<= 0` check and reported rank 0
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^tol must be finite, got {tol}$"):
+            codistribution_rank(q, tol=tol)
+    with pytest.raises(ValueError, match="^tol must be positive, got -1.0$"):
+        codistribution_rank(q, tol=-1.0)
     with pytest.raises(ValueError):
         codistribution_matrix(q, depth=0)
 
@@ -263,3 +269,10 @@ def test_gramian_validation(rng):
     for tol in ("rank_tol", "block_tol"):
         with pytest.raises(ValueError, match=f"^{tol} must be positive, got -1.0$"):
             empirical_gramian(trajectory_rows([(q, xi), (q, xi)]), 0.1, **{tol: -1.0})
+    # NaN passed the `<= 0` checks (rank 0, no deficient block); a non-finite
+    # dt ended in numpy's eigenvalue solver
+    for name in ("dt", "rank_tol", "block_tol"):
+        for value in (np.nan, np.inf, -np.inf):
+            args = {"dt": 0.1, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                empirical_gramian(trajectory_rows([(q, xi), (q, xi)]), **args)
