@@ -13,7 +13,10 @@ Two checkouts print the same lines exactly when these outputs are byte-identical
   of the runs above draws measurement noise);
 - the same of `run(config, seeds=range(4))` with measurement noise on a
   4-agent graph whose agent 4 has one neighbor (degrees 3, 2, 2, 1), so its
-  filter bucket has one row per seed.
+  filter bucket has one row per seed;
+- the same of `run(config, seeds=range(3))` with measurement noise for the
+  ideal nominal at 0.05 s with offsets drawn 1e160 wide, whose innovation
+  covariances overflow, so every filter refuses every update.
 
 Every run uses this checkout's `src/`.  Compare two checkouts with
 
@@ -100,6 +103,11 @@ def main() -> int:
                                  mismatch=None, measurement_noise=True, duration=3.0)
         _show(_series_digest(run(pendant, seeds=range(4))),
               "run degree-1 graph 3 s noisy, seeds 0-3")
+        refusing = replace(scenario_nominal(), variant="ideal", mismatch=None, duration=0.05,
+                           offset_bound=1e160, initial_var=1.0, measurement_noise=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _show(_series_digest(run(refusing, seeds=range(3))),
+                  "run nominal ideal 0.05 s offsets 1e160 noisy, seeds 0-2 (every update refused)")
     return 0
 
 

@@ -537,6 +537,8 @@ def cmd_check_observability(args) -> int:
                 raise ConfigError(f"--{flag} must be finite, got {value}")
         if args.tol <= 0:
             raise ConfigError(f"--tol must be positive, got {args.tol}")
+        if args.depth is not None and args.depth < 1:
+            raise ConfigError(f"--depth must be at least 1, got {args.depth}")
         if args.trajectory is not None:
             traj, dt, n = _load_trajectory(Path(args.trajectory))
             report = empirical_gramian(traj, dt, rank_tol=args.tol)

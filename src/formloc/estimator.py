@@ -17,13 +17,15 @@ once over the stacked rows of filters of every degree: the rotations
 R(theta) and R(theta + pi/2)^T and the heading flow (`_predict_rows`), the
 range and wrapped-heading innovations (`_innovations`), and the increments
 p + delta and theta + delta.  The per-degree part is the stacked matrix
-algebra of one degree: the flow and Jacobian products and F P F^T + Q
-(`_predict_degree`); H, H P, S, the stacked solve and the gain (`_gain`);
-the increments delta and the Joseph form (`_correct`).  `predict_batch` and
-`update_batch` compose the two for one degree; `sim._sense` runs the
-per-row part once over its whole bank and the per-degree part per bucket.
-The private parts take any leading axes, such as (seeds, filters), and
-key a refused filter by its flat index over them.
+algebra of one degree, one call each for the predict and the update: the
+flow and Jacobian products and F P F^T + Q (`_predict_degree`); H, H P, S,
+the stacked solve, the gain, the increments delta and the Joseph form
+(`_update_degree`), which also refuses a filter whose S is not finite or
+not invertible.  `predict_batch` and `update_batch` compose the two parts
+for one degree; `sim._sense` runs the per-row part once over its whole
+bank and the per-degree part per bucket.  The private parts take any
+leading axes, such as (seeds, filters), and key a refused filter by its
+index tuple over them.
 """
 
 from __future__ import annotations
@@ -183,46 +185,6 @@ def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarr
     return p_new, theta_new, cov_new
 
 
-def _gain(p: np.ndarray, cov: np.ndarray, noise: NoiseConfig) -> tuple:
-    """The per-degree part of an update up to the gain, for filters (...)
-    that track n neighbors: the observation Jacobians H (..., n+1, 2n+1), the
-    gains (..., 2n+1, n+1), the covariances the Joseph form starts from, and
-    the refused filters, by their flat index over (...), mapped to their
-    SingularUpdateError."""
-    two_n = p.shape[-1]
-    n = two_n // 2
-    eye, _, r_matrix, offset_entries = _update_constants(n, noise)
-    h = np.zeros(p.shape[:-1] + (n + 1, two_n + 1))
-    h[(Ellipsis,) + offset_entries] = p
-    h[..., n, two_n] = 1.0
-    hp = h @ cov
-    s = hp @ h.swapaxes(-1, -2) + r_matrix
-
-    errors = {}
-    work = cov
-    finite = np.isfinite(s).all(axis=(-2, -1))
-    if not finite.all():
-        # neutral stand-ins keep the refused rows out of the shared arithmetic
-        bad = ~finite
-        s[bad], hp[bad], h[bad] = eye[: n + 1, : n + 1], 0.0, 0.0
-        work = cov.copy()
-        work[bad] = eye
-        for row in np.flatnonzero(bad):
-            errors[row] = SingularUpdateError("innovation covariance is not finite")
-    try:
-        gain = np.linalg.solve(s, hp).swapaxes(-1, -2)
-    except np.linalg.LinAlgError:
-        # one singular matrix fails the stacked solve: redo it row by row
-        gain = np.zeros(h.shape[:-2] + (two_n + 1, n + 1))
-        for row in np.flatnonzero(finite):
-            at = np.unravel_index(row, finite.shape)
-            try:
-                gain[at] = np.linalg.solve(s[at], hp[at]).T
-            except np.linalg.LinAlgError as exc:
-                errors[row] = SingularUpdateError(f"innovation covariance not invertible: {exc}")
-    return h, gain, work, errors
-
-
 def _innovations(offsets: np.ndarray, theta: np.ndarray, ranges: np.ndarray,
                  headings: np.ndarray) -> tuple:
     """The elementwise part of an update's innovation, for stacked filters
@@ -232,26 +194,58 @@ def _innovations(offsets: np.ndarray, theta: np.ndarray, ranges: np.ndarray,
     return ranges - 0.5 * (offsets ** 2).sum(axis=-1), wrap_angle(headings - theta)
 
 
-def _correct(h: np.ndarray, gain: np.ndarray, work: np.ndarray, innovation: np.ndarray,
-             noise: NoiseConfig) -> tuple:
-    """The per-degree part of an update after the gain, for filters (...)
-    with innovations (..., n+1): the increments (..., 2n+1) of the means, and
-    the Joseph-form covariances, re-symmetrized."""
-    eye, rdiag, _, _ = _update_constants(innovation.shape[-1] - 1, noise)
+def _update_degree(p: np.ndarray, cov: np.ndarray, innovation: np.ndarray,
+                   noise: NoiseConfig) -> tuple:
+    """The per-degree part of an update, for filters (...) that track n
+    neighbors, with predicted means (..., 2n), covariances
+    (..., 2n+1, 2n+1) and innovations (..., n+1): the increments
+    (..., 2n+1) of the means, the Joseph-form covariances, re-symmetrized,
+    and the refused filters, by their index tuple over (...), mapped to their
+    SingularUpdateError.  A filter whose innovation covariance is not finite
+    or not invertible is refused: it keeps its covariance, and its
+    increments are -0.0, so adding them leaves every bit of its mean as it
+    was (x + -0.0 is x, also for x = -0.0)."""
+    two_n = p.shape[-1]
+    n = two_n // 2
+    eye, rdiag, r_matrix, offset_entries = _update_constants(n, noise)
+    h = np.zeros(p.shape[:-1] + (n + 1, two_n + 1))
+    h[(Ellipsis,) + offset_entries] = p
+    h[..., n, two_n] = 1.0
+    hp = h @ cov
+    s = hp @ h.swapaxes(-1, -2) + r_matrix
+
+    errors = {}
+    work = cov
+    refused = ~np.isfinite(s).all(axis=(-2, -1))
+    if refused.any():
+        # neutral stand-ins keep the refused filters out of the shared arithmetic
+        s[refused], hp[refused], h[refused] = eye[: n + 1, : n + 1], 0.0, 0.0
+        work = cov.copy()
+        work[refused] = eye
+        for at in map(tuple, np.argwhere(refused).tolist()):
+            errors[at] = SingularUpdateError("innovation covariance is not finite")
+    try:
+        gain_t = np.linalg.solve(s, hp)
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the stacked solve: redo it filter by filter,
+        # into the layout the stacked solve returns, so the products below take
+        # the same kernels and the other filters the same bits
+        gain_t = np.zeros(hp.shape)
+        for at in map(tuple, np.argwhere(~refused).tolist()):
+            try:
+                gain_t[at] = np.linalg.solve(s[at], hp[at])
+            except np.linalg.LinAlgError as exc:
+                errors[at] = SingularUpdateError(f"innovation covariance not invertible: {exc}")
+                refused[at] = True
+    gain = gain_t.swapaxes(-1, -2)
+
     delta = (gain @ innovation[..., None])[..., 0]
     ikh = eye - gain @ h
     cov_new = ikh @ work @ ikh.swapaxes(-1, -2) + (gain * rdiag) @ gain.swapaxes(-1, -2)
-    return delta, 0.5 * (cov_new + cov_new.swapaxes(-1, -2))
-
-
-def _keep_refused(errors: dict, updated: tuple, inputs: tuple) -> None:
-    """Copy the refused filters (the keys of `errors`, flat indices over the
-    leading axes of the headings, the second array) of each input array back
-    over its updated array: a refused filter keeps its input state."""
+    cov_new = 0.5 * (cov_new + cov_new.swapaxes(-1, -2))
     if errors:
-        at = np.unravel_index(sorted(errors), updated[1].shape)
-        for new, old in zip(updated, inputs):
-            new[at] = old[at]
+        delta[refused], cov_new[refused] = -0.0, cov[refused]
+    return delta, cov_new, errors
 
 
 def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarray,
@@ -267,12 +261,9 @@ def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarra
     errors) with errors mapping the refused rows to their
     SingularUpdateError.
     """
-    a_count, two_n = p.shape
-    n = two_n // 2
-    h, gain, work, errors = _gain(p, cov, noise)
+    n = p.shape[1] // 2
     ranges, heading = _innovations(p.reshape(-1, 2), theta, y[:, :n].ravel(), y[:, n])
-    innovation = np.concatenate([ranges.reshape(a_count, n), heading[:, None]], axis=1)
-    delta, cov_new = _correct(h, gain, work, innovation, noise)
-    p_new, theta_new = p + delta[:, :-1], theta + delta[:, -1]
-    _keep_refused(errors, (p_new, theta_new, cov_new), (p, theta, cov))
-    return p_new, theta_new, cov_new, errors
+    innovation = np.concatenate([ranges.reshape(len(p), n), heading[:, None]], axis=1)
+    delta, cov_new, errors = _update_degree(p, cov, innovation, noise)
+    return (p + delta[:, :-1], theta + delta[:, -1], cov_new,
+            {row: exc for (row,), exc in errors.items()})

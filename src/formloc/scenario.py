@@ -121,6 +121,11 @@ class ScenarioConfig:
             raise ValueError(f"the {self.variant} variant reads no mismatch; only algorithm1 does")
         if self.offset_bound < 0:
             raise ValueError(f"offset_bound must be non-negative, got {self.offset_bound}")
+        # sqrt(max float) is the largest bound whose square is finite; comparing
+        # with it, unlike squaring, cannot overflow
+        if self.initial_var is None and self.offset_bound > math.sqrt(np.finfo(float).max):
+            raise ValueError(f"offset_bound {self.offset_bound} gives no finite initial variance "
+                             "offset_bound^2 / 3; lower it or set initial_var")
         if self.spawn_box <= 0:
             raise ValueError(f"spawn_box must be positive, got {self.spawn_box}")
         if self.min_separation < 0:

@@ -45,12 +45,10 @@ import numpy as np
 from .controller import _control_law, _scatter_matrices
 from .estimator import (
     EstimatorState,
-    _correct,
-    _gain,
     _innovations,
-    _keep_refused,
     _predict_degree,
     _predict_rows,
+    _update_degree,
 )
 from .lie_group import GroupElement
 from .network import Graph, _edge_arrays, sorted_neighbors
@@ -167,8 +165,9 @@ class FilterBank:
     covariances: tuple[np.ndarray, ...]
 
     def bucket(self, b: int) -> tuple:
-        """Bucket b's means (B, A, 2n), headings (B, A) and covariances,
-        the first two as views of the bank's arrays."""
+        """Bucket b's means (B, A, 2n), headings (B, A) and covariances, as
+        views of the bank's arrays; the means are a view of a C-contiguous
+        offset table, as `init_world` and every step build it."""
         bucket = self.layout.buckets[b]
         return (self.offsets[:, bucket.slots].reshape(len(self.offsets), -1, 2 * bucket.degree),
                 self.headings[:, bucket.rows], self.covariances[b])
@@ -363,7 +362,9 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
 
     layout = _layout(config.graph)
     if config.initial_estimates is None:
-        offsets = r[:, layout.nbrs] - r[:, layout.trackers]
+        # C-contiguous, so every bucket's means are views of it: the fancy
+        # indexing alone leaves the seed axis in the middle of the layout
+        offsets = np.ascontiguousarray(r[:, layout.nbrs] - r[:, layout.trackers])
         # each seed draws one offset per tracked neighbor, agent after agent
         draws = [rng.uniform(-config.offset_bound, config.offset_bound,
                              size=(2 * config.graph.edge_count, 2)) for rng in rngs]
@@ -421,9 +422,11 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     The filters' elementwise work (rotations, innovations, mean increments)
     runs once over the bank's arrays, so the measurements are gathered in
     bank order (`_Layout`) after the seed axis: `heading_meas` holds one
-    entry per bank row, not per agent.  The matmuls and the per-degree
-    matrix algebra run once per bucket, on views of those arrays.  Refused
-    updates are logged in agent order."""
+    entry per bank row, not per agent.  The per-degree matrix algebra runs
+    in two bucket loops, one `_predict_degree` and one `_update_degree` call
+    per bucket, each on views of the bank before it; each loop fills fresh
+    arrays that make up the next bank.  A refused filter keeps its
+    prediction, and its update is logged in agent order."""
     if not config.estimator_enabled:
         return world
     noise, dt = config.noise, config.dt
@@ -441,7 +444,7 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
 
     rot, quarter, flow, theta = _predict_rows(bank.headings, np.zeros(heading_meas.shape), dt)
-    offsets, predicted, gains = np.empty_like(bank.offsets), [], []
+    offsets, covariances = np.empty(bank.offsets.shape), []
     for b, bucket in enumerate(layout.buckets):
         means, _, cov = bank.bucket(b)
         rows = bucket.rows
@@ -450,30 +453,26 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
                                  quarter[:, rows], None if flow is None else flow[:, rows],
                                  dt, noise)
         offsets[:, bucket.slots] = p.reshape(len(p), -1, 2)
-        predicted.append((p, cov))
-        gains.append(_gain(p, cov, noise))
+        covariances.append(cov)
+    predicted = FilterBank(layout, offsets, theta, tuple(covariances))
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
 
     offset_deltas, heading_deltas, covariances = np.empty_like(offsets), np.empty_like(theta), []
-    for bucket, (h, gain, work, _) in zip(layout.buckets, gains):
+    skipped = [[] for _ in world.rngs]
+    for b, bucket in enumerate(layout.buckets):
+        p, _, cov = predicted.bucket(b)
         # C-contiguous: a strided innovation takes another matmul kernel,
         # whose last bits differ at B > 1
-        innovation = np.empty(h.shape[:-1])
-        innovation[..., :-1] = range_innov[:, bucket.slots].reshape(len(h), -1, bucket.degree)
+        innovation = np.empty(p.shape[:-1] + (bucket.degree + 1,))
+        innovation[..., :-1] = range_innov[:, bucket.slots].reshape(len(p), -1, bucket.degree)
         innovation[..., -1] = heading_innov[:, bucket.rows]
-        delta, cov = _correct(h, gain, work, innovation, noise)
+        delta, cov, errors = _update_degree(p, cov, innovation, noise)
         offset_deltas[:, bucket.slots] = delta[..., :-1].reshape(len(delta), -1, 2)
         heading_deltas[:, bucket.rows] = delta[..., -1]
         covariances.append(cov)
-    bank = FilterBank(layout, offsets + offset_deltas, theta + heading_deltas, tuple(covariances))
-
-    # a refused filter keeps its prediction; the bucket views write through
-    skipped = [[] for _ in world.rngs]
-    for b, (bucket, (p, cov), (_, _, _, errors)) in enumerate(zip(layout.buckets, predicted, gains)):
-        _keep_refused(errors, bank.bucket(b), (p, theta[:, bucket.rows], cov))
-        for row, exc in errors.items():
-            seed, member = divmod(row, len(bucket.agents))
+        for (seed, member), exc in errors.items():
             skipped[seed].append((int(bucket.agents[member]), exc))
+    bank = FilterBank(layout, offsets + offset_deltas, theta + heading_deltas, tuple(covariances))
 
     events = world.events
     if any(skipped):

@@ -180,6 +180,24 @@ def test_events_stay_with_their_seed():
             np.testing.assert_array_equal(f_mine.covariance, f_alone.covariance)
 
 
+def test_refused_updates_keep_their_predictions_in_a_batch():
+    # offsets drawn 1e160 wide overflow every innovation covariance, so every
+    # filter refuses every update and keeps its prediction, in a batch as
+    # alone; a batch used to write its predictions back into a copy of the
+    # offset table and keep the NaN updates
+    config = replace(scenario_nominal(), variant="ideal", mismatch=None, offset_bound=1e160,
+                     initial_var=1.0, measurement_noise=True, duration=0.05)
+    seeds = range(3)
+    world = init_world(config, seeds)
+    for b in range(len(world.bank.layout.buckets)):
+        assert np.shares_memory(world.bank.bucket(b)[0], world.bank.offsets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = run(config, seeds=seeds)
+        for seed, result in zip(seeds, got):
+            assert len(result.events) == config.steps * config.graph.agent_count
+            assert_same(result, serial(config, seed))
+
+
 def test_no_seeds_is_an_empty_batch():
     assert run(scenario_nominal(), seeds=()) == ()
 

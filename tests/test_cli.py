@@ -190,6 +190,7 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[init]\nest_1_2 = inf, 0\n", 7, "non-finite"),
     # out-of-range scalars, each at its own key rather than the file or section
     ("[init]\noffset_bound = -1\n", 7, "offset_bound"),
+    ("[init]\noffset_bound = 1e200\n", 7, "offset_bound"),  # its variance overflowed
     ("[init]\noffset_bound = 1\nspawn_box = 0\n", 8, "spawn_box"),
     ("[init]\nmin_separation = -1\n", 7, "min_separation"),
     ("[sim]\nseed = 1\ndt = -0.01\n", 8, "dt"),
@@ -457,6 +458,8 @@ def test_check_observability_usage(capsys):
     assert cli.main(["check-observability", "--n", "0"]) == 2
     assert cli.main(["check-observability", "--n", "2", "--p", "1.0,2.0"]) == 2
     capsys.readouterr()
+    assert cli.main(["check-observability", "--n", "2", "--depth", "0"]) == 2
+    assert capsys.readouterr().err == "check-observability: --depth must be at least 1, got 0\n"
     # a --p that is not a list of numbers is refused by name
     for text in ("1,,2", "1,x", ""):
         assert cli.main(["check-observability", "--n", "1", "--p", text]) == 2

@@ -107,6 +107,35 @@ def test_update_rejects_nonfinite_innovation_covariance():
         update(st, np.array([0.5, 0.0]), NoiseConfig())
 
 
+def test_update_batch_refuses_only_its_bad_rows(rng):
+    # row 1's innovation covariance is not finite; row 3's heading row
+    # (0, ..., 0, -R_heading) gives it an exactly zero row, which LAPACK
+    # reports as singular
+    noise = NoiseConfig()
+    states = [_random_state(rng) for _ in range(4)]
+    p = np.array([s.mean.p for s in states])
+    p[3, 0] = -0.0  # a refused row keeps even the sign of a zero
+    theta = np.array([s.mean.theta for s in states])
+    cov = np.array([s.covariance for s in states])
+    cov[1, 0, 0] = np.inf
+    cov[3, -1, :] = cov[3, :, -1] = 0.0
+    cov[3, -1, -1] = -noise.meas_heading_var
+    y = np.array([observation(s.mean) + rng.normal(scale=0.1, size=3) for s in states])
+    with np.errstate(invalid="ignore"):
+        *got, errors = update_batch(p, theta, cov, y, noise)
+
+    assert sorted(errors) == [1, 3] and all(type(row) is int for row in errors)
+    assert all(isinstance(exc, SingularUpdateError) for exc in errors.values())
+    for row in (1, 3):
+        for out, given in zip(got, (p, theta, cov)):
+            assert out[row].tobytes() == given[row].tobytes()
+    kept = [0, 2]
+    *alone, alone_errors = update_batch(p[kept], theta[kept], cov[kept], y[kept], noise)
+    assert alone_errors == {}
+    for out, want in zip(got, alone):
+        np.testing.assert_array_equal(out[kept], want)
+
+
 def test_validation_errors(rng):
     st = _random_state(rng, n=1)
     noise = NoiseConfig()
