@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Run every built-in scenario and tabulate outcomes against expectations.
+"""Run `formloc reproduce` on every built-in scenario.
 
 Writes one subdirectory per scenario (metrics.csv + manifest.txt) under
---out and exits nonzero if any scenario lands in an unexpected outcome.
+--out.  Each run prints its `outcome: X (expected Y)` line under the
+scenario's name, and the script exits 1 if any run fails or lands in an
+unexpected outcome.
+
+    python3 scripts/reproduce_all.py --out runs
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from formloc.cli import EXPECTED_OUTCOME, SCENARIOS, _run_and_save
+from formloc import cli
 
 
 def main() -> int:
@@ -17,18 +21,14 @@ def main() -> int:
     parser.add_argument("--out", default="formloc_runs", help="base output directory")
     args = parser.parse_args()
 
-    base = Path(args.out)
-    failures = 0
-    print(f"{'scenario':<10} {'outcome':<26} expected")
-    for name in sorted(SCENARIOS):
-        config = SCENARIOS[name]()
-        series, outcome = _run_and_save(config, base / name)
-        expected = EXPECTED_OUTCOME[name]
-        mark = "" if outcome == expected else "  <-- MISMATCH"
-        print(f"{name:<10} {outcome:<26} {expected}{mark}")
-        failures += outcome != expected
-    print(f"\nwrote per-scenario artifacts under {base}/")
-    return 1 if failures else 0
+    failed = []
+    for name in sorted(cli.SCENARIOS):
+        print(f"{name}:")
+        if cli.main(["reproduce", name, "--out", str(Path(args.out) / name)]) != 0:
+            failed.append(name)
+    if failed:
+        print(f"\nnot as expected: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -457,7 +457,7 @@ def _run_and_report(command: str, config: ScenarioConfig, out: str | None,
     except (ConfigError, SpawnError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, OSError) as exc:  # divergence, non-finite metrics, I/O
+    except (RuntimeError, OSError, MemoryError) as exc:  # divergence, non-finite metrics, I/O
         _report_events(command, getattr(exc, "events", ()))  # a divergence keeps its events
         print(f"{command}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -580,6 +580,9 @@ def cmd_check_observability(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"check-observability: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"check-observability: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def build_parser() -> argparse.ArgumentParser:

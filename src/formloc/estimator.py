@@ -7,10 +7,10 @@ prediction adds no discretization error of its own.  The covariance lives
 in the coordinate chart (p, theta) and uses the discrete linearization of
 `lie_group.step_jacobian`.  Updates fuse half squared distances plus the
 measured heading; the heading innovation is wrapped to (-pi, pi] while the
-stored heading stays unwrapped.  `sim.FilterBank` holds every filter in a
+stored heading stays unwrapped.  `sim.WorldState` holds every filter in a
 flat offset table and heading array, with the covariances per degree, all
 behind a leading seed axis; a degree's means are a view of the table, and
-`EstimatorState` one filter's.
+`EstimatorState` is one filter's view of them (`WorldState.filters`).
 
 Each step has two parts.  The per-row part is elementwise, so it can run
 once over the stacked rows of filters of every degree: the rotations
@@ -22,10 +22,10 @@ flow and Jacobian products and F P F^T + Q (`_predict_degree`); H, H P, S,
 the stacked solve, the gain, the increments delta and the Joseph form
 (`_update_degree`), which also refuses a filter whose S is not finite or
 not invertible.  `predict_batch` and `update_batch` compose the two parts
-for one degree; `sim._sense` runs the per-row part once over its whole
-bank and the per-degree part per bucket.  The private parts take any
-leading axes, such as (seeds, filters), and key a refused filter by its
-index tuple over them.
+for one degree; `sim._sense` runs the per-row part once over every filter
+of the world and the per-degree part per bucket.  The private parts take
+any leading axes, such as (seeds, filters), and key a refused filter by
+its index tuple over them.
 """
 
 from __future__ import annotations

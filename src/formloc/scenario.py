@@ -108,6 +108,12 @@ class ScenarioConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
+        # `run` holds one (steps, edges) float64 series per seed, so a count
+        # numpy cannot index is refused here, before anything reads `steps`
+        ratio = self.duration / self.dt
+        if not math.isfinite(ratio) or round(ratio) * self.graph.edge_count * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"dt {self.dt} over duration {self.duration} gives {ratio:.3g} steps, "
+                             "too many for one run's (steps, edges) series")
         if self.steps < 1:
             raise ValueError(f"duration {self.duration} is shorter than one step of dt {self.dt}")
         if self.distances.values.size != self.graph.edge_count:

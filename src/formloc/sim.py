@@ -12,18 +12,17 @@ are what the next step's controllers read.  All randomness of a run flows
 through one seeded generator, so a (config, seed) pair fixes every byte of
 the output.  `scenario` says what a run is; this module only runs it.
 
-The filters live in a flat `FilterBank`: an offset table, a heading array
-and per-degree covariance stacks, each with a leading seed axis and then
-the bank order of the one-seed `_Layout` it carries, and every estimate
-read is a gather from the offset table.  Phase (4) runs the filters'
-elementwise work (`estimator`'s per-row part) once over the flat arrays,
-and their matmuls, stacked solve and covariance algebra once per degree
-bucket, on views of them.  Its measurements come in bank order too: one
-heading measurement per bank row, not per agent.
-
 A `WorldState` holds B seeds of one config, advancing in lockstep: the
-positions and every array of the bank have a leading seed axis.
-`init_world(config, seeds)` builds it and `run(config, seeds)` steps it.
+positions, the filters and every other per-seed array have a leading seed
+axis.  The filters are flat arrays in the bank order of the one-seed
+`_Layout` the state carries: an offset table, a heading array and
+per-degree covariance stacks, and every estimate read is a gather from the
+offset table.  Phase (4) runs the filters' elementwise work (`estimator`'s
+per-row part) once over the flat arrays, and their matmuls, stacked solve
+and covariance algebra once per degree bucket, on views of them.  Its
+measurements come in bank order too: one heading measurement per bank row,
+not per agent.  `init_world(config, seeds)` builds a state and
+`run(config, seeds)` steps it.
 Each seed keeps its own sub-step count, generator and event log, so it
 comes out exactly as it would alone; a seed that diverges leaves the
 batch.  One seed is the case B = 1 of the same code.
@@ -56,7 +55,6 @@ from .scenario import MetricsSeries, ScenarioConfig
 
 __all__ = [
     "DivergenceError",
-    "FilterBank",
     "WorldState",
     "init_world",
     "run",
@@ -82,8 +80,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class _Bucket:
-    """The agents of one degree n, in ascending order, and where a bank
-    holds them."""
+    """The agents of one degree n, in ascending order, and where the filter
+    arrays hold them."""
 
     agents: np.ndarray   # (A,)
     degree: int          # n
@@ -93,7 +91,7 @@ class _Bucket:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Where each seed of a bank of a graph holds each filter, and every
+    """Where each seed of a world of a graph holds each filter, and every
     index a step gathers with along the axes after the seed axis.  Bank
     order lists the rows (agents) bucket after bucket; the offset table
     holds each row's means as n slots."""
@@ -115,8 +113,8 @@ class _Layout:
 
 @lru_cache(maxsize=16)
 def _layout(graph: Graph) -> _Layout:
-    """Looked up only where a bank is built (`init_world`); a step, and a
-    bank that keeps some of its seeds, reads the layout the bank carries."""
+    """Looked up only where a world is built (`init_world`); a step, and a
+    world that keeps some of its seeds, reads the layout the world carries."""
     nbrs = [sorted_neighbors(graph, i) for i in range(graph.agent_count)]
     # noise draws follow agent order, as a per-agent loop draws them: the
     # agent's n distances, then its heading
@@ -152,36 +150,50 @@ def _layout(graph: Graph) -> _Layout:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FilterBank:
-    """Every agent's filter, for B seeds, in the bank order of `layout`
-    after a leading seed axis: the offset table (B, slots, 2) of every
-    tracked neighbor offset, the headings (B, agents), and per bucket of
-    degree n the covariances (B, A, 2n+1, 2n+1)."""
+@dataclass(eq=False)
+class WorldState:
+    """B seeds of one config: true positions (B, agents, 2), every agent's
+    filter, the elapsed time, and one generator and one event log per seed.
+    The filters lie in the bank order of `layout` after the seed axis: the
+    offset table (B, slots, 2) of every tracked neighbor offset, the
+    headings (B, agents), and per bucket of degree n the covariances
+    (B, A, 2n+1, 2n+1).  After a step, v holds each seed's average
+    velocities over it, (B, agents, 2).  A step returns a new state and
+    never assigns a field of the old one, so `filters` may be cached."""
 
+    r: np.ndarray
     layout: _Layout
     offsets: np.ndarray
     headings: np.ndarray
     covariances: tuple[np.ndarray, ...]
+    t: float
+    rngs: list
+    events: list
+    v: np.ndarray | None = None
 
     def bucket(self, b: int) -> tuple:
         """Bucket b's means (B, A, 2n), headings (B, A) and covariances, as
-        views of the bank's arrays; the means are a view of a C-contiguous
+        views of the state's arrays; the means are a view of a C-contiguous
         offset table, as `init_world` and every step build it."""
         bucket = self.layout.buckets[b]
         return (self.offsets[:, bucket.slots].reshape(len(self.offsets), -1, 2 * bucket.degree),
                 self.headings[:, bucket.rows], self.covariances[b])
 
-    def take(self, keep: np.ndarray) -> "FilterBank":
-        """The bank of the seeds where the boolean mask `keep` is set."""
-        return FilterBank(self.layout, self.offsets[keep], self.headings[keep],
-                          tuple(c[keep] for c in self.covariances))
+    def take(self, keep: np.ndarray) -> "WorldState":
+        """The seeds that the boolean mask `keep` selects."""
+        return WorldState(r=self.r[keep], layout=self.layout, offsets=self.offsets[keep],
+                          headings=self.headings[keep],
+                          covariances=tuple(c[keep] for c in self.covariances), t=self.t,
+                          rngs=list(compress(self.rngs, keep)),
+                          events=list(compress(self.events, keep)),
+                          v=None if self.v is None else self.v[keep])
 
     @cached_property
     def filters(self) -> tuple[EstimatorState, ...]:
-        """Per-agent filter states of a one-seed bank, in agent order."""
+        """Per-agent filter states of a one-seed world, in agent order,
+        built on first read."""
         if len(self.offsets) != 1:
-            raise ValueError(f"a bank of {len(self.offsets)} seeds has no single set of filters")
+            raise ValueError(f"a world of {len(self.offsets)} seeds has no single set of filters")
         out = [None] * self.headings.shape[1]
         for b, bucket in enumerate(self.layout.buckets):
             means, headings, covariances = self.bucket(b)
@@ -189,32 +201,6 @@ class FilterBank:
                 out[i] = EstimatorState(GroupElement(means[0, row], headings[0, row]),
                                         covariances[0, row])
         return tuple(out)
-
-
-@dataclass(eq=False)
-class WorldState:
-    """B seeds of one config: true positions (B, agents, 2), their filter
-    bank, the elapsed time, and one generator and one event log per seed.
-    After a step, v holds each seed's average velocities over it,
-    (B, agents, 2)."""
-
-    r: np.ndarray
-    bank: FilterBank
-    t: float
-    rngs: list
-    events: list
-    v: np.ndarray | None = None
-
-    @property
-    def filters(self) -> tuple[EstimatorState, ...]:
-        return self.bank.filters
-
-    def take(self, keep: np.ndarray) -> "WorldState":
-        """The seeds that the boolean mask `keep` selects."""
-        return WorldState(r=self.r[keep], bank=self.bank.take(keep), t=self.t,
-                          rngs=list(compress(self.rngs, keep)),
-                          events=list(compress(self.events, keep)),
-                          v=None if self.v is None else self.v[keep])
 
 
 def edge_labels(graph: Graph) -> tuple[str, ...]:
@@ -242,7 +228,7 @@ def _law_inputs(world: WorldState, config: ScenarioConfig):
     positions; its directions are None."""
     if config.variant == "ideal":
         return None, None, 0.0
-    est_tail, est_head = _edge_estimates(world.bank.offsets, world.bank.layout)
+    est_tail, est_head = _edge_estimates(world.offsets, world.layout)
     if config.variant == "estimated":
         return est_tail, -est_head, 0.0
     return est_tail, est_tail, config.mismatch.values
@@ -274,8 +260,7 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
     It evaluates the public control laws' kernel without their per-call
     validation; a regression test holds the two bit-identical.
     """
-    layout = world.bank.layout
-    at, ah, diff = layout.at, layout.ah, layout.diff
+    at, ah, diff = world.layout.at, world.layout.ah, world.layout.diff
     agents = config.graph.agent_count
     dv2, a, swap = _kernel_entries(config, len(world.r))
     tail_dirs, head_dirs, _ = law
@@ -296,7 +281,7 @@ def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndar
     """Per seed, an upper estimate of the Jacobian scale of the control
     field with `_law_inputs` `law`, used to pick the sub-step count that
     keeps the 4th-order scheme inside its stability region."""
-    tails, heads = world.bank.layout.tails, world.bank.layout.heads
+    tails, heads = world.layout.tails, world.layout.heads
     z1 = world.r[:, tails] - world.r[:, heads]
     zn = np.linalg.norm(z1, axis=2)
     e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
@@ -374,10 +359,10 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
                                      for pair in zip(layout.trackers, layout.nbrs)]), (count, 1, 1))
     var = config.initial_var if config.initial_var is not None else config.offset_bound ** 2 / 3.0
     hvar = config.noise.meas_heading_var
-    bank = FilterBank(layout, offsets, np.zeros((count, agents)),
-                      tuple(np.tile(np.diag([var] * (2 * b.degree) + [hvar]),
-                                    (count, len(b.agents), 1, 1)) for b in layout.buckets))
-    return WorldState(r=r, bank=bank, t=0.0, rngs=rngs, events=[()] * count)
+    covariances = tuple(np.tile(np.diag([var] * (2 * b.degree) + [hvar]),
+                                (count, len(b.agents), 1, 1)) for b in layout.buckets)
+    return WorldState(r=r, layout=layout, offsets=offsets, headings=np.zeros((count, agents)),
+                      covariances=covariances, t=0.0, rngs=rngs, events=[()] * count)
 
 
 def _divergence(t: float, events: tuple[str, ...]) -> DivergenceError:
@@ -420,33 +405,32 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     """Phases (3)-(5) for every seed of a world that `_move` advanced.
 
     The filters' elementwise work (rotations, innovations, mean increments)
-    runs once over the bank's arrays, so the measurements are gathered in
-    bank order (`_Layout`) after the seed axis: `heading_meas` holds one
+    runs once over the flat filter arrays, so the measurements are gathered
+    in bank order (`_Layout`) after the seed axis: `heading_meas` holds one
     entry per bank row, not per agent.  The per-degree matrix algebra runs
     in two bucket loops, one `_predict_degree` and one `_update_degree` call
-    per bucket, each on views of the bank before it; each loop fills fresh
-    arrays that make up the next bank.  A refused filter keeps its
+    per bucket, each on views of the filters before it; each loop fills
+    fresh arrays that make up the next filters.  A refused filter keeps its
     prediction, and its update is logged in agent order."""
     if not config.estimator_enabled:
         return world
     noise, dt = config.noise, config.dt
-    bank = world.bank
-    layout = bank.layout
+    layout = world.layout
     # velocities and measurements of every seed and slot at once; the true
     # heading is 0, so its measurement is noise
     rel_world = world.v[:, layout.nbrs] - world.v[:, layout.trackers]
     diffs = world.r[:, layout.nbrs] - world.r[:, layout.trackers]
     ranges = 0.5 * (diffs ** 2).sum(axis=-1)
-    heading_meas = np.zeros(bank.headings.shape)
+    heading_meas = np.zeros(world.headings.shape)
     if config.measurement_noise:
         draws = np.array([rng.standard_normal(layout.draw_count) for rng in world.rngs])
         ranges += np.sqrt(noise.meas_distance_var) * draws[:, layout.range_draws]
         heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
 
-    rot, quarter, flow, theta = _predict_rows(bank.headings, np.zeros(heading_meas.shape), dt)
-    offsets, covariances = np.empty(bank.offsets.shape), []
+    rot, quarter, flow, theta = _predict_rows(world.headings, np.zeros(heading_meas.shape), dt)
+    offsets, covariances = np.empty(world.offsets.shape), []
     for b, bucket in enumerate(layout.buckets):
-        means, _, cov = bank.bucket(b)
+        means, _, cov = world.bucket(b)
         rows = bucket.rows
         v_body = rel_world[:, bucket.slots].reshape(means.shape[:-1] + (-1, 2)) @ rot[:, rows]
         p, cov = _predict_degree(means, cov, v_body.reshape(means.shape), rot[:, rows],
@@ -454,7 +438,7 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
                                  dt, noise)
         offsets[:, bucket.slots] = p.reshape(len(p), -1, 2)
         covariances.append(cov)
-    predicted = FilterBank(layout, offsets, theta, tuple(covariances))
+    predicted = replace(world, offsets=offsets, headings=theta, covariances=tuple(covariances))
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
 
     offset_deltas, heading_deltas, covariances = np.empty_like(offsets), np.empty_like(theta), []
@@ -472,14 +456,13 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         covariances.append(cov)
         for (seed, member), exc in errors.items():
             skipped[seed].append((int(bucket.agents[member]), exc))
-    bank = FilterBank(layout, offsets + offset_deltas, theta + heading_deltas, tuple(covariances))
-
     events = world.events
     if any(skipped):
         events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
                              for i, exc in sorted(refused, key=lambda item: item[0]))
                   for ev, refused in zip(events, skipped)]
-    return replace(world, bank=bank, events=events)
+    return replace(world, offsets=offsets + offset_deltas, headings=theta + heading_deltas,
+                   covariances=tuple(covariances), events=events)
 
 
 def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
@@ -540,7 +523,7 @@ def run(config: ScenarioConfig, seeds=None):
         if block:
             stop = start + len(block)
             # a block ends before a seed leaves, so its steps share `live`
-            metrics = _metrics(*map(np.stack, zip(*block)), world.bank.layout, config)
+            metrics = _metrics(*map(np.stack, zip(*block)), world.layout, config)
             for out, values in zip(series, metrics):
                 out[live, start:stop] = values.swapaxes(0, 1)
             block.clear()
@@ -556,7 +539,7 @@ def run(config: ScenarioConfig, seeds=None):
             if not live.size:
                 break
         world = _sense(world, config)
-        block.append((world.r, world.v, world.bank.offsets))
+        block.append((world.r, world.v, world.offsets))
         if len(block) == BLOCK_STEPS:
             flush()
     flush()

@@ -32,7 +32,6 @@ from formloc.observability import GramianReport, observation, observation_jacobi
 from formloc.scenario import MetricsSeries, ScenarioConfig
 from formloc.sim import (
     DivergenceError,
-    FilterBank,
     WorldState,
     _divergence,
     _layout,
@@ -328,12 +327,14 @@ def initialize(truth: GroupElement, offset_bound: float, seed,
 # ------------------------------------------------------------------ one step
 
 
-def bank_of(graph: Graph, *seeds) -> FilterBank:
-    """Stack per-agent filters as a bank: each argument after the graph is
-    one seed's filters in agent order, and the seeds come in that order."""
+def bank_of(graph: Graph, *seeds) -> dict:
+    """Stack per-agent filters in bank order, as the `WorldState` fields
+    layout, offsets, headings and covariances: each argument after the
+    graph is one seed's filters in agent order, and the seeds come in that
+    order."""
     layout = _layout(graph)
     order = [i for b in layout.buckets for i in b.agents]
-    return FilterBank(
+    return dict(
         layout=layout,
         offsets=np.array([np.concatenate([f[i].mean.p for i in order]).reshape(-1, 2)
                           for f in seeds]),
@@ -346,8 +347,8 @@ def bank_of(graph: Graph, *seeds) -> FilterBank:
 def estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
     """Agent i's current estimate of r_i - r_j (its filter tracks r_j - r_i),
     in the world's first seed."""
-    layout = world.bank.layout
-    return -world.bank.offsets[0, np.flatnonzero((layout.trackers == i) & (layout.nbrs == j))[0]]
+    layout = world.layout
+    return -world.offsets[0, np.flatnonzero((layout.trackers == i) & (layout.nbrs == j))[0]]
 
 
 def step(world: WorldState, config: ScenarioConfig) -> WorldState:
@@ -368,7 +369,7 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         return world
     noise = config.noise
     layout = _layout(config.graph)
-    bank, seeds = world.bank, len(world.r)
+    seeds = len(world.r)
     # velocities and measurements of every seed and slot at once, then
     # sliced per bucket; the true heading is 0, so its measurement is noise
     rel_world = world.v[:, layout.nbrs] - world.v[:, layout.trackers]
@@ -386,7 +387,7 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         a_count, n = len(bucket.agents), bucket.degree
         rows = seeds * a_count
         # means, headings and covariances, their rows seed after seed
-        prior = [x.reshape((rows,) + x.shape[2:]) for x in bank.bucket(b)]
+        prior = [x.reshape((rows,) + x.shape[2:]) for x in world.bucket(b)]
         v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(prior[1])
         p, theta, cov = predict_batch(*prior, v_body.reshape(rows, 2 * n), np.zeros(rows),
                                       config.dt, noise)
@@ -405,10 +406,11 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
                              for i, exc in sorted(refused, key=lambda item: item[0]))
                   for ev, refused in zip(events, skipped)]
-    bank = FilterBank(bank.layout, np.concatenate([p.reshape(seeds, -1, 2) for p in means], axis=1),
-                      np.concatenate([theta.reshape(seeds, -1) for theta in headings], axis=1),
-                      tuple(cov.reshape((seeds, -1) + cov.shape[1:]) for cov in covariances))
-    return replace(world, bank=bank, events=events)
+    return replace(world,
+                   offsets=np.concatenate([p.reshape(seeds, -1, 2) for p in means], axis=1),
+                   headings=np.concatenate([theta.reshape(seeds, -1) for theta in headings], axis=1),
+                   covariances=tuple(cov.reshape((seeds, -1) + cov.shape[1:]) for cov in covariances),
+                   events=events)
 
 
 
@@ -450,7 +452,7 @@ def per_step_run(config: ScenarioConfig, seeds=None):
         z1 = r[:, tails] - r[:, heads]
         distances[rows, k] = np.linalg.norm(z1, axis=2)
         dist_errors_arr[rows, k] = (z1 ** 2).sum(axis=2) - dv2
-        offsets, layout = world.bank.offsets, world.bank.layout
+        offsets, layout = world.offsets, world.layout
         est_tail, est_head = -offsets[:, layout.tail_slots], -offsets[:, layout.head_slots]
         est_errors[rows, k] = np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1))
         centroid_speed[rows, k] = _vector_norms(v_mean)

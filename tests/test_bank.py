@@ -122,7 +122,7 @@ def reference_step(world, config, rng=None):
         except SingularUpdateError as exc:
             events.append(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}")
         new_filters.append(state)
-    return WorldState(r=r_new[None], bank=bank_of(graph, new_filters), t=t_new, rngs=[rng],
+    return WorldState(r=r_new[None], **bank_of(graph, new_filters), t=t_new, rngs=[rng],
                       events=[tuple(events)])
 
 
@@ -300,7 +300,7 @@ def test_refused_update_is_isolated_to_its_agent(poisoned):
     with np.errstate(invalid="ignore"):  # inf - inf in the symmetry checks
         for agent, kind in poisoned.items():
             filters = _poison(filters, agent, kind)
-        world = replace(world, bank=bank_of(config.graph, filters))
+        world = replace(world, **bank_of(config.graph, filters))
         got = step(world, config)
         want = reference_step(world, config)
         got_filters, want_filters = got.filters, want.filters
@@ -363,7 +363,7 @@ def _sense_matching_oracle(world, config, steps=4):
         want = bucket_sense(replace(moved, rngs=copy.deepcopy(moved.rngs)), config)
         world = _sense(moved, config)
         for name in ("offsets", "headings", "covariances"):
-            for got, expected in zip(getattr(world.bank, name), getattr(want.bank, name),
+            for got, expected in zip(getattr(world, name), getattr(want, name),
                                      strict=True):
                 np.testing.assert_array_equal(got, expected)
         assert world.events == want.events
@@ -393,7 +393,7 @@ def test_filter_phase_with_a_degree_one_agent(seeds):
 
 @pytest.mark.parametrize("seeds", [1, 3])
 def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
-    # the bank carries its layout, so once a world is built no step, and no
+    # the world carries its layout, so once a world is built no step, and no
     # seed leaving the batch, hashes its graph; lookups keyed on the config
     # or the noise may stay
     config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
@@ -412,7 +412,7 @@ def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     kept = world.take(np.arange(seeds) % 2 == 0)
     step(kept, config)
     assert len(hashed) == 0
-    assert kept.bank.layout is world.bank.layout
+    assert kept.layout is world.layout
 
 
 @pytest.mark.parametrize("kind", ["nonfinite", "singular"])
@@ -425,23 +425,23 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
     world = init_world(config, range(seeds))
     agent, bucket = 1, 1
     row = (seeds - 1, list(_layout(config.graph).buckets[bucket].agents).index(agent))
-    covariances = list(world.bank.covariances)
+    covariances = list(world.covariances)
     covariances[bucket] = covariances[bucket].copy()
     if kind == "nonfinite":
         covariances[bucket][row][0, 0] = np.inf
     else:
         covariances[bucket][row][-1, :] = covariances[bucket][row][:, -1] = 0.0
         covariances[bucket][row][-1, -1] = -0.5
-    world = replace(world, bank=replace(world.bank, covariances=tuple(covariances)))
+    world = replace(world, covariances=tuple(covariances))
     reason = "is not finite" if kind == "nonfinite" else "not invertible: "
     for step_count in (1, 2, 3):
-        prior = world.bank.bucket(bucket)  # means, headings, covariances
+        prior = world.bucket(bucket)  # means, headings, covariances
         rows = prior[1].shape
         with np.errstate(invalid="ignore"):
             world = _sense_matching_oracle(world, config, steps=1)
             p, theta, cov = predict_batch(*prior, np.zeros(rows + (4,)),
                                           np.zeros(rows), config.dt, config.noise)
-        means, headings, covs = world.bank.bucket(bucket)
+        means, headings, covs = world.bucket(bucket)
         np.testing.assert_array_equal(means[row], p[row])
         np.testing.assert_array_equal(headings[row], theta[row])
         np.testing.assert_array_equal(covs[row], cov[row])

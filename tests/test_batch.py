@@ -156,7 +156,7 @@ def test_events_stay_with_their_seed():
             for agent, kind in plan.items():
                 filters[-1] = _poison(filters[-1], agent, kind)
         batch = WorldState(r=world.r + np.where(seeds == 0, 2e9, 0.0)[:, None, None],
-                           bank=bank_of(config.graph, *filters), t=0.0,
+                           **bank_of(config.graph, *filters), t=0.0,
                            rngs=[None] * len(plans),
                            events=[(f"earlier event of seed {b}",) for b in seeds])
         worlds = [batch.take(seeds == b) for b in seeds]
@@ -173,7 +173,7 @@ def test_events_stay_with_their_seed():
         assert [got.events[row]] == alone.events
         np.testing.assert_array_equal(got.r[row], alone.r[0])
         with np.errstate(invalid="ignore"):
-            mine, its = got.bank.take(np.arange(len(want)) == row).filters, alone.filters
+            mine, its = got.take(np.arange(len(want)) == row).filters, alone.filters
         for f_mine, f_alone in zip(mine, its, strict=True):
             np.testing.assert_array_equal(f_mine.mean.p, f_alone.mean.p)
             np.testing.assert_array_equal(f_mine.mean.theta, f_alone.mean.theta)
@@ -189,8 +189,8 @@ def test_refused_updates_keep_their_predictions_in_a_batch():
                      initial_var=1.0, measurement_noise=True, duration=0.05)
     seeds = range(3)
     world = init_world(config, seeds)
-    for b in range(len(world.bank.layout.buckets)):
-        assert np.shares_memory(world.bank.bucket(b)[0], world.bank.offsets)
+    for b in range(len(world.layout.buckets)):
+        assert np.shares_memory(world.bucket(b)[0], world.offsets)
     with np.errstate(over="ignore", invalid="ignore"):
         got = run(config, seeds=seeds)
         for seed, result in zip(seeds, got):
@@ -244,7 +244,7 @@ def test_init_world_seeds_match_one_seed_at_a_time(case):
         mine = world.take(np.arange(len(seeds)) == b)
         assert np.array_equal(world.r[b], alone.r[0])
         for name in ("offsets", "headings", "covariances"):
-            for got, want in zip(getattr(mine.bank, name), getattr(alone.bank, name), strict=True):
+            for got, want in zip(getattr(mine, name), getattr(alone, name), strict=True):
                 assert got.shape == want.shape and np.array_equal(got, want), name
         # both generators took the same draws
         assert world.rngs[b].random() == alone.rngs[0].random()
@@ -291,6 +291,7 @@ def test_seed_sweep_prints_the_serial_tally(seeds, duration):
     ("--dt", "-0.01"),
     ("--duration", "0"),
     ("--duration", "-2"),
+    ("--seeds", "2", "--dt", "1e-320"),  # its step count overflowed
 ])
 def test_seed_sweep_rejects_bad_arguments(args):
     proc = _sweep(*args)

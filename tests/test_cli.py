@@ -184,6 +184,7 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[init]\nmin_separation = -inf\n", 7, "min_separation"),
     ("[sim]\ndt = nan\n", 7, "dt"),
     ("[sim]\nseed = 1\nduration = inf\n", 8, "duration"),
+    ("[sim]\ndt = 1e-320\n", 7, "dt 1e-320 over duration 100.0 gives inf steps"),  # overflowed
     ("[init]\npositions = 0,0; 10,nan; 5,8\n", 7, "non-finite"),  # read as a divergence
     ("[init]\npositions = 0,0; 0,0; 0,0\n", 7, "agents 1 and 2 are 0.0 apart"),  # used to run
     ("[init]\nmin_separation = 2\npositions = 0,0; 10,0; 1,1\n", 8, "agents 1 and 3"),
@@ -385,6 +386,35 @@ def test_run_rejects_nonfinite_overrides(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt, duration, steps", [("1e-300", "1", "1e+300"),
+                                                 ("1e-320", "1", "inf"), ("1e-3", "1e308", "inf")])
+def test_run_refuses_step_counts_no_series_can_hold(tmp_path, capsys, dt, duration, steps):
+    # an infinite count overflowed in `steps`; 1e300 steps reached the series
+    # allocation, which numpy refused with "Maximum allowed dimension exceeded"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "nominal", "--dt", dt, "--duration", duration,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"run: dt {float(dt)} over duration {float(duration)} gives {steps} steps")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_out_of_memory_exits_runtime(tmp_path, capsys, monkeypatch):
+    # a 1e9 s nominal run asks numpy for a 2.18 TiB series; the MemoryError
+    # is raised here rather than allocated, which overcommit may let succeed
+    message = "Unable to allocate 2.18 TiB for an array with shape (1, 100000000000, 3)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run", no_memory)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "nominal", "--duration", "1e9", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"run: {message}\n"
+    assert not out.exists()
+
+
 def test_run_reads_a_negative_exponent_override_as_a_value(tmp_path, capsys):
     # argparse alone takes -1e-3 for an option: "expected one argument"
     out = tmp_path / "out"
@@ -451,6 +481,19 @@ def test_check_observability_point(capsys):
                      "--p", "1.0,0.0,0.0,2.0", "--theta", "0.3"]) == 0
     # a list that starts with a minus sign used to read as an unknown option
     assert cli.main(["check-observability", "--n", "1", "--p", "-1,2"]) == 0
+
+
+def test_check_observability_out_of_memory_exits_runtime(capsys, monkeypatch):
+    # --n 100000 asks for a 745 GiB codistribution matrix; raised, not allocated
+    message = "Unable to allocate 745. GiB for an array"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "codistribution_rank", no_memory)
+    assert cli.main(["check-observability", "--n", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"check-observability: {message}\n" and captured.out == ""
 
 
 def test_check_observability_usage(capsys):

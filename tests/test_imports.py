@@ -148,6 +148,41 @@ def test_import_scan_sees_every_form():
     assert imported_from(source, "sim") == ["run", "_layout", "*", "*", "_move"]
 
 
+def private_formloc_imports(source: str) -> list[str]:
+    """'formloc.module.name (line N)' for each name that `source` imports
+    from `formloc` and that has a `_`-prefixed part; dunders are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "formloc" and any(
+                      part.startswith("_") and not part.endswith("__") for part in name.split("."))]
+    return found
+
+
+def test_private_import_scan_sees_every_form():
+    source = ("from formloc.cli import SCENARIOS, _run_and_save\n"
+              "from formloc import cli, _hidden\n"
+              "import formloc._impl, numpy\n"
+              "from formloc._impl import run\n"
+              "from numpy import _core\n"
+              "from formloc import __version__\n")
+    assert private_formloc_imports(source) == [
+        "formloc.cli._run_and_save (line 1)", "formloc._hidden (line 2)",
+        "formloc._impl (line 3)", "formloc._impl.run (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_imports_only_public_formloc_names(path):
+    # a script that needs a private name re-implements part of the package
+    assert private_formloc_imports(path.read_text()) == []
+
+
 def test_scenario_imports_nothing_from_the_engine():
     assert imported_from((SRC / "scenario.py").read_text(), "sim") == []
 
@@ -179,7 +214,7 @@ def test_module_exports_only_its_own_names(path):
     assert undefined_exports(path.read_text()) == []
 
 
-SIM_EXPORTS = ("DivergenceError", "FilterBank", "WorldState", "init_world", "run")
+SIM_EXPORTS = ("DivergenceError", "WorldState", "init_world", "run")
 
 
 def test_sim_exports_are_listed():
@@ -190,8 +225,7 @@ def test_sim_exports_are_listed():
 def test_sim_export_is_one_object(module, name):
     obj = getattr(importlib.import_module(module), name)
     assert obj.__module__ == module
-    if name in formloc.__all__:  # FilterBank is not package-level
-        assert getattr(formloc, name) is obj
+    assert getattr(formloc, name) is obj
 
 
 @pytest.mark.parametrize("name", [n for n in formloc.scenario.__all__ if n in formloc.__all__])

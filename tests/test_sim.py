@@ -165,7 +165,7 @@ def test_init_world_gives_up_on_impossible_spawn(triangle):
 
 def reference_init(config, rng):
     """`init_world` with one scalar filter per agent, stacked (the oracle):
-    its positions and its bank."""
+    its positions and its filter fields (`bank_of`)."""
     graph, o = config.graph, config.graph.agent_count
     if config.initial_positions is not None:
         r = np.array(config.initial_positions)
@@ -209,7 +209,7 @@ def test_init_world_matches_per_agent_oracle(config, offset_bound, initial_var, 
     r, want = reference_init(config, rng_ref)
     np.testing.assert_array_equal(got.r[0], r)
     for name in ("offsets", "headings", "covariances"):
-        for a, b in zip(getattr(got.bank, name), getattr(want, name), strict=True):
+        for a, b in zip(getattr(got, name), want[name], strict=True):
             assert a.shape == b.shape and np.array_equal(a, b), name
     # both consumed the same draws, in the same order
     assert got.rngs[0].random() == rng_ref.random()
@@ -299,9 +299,10 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
 def test_step_with_estimator_disabled_freezes_filters(triangle):
     config = _basic_config(triangle, estimator_enabled=False)
     world = init_world(config, (0,))
-    before = world.filters
     after = step(world, config)
-    assert after.filters is before
+    # the filter arrays are the same objects: nothing is copied
+    for name in ("offsets", "headings", "covariances"):
+        assert getattr(after, name) is getattr(world, name)
     assert after.t == pytest.approx(config.dt)
     assert not np.array_equal(after.r, world.r)
 
