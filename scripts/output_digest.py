@@ -16,7 +16,10 @@ Two checkouts print the same lines exactly when these outputs are byte-identical
   filter bucket has one row per seed;
 - the same of `run(config, seeds=range(3))` with measurement noise for the
   ideal nominal at 0.05 s with offsets drawn 1e160 wide, whose innovation
-  covariances overflow, so every filter refuses every update.
+  covariances overflow, so every filter refuses every update;
+- the exit code and the stdout and stderr text of `formloc check-observability`
+  on the trajectories `perfbench/generate.trajectory_lines(0, n)` writes for
+  n = 1 and 5, and with `--n 3 --seed 0`.
 
 Every run uses this checkout's `src/`.  Compare two checkouts with
 
@@ -55,13 +58,18 @@ def _show(digest: str, label: str) -> None:
     print(f"{digest}  {label}", flush=True)
 
 
-def _artifacts(label: str, out: Path, *argv: str) -> None:
-    proc = _python("-m", "formloc", *argv, "--out", str(out))
+def _text(label: str, temp: Path, *argv: str) -> None:
+    """The exit code and the stdout and stderr text of `formloc *argv`."""
+    proc = _python("-m", "formloc", *argv)
     print(f"exit {proc.returncode}  {label}", flush=True)
-    # the output directory is a fresh temp path each time: hash the text without it
+    # `temp` is a fresh temp path each time: hash the text without it
     text = proc.stdout + b"\n-- stderr --\n" + proc.stderr
-    _show(hashlib.sha256(text.replace(str(out).encode(), b"<out>")).hexdigest(),
+    _show(hashlib.sha256(text.replace(str(temp).encode(), b"<out>")).hexdigest(),
           f"{label} stdout+stderr")
+
+
+def _artifacts(label: str, out: Path, *argv: str) -> None:
+    _text(label, out, *argv, "--out", str(out))
     for name in ("metrics.csv", "manifest.txt"):
         path = out / name
         _show(hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing",
@@ -108,6 +116,13 @@ def main() -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             _show(_series_digest(run(refusing, seeds=range(3))),
                   "run nominal ideal 0.05 s offsets 1e160 noisy, seeds 0-2 (every update refused)")
+        for n in (1, 5):
+            path = tmp / f"traj-0-n{n}.csv"
+            with open(path, "w") as fh:
+                fh.writelines(generate.trajectory_lines(0, n))
+            _text(f"check-observability trajectory #0 n={n}", path,
+                  "check-observability", "--trajectory", str(path))
+        _text("check-observability --n 3 --seed 0", tmp, "check-observability", "--n", "3", "--seed", "0")
     return 0
 
 

@@ -36,8 +36,13 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    try:
+        results = run(base, seeds=range(args.seeds))
+    except ValueError as exc:  # a batch too big for numpy to index
+        parser.error(str(exc))
+
     tally = collections.Counter()
-    for seed, result in enumerate(run(base, seeds=range(args.seeds))):
+    for seed, result in enumerate(results):
         if isinstance(result, DivergenceError):
             tally["diverged"] += 1
             if args.verbose:

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from .controller import MismatchConfig
 from .estimator import NoiseConfig
 from .lie_group import GroupElement
 from .network import AgentError, DesiredDistances, Graph
-from .observability import codistribution_rank, empirical_gramian
+from .observability import BLOCK_ROWS, codistribution_rank, empirical_gramian
 from .scenario import (
     VARIANTS,
     MetricsSeries,
@@ -397,8 +399,8 @@ def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:
         raise RuntimeError("non-finite values in metrics; refusing to write CSV")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in table:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for row in table:  # row by row: the table as Python floats would hold them all at once
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_manifest(path: str | Path, config: ScenarioConfig, series: MetricsSeries,
@@ -495,35 +497,71 @@ def cmd_reproduce(args) -> int:
     return _run_and_report("reproduce", SCENARIOS[args.name](), args.out, EXPECTED_OUTCOME[args.name])
 
 
-def _load_trajectory(path: Path):
-    """Trajectory CSV: t, theta, x1, y1, ..., w, vx1, vy1, ... per row.
-    Returns the rows without t (the trajectory `empirical_gramian` reads),
-    the sampling interval and the neighbor count."""
+def _parse_error(path: Path, exc: ValueError) -> ConfigError:
+    """The whole-file message of a parse error met in some block: loadtxt
+    numbers a block's rows from the block's start, so read the file once
+    more from its header, as one table, up to the error."""
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError:
-        raise ConfigError(f"trajectory file not found: {path}") from None
+        np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as whole:
+        exc = whole
+    return ConfigError(f"{path}: {exc}")
+
+
+def _read_block(path: Path, fh, done: int) -> np.ndarray:
+    """The next BLOCK_ROWS data rows of an open trajectory CSV, (0, 1) at its
+    end; `done` rows came before them."""
+    try:
+        with warnings.catch_warnings():
+            # at the end of the data, and for every blank or comment line that max_rows skips
+            warnings.simplefilter("ignore", UserWarning)
+            block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=BLOCK_ROWS)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
-    if bad.size:
+        raise _parse_error(path, exc) from None
+    if not np.isfinite(block).all():
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))[0]
         # the file lines loadtxt read as rows: after the header, neither blank nor comment
-        rows = [k for k, line in enumerate(path.read_text().splitlines()[1:], start=2)
-                if line.split("#", 1)[0].strip()]
-        raise ConfigError(f"{path}:{rows[bad[0]]}: non-finite trajectory value")
-    cols = raw.shape[1]
-    if cols < 7 or (cols - 3) % 4 != 0:
+        fh.seek(0)
+        rows = (k for k, line in enumerate(fh, start=1) if k > 1 and line.split("#", 1)[0].strip())
+        line = next(itertools.islice(rows, done + bad, None))
+        raise ConfigError(f"{path}:{line}: non-finite trajectory value")
+    return block
+
+
+def _trajectory_blocks(path: Path, fh):
+    """Trajectory CSV: t, theta, x1, y1, ..., w, vx1, vy1, ... per row, read
+    from the open file `fh` in blocks of BLOCK_ROWS rows.  Parses and checks
+    the first block now; returns the sampling interval, the neighbor count and
+    an iterator over the blocks without t (the rows `empirical_gramian`
+    reads), which parses and checks each later block when it gets there."""
+    fh.readline()  # the header
+    first = _read_block(path, fh, 0)
+    cols = first.shape[1]
+    if first.shape[0] and (cols < 7 or (cols - 3) % 4 != 0):
         raise ConfigError(
             f"{path}: expected columns t, theta, x/y per neighbor, w, vx/vy per neighbor"
         )
-    n = (cols - 3) // 4
-    if raw.shape[0] < 2:
+    if first.shape[0] < 2:
         raise ConfigError(f"{path}: at least two samples required")
-    steps = np.diff(raw[:, 0])
-    dt = float(steps[0])
-    if dt <= 0 or np.abs(steps - dt).max() > 1e-9 * max(1.0, abs(dt)):
-        raise ConfigError(f"{path}: time column must be uniformly increasing")
-    return raw[:, 1:], dt, n
+    dt = float(first[1, 0] - first[0, 0])
+    uneven = ConfigError(f"{path}: time column must be uniformly increasing")
+    if dt <= 0:
+        raise uneven
+
+    def blocks():
+        block, done, last = first, 0, first[:0, 0]  # no sample before the first block
+        while block.shape[0]:
+            if block.shape[1] != cols:
+                raise _parse_error(path, ValueError(f"the number of columns changed from {cols} "
+                                                    f"to {block.shape[1]}"))
+            steps = np.diff(np.append(last, block[:, 0]))
+            if np.abs(steps - dt).max() > 1e-9 * max(1.0, abs(dt)):
+                raise uneven
+            yield block[:, 1:]
+            done, last = done + block.shape[0], block[-1:, 0]
+            block = _read_block(path, fh, done)
+
+    return blocks(), dt, (cols - 3) // 4
 
 
 def cmd_check_observability(args) -> int:
@@ -540,8 +578,15 @@ def cmd_check_observability(args) -> int:
         if args.depth is not None and args.depth < 1:
             raise ConfigError(f"--depth must be at least 1, got {args.depth}")
         if args.trajectory is not None:
-            traj, dt, n = _load_trajectory(Path(args.trajectory))
-            report = empirical_gramian(traj, dt, rank_tol=args.tol)
+            path = Path(args.trajectory)
+            try:
+                with open(path) as fh:
+                    blocks, dt, n = _trajectory_blocks(path, fh)
+                    report = empirical_gramian(blocks, dt, rank_tol=args.tol)
+            except OSError as exc:
+                raise ConfigError(f"cannot read trajectory file {path}: {exc.strerror or exc}") from None
+            except UnicodeDecodeError as exc:  # met by the header's read, not by loadtxt's
+                raise ConfigError(f"{path}: {exc}") from None
             dim = 2 * n + 1
             eigs = np.linalg.eigvalsh(report.gramian)[::-1]
             print(f"neighbors: {n}")

@@ -509,9 +509,12 @@ def run(config: ScenarioConfig, seeds=None):
     if not seeds:
         return ()
     steps, graph = config.steps, config.graph
+    count, m = len(seeds), graph.edge_count
+    if count * steps * m * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"{count} seeds of {steps} steps and {m} edges: the metric series "
+                         "exceed the largest array numpy can index")
     world = init_world(config, seeds)
 
-    count, m = len(seeds), graph.edge_count
     # the MetricsSeries arrays in field order: three per edge, then three per step
     series = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
     results = [None] * count

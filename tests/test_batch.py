@@ -222,6 +222,17 @@ def test_negative_seed_is_rejected_before_any_generator(monkeypatch):
         run(scenario_nominal(), seeds=[-1])
 
 
+def test_batch_too_big_to_index_is_refused_before_any_generator(monkeypatch):
+    # one seed's (steps, edges) series fits in an array; 10000 of them do not
+    def no_generator(seed):
+        raise AssertionError(f"generator built for seed {seed}")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    config = replace(scenario_nominal(), duration=1e12)
+    with pytest.raises(ValueError, match="^10000 seeds of 100000000000000 steps and 3 edges"):
+        run(config, seeds=range(10000))
+
+
 @st.composite
 def seed_tuples(draw):
     """The nominal config or a `rigid_scenarios` one, each half the time
@@ -292,6 +303,7 @@ def test_seed_sweep_prints_the_serial_tally(seeds, duration):
     ("--duration", "0"),
     ("--duration", "-2"),
     ("--seeds", "2", "--dt", "1e-320"),  # its step count overflowed
+    ("--seeds", "10000", "--duration", "1e12"),  # one seed's series fits, 10000 of them do not
 ])
 def test_seed_sweep_rejects_bad_arguments(args):
     proc = _sweep(*args)

@@ -4,6 +4,10 @@ Everything drives `cli.main` in-process; one subprocess test checks the
 `python -m formloc` wiring.
 """
 
+import errno
+import locale
+import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -16,6 +20,7 @@ from formloc import cli
 from formloc.controller import MismatchConfig
 from formloc.estimator import NoiseConfig
 from formloc.network import DesiredDistances, Graph
+from formloc.observability import BLOCK_ROWS, empirical_gramian
 from formloc.scenario import (
     OutcomeThresholds,
     ScenarioConfig,
@@ -603,6 +608,114 @@ def test_check_observability_trajectory_errors(tmp_path, capsys):
     assert cli.main(["check-observability", "--trajectory",
                      str(tmp_path / "nope.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's "input contained no data" leaked to stderr
+@pytest.mark.parametrize("text", [
+    "t,theta,x1,y1,w,vx1,vy1\n",
+    "# only comments\n\n# and blank lines\n\n",
+    "",
+])
+def test_check_observability_trajectory_without_samples(tmp_path, capsys, text):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(text)
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    assert capsys.readouterr().err == (
+        f"check-observability: {traj}: at least two samples required\n")
+
+
+def test_check_observability_trajectory_path_gives_the_os_reason(tmp_path, capsys):
+    for path, reason in ((tmp_path, errno.EISDIR), (tmp_path / "nope.csv", errno.ENOENT)):
+        assert cli.main(["check-observability", "--trajectory", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"check-observability: cannot read trajectory file {path}: {os.strerror(reason)}\n")
+
+
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                    reason="byte 0xff decodes in this locale's text encoding")
+def test_check_observability_trajectory_undecodable_bytes_name_the_file(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    traj.write_bytes(b"t,theta,x1,y1,w,vx1,vy1\n0.0,0,1,0,0,1,0\n0.1,0,1,\xff,0,1,0\n")
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    assert capsys.readouterr().err.startswith(f"check-observability: {traj}: 'utf-8' codec")
+
+
+def _long_trajectory(count):
+    """Lines of a 1-neighbor trajectory CSV whose `count` samples span
+    several BLOCK_ROWS blocks, with a comment and a blank line every 700
+    samples, and the file line of each sample."""
+    lines, where = ["t,theta,x1,y1,w,vx1,vy1"], []
+    for k in range(count):
+        if k % 700 == 350:
+            lines += [f"# sample {k}", ""]
+        t = 0.01 * k
+        lines.append(f"{t!r},{0.3 * t!r},{3.0 + 0.1 * t!r},2.0,0.3,0.1,0.0")
+        where.append(len(lines))
+    return lines, where
+
+
+def test_trajectory_blocks_parse_as_one_table(tmp_path):
+    # repeated max_rows reads on one handle must neither drop nor repeat a
+    # line: comment and blank lines sit inside several blocks
+    lines, _ = _long_trajectory(5 * BLOCK_ROWS // 2)
+    traj = tmp_path / "traj.csv"
+    traj.write_text("\n".join(lines) + "\n")
+    with open(traj) as fh:
+        blocks, dt, n = cli._trajectory_blocks(traj, fh)
+        parsed = list(blocks)
+    assert [len(b) for b in parsed] == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS // 2]
+    whole = np.loadtxt(traj, delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(np.concatenate(parsed), whole[:, 1:])
+    assert (dt, n) == (0.01, 1)
+
+
+@pytest.mark.parametrize("fault", ["nan", "columns", "block columns", "time", "cell"])
+def test_check_observability_refuses_a_fault_in_a_later_block(tmp_path, capsys, fault):
+    lines, where = _long_trajectory(5 * BLOCK_ROWS // 2)
+    k = BLOCK_ROWS + 400  # in the second block, after its comment lines
+    # "block columns": every row from the second block's first on has fewer columns
+    for j in range(BLOCK_ROWS, len(where)) if fault == "block columns" else [k]:
+        cells = lines[where[j] - 1].split(",")
+        if fault == "nan":
+            cells[3] = "nan"
+        elif fault.endswith("columns"):
+            del cells[-4:]
+        elif fault == "time":
+            cells[0] = repr(float(cells[0]) + 0.005)
+        else:
+            cells[2] = "3.0.1"
+        lines[where[j] - 1] = ",".join(cells)
+    traj = tmp_path / "traj.csv"
+    traj.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    err = capsys.readouterr().err
+    if fault == "nan":
+        assert err == f"check-observability: {traj}:{where[k]}: non-finite trajectory value\n"
+    elif fault == "time":
+        assert err == f"check-observability: {traj}: time column must be uniformly increasing\n"
+    else:
+        # the whole-file text, whose row loadtxt counts from the file's start, not the block's
+        with pytest.raises(ValueError) as whole:
+            np.loadtxt(traj, delimiter=",", skiprows=1, ndmin=2)
+        assert int(re.search(r" at row (\d+)", str(whole.value))[1]) > BLOCK_ROWS
+        assert err == f"check-observability: {traj}: {whole.value}\n"
+
+
+def test_check_observability_calls_the_gramian_once(tmp_path, monkeypatch, capsys):
+    # perfbench probes and traces the command at `empirical_gramian`
+    lines, _ = _long_trajectory(5 * BLOCK_ROWS // 2)
+    traj = tmp_path / "traj.csv"
+    traj.write_text("\n".join(lines) + "\n")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return empirical_gramian(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "empirical_gramian", counted)
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 0
+    assert len(calls) == 1
+    assert "gramian rank: 3 of 3" in capsys.readouterr().out
 
 
 def test_write_metrics_refuses_nonfinite(tmp_path):

@@ -20,8 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formloc.estimator import _quarter_rotations, _step_jacobian_columns
 from formloc.lie_group import AlgebraElement, GroupElement, rotation
 from formloc.observability import (
+    BLOCK_ROWS,
+    _offset_blocks,
     codistribution_matrix,
     codistribution_rank,
     empirical_gramian,
@@ -241,6 +244,53 @@ def test_gramian_matches_sequential_loop(n, count, seed):
     assert np.abs(got.gramian - want.gramian).max() <= 1e-12 * scale
     assert got.rank == want.rank
     assert got.deficient_neighbor_blocks == want.deficient_neighbor_blocks
+
+
+def _row_blocks(rows):
+    """The rows as an iterator of the BLOCK_ROWS-row blocks a table is walked in."""
+    return (rows[i : i + BLOCK_ROWS] for i in range(0, len(rows), BLOCK_ROWS))
+
+
+def test_gramian_over_blocks_matches_sequential_loop(rng):
+    # two and a half blocks: c_t crosses two block boundaries
+    rows, pairs, dt = _rows_and_pairs(rng, 2, 5 * BLOCK_ROWS // 2)
+    got = empirical_gramian(rows, dt)
+    want = sequential_gramian(pairs, dt)
+    scale = np.abs(want.gramian).max()
+    assert np.abs(got.gramian - want.gramian).max() <= 1e-12 * scale
+    assert got.rank == want.rank
+    assert got.deficient_neighbor_blocks == want.deficient_neighbor_blocks != ()
+
+
+def test_gramian_of_row_blocks_is_the_gramian_of_the_table(rng):
+    # an iterator of the blocks a table is walked in takes the table's path
+    rows, _, dt = _rows_and_pairs(rng, 3, 5 * BLOCK_ROWS // 2)
+    table = empirical_gramian(rows, dt)
+    for blocks in (_row_blocks(rows), map(np.ndarray.tolist, _row_blocks(rows))):
+        got = empirical_gramian(blocks, dt)
+        assert got.gramian.tobytes() == table.gramian.tobytes()
+        assert got.rank == table.rank
+        assert got.deficient_neighbor_blocks == table.deficient_neighbor_blocks
+    assert empirical_gramian(rows.tolist(), dt).gramian.tobytes() == table.gramian.tobytes()
+
+
+def test_prefix_sums_carried_across_blocks_equal_one_cumsum(rng):
+    rows, _, dt = _rows_and_pairs(rng, 2, 5 * BLOCK_ROWS // 2)
+    f = _step_jacobian_columns(_quarter_rotations(rows[:, 0]), rows[:, 6:], dt)
+    want = np.zeros_like(f)
+    np.cumsum(f[:-1], axis=0, out=want[1:])
+    offsets, prefix = zip(*_offset_blocks(_row_blocks(rows), dt))
+    assert [len(c) for c in prefix] == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS // 2]
+    np.testing.assert_array_equal(np.concatenate(prefix).reshape(f.shape), want)
+    np.testing.assert_array_equal(np.concatenate(offsets).reshape(f.shape), rows[:, 1:5])
+
+
+def test_row_blocks_must_agree_on_columns():
+    blocks = iter([np.ones((3, 6)), np.ones((0, 6)), np.ones((3, 10))])
+    with pytest.raises(ValueError, match=r"first block's 6 columns, got shape \(3, 10\)$"):
+        empirical_gramian(blocks, 0.1)
+    with pytest.raises(ValueError, match="^need at least two trajectory samples, got 1$"):
+        empirical_gramian(iter([np.ones((1, 6)), np.ones((0, 6))]), 0.1)
 
 
 @pytest.mark.parametrize("shape", [
