@@ -1,31 +1,30 @@
 """Extended Kalman filter over the relative-configuration group, stacked.
 
-`predict_batch` and `update_batch` advance A filters that each track n
-neighbors at once, as stacked arrays.  The mean lives on the group and is
-propagated with the exact flow of the communicated body velocity, so
-prediction adds no discretization error of its own.  The covariance lives
-in the coordinate chart (p, theta) and uses the discrete linearization of
-`lie_group.step_jacobian`.  Updates fuse half squared distances plus the
-measured heading; the heading innovation is wrapped to (-pi, pi] while the
-stored heading stays unwrapped.  `sim.WorldState` holds every filter in a
-flat offset table and heading array, with the covariances per degree, all
-behind a leading seed axis; a degree's means are a view of the table, and
-`EstimatorState` is one filter's view of them (`WorldState.filters`).
+`sim._sense` advances every filter of a world at once, each tracking n
+neighbors, as stacked arrays.  The mean lives on the group.  No agent
+turns, so over a sampling interval the body velocity v moves the offsets
+by dt * R(theta) v and leaves the heading: that is the exact group flow at
+zero heading rate, so prediction adds no discretization error of its own.
+The covariance lives in the coordinate chart (p, theta) and uses the
+discrete linearization of `lie_group.step_jacobian`.  Updates fuse half
+squared distances plus the measured heading; the heading innovation is
+wrapped to (-pi, pi] while the stored heading stays unwrapped.
+`sim.WorldState` holds every filter in a flat offset table and heading
+array, with the covariances per degree, all behind a leading seed axis; a
+degree's means are a view of the table, and `EstimatorState` is one
+filter's view of them (`WorldState.filters`).
 
-Each step has two parts.  The per-row part is elementwise, so it can run
-once over the stacked rows of filters of every degree: the rotations
-R(theta) and R(theta + pi/2)^T and the heading flow (`_predict_rows`), the
-range and wrapped-heading innovations (`_innovations`), and the increments
-p + delta and theta + delta.  The per-degree part is the stacked matrix
-algebra of one degree, one call each for the predict and the update: the
-flow and Jacobian products and F P F^T + Q (`_predict_degree`); H, H P, S,
-the stacked solve, the gain, the increments delta and the Joseph form
+Each step has two parts.  The per-row part is elementwise, so it runs once
+over the stacked rows of filters of every degree: the rotations R(theta)
+and R(theta + pi/2)^T (`_rotations`, `_quarter_rotations`), the range and
+wrapped-heading innovations (`_innovations`), and the increments p + delta
+and theta + delta.  The per-degree part is the stacked matrix algebra of
+one degree, one call each for the predict and the update: the mean step,
+the Jacobian products and F P F^T + Q (`_predict_degree`); H, H P, S, the
+stacked solve, the gain, the increments delta and the Joseph form
 (`_update_degree`), which also refuses a filter whose S is not finite or
-not invertible.  `predict_batch` and `update_batch` compose the two parts
-for one degree; `sim._sense` runs the per-row part once over every filter
-of the world and the per-degree part per bucket.  The private parts take
-any leading axes, such as (seeds, filters), and key a refused filter by
-its index tuple over them.
+not invertible.  The parts take any leading axes, such as (seeds,
+filters), and key a refused filter by its index tuple over them.
 """
 
 from __future__ import annotations
@@ -35,14 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lie_group import _SMALL_W, GroupElement, wrap_angle
+from .lie_group import GroupElement, wrap_angle
 
 __all__ = [
     "EstimatorState",
     "NoiseConfig",
     "SingularUpdateError",
-    "predict_batch",
-    "update_batch",
 ]
 
 
@@ -132,33 +129,14 @@ def _update_constants(n: int, noise: NoiseConfig) -> tuple:
     return eye, rdiag, rdiag * eye[: n + 1, : n + 1], (np.repeat(np.arange(n), 2), np.arange(2 * n))
 
 
-def _predict_rows(theta: np.ndarray, w: np.ndarray, dt: float) -> tuple:
-    """The elementwise part of a predict, for headings (...) and heading
-    rates (...): R(theta) and `_quarter_rotations`, each (..., 2, 2); the
-    coefficients (a, b) of the flow exp(dt * xi), (..., 2), or None when no
-    heading turns; and the headings after the flow."""
-    wd = dt * w
-    flow = None
-    if wd.any():
-        # exp(dt * xi) per filter, with the series branch below _SMALL_W
-        small = np.abs(wd) < _SMALL_W
-        ws = np.where(small, 1.0, wd)
-        flow = np.stack([np.where(small, 1.0 - wd * wd / 6.0, np.sin(ws) / ws),
-                         np.where(small, 0.5 * wd, 2.0 * np.sin(0.5 * ws) ** 2 / ws)], axis=-1)
-    return _rotations(theta), _quarter_rotations(theta), flow, theta + wd
-
-
 def _predict_degree(p: np.ndarray, cov: np.ndarray, v: np.ndarray, rot: np.ndarray,
-                    quarter: np.ndarray, flow, dt: float, noise: NoiseConfig) -> tuple:
+                    quarter: np.ndarray, dt: float, noise: NoiseConfig) -> tuple:
     """The per-degree part of a predict, for filters (...) that track n
-    neighbors, given their entries of `_predict_rows`: the predicted means
-    (..., 2n) and covariances (..., 2n+1, 2n+1)."""
+    neighbors, with body velocities v (..., 2n) and the headings'
+    `_rotations` and `_quarter_rotations`: the predicted means (..., 2n) and
+    covariances (..., 2n+1, 2n+1)."""
     two_n = p.shape[-1]
     vd = (dt * v).reshape(p.shape[:-1] + (-1, 2))
-    if flow is not None:
-        a, b = flow[..., :1], flow[..., 1:]
-        vd = np.stack([a * vd[..., 0] - b * vd[..., 1], b * vd[..., 0] + a * vd[..., 1]], axis=-1)
-    # (at w = 0 the series coefficients are exactly 1 and 0: vd is the flow)
     p_new = (vd @ rot.swapaxes(-1, -2)).reshape(p.shape) + p
 
     eye, q = _predict_constants(two_n // 2, noise, dt)
@@ -167,22 +145,6 @@ def _predict_degree(p: np.ndarray, cov: np.ndarray, v: np.ndarray, rot: np.ndarr
     f[..., :two_n, two_n] = _step_jacobian_columns(quarter, v, dt)
     cov_new = f @ cov @ f.swapaxes(-1, -2) + q
     return p_new, 0.5 * (cov_new + cov_new.swapaxes(-1, -2))
-
-
-def predict_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, v: np.ndarray,
-                  w: np.ndarray, dt: float, noise: NoiseConfig):
-    """Propagate A filters that each track n neighbors through one sampling
-    interval.
-
-    p is (A, 2n), theta (A,), cov (A, 2n+1, 2n+1); v (A, 2n) and w (A,)
-    are the body velocities.  The mean follows the exact group flow; the
-    covariance advances as F P F^T + dt * diag(PSDs), with F the discrete
-    linearization at the current mean.  Returns the predicted
-    (p, theta, cov).
-    """
-    rot, quarter, flow, theta_new = _predict_rows(theta, w, dt)
-    p_new, cov_new = _predict_degree(p, cov, v, rot, quarter, flow, dt, noise)
-    return p_new, theta_new, cov_new
 
 
 def _innovations(offsets: np.ndarray, theta: np.ndarray, ranges: np.ndarray,
@@ -246,24 +208,3 @@ def _update_degree(p: np.ndarray, cov: np.ndarray, innovation: np.ndarray,
     if errors:
         delta[refused], cov_new[refused] = -0.0, cov[refused]
     return delta, cov_new, errors
-
-
-def update_batch(p: np.ndarray, theta: np.ndarray, cov: np.ndarray, y: np.ndarray,
-                 noise: NoiseConfig):
-    """Fuse one measurement vector into each of A filters that track n
-    neighbors.
-
-    y is (A, n+1): n half squared distances, then the heading, per filter.
-    The covariance takes the Joseph form, re-symmetrized, so it stays
-    positive semidefinite for any gain.  A filter whose innovation
-    covariance is not finite or not invertible keeps its input state and
-    is reported, and the others still update: returns (p, theta, cov,
-    errors) with errors mapping the refused rows to their
-    SingularUpdateError.
-    """
-    n = p.shape[1] // 2
-    ranges, heading = _innovations(p.reshape(-1, 2), theta, y[:, :n].ravel(), y[:, n])
-    innovation = np.concatenate([ranges.reshape(len(p), n), heading[:, None]], axis=1)
-    delta, cov_new, errors = _update_degree(p, cov, innovation, noise)
-    return (p + delta[:, :-1], theta + delta[:, -1], cov_new,
-            {row: exc for (row,), exc in errors.items()})

@@ -172,7 +172,7 @@ def step_jacobian(theta: float, xi: AlgebraElement, dt: float) -> np.ndarray:
     so the only off-diagonal entries are d(dp_k/dt)/dtheta = R(theta + pi/2) v_k
     in the last column.  A product of such matrices is again the identity
     plus one last column, the sum of theirs; `observability.empirical_gramian`
-    uses that closed-form product, and `estimator.predict_batch` builds the
+    uses that closed-form product, and `estimator._predict_degree` builds the
     same matrix for stacked filters.
     """
     n = xi.n

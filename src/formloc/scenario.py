@@ -116,6 +116,9 @@ class ScenarioConfig:
                              "too many for one run's (steps, edges) series")
         if self.steps < 1:
             raise ValueError(f"duration {self.duration} is shorter than one step of dt {self.dt}")
+        if abs(ratio - self.steps) > 1e-9 * ratio:
+            raise ValueError(f"duration {self.duration} is not a whole number of steps of dt "
+                             f"{self.dt}: it gives {ratio:.6g} steps")
         if self.distances.values.size != self.graph.edge_count:
             raise ValueError("one desired distance per edge required")
         if self.variant == "algorithm1":

@@ -28,8 +28,8 @@ comes out exactly as it would alone; a seed that diverges leaves the
 batch.  One seed is the case B = 1 of the same code.
 
 Every agent's true heading is fixed at 0 (zero angular rate), so its
-heading measurement is noise around 0; the estimator and group layers
-support nonzero headings and heading rates independently.
+heading measurement is noise around 0, and the filters predict at zero
+heading rate.  Only the group layer (`lie_group`) supports heading rates.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from .estimator import (
     EstimatorState,
     _innovations,
     _predict_degree,
-    _predict_rows,
+    _quarter_rotations,
+    _rotations,
     _update_degree,
 )
 from .lie_group import GroupElement
@@ -427,18 +428,18 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         ranges += np.sqrt(noise.meas_distance_var) * draws[:, layout.range_draws]
         heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
 
-    rot, quarter, flow, theta = _predict_rows(world.headings, np.zeros(heading_meas.shape), dt)
+    theta = world.headings  # no agent turns: a predict keeps the headings
+    rot, quarter = _rotations(theta), _quarter_rotations(theta)
     offsets, covariances = np.empty(world.offsets.shape), []
     for b, bucket in enumerate(layout.buckets):
         means, _, cov = world.bucket(b)
         rows = bucket.rows
         v_body = rel_world[:, bucket.slots].reshape(means.shape[:-1] + (-1, 2)) @ rot[:, rows]
         p, cov = _predict_degree(means, cov, v_body.reshape(means.shape), rot[:, rows],
-                                 quarter[:, rows], None if flow is None else flow[:, rows],
-                                 dt, noise)
+                                 quarter[:, rows], dt, noise)
         offsets[:, bucket.slots] = p.reshape(len(p), -1, 2)
         covariances.append(cov)
-    predicted = replace(world, offsets=offsets, headings=theta, covariances=tuple(covariances))
+    predicted = replace(world, offsets=offsets, covariances=tuple(covariances))
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
 
     offset_deltas, heading_deltas, covariances = np.empty_like(offsets), np.empty_like(theta), []

@@ -15,9 +15,11 @@ from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
+    _innovations,
+    _predict_degree,
+    _quarter_rotations,
     _rotations,
-    predict_batch,
-    update_batch,
+    _update_degree,
 )
 from formloc.lie_group import (
     AlgebraElement,
@@ -360,11 +362,22 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     return _sense(world, config)
 
 
+def stacked_update(p, theta, cov, y, noise):
+    """One update of filters (..., 2n) from measurements (..., n+1), composed
+    of the per-row and per-degree parts: the updated (p, theta, cov) and the
+    refused filters by index tuple."""
+    n = p.shape[-1] // 2
+    ranges, heading = _innovations(p.reshape(p.shape[:-1] + (n, 2)), theta, y[..., :n], y[..., n])
+    delta, cov, errors = _update_degree(p, cov, np.concatenate([ranges, heading[..., None]], -1),
+                                        noise)
+    return p + delta[..., :-1], theta + delta[..., -1], cov, errors
+
+
 def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
-    """`sim._sense` as one `predict_batch` and one `update_batch` per degree
-    bucket, each with its own rotations, noise constants and innovations:
-    the engine's filter phase before its elementwise work ran once over all
-    buckets.  Refused updates are logged in agent order."""
+    """`sim._sense` as one predict and one update per degree bucket, each
+    with its own rotations, innovations and mean increments: the engine's
+    filter phase before its elementwise work ran once over all buckets.
+    Refused updates are logged in agent order."""
     if not config.estimator_enabled:
         return world
     noise = config.noise
@@ -387,14 +400,15 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         a_count, n = len(bucket.agents), bucket.degree
         rows = seeds * a_count
         # means, headings and covariances, their rows seed after seed
-        prior = [x.reshape((rows,) + x.shape[2:]) for x in world.bucket(b)]
-        v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ _rotations(prior[1])
-        p, theta, cov = predict_batch(*prior, v_body.reshape(rows, 2 * n), np.zeros(rows),
-                                      config.dt, noise)
+        p, theta, cov = [x.reshape((rows,) + x.shape[2:]) for x in world.bucket(b)]
+        rot = _rotations(theta)
+        v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ rot
+        p, cov = _predict_degree(p, cov, v_body.reshape(rows, 2 * n), rot,
+                                 _quarter_rotations(theta), config.dt, noise)
         y = np.concatenate([ranges[:, bucket.slots].reshape(rows, n),
                             heading_meas[:, bucket.rows].reshape(rows, 1)], axis=1)
-        p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
-        for row, exc in errors.items():
+        p, theta, cov, errors = stacked_update(p, theta, cov, y, noise)
+        for (row,), exc in errors.items():
             seed, member = divmod(row, a_count)
             skipped[seed].append((int(bucket.agents[member]), exc))
         means.append(p)

@@ -24,7 +24,14 @@ from formloc.controller import (
     ideal_control,
     mismatch_control,
 )
-from formloc.estimator import EstimatorState, NoiseConfig, SingularUpdateError, predict_batch
+from formloc.estimator import (
+    EstimatorState,
+    NoiseConfig,
+    SingularUpdateError,
+    _predict_degree,
+    _quarter_rotations,
+    _rotations,
+)
 from formloc.lie_group import AlgebraElement, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.scenario import MetricsSeries, ScenarioConfig, detect_outcome, scenario_nominal
@@ -182,38 +189,35 @@ def rigid_graph(rng, agents):
     return Graph(agents, edges)
 
 
-@st.composite
-def rigid_scenarios(draw):
-    """A `rigid_graph` with a spawn near a random shape, and a variant.
-    The spawn's jitter is drawn again until every agent pair is at least the
-    default min_separation apart."""
-    agents = draw(st.integers(3, 8))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
+def shaped_config(rng, agents, variant, **kw):
+    """A `rigid_graph` of `agents` agents whose desired distances are those
+    of a random shape (at least 1), spawned near that shape, with a random
+    mismatch for algorithm1; `kw` goes to ScenarioConfig.  The spawn's
+    jitter is drawn again until every agent pair is at least the default
+    min_separation apart."""
     graph = rigid_graph(rng, agents)
     edges = graph.edges
     shape = rng.uniform(-8.0, 8.0, size=(agents, 2))
     z = shape[[t for t, _ in edges]] - shape[[h for _, h in edges]]
     distances = DesiredDistances(np.maximum(np.linalg.norm(z, axis=1), 1.0))
-    variant = draw(st.sampled_from(("ideal", "estimated", "algorithm1")))
     mismatch = MismatchConfig(rng.uniform(-1.0, 1.0, size=len(edges))) if variant == "algorithm1" else None
     pairs = np.triu_indices(agents, k=1)
     while True:
         spawn = shape + rng.uniform(-1.0, 1.0, size=shape.shape)
         if np.linalg.norm(spawn[pairs[0]] - spawn[pairs[1]], axis=1).min() >= 1.0:
             break
-    return ScenarioConfig(
-        graph=graph,
-        distances=distances,
-        variant=variant,
-        mismatch=mismatch,
-        dt=0.01,
-        duration=0.5,
-        seed=seed,
-        measurement_noise=draw(st.booleans()),
-        initial_positions=spawn,
-        offset_bound=1.0,
-    )
+    return ScenarioConfig(graph=graph, distances=distances, variant=variant, mismatch=mismatch,
+                          initial_positions=spawn, **kw)
+
+
+@st.composite
+def rigid_scenarios(draw):
+    """A `shaped_config` of 3 to 8 agents and a drawn variant."""
+    agents = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    variant = draw(st.sampled_from(("ideal", "estimated", "algorithm1")))
+    return shaped_config(np.random.default_rng(seed), agents, variant, dt=0.01, duration=0.5,
+                         seed=seed, measurement_noise=draw(st.booleans()), offset_bound=1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,6 +258,22 @@ def test_noise_draws_stay_in_agent_order():
         world_ref = reference_step(world, config, rng_ref)
         world = step(world, config)
         _assert_worlds_match(world, world_ref)
+
+
+def test_covariances_stay_symmetric_psd_beyond_the_triangle():
+    # the Joseph form and the re-symmetrized predict promise every filter a
+    # symmetric positive semidefinite covariance, on a graph of mixed degrees
+    # under measurement noise; offset_bound is rigid_scenarios' 1, as at the
+    # default 2 this spawn's estimate-driven law diverges within 0.03 s
+    config = shaped_config(np.random.default_rng(20), 20, "algorithm1", measurement_noise=True,
+                           duration=1.0, offset_bound=1.0)
+    world = init_world(config, range(3))
+    for _ in range(config.steps):
+        world = step(world, config)
+        for cov in world.covariances:
+            assert cov.tobytes() == cov.swapaxes(-1, -2).tobytes()
+            scale = np.abs(cov).max(axis=(-2, -1))
+            assert (np.linalg.eigvalsh(cov)[..., 0] >= -1e-12 * scale).all()
 
 
 # ------------------------------------------------------------ error isolation
@@ -419,7 +439,8 @@ def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
 @pytest.mark.parametrize("seeds", [1, 3])
 def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
     # agent 2 (degree 2) of the last seed refuses every update; at rest the
-    # body velocities are exactly 0, so its prediction is predict_batch at v = 0
+    # body velocities are exactly 0, so its prediction is _predict_degree at
+    # v = 0, which keeps its heading
     config, _ = _rest_world()
     config = replace(config, measurement_noise=True)
     world = init_world(config, range(seeds))
@@ -435,12 +456,11 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
     world = replace(world, covariances=tuple(covariances))
     reason = "is not finite" if kind == "nonfinite" else "not invertible: "
     for step_count in (1, 2, 3):
-        prior = world.bucket(bucket)  # means, headings, covariances
-        rows = prior[1].shape
+        p, theta, cov = world.bucket(bucket)
         with np.errstate(invalid="ignore"):
             world = _sense_matching_oracle(world, config, steps=1)
-            p, theta, cov = predict_batch(*prior, np.zeros(rows + (4,)),
-                                          np.zeros(rows), config.dt, config.noise)
+            p, cov = _predict_degree(p, cov, np.zeros(p.shape), _rotations(theta),
+                                     _quarter_rotations(theta), config.dt, config.noise)
         means, headings, covs = world.bucket(bucket)
         np.testing.assert_array_equal(means[row], p[row])
         np.testing.assert_array_equal(headings[row], theta[row])

@@ -302,6 +302,7 @@ def test_seed_sweep_prints_the_serial_tally(seeds, duration):
     ("--dt", "-0.01"),
     ("--duration", "0"),
     ("--duration", "-2"),
+    ("--duration", "5", "--dt", "0.3"),  # 16.67 steps, once rounded to 17
     ("--seeds", "2", "--dt", "1e-320"),  # its step count overflowed
     ("--seeds", "10000", "--duration", "1e12"),  # one seed's series fits, 10000 of them do not
 ])

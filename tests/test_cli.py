@@ -201,6 +201,8 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[init]\nmin_separation = -1\n", 7, "min_separation"),
     ("[sim]\nseed = 1\ndt = -0.01\n", 8, "dt"),
     ("[sim]\nduration = -1\n", 7, "duration"),
+    # 16.67 steps ran as 17, to t = 5.1, under a manifest that said 5.0
+    ("[sim]\nduration = 5\ndt = 0.3\n", 7, "duration 5.0 is not a whole number of steps"),
     ("[noise]\nmeas_heading_var = 1e-6\nmeas_distance_var = 0\n", 8, "meas_distance_var"),
     ("[noise]\nprocess_heading_psd = -1\n", 7, "process_heading_psd"),
     ("[thresholds]\ndist_tol = 0.5\nwindow_frac = 2\n", 8, "window_frac"),

@@ -13,12 +13,13 @@ from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
-    predict_batch,
-    update_batch,
+    _predict_degree,
+    _quarter_rotations,
+    _rotations,
 )
 from formloc.lie_group import AlgebraElement, GroupElement, rotation, step_body_velocity
 from formloc.observability import observation
-from oracles import initialize, predict, update
+from oracles import initialize, predict, stacked_update, update
 
 
 def _random_state(rng, n=2, scale=4.0):
@@ -107,33 +108,34 @@ def test_update_rejects_nonfinite_innovation_covariance():
         update(st, np.array([0.5, 0.0]), NoiseConfig())
 
 
-def test_update_batch_refuses_only_its_bad_rows(rng):
-    # row 1's innovation covariance is not finite; row 3's heading row
-    # (0, ..., 0, -R_heading) gives it an exactly zero row, which LAPACK
-    # reports as singular
+def test_update_degree_refuses_only_its_bad_filters(rng):
+    # filter (0, 1)'s innovation covariance is not finite; filter (1, 1)'s
+    # heading row (0, ..., 0, -R_heading) gives it an exactly zero row, which
+    # LAPACK reports as singular
     noise = NoiseConfig()
     states = [_random_state(rng) for _ in range(4)]
-    p = np.array([s.mean.p for s in states])
-    p[3, 0] = -0.0  # a refused row keeps even the sign of a zero
-    theta = np.array([s.mean.theta for s in states])
-    cov = np.array([s.covariance for s in states])
-    cov[1, 0, 0] = np.inf
-    cov[3, -1, :] = cov[3, :, -1] = 0.0
-    cov[3, -1, -1] = -noise.meas_heading_var
-    y = np.array([observation(s.mean) + rng.normal(scale=0.1, size=3) for s in states])
+    p = np.array([s.mean.p for s in states]).reshape(2, 2, -1)
+    p[1, 1, 0] = -0.0  # a refused filter keeps even the sign of a zero
+    theta = np.array([s.mean.theta for s in states]).reshape(2, 2)
+    cov = np.array([s.covariance for s in states]).reshape(2, 2, 5, 5)
+    cov[0, 1, 0, 0] = np.inf
+    cov[1, 1, -1, :] = cov[1, 1, :, -1] = 0.0
+    cov[1, 1, -1, -1] = -noise.meas_heading_var
+    y = np.array([observation(s.mean) + rng.normal(scale=0.1, size=3)
+                  for s in states]).reshape(2, 2, 3)
     with np.errstate(invalid="ignore"):
-        *got, errors = update_batch(p, theta, cov, y, noise)
+        *got, errors = stacked_update(p, theta, cov, y, noise)
 
-    assert sorted(errors) == [1, 3] and all(type(row) is int for row in errors)
+    assert sorted(errors) == [(0, 1), (1, 1)]
+    assert all(type(i) is int for at in errors for i in at)
     assert all(isinstance(exc, SingularUpdateError) for exc in errors.values())
-    for row in (1, 3):
+    for at in errors:
         for out, given in zip(got, (p, theta, cov)):
-            assert out[row].tobytes() == given[row].tobytes()
-    kept = [0, 2]
-    *alone, alone_errors = update_batch(p[kept], theta[kept], cov[kept], y[kept], noise)
+            assert out[at].tobytes() == given[at].tobytes()
+    *alone, alone_errors = stacked_update(p[:, 0], theta[:, 0], cov[:, 0], y[:, 0], noise)
     assert alone_errors == {}
     for out, want in zip(got, alone):
-        np.testing.assert_array_equal(out[kept], want)
+        np.testing.assert_array_equal(out[:, 0], want)
 
 
 def test_validation_errors(rng):
@@ -225,25 +227,24 @@ def test_stationary_neighbor_keeps_tangential_error():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st_.integers(1, 5), st_.integers(1, 4), st_.integers(0, 2 ** 32 - 1),
-       st_.sampled_from([0.0, 1e-10, 0.7]))
-def test_batched_steps_match_scalar_per_filter(count, n, seed, w_scale):
-    # the heading rates cover w = 0, the series branch and the closed form
+@given(st_.integers(1, 5), st_.integers(1, 4), st_.integers(0, 2 ** 32 - 1))
+def test_batched_steps_match_scalar_per_filter(count, n, seed):
+    # the stacked filter predicts at zero heading rate, as the engine runs it
     rng = np.random.default_rng(seed)
     noise = NoiseConfig(process_position_psd=1e-3, meas_distance_var=1e-2)
     states = [_random_state(rng, n=n) for _ in range(count)]
     v = rng.uniform(-2, 2, size=(count, 2 * n))
-    w = w_scale * rng.uniform(-1, 1, size=count)
     y = np.array([observation(s.mean) + rng.normal(scale=0.1, size=n + 1) for s in states])
     dt = 0.05
 
-    p, theta, cov = predict_batch(np.array([s.mean.p for s in states]),
-                                  np.array([s.mean.theta for s in states]),
-                                  np.array([s.covariance for s in states]), v, w, dt, noise)
-    p, theta, cov, errors = update_batch(p, theta, cov, y, noise)
+    theta = np.array([s.mean.theta for s in states])
+    p, cov = _predict_degree(np.array([s.mean.p for s in states]),
+                             np.array([s.covariance for s in states]), v,
+                             _rotations(theta), _quarter_rotations(theta), dt, noise)
+    p, theta, cov, errors = stacked_update(p, theta, cov, y, noise)
     assert errors == {}
     for a, state in enumerate(states):
-        ref = update(predict(state, AlgebraElement(v[a], w[a]), dt, noise), y[a], noise)
+        ref = update(predict(state, AlgebraElement(v[a], 0.0), dt, noise), y[a], noise)
         np.testing.assert_allclose(p[a], ref.mean.p, rtol=1e-12, atol=1e-12)
         assert theta[a] == pytest.approx(ref.mean.theta, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(cov[a], ref.covariance, rtol=1e-12, atol=1e-12)

@@ -8,7 +8,9 @@ another's names, and the package's scenario names are `formloc.scenario`'s.
 No linter runs with the tests, so these AST scans are what catch an import
 or a definition left behind when the code that used it moved or went away.
 A name listed in an `__all__` counts as read (a re-export or the public
-surface); `from __future__` imports and dunder names are exempt.
+surface); `from __future__` imports and dunder names are exempt.  A second
+scan leaves the tests and the `__all__` lists out: what `src/` defines for
+the tests alone is the paper's math they use as oracles, nothing else.
 """
 
 import ast
@@ -51,14 +53,17 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
-def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+def unread_definitions(modules: dict[str, str], readers: list[str],
+                       exports_read: bool = True) -> list[str]:
     """'module: name (line N)' for each module-level function, class or
     assigned name of `modules` (name -> source) that no source in `readers`
-    loads, as a bare name or as an attribute, and no `__all__` lists."""
+    loads, as a bare name or as an attribute, and, if `exports_read`, no
+    `__all__` lists."""
     read = set()
     for source in readers:
         tree = ast.parse(source)
-        read |= _exported(tree)
+        if exports_read:
+            read |= _exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -120,6 +125,40 @@ def test_every_definition_is_read():
     sources = [path.read_text() for top in READERS for path in sorted((ROOT / top).rglob("*.py"))]
     modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_definitions(modules, sources) == []
+
+
+def test_definition_scan_can_ignore_exports():
+    module = ("__all__ = ['Public', 'listed_only']\n"
+              "class Public: pass\n"
+              "def listed_only(): pass\n")
+    reader = "import m\nm.Public()\n"
+    assert unread_definitions({"m": module}, [module, reader]) == []
+    assert unread_definitions({"m": module}, [module, reader], exports_read=False) == [
+        "m: listed_only (line 3)"]
+
+
+# the paper's math that only the tests read, as oracles for the closed forms
+# the engine and the observability checks use
+TEST_ORACLES = (
+    "controller.py: formation_potential",
+    "lie_group.py: identity",
+    "lie_group.py: inverse",
+    "lie_group.py: step_body_velocity",
+    "lie_group.py: step_jacobian",
+    "network.py: rigidity_matrix",
+    "observability.py: observation",
+    "observability.py: observation_jacobian",
+)
+
+
+def test_src_keeps_no_test_only_helpers():
+    # a definition that only the tests read, and that is not the paper's
+    # math, belongs in tests/; being public does not count as a read here
+    sources = [path.read_text() for top in READERS if top != "tests"
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    unread = unread_definitions(modules, sources, exports_read=False)
+    assert [entry.split(" (line")[0] for entry in unread] == list(TEST_ORACLES)
 
 
 def imported_from(source: str, module: str) -> list[str]:
