@@ -50,6 +50,7 @@ from .observability import (
 )
 from .scenario import (
     MetricsSeries,
+    OutcomeSummary,
     OutcomeThresholds,
     ScenarioConfig,
     detect_outcome,
@@ -75,6 +76,7 @@ __all__ = [
     "MetricsSeries",
     "MismatchConfig",
     "NoiseConfig",
+    "OutcomeSummary",
     "OutcomeThresholds",
     "ScenarioConfig",
     "SingularUpdateError",

@@ -2,7 +2,8 @@
 
 `ScenarioConfig` holds and validates everything a run needs, and draws each
 seed's start positions from that seed's generator.  `detect_outcome` labels
-the final window of a run's `MetricsSeries` by its `OutcomeThresholds`.
+the final window of a run by its `OutcomeThresholds`, from the run's
+`OutcomeSummary`: the few reductions over that window it reads.
 `sim` is the engine that runs a config; it imports this module, never the
 other way round.
 """
@@ -21,6 +22,7 @@ from .network import AgentError, DesiredDistances, Graph, sorted_neighbors
 
 __all__ = [
     "MetricsSeries",
+    "OutcomeSummary",
     "OutcomeThresholds",
     "ScenarioConfig",
     "SpawnError",
@@ -218,8 +220,51 @@ class MetricsSeries:
         return self.t.size
 
 
-def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> str:
-    """Classify the final window of a run.
+@dataclass(frozen=True)
+class OutcomeSummary:
+    """One run's `reductions` over its final window, its last centroid
+    speed, its events, and the window_frac the window was taken with:
+    everything an outcome label reads, in O(1) memory per run."""
+
+    dist_dev: float             # max | |r_ij| - d_k |
+    est_error: float            # max estimate error
+    shape_error: float          # min over the window's steps of max_k |e_k|
+    max_speed: float
+    min_centroid_speed: float
+    last_centroid_speed: float  # of the run's last step
+    window_frac: float
+    events: tuple[str, ...] = ()
+
+    @staticmethod
+    def reductions(metrics, desired: np.ndarray) -> tuple:
+        """The first five fields from the six per-step series of
+        `MetricsSeries` in field order, each reduced over its first (step)
+        axis and its edges.  Maxima and minima are exact, so reducing a
+        window block by block and folding the blocks with np.maximum and
+        np.minimum gives the same bits, NaN included."""
+        distances, est_errors, dist_errors, centroid_speed, _, max_speed = metrics
+        return (np.abs(distances - desired).max(axis=(0, -1)),
+                est_errors.max(axis=(0, -1)),
+                np.abs(dist_errors).max(axis=-1).min(axis=0),
+                max_speed.max(axis=0),
+                centroid_speed.min(axis=0))
+
+    @classmethod
+    def of(cls, series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> "OutcomeSummary":
+        """The summary of a series over the window of `thresholds`."""
+        th = thresholds if thresholds is not None else OutcomeThresholds()
+        sl = th.window(series.steps)
+        metrics = (series.distances[sl], series.est_errors[sl], series.dist_errors[sl],
+                   series.centroid_speed[sl], series.angular_rate[sl], series.max_speed[sl])
+        return cls(*map(float, cls.reductions(metrics, series.desired)),
+                   last_centroid_speed=float(series.centroid_speed[-1]),
+                   window_frac=th.window_frac, events=series.events)
+
+
+def detect_outcome(result: MetricsSeries | OutcomeSummary,
+                   thresholds: OutcomeThresholds | None = None) -> str:
+    """Classify the final window of a run, given as its series or as its
+    `OutcomeSummary`; a summary taken with another window_frac is refused.
 
     Checked in order: converged (shape and estimates both good);
     shape_ok_estimates_stale (shape good, estimates not); stuck_wrong_shape
@@ -228,16 +273,17 @@ def detect_outcome(series: MetricsSeries, thresholds: OutcomeThresholds | None =
     undetermined.
     """
     th = thresholds if thresholds is not None else OutcomeThresholds()
-    sl = th.window(series.steps)
-    dist_dev = np.abs(series.distances[sl] - series.desired).max()
-    est_err = series.est_errors[sl].max()
-    wrong_shape_sustained = np.abs(series.dist_errors[sl]).max(axis=1).min() > th.error_floor
-    stopped = series.max_speed[sl].max() < th.speed_tol
-    drifting = series.centroid_speed[sl].min() > th.centroid_tol
+    s = result if isinstance(result, OutcomeSummary) else OutcomeSummary.of(result, th)
+    if s.window_frac != th.window_frac:
+        raise ValueError(f"a summary taken over window_frac {s.window_frac} cannot be judged "
+                         f"with window_frac {th.window_frac}")
+    wrong_shape_sustained = s.shape_error > th.error_floor
+    stopped = s.max_speed < th.speed_tol
+    drifting = s.min_centroid_speed > th.centroid_tol
 
-    if dist_dev < th.dist_tol and est_err < th.est_tol:
+    if s.dist_dev < th.dist_tol and s.est_error < th.est_tol:
         return "converged"
-    if dist_dev < th.dist_tol:
+    if s.dist_dev < th.dist_tol:
         return "shape_ok_estimates_stale"
     if stopped and wrong_shape_sustained:
         return "stuck_wrong_shape"

@@ -52,7 +52,7 @@ from .estimator import (
 )
 from .lie_group import GroupElement
 from .network import Graph, _edge_arrays, sorted_neighbors
-from .scenario import MetricsSeries, ScenarioConfig
+from .scenario import MetricsSeries, OutcomeSummary, ScenarioConfig
 
 __all__ = [
     "DivergenceError",
@@ -62,7 +62,14 @@ __all__ = [
 ]
 
 MAX_SUBSTEPS = 10000
-BLOCK_STEPS = 64  # steps whose metrics `run` extracts in one pass
+BLOCK_STEPS = 64  # at most this many steps' metrics `run` extracts in one pass
+# ... and at most this many bytes of kept (r, v, offsets), but at least one
+# step.  A step of B nominal seeds keeps 192 * B bytes: 256 seeds over 12 s
+# peaked at 38.4 MiB (summaries) and 65.9 MiB (series) with this budget's
+# 5-step blocks, 50.8 and 78.7 MiB with 64-step ones, each in 2.0-2.2 s
+# (process ru_maxrss, 2-core x86-64).  B = 16 triangles and one 20-agent,
+# 37-edge graph still fill 64-step blocks.
+BLOCK_BYTES = 256 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -489,7 +496,7 @@ def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
             np.linalg.norm(v, axis=-1).max(axis=-1))
 
 
-def run(config: ScenarioConfig, seeds=None):
+def run(config: ScenarioConfig, seeds=None, *, summary: bool = False):
     """Simulate duration/dt steps and record per-step metrics.
 
     Without `seeds`, run config.seed: return its MetricsSeries, or raise
@@ -500,13 +507,22 @@ def run(config: ScenarioConfig, seeds=None):
     ended it, with the message that run would raise.  A diverged seed
     is dropped; the others go on.
 
+    With `summary`, a seed's result is its `OutcomeSummary` over the window
+    of config.thresholds in place of its series, bit for bit
+    `OutcomeSummary.of(series, config.thresholds)`, and no array grows with
+    the step count: memory is O(edges) per seed plus one block.
+
     Each step's positions, velocities and offset table are kept for up to
-    BLOCK_STEPS steps, and the metrics of those steps are extracted in one
-    pass (`_metrics`) when the block fills, before a diverged seed leaves
-    and after the last step.
+    BLOCK_STEPS steps and BLOCK_BYTES bytes, and the metrics of those steps
+    are extracted in one pass (`_metrics`) when the block fills, before a
+    diverged seed leaves and after the last step.  A summary extracts only
+    the window's steps and folds them into running per-seed maxima and
+    minima.
     """
     single = seeds is None
     seeds = (config.seed,) if single else tuple(seeds)
+    # summaries start at the window; series at the first step
+    first = config.thresholds.window(config.steps).start if summary else 0
     if not seeds:
         return ()
     steps, graph = config.steps, config.graph
@@ -516,22 +532,38 @@ def run(config: ScenarioConfig, seeds=None):
                          "exceed the largest array numpy can index")
     world = init_world(config, seeds)
 
-    # the MetricsSeries arrays in field order: three per edge, then three per step
-    series = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
+    if summary:
+        # per seed, its `OutcomeSummary.reductions` folded so far, then its
+        # last centroid speed
+        folds = (np.maximum, np.maximum, np.minimum, np.maximum, np.minimum)
+        outs = [np.full(count, -np.inf if fold is np.maximum else np.inf) for fold in folds]
+        outs.append(np.empty(count))
+    else:
+        # the MetricsSeries arrays in field order: three per edge, then three per step
+        outs = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
     results = [None] * count
     live = np.arange(count)   # the seed each row of the world runs
     block, start = [], 0      # (r, v, offsets) of steps start, start + 1, ...
+    row_bytes = world.r.nbytes * 2 + world.offsets.nbytes
+    block_steps = max(1, min(BLOCK_STEPS, BLOCK_BYTES // row_bytes))
 
     def flush():
         nonlocal start
-        if block:
-            stop = start + len(block)
+        stop = start + len(block)
+        rows = block[max(0, first - start):]
+        if rows:
             # a block ends before a seed leaves, so its steps share `live`
-            metrics = _metrics(*map(np.stack, zip(*block)), world.layout, config)
-            for out, values in zip(series, metrics):
-                out[live, start:stop] = values.swapaxes(0, 1)
-            block.clear()
-            start = stop
+            metrics = _metrics(*map(np.stack, zip(*rows)), world.layout, config)
+            if summary:
+                reductions = OutcomeSummary.reductions(metrics, config.distances.values)
+                for out, fold, values in zip(outs, folds, reductions):
+                    out[live] = fold(out[live], values)
+                outs[-1][live] = metrics[3][-1]
+            else:
+                for out, values in zip(outs, metrics):
+                    out[live, stop - len(rows):stop] = values.swapaxes(0, 1)
+        block.clear()
+        start = stop
 
     for _ in range(steps):
         world, diverged = _move(world, config)
@@ -544,15 +576,21 @@ def run(config: ScenarioConfig, seeds=None):
                 break
         world = _sense(world, config)
         block.append((world.r, world.v, world.offsets))
-        if len(block) == BLOCK_STEPS:
+        if len(block) == block_steps:
             flush()
     flush()
 
-    t = np.arange(1, steps + 1) * config.dt
-    labels = edge_labels(graph)
-    for row, b in enumerate(live):
-        results[b] = MetricsSeries(t, *(out[b] for out in series), desired=config.distances.values,
-                                   edge_labels=labels, events=world.events[row])
+    if summary:
+        for row, b in enumerate(live):
+            results[b] = OutcomeSummary(*(float(out[b]) for out in outs),
+                                        window_frac=config.thresholds.window_frac,
+                                        events=world.events[row])
+    else:
+        t = np.arange(1, steps + 1) * config.dt
+        labels = edge_labels(graph)
+        for row, b in enumerate(live):
+            results[b] = MetricsSeries(t, *(out[b] for out in outs), desired=config.distances.values,
+                                       edge_labels=labels, events=world.events[row])
     if not single:
         return tuple(results)
     if isinstance(results[0], DivergenceError):

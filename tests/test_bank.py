@@ -276,6 +276,48 @@ def test_covariances_stay_symmetric_psd_beyond_the_triangle():
             assert (np.linalg.eigvalsh(cov)[..., 0] >= -1e-12 * scale).all()
 
 
+def _relabeled(config, rng):
+    """`config` with its agents renamed by a random permutation and its edges
+    listed in a random order, and that order: edge k of the result is edge
+    order[k] of `config`, with the same orientation."""
+    agents, edges = config.graph.agent_count, config.graph.edges
+    label, order = rng.permutation(agents), rng.permutation(len(edges))
+    graph = Graph(agents, tuple((int(label[edges[k][0]]), int(label[edges[k][1]])) for k in order))
+    positions = np.empty_like(config.initial_positions)
+    positions[label] = config.initial_positions
+    mismatch = None if config.mismatch is None else MismatchConfig(config.mismatch.values[order])
+    return replace(config, graph=graph, distances=DesiredDistances(config.distances.values[order]),
+                   mismatch=mismatch, initial_positions=positions,
+                   initial_estimates={(int(label[i]), int(label[j])): v
+                                      for (i, j), v in config.initial_estimates.items()}), order
+
+
+@pytest.mark.parametrize("variant", ["ideal", "algorithm1"])
+@pytest.mark.parametrize("agents", range(4, 10))
+def test_relabeling_agents_and_edges_keeps_every_metric(agents, variant):
+    # renaming the agents and reordering the edges moves every index of
+    # `_layout` (bank order, slots, tail and head slots, scatter matrices)
+    # but not the physics, which oracles built on the same layout cannot
+    # check.  It does reorder floating-point sums: an agent adds its edges'
+    # terms in edge order and a filter lists its neighbors in label order.
+    # Over these 0.5 s that moved no metric by more than 4.2e-10 relative
+    # (roundoff can grow from there: one estimated-law graph reached 3e-8 at
+    # 1 s), while a wrong index moves one by O(1).  Explicit estimates and no
+    # measurement noise leave no draw whose order could depend on the labels.
+    rng = np.random.default_rng(agents)
+    config = shaped_config(rng, agents, variant, duration=0.5)
+    r = config.initial_positions
+    config = replace(config, initial_estimates={
+        (i, j): r[i] - r[j] + rng.uniform(-1.0, 1.0, size=2)
+        for i in range(agents) for j in sorted_neighbors(config.graph, i)})
+    other, order = _relabeled(config, rng)
+    want, got = run(config), run(other)
+    for name in ("distances", "est_errors", "dist_errors"):
+        assert np.allclose(getattr(got, name), getattr(want, name)[:, order], rtol=1e-8, atol=1e-8), name
+    for name in ("centroid_speed", "angular_rate", "max_speed"):
+        assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-8, atol=1e-8), name
+
+
 # ------------------------------------------------------------ error isolation
 
 

@@ -23,6 +23,7 @@ from formloc.lie_group import GroupElement
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.scenario import (
     MetricsSeries,
+    OutcomeSummary,
     OutcomeThresholds,
     ScenarioConfig,
     SpawnError,
@@ -429,13 +430,26 @@ def _series(dist, est, e, cspd, vmax, steps=100):
 
 
 def test_detect_outcome_labels():
-    # distances 10 with e = 0 mean the target d = 10 is met exactly
-    assert detect_outcome(_series(10.0, 0.01, 0.0, 0.0, 0.0)) == "converged"
-    assert detect_outcome(_series(10.0, 5.0, 0.0, 0.0, 0.0)) == "shape_ok_estimates_stale"
-    # distances 8 against d = 10: e = -36, far outside every tolerance
-    assert detect_outcome(_series(8.0, 5.0, -36.0, 0.0, 0.0)) == "stuck_wrong_shape"
-    assert detect_outcome(_series(8.0, 5.0, -36.0, 0.14, 0.2)) == "translating_drift"
-    assert detect_outcome(_series(8.0, 5.0, -36.0, 0.0, 0.5)) == "undetermined"
+    for args, label in [
+        # distances 10 with e = 0 mean the target d = 10 is met exactly
+        ((10.0, 0.01, 0.0, 0.0, 0.0), "converged"),
+        ((10.0, 5.0, 0.0, 0.0, 0.0), "shape_ok_estimates_stale"),
+        # distances 8 against d = 10: e = -36, far outside every tolerance
+        ((8.0, 5.0, -36.0, 0.0, 0.0), "stuck_wrong_shape"),
+        ((8.0, 5.0, -36.0, 0.14, 0.2), "translating_drift"),
+        ((8.0, 5.0, -36.0, 0.0, 0.5), "undetermined"),
+    ]:
+        series = _series(*args)
+        assert detect_outcome(series) == label
+        assert detect_outcome(OutcomeSummary.of(series)) == label
+
+
+def test_detect_outcome_refuses_a_summary_of_another_window():
+    wide = OutcomeThresholds(window_frac=0.5)
+    summary = OutcomeSummary.of(_series(10.0, 0.01, 0.0, 0.0, 0.0), wide)
+    assert detect_outcome(summary, wide) == "converged"
+    with pytest.raises(ValueError, match="window_frac 0.5 cannot be judged with window_frac 0.1"):
+        detect_outcome(summary)
 
 
 def test_detect_outcome_needs_window():
