@@ -33,8 +33,8 @@ def main() -> int:
         parser.error(f"--seeds must be non-negative, got {args.seeds}")
     try:
         base = replace(scenario_nominal(), dt=args.dt, duration=args.duration)
-        # refuses a run shorter than its outcome window, and a batch too big
-        # for numpy to index
+        # refuses a run shorter than its outcome window, and a batch whose
+        # metric series numpy could not index, although a summary keeps none
         results = run(base, seeds=range(args.seeds), summary=True)
     except ValueError as exc:
         parser.error(str(exc))

@@ -23,7 +23,6 @@ The laws differ only in where those directions come from and in the bias a:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,24 +55,10 @@ class MismatchConfig:
         return cls(np.full(edge_count, float(a)))
 
 
-@lru_cache(maxsize=None)
-def _scatter_matrices(graph: Graph):
-    """(agents x edges) indicators for tails and heads; their difference is
-    the incidence matrix."""
-    at = np.zeros((graph.agent_count, graph.edge_count))
-    ah = np.zeros((graph.agent_count, graph.edge_count))
-    for k, (t, h) in enumerate(graph.edges):
-        at[t, k] = 1.0
-        ah[h, k] = 1.0
-    at.setflags(write=False)
-    ah.setflags(write=False)
-    return at, ah
-
-
 def _control_law(at, ah, tail_dirs, head_dirs, e, a) -> np.ndarray:
     """u = Ah (E_h * (e + a)) - At (E_t * (e - a)), stacked per agent: the
-    one formula behind every law, without validation.  `at`, `ah` come from
-    `_scatter_matrices`.  The directions hold one (x, y) row per edge, and
+    one formula behind every law, without validation.  `at`, `ah` are the
+    graph's `Graph.scatter`.  The directions hold one (x, y) row per edge, and
     `e` and `a` broadcast against them (a column per edge; `a` may be a
     scalar).  Flattened, each edge may hold B such pairs with their `e` and
     `a` per entry, for B configurations evaluated side by side; each agent's
@@ -99,7 +84,7 @@ def ideal_control(graph: Graph, r, d) -> np.ndarray:
     """
     z1 = edge_offsets(graph, r)
     e = distance_errors(z1, d)
-    return _control_law(*_scatter_matrices(graph), z1, z1, e[:, None], 0.0)
+    return _control_law(*graph.scatter, z1, z1, e[:, None], 0.0)
 
 
 def estimated_control(graph: Graph, estimates, e) -> np.ndarray:
@@ -121,7 +106,7 @@ def estimated_control(graph: Graph, estimates, e) -> np.ndarray:
         raise ValueError(f"missing estimate for directed pair {exc}") from exc
     if est_tail.shape != (graph.edge_count, 2) or est_head.shape != (graph.edge_count, 2):
         raise ValueError("estimates must be planar vectors")
-    return _control_law(*_scatter_matrices(graph), est_tail, -est_head, e[:, None], 0.0)
+    return _control_law(*graph.scatter, est_tail, -est_head, e[:, None], 0.0)
 
 
 def mismatch_control(graph: Graph, shared_estimates, e, a: MismatchConfig) -> np.ndarray:
@@ -140,4 +125,4 @@ def mismatch_control(graph: Graph, shared_estimates, e, a: MismatchConfig) -> np
     if est.shape[0] != m or e.size != m or av.size != m:
         raise ValueError(f"expected {m} estimates, errors and mismatches, "
                          f"got {est.shape[0]}, {e.size}, {av.size}")
-    return _control_law(*_scatter_matrices(graph), est, est, e[:, None], av[:, None])
+    return _control_law(*graph.scatter, est, est, e[:, None], av[:, None])

@@ -3,13 +3,16 @@
 Agent indices are 0-based throughout the library; configuration files use
 1-based labels and the CLI converts at the boundary (`Graph.from_one_based`).
 Edges are ordered (tail, head) pairs; the tail conventionally owns the edge
-when a single shared estimate per edge is wanted.
+when a single shared estimate per edge is wanted.  A `Graph` computes the
+index arrays the engine reads from its edges (`ends`, `scatter`,
+`adjacency`) once per instance and keeps them with it, so they live and die
+with the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +77,37 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    # Derived from `edges` on first read and kept on the instance, outside
+    # the dataclass fields, so ==, hash and repr see only the fields; a
+    # frozen dataclass refuses to assign or delete them.
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (edges,) arrays of each edge's tail and head."""
+        tails, heads = np.array(self.edges, dtype=int).reshape(-1, 2).T.copy()
+        tails.setflags(write=False)
+        heads.setflags(write=False)
+        return tails, heads
+
+    @cached_property
+    def scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (agents, edges) indicators of the tails and the heads;
+        their difference is the incidence matrix."""
+        at = np.zeros((self.agent_count, self.edge_count))
+        ah = np.zeros((self.agent_count, self.edge_count))
+        edges = np.arange(self.edge_count)
+        tails, heads = self.ends
+        at[tails, edges] = 1.0
+        ah[heads, edges] = 1.0
+        at.setflags(write=False)
+        ah.setflags(write=False)
+        return at, ah
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each agent's `neighbors` in ascending order, in agent order."""
+        return tuple(tuple(sorted(neighbors(self, i))) for i in range(self.agent_count))
+
 
 @dataclass(frozen=True)
 class DesiredDistances:
@@ -93,15 +127,6 @@ class DesiredDistances:
         return cls(np.full(edge_count, float(d)))
 
 
-@lru_cache(maxsize=None)
-def _edge_arrays(graph: Graph):
-    tails = np.array([t for t, _ in graph.edges], dtype=int)
-    heads = np.array([h for _, h in graph.edges], dtype=int)
-    tails.setflags(write=False)
-    heads.setflags(write=False)
-    return tails, heads
-
-
 def neighbors(graph: Graph, i: int) -> frozenset:
     """Agents sharing an edge with agent i."""
     if not (0 <= i < graph.agent_count):
@@ -115,10 +140,11 @@ def neighbors(graph: Graph, i: int) -> frozenset:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def sorted_neighbors(graph: Graph, i: int) -> tuple:
     """Neighbors of i in ascending order; fixes estimator block layout."""
-    return tuple(sorted(neighbors(graph, i)))
+    if not (0 <= i < graph.agent_count):
+        raise ValueError(f"agent {i} outside 0..{graph.agent_count - 1}")
+    return graph.adjacency[i]
 
 
 def _positions_2d(graph: Graph, r: np.ndarray) -> np.ndarray:
@@ -131,7 +157,7 @@ def _positions_2d(graph: Graph, r: np.ndarray) -> np.ndarray:
 def edge_offsets(graph: Graph, r: np.ndarray) -> np.ndarray:
     """Per-edge relative positions r_tail - r_head as an (m, 2) array."""
     r2 = _positions_2d(graph, r)
-    tails, heads = _edge_arrays(graph)
+    tails, heads = graph.ends
     return r2[tails] - r2[heads]
 
 

@@ -52,6 +52,9 @@ __all__ = [
 # time 33.5 / 32.6 / 32.4 ms at 1024 / 2048 / 4096 rows with 1 neighbor,
 # against 32.2 ms for the file as one block.
 BLOCK_ROWS = 2048
+# A neighbor's (x_k, y_k) Gramian block is deficient when its smallest
+# eigenvalue falls below this fraction of trace(G) / (2n+1).
+BLOCK_TOL = 1e-8
 
 
 def observation(q: GroupElement) -> np.ndarray:
@@ -154,8 +157,7 @@ def _offset_blocks(blocks, dt: float):
         yield rows[:, 1 : two_n + 1].reshape(len(rows), -1, 2), c.reshape(len(rows), -1, 2)
 
 
-def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
-                      block_tol: float = 1e-8) -> GramianReport:
+def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8) -> GramianReport:
     """G = sum_t Phi_t^T H_t^T H_t Phi_t dt over the (T, 4n+2) rows of a trajectory.
 
     H_t is the output Jacobian at sample t and Phi_t the product of the step
@@ -164,7 +166,7 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
     block k and a_tk = p_k . c_tk in the last column, and G is made of the
     per-block sums of p_k p_k^T, p_k a_tk and a_tk^2 (plus T in the corner).
     A neighbor k is reported deficient when the smallest eigenvalue of its
-    (x_k, y_k) block falls below block_tol * trace(G) / (2n+1).  A stationary
+    (x_k, y_k) block falls below BLOCK_TOL * trace(G) / (2n+1).  A stationary
     neighbor's block is T dt p_k p_k^T: it loses exactly the range-circle
     tangent (-y_k, x_k), and the range stays observable.
 
@@ -176,7 +178,7 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
     in blocks of BLOCK_ROWS rows; an iterator of the same blocks gives the
     same bits.
     """
-    for name, value in (("dt", dt), ("rank_tol", rank_tol), ("block_tol", block_tol)):
+    for name, value in (("dt", dt), ("rank_tol", rank_tol)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
         if value <= 0:
@@ -211,6 +213,6 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
     eig = np.linalg.eigvalsh(gram)
     top = eig[-1]
     rank = 0 if top <= 0.0 else int(np.sum(eig > rank_tol * top))
-    floor = block_tol * np.trace(gram) / dim
+    floor = BLOCK_TOL * np.trace(gram) / dim
     deficient = np.flatnonzero(np.linalg.eigvalsh(gram[block])[:, 0] < floor)
     return GramianReport(gramian=gram, rank=rank, deficient_neighbor_blocks=tuple(deficient.tolist()))

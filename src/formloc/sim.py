@@ -41,7 +41,7 @@ from itertools import compress
 
 import numpy as np
 
-from .controller import _control_law, _scatter_matrices
+from .controller import _control_law
 from .estimator import (
     EstimatorState,
     _innovations,
@@ -51,7 +51,7 @@ from .estimator import (
     _update_degree,
 )
 from .lie_group import GroupElement
-from .network import Graph, _edge_arrays, sorted_neighbors
+from .network import Graph
 from .scenario import MetricsSeries, OutcomeSummary, ScenarioConfig
 
 __all__ = [
@@ -68,7 +68,10 @@ BLOCK_STEPS = 64  # at most this many steps' metrics `run` extracts in one pass
 # peaked at 38.4 MiB (summaries) and 65.9 MiB (series) with this budget's
 # 5-step blocks, 50.8 and 78.7 MiB with 64-step ones, each in 2.0-2.2 s
 # (process ru_maxrss, 2-core x86-64).  B = 16 triangles and one 20-agent,
-# 37-edge graph still fill 64-step blocks.
+# 37-edge graph still fill 64-step blocks.  Extracting a block (`_metrics`)
+# briefly allocates about 2.4 times its kept bytes again (tracemalloc: a
+# 115 KiB peak for 64 steps of 4 nominal seeds, which keep 48 KiB), so a
+# full block can need about 0.9 MiB in all.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -99,10 +102,12 @@ class _Bucket:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Where each seed of a world of a graph holds each filter, and every
-    index a step gathers with along the axes after the seed axis.  Bank
-    order lists the rows (agents) bucket after bucket; the offset table
-    holds each row's means as n slots."""
+    """Where each seed of a world of a graph holds each filter, and the
+    indices a step gathers its filter arrays with along the axes after the
+    seed axis.  Bank order lists the rows (agents) bucket after bucket; the
+    offset table holds each row's means as n slots.  The edge and scatter
+    arrays are the graph's own (`Graph.ends`, `Graph.scatter`); a step reads
+    them from config.graph, an attribute load rather than a lookup."""
 
     buckets: tuple[_Bucket, ...]
     nbrs: np.ndarray           # (slots,) the neighbor each slot tracks
@@ -112,18 +117,15 @@ class _Layout:
     tail_slots: np.ndarray     # (edges,) slot of the tail's offset to the head
     head_slots: np.ndarray     # (edges,) slot of the head's offset to the tail
     draw_count: int            # noise draws per seed and step: degree + 1 per agent
-    tails: np.ndarray          # (edges,) `network._edge_arrays`
-    heads: np.ndarray
-    at: np.ndarray             # (agents, edges) `controller._scatter_matrices`
-    ah: np.ndarray
     diff: np.ndarray           # (edges, agents) (at - ah)^T: r_tail - r_head per edge
 
 
 @lru_cache(maxsize=16)
 def _layout(graph: Graph) -> _Layout:
     """Looked up only where a world is built (`init_world`); a step, and a
-    world that keeps some of its seeds, reads the layout the world carries."""
-    nbrs = [sorted_neighbors(graph, i) for i in range(graph.agent_count)]
+    world that keeps some of its seeds, reads the layout the world carries.
+    The cache is bounded, so it holds on to no more than 16 graphs."""
+    nbrs = graph.adjacency
     # noise draws follow agent order, as a per-agent loop draws them: the
     # agent's n distances, then its heading
     first_draw = np.cumsum([0] + [len(js) + 1 for js in nbrs])
@@ -137,8 +139,7 @@ def _layout(graph: Graph) -> _Layout:
     slots = [(i, k, j) for i in order for k, j in enumerate(nbrs[i])]
     trackers, ks, slot_nbrs = (np.array(x) for x in zip(*slots))
     slot_of = {(i, j): s for s, (i, _, j) in enumerate(slots)}
-    tails, heads = _edge_arrays(graph)
-    at, ah = _scatter_matrices(graph)
+    at, ah = graph.scatter
     return _Layout(
         buckets=tuple(buckets),
         nbrs=slot_nbrs,
@@ -148,10 +149,6 @@ def _layout(graph: Graph) -> _Layout:
         tail_slots=np.array([slot_of[edge] for edge in graph.edges]),
         head_slots=np.array([slot_of[edge[::-1]] for edge in graph.edges]),
         draw_count=int(first_draw[-1]),
-        tails=tails,
-        heads=heads,
-        at=at,
-        ah=ah,
         # each row holds exactly two nonzero terms, so its product with the
         # positions is bit-identical to indexing both ends
         diff=(at - ah).T,
@@ -268,7 +265,7 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
     It evaluates the public control laws' kernel without their per-call
     validation; a regression test holds the two bit-identical.
     """
-    at, ah, diff = world.layout.at, world.layout.ah, world.layout.diff
+    (at, ah), diff = config.graph.scatter, world.layout.diff
     agents = config.graph.agent_count
     dv2, a, swap = _kernel_entries(config, len(world.r))
     tail_dirs, head_dirs, _ = law
@@ -289,7 +286,7 @@ def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndar
     """Per seed, an upper estimate of the Jacobian scale of the control
     field with `_law_inputs` `law`, used to pick the sub-step count that
     keeps the 4th-order scheme inside its stability region."""
-    tails, heads = world.layout.tails, world.layout.heads
+    tails, heads = config.graph.ends
     z1 = world.r[:, tails] - world.r[:, heads]
     zn = np.linalg.norm(z1, axis=2)
     e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
@@ -480,7 +477,7 @@ def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
     (..., B, slots, 2) in the bank order of `layout` that share their
     leading axes; each reduction runs over the same trailing axes whatever
     leads."""
-    tails, heads = layout.tails, layout.heads
+    tails, heads = config.graph.ends
     est_tail, est_head = _edge_estimates(offsets, layout)
     v_mean = v.mean(axis=-2)
     z1 = r[..., tails, :] - r[..., heads, :]
@@ -527,9 +524,12 @@ def run(config: ScenarioConfig, seeds=None, *, summary: bool = False):
         return ()
     steps, graph = config.steps, config.graph
     count, m = len(seeds), graph.edge_count
+    # a summary run takes only the batches whose series a series run could
+    # hold, so that the two modes accept the same batches
     if count * steps * m * 8 > np.iinfo(np.intp).max:
-        raise ValueError(f"{count} seeds of {steps} steps and {m} edges: the metric series "
-                         "exceed the largest array numpy can index")
+        raise ValueError(f"{count} seeds of {steps} steps and {m} edges: their metric series "
+                         "would exceed the largest array numpy can index, and run refuses "
+                         "such a batch with or without summary")
     world = init_world(config, seeds)
 
     if summary:

@@ -29,7 +29,7 @@ from formloc.lie_group import (
     step_jacobian,
     wrap_angle,
 )
-from formloc.network import Graph, _edge_arrays, edge_offsets
+from formloc.network import Graph, edge_offsets
 from formloc.observability import GramianReport, observation, observation_jacobian
 from formloc.scenario import MetricsSeries, ScenarioConfig
 from formloc.sim import (
@@ -436,7 +436,7 @@ def per_step_run(config: ScenarioConfig, seeds=None):
     if not seeds:
         return ()
     steps, graph, dt = config.steps, config.graph, config.dt
-    tails, heads = _edge_arrays(graph)
+    tails, heads = graph.ends
     dv2 = config.distances.values ** 2
     world = init_world(config, seeds)
 

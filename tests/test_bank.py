@@ -11,7 +11,9 @@ elementwise work once over all buckets, must match it bit for bit.
 """
 
 import copy
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +42,7 @@ from formloc.sim import (
     DivergenceError,
     WorldState,
     _integrate,
+    _kernel_entries,
     _layout,
     _move,
     _sense,
@@ -292,30 +295,61 @@ def _relabeled(config, rng):
                                       for (i, j), v in config.initial_estimates.items()}), order
 
 
-@pytest.mark.parametrize("variant", ["ideal", "algorithm1"])
-@pytest.mark.parametrize("agents", range(4, 10))
-def test_relabeling_agents_and_edges_keeps_every_metric(agents, variant):
-    # renaming the agents and reordering the edges moves every index of
-    # `_layout` (bank order, slots, tail and head slots, scatter matrices)
-    # but not the physics, which oracles built on the same layout cannot
-    # check.  It does reorder floating-point sums: an agent adds its edges'
-    # terms in edge order and a filter lists its neighbors in label order.
-    # Over these 0.5 s that moved no metric by more than 4.2e-10 relative
-    # (roundoff can grow from there: one estimated-law graph reached 3e-8 at
-    # 1 s), while a wrong index moves one by O(1).  Explicit estimates and no
-    # measurement noise leave no draw whose order could depend on the labels.
+def _explicit_estimates(agents, variant, **kw):
+    """The `shaped_config` of `agents` agents that the relabeling and
+    translation tests share, each filter starting from the true offset to
+    each neighbor moved by up to 1 per coordinate, and the generator that
+    drew it."""
     rng = np.random.default_rng(agents)
-    config = shaped_config(rng, agents, variant, duration=0.5)
+    config = shaped_config(rng, agents, variant, duration=0.5, **kw)
     r = config.initial_positions
-    config = replace(config, initial_estimates={
+    return replace(config, initial_estimates={
         (i, j): r[i] - r[j] + rng.uniform(-1.0, 1.0, size=2)
-        for i in range(agents) for j in sorted_neighbors(config.graph, i)})
+        for i in range(agents) for j in sorted_neighbors(config.graph, i)}), rng
+
+
+@pytest.mark.parametrize("variant, dt", [
+    pytest.param(v, dt, id=v if dt == 0.01 else f"{v}-dt{dt}")
+    for dt in (0.01, 0.002) for v in ("ideal", "algorithm1", "estimated")])
+@pytest.mark.parametrize("agents", range(4, 10))
+def test_relabeling_agents_and_edges_keeps_every_metric(agents, variant, dt):
+    # renaming the agents and reordering the edges moves every index of
+    # `_layout` (bank order, slots, tail and head slots) and of the graph
+    # (`Graph.ends`, `Graph.scatter`, `Graph.adjacency`) but not the
+    # physics, which oracles built on the same layout cannot check.  It does
+    # reorder floating-point sums: an agent adds its edges' terms in edge
+    # order and a filter lists its neighbors in label order.  Over these
+    # 0.5 s that moved no metric by more than 3.9e-9 relative (the
+    # estimated law at dt 0.002; 7.5e-10 at dt 0.01), while a wrong index
+    # moves one by O(1).  Explicit estimates and no measurement noise leave
+    # no draw whose order could depend on the labels.
+    config, rng = _explicit_estimates(agents, variant, dt=dt)
     other, order = _relabeled(config, rng)
     want, got = run(config), run(other)
     for name in ("distances", "est_errors", "dist_errors"):
         assert np.allclose(getattr(got, name), getattr(want, name)[:, order], rtol=1e-8, atol=1e-8), name
     for name in ("centroid_speed", "angular_rate", "max_speed"):
         assert np.allclose(getattr(got, name), getattr(want, name), rtol=1e-8, atol=1e-8), name
+
+
+@pytest.mark.parametrize("variant", ["ideal", "algorithm1"])
+@pytest.mark.parametrize("agents", range(4, 10))
+def test_translating_every_position_keeps_every_metric(agents, variant):
+    # every metric depends on positions only through their differences, so
+    # moving the spawn by one vector changes none of them, up to roundoff:
+    # each shifted coordinate is rounded to its spacing, about 4.5e-13 near
+    # 2e3, and a velocity differenced over one step carries that over dt.
+    # The loop may grow it over the 50 steps; 1e3 times that per-step
+    # velocity error (4.5e-8) is 35 times the largest move measured,
+    # 1.3e-9 in an algorithm1 est_errors, while a position read where an
+    # offset belongs moves a metric by about the shift.
+    config, _ = _explicit_estimates(agents, variant)
+    moved = replace(config, initial_positions=config.initial_positions + [1e3, -2e3])
+    tol = 1e3 * np.spacing(np.abs(moved.initial_positions).max()) / config.dt
+    want, got = run(config), run(moved)
+    for name in ("distances", "est_errors", "dist_errors", "centroid_speed", "angular_rate",
+                 "max_speed"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= tol, name
 
 
 # ------------------------------------------------------------ error isolation
@@ -475,6 +509,35 @@ def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     step(kept, config)
     assert len(hashed) == 0
     assert kept.layout is world.layout
+
+
+def test_no_cache_keeps_a_graph_alive():
+    # a process that runs many graphs (an atlas, a metamorphic sweep) must
+    # not keep each one alive: only the bounded caches may hold a graph, and
+    # running more other graphs and configs than they hold evicts it
+    def path(agents):
+        # at rest: every agent 1 from the next, as desired
+        graph = Graph(agents, tuple((k, k + 1) for k in range(agents - 1)))
+        return ScenarioConfig(graph=graph, distances=DesiredDistances.uniform(agents - 1, 1.0),
+                              variant="ideal", initial_positions=np.arange(agents)[:, None] * [1.0, 0.0],
+                              duration=0.02)
+
+    def used(config):
+        graph = config.graph
+        run(config)
+        init_world(config)
+        ideal_control(graph, config.initial_positions, config.distances)
+        sorted_neighbors(graph, 0)
+        return weakref.ref(graph)
+
+    # no other test builds paths this long, so the first is a graph no cache
+    # has seen and every other one adds an entry
+    ref = used(path(29))
+    others = max(_layout.cache_info().maxsize, _kernel_entries.cache_info().maxsize) + 1
+    for agents in range(30, 30 + others):
+        used(path(agents))
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("kind", ["nonfinite", "singular"])

@@ -52,6 +52,8 @@ def test_neighbors(triangle):
     assert neighbors(path, 0) == frozenset({1})
     with pytest.raises(ValueError):
         neighbors(path, 3)
+    with pytest.raises(ValueError):
+        sorted_neighbors(path, -1)
 
 
 @settings(max_examples=100)
@@ -63,6 +65,19 @@ def test_incidence_columns(graph):
     for k, (t, h) in enumerate(graph.edges):
         assert b[t, k] == 1.0 and b[h, k] == -1.0
         assert np.abs(b[:, k]).sum() == 2.0
+    # the graph's own arrays agree with the edges, are read-only, and leave
+    # the fields alone: equality, hash and repr are those of a fresh graph
+    fresh = Graph(graph.agent_count, graph.edges)
+    at, ah = graph.scatter
+    np.testing.assert_array_equal(at - ah, b)
+    assert list(zip(*graph.ends)) == list(graph.edges)
+    assert [sorted_neighbors(graph, i) for i in range(graph.agent_count)] == [
+        tuple(sorted(neighbors(graph, i))) for i in range(graph.agent_count)]
+    for array in graph.ends + graph.scatter:
+        assert not array.flags.writeable
+    assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
+    with pytest.raises(AttributeError):
+        graph.ends = graph.ends
 
 
 def test_edge_offsets_fixed(triangle):
