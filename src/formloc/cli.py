@@ -7,8 +7,9 @@ Subcommands
 
 Outputs land in --out, else $FORMLOC_OUT_DIR, else ./formloc_runs: a
 metrics.csv time series and a manifest.txt that echoes the fully resolved
-configuration.  A manifest is itself a valid config file, so
-`run --config manifest.txt` replays the exact run.
+configuration, each overwritten in place if it exists.  A manifest is
+itself a valid config file, so `run --config manifest.txt` replays the
+exact run.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad usage or config,
 3 observability rank deficiency (or, for reproduce, unexpected outcome).
@@ -23,8 +24,10 @@ import configparser
 import itertools
 import math
 import os
+import stat
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -383,8 +386,29 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{where}: {_one_based(exc)}") from None
 
 
+@contextmanager
+def _overwrite(path: str | Path):
+    """A text file at `path` for writing, created if absent and otherwise
+    overwritten in place: opened without O_TRUNC and truncated where the
+    writing stops, also when it stops on an error.  On ext4 (auto_da_alloc)
+    an open that truncates a file with unwritten data first flushes that
+    data, about 50 ms a file; this open does not.  A symlink or hard link at
+    `path` is written through.  Only a regular file is truncated, so a path
+    to a device such as /dev/null is written as before."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="\n") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:
-    """One header line, one row per step, plain decimal-point floats."""
+    """One header line, one row per step, plain decimal-point floats.  A
+    table with a non-finite value is refused before `path` is opened, so an
+    existing file stays as it was; otherwise one is overwritten in place
+    (`_overwrite`)."""
     cols = (
         ["t"]
         + [f"dist_{lbl}" for lbl in series.edge_labels]
@@ -397,7 +421,7 @@ def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:
     ])
     if not np.all(np.isfinite(table)):
         raise RuntimeError("non-finite values in metrics; refusing to write CSV")
-    with open(path, "w", newline="\n") as fh:
+    with _overwrite(path) as fh:
         fh.write(",".join(cols) + "\n")
         for row in table:  # row by row: the table as Python floats would hold them all at once
             fh.write(",".join(map(repr, row.tolist())) + "\n")
@@ -405,6 +429,9 @@ def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:
 
 def write_manifest(path: str | Path, config: ScenarioConfig, series: MetricsSeries,
                    outcome: str, metrics_name: str) -> None:
+    """The resolved config of the run plus its [artifact] and [result]
+    sections, as INI; an existing file is overwritten in place
+    (`_overwrite`)."""
     ini = config_to_ini(config)
     ini["artifact"] = {"name": "formloc", "version": __version__}
     window = config.thresholds.window(series.steps)
@@ -416,7 +443,7 @@ def write_manifest(path: str | Path, config: ScenarioConfig, series: MetricsSeri
         "steady_angular_rate": _fmt(series.angular_rate[window].mean()),
         "metrics": metrics_name,
     }
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         ini.write(fh)
 
 

@@ -721,11 +721,121 @@ def test_check_observability_calls_the_gramian_once(tmp_path, monkeypatch, capsy
 
 
 def test_write_metrics_refuses_nonfinite(tmp_path):
-    from formloc.sim import run
     series = run(scenario_issue2())
     series.centroid_speed[3] = np.nan
     with pytest.raises(RuntimeError):
         cli.write_metrics_csv(tmp_path / "m.csv", series)
+    assert not (tmp_path / "m.csv").exists()
+    # the check comes before the open: an earlier file stays byte for byte
+    old = tmp_path / "metrics.csv"
+    old.write_bytes(b"t,x\n0.0,1.0\n" * 1000)
+    with pytest.raises(RuntimeError):
+        cli.write_metrics_csv(old, series)
+    assert old.read_bytes() == b"t,x\n0.0,1.0\n" * 1000
+
+
+_writes = None  # while a test collects them: the (path, flags) of every open for writing
+
+
+def _audit_open(event, args):
+    if (event == "open" and _writes is not None and isinstance(args[0], (str, os.PathLike))
+            and args[2] & (os.O_WRONLY | os.O_RDWR)):
+        _writes.append((Path(args[0]), args[2]))
+
+
+sys.addaudithook(_audit_open)  # a hook stays for the whole process, so it reads `_writes`
+
+
+def test_rerun_into_the_same_out_never_truncates_at_open(tmp_path, monkeypatch):
+    """A re-run overwrites metrics.csv and manifest.txt without O_TRUNC: on
+    ext4 an open that truncates a file with unwritten data flushes it first,
+    about 50 ms a file.  The spy on `os.open` shows both outputs go through
+    it; the audit hook also sees the builtin `open`, `Path.write_text` and
+    `np.savetxt`, which do not call `os.open`."""
+    global _writes
+    out = tmp_path / "out"
+    real_open, spied = os.open, []
+
+    def spy(path, flags, *args, **kwargs):
+        spied.append((Path(path).name, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy)
+    runs, _writes = [], []
+    try:
+        for _ in range(2):
+            assert cli.main(["run", "--scenario", "issue2", "--out", str(out)]) == 0
+            runs.append([(out / name).read_bytes() for name in ("metrics.csv", "manifest.txt")])
+        written = [flags for path, flags in _writes if path.parent == out]
+    finally:
+        _writes = None
+    assert runs[0] == runs[1]
+    assert [name for name, _ in spied] == ["metrics.csv", "manifest.txt"] * 2
+    assert len(written) == 4
+    assert not [flags for flags in written + [f for _, f in spied] if flags & os.O_TRUNC]
+
+
+def test_overwrite_leaves_no_tail_of_a_longer_file(tmp_path):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    old.mkdir()
+    junk = bytes(range(256)) * 4096  # 1 MiB, longer than either output
+    for name in ("metrics.csv", "manifest.txt"):
+        (old / name).write_bytes(junk)
+    for out in (fresh, old):
+        assert cli.main(["run", "--scenario", "issue2", "--out", str(out)]) == 0
+    for name in ("metrics.csv", "manifest.txt"):
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+        assert len((fresh / name).read_bytes()) < len(junk)
+
+
+def test_overwrite_writes_through_links(tmp_path):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    out.mkdir()
+    target, other = tmp_path / "target.csv", tmp_path / "other.txt"
+    target.write_text("old metrics\n" * 10000)
+    other.write_text("old manifest\n" * 10000)
+    (out / "metrics.csv").symlink_to(target)
+    os.link(other, out / "manifest.txt")
+    for d in (fresh, out):
+        assert cli.main(["run", "--scenario", "issue2", "--out", str(d)]) == 0
+    assert (out / "metrics.csv").is_symlink()
+    assert target.read_bytes() == (fresh / "metrics.csv").read_bytes()
+    assert (out / "manifest.txt").stat().st_ino == other.stat().st_ino
+    assert other.read_bytes() == (fresh / "manifest.txt").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.name != "posix",
+                    reason="no character device to link to")
+def test_outputs_linked_to_a_device_are_written(tmp_path):
+    # a device is written but never truncated (ftruncate refuses one)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics.csv").symlink_to(os.devnull)
+    assert cli.main(["run", "--scenario", "issue2", "--duration", "0.5", "--out", str(out)]) == 0
+    assert (out / "metrics.csv").is_symlink()
+    assert "outcome = " in (out / "manifest.txt").read_text()
+
+
+def test_overwrite_ends_where_a_failed_write_stopped(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("x" * 100000)
+    with pytest.raises(KeyError):
+        with cli._overwrite(path) as fh:
+            fh.write("t,dist_12\n")
+            raise KeyError("stopped")
+    assert path.read_bytes() == b"t,dist_12\n"
+
+
+def test_run_metrics_path_is_a_directory_exits_runtime(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    assert cli.main(["run", "--scenario", "issue2", "--duration", "0.5",
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"run: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: " \
+                           f"'{out / 'metrics.csv'}'\n"
+    assert captured.out == ""
+    assert not (out / "manifest.txt").exists()
 
 
 def test_version_flag():
