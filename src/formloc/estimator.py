@@ -16,15 +16,16 @@ filter's view of them (`WorldState.filters`).
 
 Each step has two parts.  The per-row part is elementwise, so it runs once
 over the stacked rows of filters of every degree: the rotations R(theta)
-and R(theta + pi/2)^T (`_rotations`, `_quarter_rotations`), the range and
-wrapped-heading innovations (`_innovations`), and the increments p + delta
-and theta + delta.  The per-degree part is the stacked matrix algebra of
-one degree, one call each for the predict and the update: the mean step,
-the Jacobian products and F P F^T + Q (`_predict_degree`); H, H P, S, the
-stacked solve, the gain, the increments delta and the Joseph form
-(`_update_degree`), which also refuses a filter whose S is not finite or
-not invertible.  The parts take any leading axes, such as (seeds,
-filters), and key a refused filter by its index tuple over them.
+and R(theta + pi/2)^T (`_rotations`, `_quarter_rotations`) and the range and
+wrapped-heading innovations (`_innovations`).  The per-degree part is the
+stacked matrix algebra of one degree, one call each for the predict and the
+update: the mean step, the Jacobian products and F P F^T + Q
+(`_predict_degree`); H, H P, S, the stacked solve, the gain, the increments
+delta and the Joseph form (`_update_degree`), which also refuses a filter
+whose S is not finite or not invertible.  The caller adds the increments,
+p + delta and theta + delta, to the predicted means of the same degree.
+The parts take any leading axes, such as (seeds, filters), and key a
+refused filter by its index tuple over them.
 """
 
 from __future__ import annotations
@@ -110,20 +111,22 @@ def _step_jacobian_columns(quarter: np.ndarray, v: np.ndarray, dt: float) -> np.
     return dt * (v.reshape(quarter.shape[:-2] + (-1, 2)) @ quarter).reshape(v.shape)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _predict_constants(n: int, noise: NoiseConfig, dt: float) -> tuple:
     """Per-degree arrays shared by every batched predict: the identity and
-    Q = dt * diag(process PSDs)."""
+    Q = dt * diag(process PSDs).  The cache is bounded, so a sweep over the
+    noise or dt keeps only its last 64 keys, more than one graph's degrees."""
     eye = np.eye(2 * n + 1)
     psd = np.concatenate([np.full(2 * n, noise.process_position_psd), [noise.process_heading_psd]])
     return eye, dt * psd * eye
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _update_constants(n: int, noise: NoiseConfig) -> tuple:
     """Per-degree arrays shared by every batched update: the identity, the
     measurement variance diagonal as a vector and as the matrix R, and the
-    (row, column) indices of the offsets in the observation Jacobian."""
+    (row, column) indices of the offsets in the observation Jacobian.
+    Bounded like `_predict_constants`."""
     eye = np.eye(2 * n + 1)
     rdiag = np.concatenate([np.full(n, noise.meas_distance_var), [noise.meas_heading_var]])
     return eye, rdiag, rdiag * eye[: n + 1, : n + 1], (np.repeat(np.arange(n), 2), np.arange(2 * n))
@@ -176,10 +179,11 @@ def _update_degree(p: np.ndarray, cov: np.ndarray, innovation: np.ndarray,
     hp = h @ cov
     s = hp @ h.swapaxes(-1, -2) + r_matrix
 
-    errors = {}
-    work = cov
-    refused = ~np.isfinite(s).all(axis=(-2, -1))
-    if refused.any():
+    errors, work = {}, cov
+    if np.isfinite(s).all():
+        refused = np.zeros(s.shape[:-2], dtype=bool)
+    else:
+        refused = ~np.isfinite(s).all(axis=(-2, -1))
         # neutral stand-ins keep the refused filters out of the shared arithmetic
         s[refused], hp[refused], h[refused] = eye[: n + 1, : n + 1], 0.0, 0.0
         work = cov.copy()

@@ -17,12 +17,13 @@ positions, the filters and every other per-seed array have a leading seed
 axis.  The filters are flat arrays in the bank order of the one-seed
 `_Layout` the state carries: an offset table, a heading array and
 per-degree covariance stacks, and every estimate read is a gather from the
-offset table.  Phase (4) runs the filters' elementwise work (`estimator`'s
-per-row part) once over the flat arrays, and their matmuls, stacked solve
-and covariance algebra once per degree bucket, on views of them.  Its
-measurements come in bank order too: one heading measurement per bank row,
-not per agent.  `init_world(config, seeds)` builds a state and
-`run(config, seeds)` steps it.
+offset table.  Phase (4) runs the rotations and innovations (`estimator`'s
+per-row part) once over the flat arrays, and per degree bucket one predict,
+on views of the filters, and one update, on that predict's own means and
+covariances; the update adds its increments bucket by bucket into the next
+state's arrays.  Its measurements come in bank order too: one heading
+measurement per bank row, not per agent.  `init_world(config, seeds)`
+builds a state and `run(config, seeds)` steps it.
 Each seed keeps its own sub-step count, generator and event log, so it
 comes out exactly as it would alone; a seed that diverges leaves the
 batch.  One seed is the case B = 1 of the same code.
@@ -219,23 +220,18 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _edge_estimates(offsets: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge (t, h) of offset tables (..., slots, 2) in the bank order
-    of `layout`, the tail's estimate of r_t - r_h and the head's of
-    r_h - r_t, as (..., edges, 2) arrays."""
-    return -offsets[..., layout.tail_slots, :], -offsets[..., layout.head_slots, :]
-
-
 def _law_inputs(world: WorldState, config: ScenarioConfig):
     """The variant's (E_t, E_h, a) for `controller._control_law`: the frozen
     directions each edge's tail and head steer along, per seed, and the
     bias.  The ideal law steers along the true offsets, which move with the
-    positions; its directions are None."""
+    positions; its directions are None.  Algorithm 1's E_t and E_h are one
+    array, and its readers transpose and normalize that array once."""
     if config.variant == "ideal":
         return None, None, 0.0
-    est_tail, est_head = _edge_estimates(world.offsets, world.layout)
+    est_tail = -world.offsets[:, world.layout.tail_slots]
     if config.variant == "estimated":
-        return est_tail, -est_head, 0.0
+        # minus the head's estimate, -(-offset), is the offset itself
+        return est_tail, world.offsets[:, world.layout.head_slots], 0.0
     return est_tail, est_tail, config.mismatch.values
 
 
@@ -248,11 +244,14 @@ def _columns(x: np.ndarray) -> np.ndarray:
 def _kernel_entries(config: ScenarioConfig, seeds: int) -> tuple:
     """For B seeds side by side in the control kernel, flattened from
     (edges, 2B): each entry's squared desired distance and bias, and the
-    index of the other coordinate of its (x, y) pair."""
+    index of the other coordinate of its (x, y) pair.  Last, for
+    `_stiffness`, the flat (seed, agent) index of each edge's tail and then
+    head, seed after seed."""
     per_edge = 2 * seeds
     a = np.repeat(config.mismatch.values, per_edge) if config.mismatch is not None else 0.0
     swap = np.arange(config.graph.edge_count * per_edge) ^ 1
-    return np.repeat(config.distances.values ** 2, per_edge), a, swap
+    scatter = np.arange(seeds)[:, None] * config.graph.agent_count + np.concatenate(config.graph.ends)
+    return np.repeat(config.distances.values ** 2, per_edge), a, swap, scatter.ravel()
 
 
 def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
@@ -267,9 +266,12 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
     """
     (at, ah), diff = config.graph.scatter, world.layout.diff
     agents = config.graph.agent_count
-    dv2, a, swap = _kernel_entries(config, len(world.r))
+    dv2, a, swap, _ = _kernel_entries(config, len(world.r))
     tail_dirs, head_dirs, _ = law
-    dirs = None if tail_dirs is None else (_columns(tail_dirs).ravel(), _columns(head_dirs).ravel())
+    dirs = None
+    if tail_dirs is not None:
+        tail = _columns(tail_dirs).ravel()
+        dirs = tail, tail if head_dirs is tail_dirs else _columns(head_dirs).ravel()
 
     def field(r):
         # .dot: the gemm of @ without its dispatch cost (see _control_law)
@@ -283,39 +285,50 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
 
 
 def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndarray:
-    """Per seed, an upper estimate of the Jacobian scale of the control
-    field with `_law_inputs` `law`, used to pick the sub-step count that
-    keeps the 4th-order scheme inside its stability region."""
+    """Per seed, s: the largest over agents of the sum, over the agent's
+    edges, of 2 |E| |z| + |e| + |a| for the control field with
+    `_law_inputs` `law`, |E| being the larger norm of the edge's two
+    directions.  `_move` takes n = ceil(dt s / 2) sub-steps.  s is no upper
+    bound of the field Jacobian's spectral radius (0.67 of it at the median
+    on nominal seeds 0-7), but there n came to 1.04 times the sub-steps that
+    linear stability of the 4th-order scheme needs."""
     tails, heads = config.graph.ends
     z1 = world.r[:, tails] - world.r[:, heads]
-    zn = np.linalg.norm(z1, axis=2)
-    e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
+    sq = (z1 ** 2).sum(axis=2)
+    zn = np.sqrt(sq)  # np.linalg.norm's own sum, to the last bit
+    e = np.abs(sq - config.distances.values ** 2)
     tail_dirs, head_dirs, a = law
     if tail_dirs is None:
         dirs = zn
     else:
-        dirs = np.maximum(_vector_norms(tail_dirs), _vector_norms(head_dirs))
+        dirs = _vector_norms(tail_dirs)
+        if head_dirs is not tail_dirs:
+            dirs = np.maximum(dirs, _vector_norms(head_dirs))
     per_edge = 2.0 * dirs * zn + e + np.abs(a)
-    per_agent = np.zeros(world.r.shape[:2])
+    seeds, agents = world.r.shape[:2]
     # tails then heads, each in edge order: the sums a per-edge loop makes
-    np.add.at(per_agent, (slice(None), tails), per_edge)
-    np.add.at(per_agent, (slice(None), heads), per_edge)
-    return per_agent.max(axis=1)
+    per_agent = np.bincount(_kernel_entries(config, seeds)[-1],
+                            np.concatenate((per_edge, per_edge), axis=1).ravel(), seeds * agents)
+    return per_agent.reshape(seeds, agents).max(axis=1)
 
 
 def _integrate(u_of, r: np.ndarray, dt: float, substeps) -> np.ndarray:
     """Classical 4th-order scheme over dt in `substeps` equal sub-steps.
 
-    With one count per entry of r every entry takes its sub-steps in the
+    `substeps` is one int for every entry of r, or an array of them.  With
+    one count per entry of r every entry takes its sub-steps in the
     same rounds, each with its own h = dt/n; an entry whose count is reached
     holds its value while the rest go on, so each ends exactly where it
     would alone.
     """
-    substeps = np.asarray(substeps)
+    if isinstance(substeps, int):
+        # a Python float h: the same IEEE arithmetic as a numpy scalar
+        everyone = rounds = substeps
+    else:
+        everyone, rounds = substeps.min(), substeps.max()
     h = dt / substeps
     half_h, sixth_h = 0.5 * h, h / 6.0
-    everyone = substeps.min()
-    for k in range(substeps.max()):
+    for k in range(rounds):
         k1 = u_of(r)
         k2 = u_of(r + half_h * k1)
         k3 = u_of(r + half_h * k2)
@@ -409,14 +422,17 @@ def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.nda
 def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     """Phases (3)-(5) for every seed of a world that `_move` advanced.
 
-    The filters' elementwise work (rotations, innovations, mean increments)
-    runs once over the flat filter arrays, so the measurements are gathered
-    in bank order (`_Layout`) after the seed axis: `heading_meas` holds one
-    entry per bank row, not per agent.  The per-degree matrix algebra runs
-    in two bucket loops, one `_predict_degree` and one `_update_degree` call
-    per bucket, each on views of the filters before it; each loop fills
-    fresh arrays that make up the next filters.  A refused filter keeps its
-    prediction, and its update is logged in agent order."""
+    The rotations and innovations run once over the flat filter arrays, so
+    the measurements are gathered in bank order (`_Layout`) after the seed
+    axis: `heading_meas` holds one entry per bank row, not per agent.  The
+    per-degree matrix algebra runs in two bucket loops.  The first reads
+    each bucket's views of the filters once and keeps its `_predict_degree`
+    means and covariances; the flat innovations read those means from a
+    fresh offset table.  The second hands each bucket's prediction to
+    `_update_degree` and writes p + delta and theta + delta into that table
+    and a fresh heading array, which make up the next filters with the new
+    covariances.  A refused filter keeps its prediction, and its update is
+    logged in agent order."""
     if not config.estimator_enabled:
         return world
     noise, dt = config.noise, config.dt
@@ -434,7 +450,7 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
 
     theta = world.headings  # no agent turns: a predict keeps the headings
     rot, quarter = _rotations(theta), _quarter_rotations(theta)
-    offsets, covariances = np.empty(world.offsets.shape), []
+    offsets, predicted = np.empty(world.offsets.shape), []
     for b, bucket in enumerate(layout.buckets):
         means, _, cov = world.bucket(b)
         rows = bucket.rows
@@ -442,22 +458,21 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         p, cov = _predict_degree(means, cov, v_body.reshape(means.shape), rot[:, rows],
                                  quarter[:, rows], dt, noise)
         offsets[:, bucket.slots] = p.reshape(len(p), -1, 2)
-        covariances.append(cov)
-    predicted = replace(world, offsets=offsets, covariances=tuple(covariances))
+        predicted.append((p, cov))
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
 
-    offset_deltas, heading_deltas, covariances = np.empty_like(offsets), np.empty_like(theta), []
+    # the innovations were the predicted table's last reader
+    headings, covariances = np.empty_like(theta), []
     skipped = [[] for _ in world.rngs]
-    for b, bucket in enumerate(layout.buckets):
-        p, _, cov = predicted.bucket(b)
+    for bucket, (p, cov) in zip(layout.buckets, predicted):
         # C-contiguous: a strided innovation takes another matmul kernel,
         # whose last bits differ at B > 1
         innovation = np.empty(p.shape[:-1] + (bucket.degree + 1,))
         innovation[..., :-1] = range_innov[:, bucket.slots].reshape(len(p), -1, bucket.degree)
         innovation[..., -1] = heading_innov[:, bucket.rows]
         delta, cov, errors = _update_degree(p, cov, innovation, noise)
-        offset_deltas[:, bucket.slots] = delta[..., :-1].reshape(len(delta), -1, 2)
-        heading_deltas[:, bucket.rows] = delta[..., -1]
+        offsets[:, bucket.slots] = (p + delta[..., :-1]).reshape(len(p), -1, 2)
+        headings[:, bucket.rows] = theta[:, bucket.rows] + delta[..., -1]
         covariances.append(cov)
         for (seed, member), exc in errors.items():
             skipped[seed].append((int(bucket.agents[member]), exc))
@@ -466,8 +481,8 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         events = [ev + tuple(f"t={world.t:.6g} agent={i + 1} update skipped: {exc}"
                              for i, exc in sorted(refused, key=lambda item: item[0]))
                   for ev, refused in zip(events, skipped)]
-    return replace(world, offsets=offsets + offset_deltas, headings=theta + heading_deltas,
-                   covariances=tuple(covariances), events=events)
+    return replace(world, offsets=offsets, headings=headings, covariances=tuple(covariances),
+                   events=events)
 
 
 def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
@@ -478,7 +493,8 @@ def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
     leading axes; each reduction runs over the same trailing axes whatever
     leads."""
     tails, heads = config.graph.ends
-    est_tail, est_head = _edge_estimates(offsets, layout)
+    # per edge, the tail's estimate of r_t - r_h and the head's of r_h - r_t
+    est_tail, est_head = -offsets[..., layout.tail_slots, :], -offsets[..., layout.head_slots, :]
     v_mean = v.mean(axis=-2)
     z1 = r[..., tails, :] - r[..., heads, :]
     centered = r - r.mean(axis=-2, keepdims=True)

@@ -3,9 +3,10 @@ the library computes in closed form, the symbolic Lie-derivative search and
 the per-sample Gramian loop that the observability closed forms replace, the
 scalar per-agent filter and one-step stepper that the batched engine is
 checked against, the filter phase run bucket by bucket, which the engine's
-once-per-step elementwise work is checked against, and the run loop that
-extracts metrics one step at a time, which `run`'s block-wise extraction is
-checked against."""
+once-per-step elementwise work is checked against, the stiffness scattered
+to agents by two `np.add.at`, which the engine's one `np.bincount` is
+checked against, and the run loop that extracts metrics one step at a
+time, which `run`'s block-wise extraction is checked against."""
 
 from dataclasses import replace
 
@@ -426,6 +427,24 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
                    covariances=tuple(cov.reshape((seeds, -1) + cov.shape[1:]) for cov in covariances),
                    events=events)
 
+
+def stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndarray:
+    """`sim._stiffness` with np.linalg.norm for |z| and one np.add.at per
+    edge end: the per-agent sums of tails, then heads, in edge order."""
+    tails, heads = config.graph.ends
+    z1 = world.r[:, tails] - world.r[:, heads]
+    zn = np.linalg.norm(z1, axis=2)
+    e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
+    tail_dirs, head_dirs, a = law
+    if tail_dirs is None:
+        dirs = zn
+    else:
+        dirs = np.maximum(_vector_norms(tail_dirs), _vector_norms(head_dirs))
+    per_edge = 2.0 * dirs * zn + e + np.abs(a)
+    per_agent = np.zeros(world.r.shape[:2])
+    np.add.at(per_agent, (slice(None), tails), per_edge)
+    np.add.at(per_agent, (slice(None), heads), per_edge)
+    return per_agent.max(axis=1)
 
 
 def per_step_run(config: ScenarioConfig, seeds=None):

@@ -30,9 +30,11 @@ from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
+    _predict_constants,
     _predict_degree,
     _quarter_rotations,
     _rotations,
+    _update_constants,
 )
 from formloc.lie_group import AlgebraElement, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
@@ -43,14 +45,16 @@ from formloc.sim import (
     WorldState,
     _integrate,
     _kernel_entries,
+    _law_inputs,
     _layout,
     _move,
     _sense,
+    _stiffness,
     edge_labels,
     init_world,
     run,
 )
-from oracles import bank_of, bucket_sense, predict, step, update
+from oracles import bank_of, bucket_sense, predict, step, stiffness, update
 
 # fixed before running: the bank reorders no sum the scalar path makes, so
 # only last-bit differences in a few reductions may appear
@@ -487,6 +491,23 @@ def test_filter_phase_with_a_degree_one_agent(seeds):
     _sense_matching_oracle(init_world(config, range(seeds)), config, steps=6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(rigid_scenarios(), st.sampled_from((1, 3)))
+def test_stiffness_matches_scatter_oracle(config, seeds):
+    # one bincount over tails then heads makes the sums of the two add.at
+    # scatters, and sqrt of the squared sums is np.linalg.norm, bit for bit
+    graph = config.graph
+    assume(len({len(sorted_neighbors(graph, i)) for i in range(graph.agent_count)}) > 1)
+    world = init_world(config, range(seeds))
+    for _ in range(3):
+        law = _law_inputs(world, config)
+        assert _stiffness(world, config, law).tobytes() == stiffness(world, config, law).tobytes()
+        world, diverged = _move(world, config)
+        world = _sense(world.take(~diverged), config)
+        if not len(world.r):
+            break
+
+
 @pytest.mark.parametrize("seeds", [1, 3])
 def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     # the world carries its layout, so once a world is built no step, and no
@@ -538,6 +559,25 @@ def test_no_cache_keeps_a_graph_alive():
         used(path(agents))
     gc.collect()
     assert ref() is None
+
+
+def test_estimator_constant_caches_stay_bounded():
+    # the per-degree constants are keyed on the noise (and dt), so a sweep
+    # over the noise adds a key per config: the caches must stay bounded and
+    # let go of the configs they evicted
+    caches = (_predict_constants, _update_constants)
+    sizes = [cache.cache_info().maxsize for cache in caches]
+    assert None not in sizes
+    config = replace(scenario_nominal(), duration=0.02)
+    first = NoiseConfig(meas_distance_var=0.5)
+    ref = weakref.ref(first)
+    for k in range(max(sizes) + 1):
+        run(replace(config, noise=NoiseConfig(meas_distance_var=1.0 + k) if k else first))
+    del first
+    gc.collect()
+    assert ref() is None
+    for cache in caches:
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
 
 
 @pytest.mark.parametrize("kind", ["nonfinite", "singular"])
