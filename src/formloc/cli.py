@@ -42,6 +42,7 @@ from .observability import BLOCK_ROWS, codistribution_rank, empirical_gramian
 from .scenario import (
     VARIANTS,
     MetricsSeries,
+    OutcomeSummary,
     OutcomeThresholds,
     ScenarioConfig,
     SpawnError,
@@ -434,13 +435,13 @@ def write_manifest(path: str | Path, config: ScenarioConfig, series: MetricsSeri
     (`_overwrite`)."""
     ini = config_to_ini(config)
     ini["artifact"] = {"name": "formloc", "version": __version__}
-    window = config.thresholds.window(series.steps)
+    summary = OutcomeSummary.of(series, config.thresholds)
     ini["result"] = {
         "outcome": outcome,
         "steps": str(series.steps),
-        "final_max_dist_error": _fmt(np.abs(series.distances[window] - series.desired).max()),
-        "final_max_est_error": _fmt(series.est_errors[window].max()),
-        "steady_angular_rate": _fmt(series.angular_rate[window].mean()),
+        "final_max_dist_error": _fmt(summary.dist_dev),
+        "final_max_est_error": _fmt(summary.est_error),
+        "steady_angular_rate": _fmt(series.angular_rate[config.thresholds.window(series.steps)].mean()),
         "metrics": metrics_name,
     }
     with _overwrite(path) as fh:

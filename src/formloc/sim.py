@@ -23,7 +23,11 @@ on views of the filters, and one update, on that predict's own means and
 covariances; the update adds its increments bucket by bucket into the next
 state's arrays.  Its measurements come in bank order too: one heading
 measurement per bank row, not per agent.  `init_world(config, seeds)`
-builds a state and `run(config, seeds)` steps it.
+builds a state and `run(config, seeds)` steps it.  `run` is one step loop
+(`_run`) that extracts the metrics of a block of steps at a time and hands
+them to one of two reducers: `_series` stores them as each seed's
+`MetricsSeries`, `_summary` folds the outcome window's steps into each
+seed's `OutcomeSummary`.
 Each seed keeps its own sub-step count, generator and event log, so it
 comes out exactly as it would alone; a seed that diverges leaves the
 batch.  One seed is the case B = 1 of the same code.
@@ -333,7 +337,7 @@ def _integrate(u_of, r: np.ndarray, dt: float, substeps) -> np.ndarray:
         k2 = u_of(r + half_h * k1)
         k3 = u_of(r + half_h * k2)
         k4 = u_of(r + h * k3)
-        r_next = r + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r_next = r + sixth_h * (k1 + (k2 + k2) + (k3 + k3) + k4)
         r = r_next if k < everyone else np.where(k < substeps, r_next, r)
     return r
 
@@ -509,6 +513,45 @@ def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
             np.linalg.norm(v, axis=-1).max(axis=-1))
 
 
+def _series(config: ScenarioConfig, count: int) -> tuple:
+    """`_run`'s reducer for series: from the first step, each block's
+    metrics go into `count` seeds' `MetricsSeries` arrays."""
+    steps, m = config.steps, config.graph.edge_count
+    # the MetricsSeries arrays in field order: three per edge, then three per step
+    outs = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
+    # shared by every seed's series; no times for a batch of no seeds
+    t, labels = (np.arange(1, steps + 1) * config.dt if count else None), edge_labels(config.graph)
+
+    def fold(live, stop, metrics):
+        for out, values in zip(outs, metrics):
+            out[live, stop - len(values):stop] = values.swapaxes(0, 1)
+
+    def result(b, events):
+        return MetricsSeries(t, *(out[b] for out in outs), desired=config.distances.values,
+                             edge_labels=labels, events=events)
+    return 0, fold, result
+
+
+def _summary(config: ScenarioConfig, count: int) -> tuple:
+    """`_run`'s reducer for summaries: from the window's first step, each
+    block's `OutcomeSummary.reductions` fold into `count` seeds' running
+    maxima and minima, and its last step's centroid speed is kept."""
+    # per seed, its `OutcomeSummary.reductions` folded so far, then its last
+    # centroid speed
+    folds = (np.maximum, np.maximum, np.minimum, np.maximum, np.minimum)
+    outs = [np.full(count, -np.inf if f is np.maximum else np.inf) for f in folds] + [np.empty(count)]
+
+    def fold(live, stop, metrics):
+        for out, f, x in zip(outs, folds, OutcomeSummary.reductions(metrics, config.distances.values)):
+            out[live] = f(out[live], x)
+        outs[-1][live] = metrics[3][-1]
+
+    def result(b, events):
+        return OutcomeSummary(*(float(out[b]) for out in outs),
+                              window_frac=config.thresholds.window_frac, events=events)
+    return config.thresholds.window(config.steps).start, fold, result
+
+
 def run(config: ScenarioConfig, seeds=None, *, summary: bool = False):
     """Simulate duration/dt steps and record per-step metrics.
 
@@ -528,40 +571,44 @@ def run(config: ScenarioConfig, seeds=None, *, summary: bool = False):
     Each step's positions, velocities and offset table are kept for up to
     BLOCK_STEPS steps and BLOCK_BYTES bytes, and the metrics of those steps
     are extracted in one pass (`_metrics`) when the block fills, before a
-    diverged seed leaves and after the last step.  A summary extracts only
-    the window's steps and folds them into running per-seed maxima and
-    minima.
+    diverged seed leaves and after the last step.  One step loop (`_run`)
+    serves both modes; a reducer, `_series` or `_summary`, says from which
+    step it reads and folds each block's metrics into its own arrays: the
+    series, or running per-seed maxima and minima of the window's steps.
     """
+    return _run(config, seeds, _summary if summary else _series)
+
+
+def _run(config: ScenarioConfig, seeds, reducer):
+    """`run`'s step loop, its results made by `reducer`.
+
+    `reducer(config, count)` is called once, before the world is built,
+    and returns (first, fold, result): the first step (0-based) whose
+    metrics it reads; `fold(live, stop, metrics)`, which takes the
+    `_metrics` of one block's steps from `first` on and before step `stop`
+    (0-based), for the seeds `live` that the world's rows run; and
+    `result(b, events)`, seed b's result once its last step is folded.  A
+    seed that diverges gets its DivergenceError in place of a result."""
     single = seeds is None
     seeds = (config.seed,) if single else tuple(seeds)
-    # summaries start at the window; series at the first step
-    first = config.thresholds.window(config.steps).start if summary else 0
-    if not seeds:
-        return ()
-    steps, graph = config.steps, config.graph
-    count, m = len(seeds), graph.edge_count
+    steps, m, count = config.steps, config.graph.edge_count, len(seeds)
     # a summary run takes only the batches whose series a series run could
     # hold, so that the two modes accept the same batches
     if count * steps * m * 8 > np.iinfo(np.intp).max:
         raise ValueError(f"{count} seeds of {steps} steps and {m} edges: their metric series "
                          "would exceed the largest array numpy can index, and run refuses "
                          "such a batch with or without summary")
+    # before the empty batch: a summary of a run shorter than its window is
+    # refused for no seeds too
+    first, fold, result = reducer(config, count)
+    if not seeds:
+        return ()
     world = init_world(config, seeds)
 
-    if summary:
-        # per seed, its `OutcomeSummary.reductions` folded so far, then its
-        # last centroid speed
-        folds = (np.maximum, np.maximum, np.minimum, np.maximum, np.minimum)
-        outs = [np.full(count, -np.inf if fold is np.maximum else np.inf) for fold in folds]
-        outs.append(np.empty(count))
-    else:
-        # the MetricsSeries arrays in field order: three per edge, then three per step
-        outs = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
     results = [None] * count
     live = np.arange(count)   # the seed each row of the world runs
     block, start = [], 0      # (r, v, offsets) of steps start, start + 1, ...
-    row_bytes = world.r.nbytes * 2 + world.offsets.nbytes
-    block_steps = max(1, min(BLOCK_STEPS, BLOCK_BYTES // row_bytes))
+    block_steps = max(1, min(BLOCK_STEPS, BLOCK_BYTES // (world.r.nbytes * 2 + world.offsets.nbytes)))
 
     def flush():
         nonlocal start
@@ -569,15 +616,7 @@ def run(config: ScenarioConfig, seeds=None, *, summary: bool = False):
         rows = block[max(0, first - start):]
         if rows:
             # a block ends before a seed leaves, so its steps share `live`
-            metrics = _metrics(*map(np.stack, zip(*rows)), world.layout, config)
-            if summary:
-                reductions = OutcomeSummary.reductions(metrics, config.distances.values)
-                for out, fold, values in zip(outs, folds, reductions):
-                    out[live] = fold(out[live], values)
-                outs[-1][live] = metrics[3][-1]
-            else:
-                for out, values in zip(outs, metrics):
-                    out[live, stop - len(rows):stop] = values.swapaxes(0, 1)
+            fold(live, stop, _metrics(*map(np.stack, zip(*rows)), world.layout, config))
         block.clear()
         start = stop
 
@@ -596,17 +635,8 @@ def run(config: ScenarioConfig, seeds=None, *, summary: bool = False):
             flush()
     flush()
 
-    if summary:
-        for row, b in enumerate(live):
-            results[b] = OutcomeSummary(*(float(out[b]) for out in outs),
-                                        window_frac=config.thresholds.window_frac,
-                                        events=world.events[row])
-    else:
-        t = np.arange(1, steps + 1) * config.dt
-        labels = edge_labels(graph)
-        for row, b in enumerate(live):
-            results[b] = MetricsSeries(t, *(out[b] for out in outs), desired=config.distances.values,
-                                       edge_labels=labels, events=world.events[row])
+    for row, b in enumerate(live):
+        results[b] = result(b, world.events[row])
     if not single:
         return tuple(results)
     if isinstance(results[0], DivergenceError):

@@ -200,6 +200,14 @@ def test_refused_updates_keep_their_predictions_in_a_batch():
 
 def test_no_seeds_is_an_empty_batch():
     assert run(scenario_nominal(), seeds=()) == ()
+    # a summary of a run shorter than its window is refused before the empty
+    # batch is returned; a series run of no seeds allocates nothing, however
+    # long the run
+    short = replace(scenario_nominal(), duration=0.05)
+    with pytest.raises(ValueError, match="shorter than the evaluation window"):
+        run(short, seeds=(), summary=True)
+    assert run(short, seeds=()) == ()
+    assert run(replace(scenario_nominal(), duration=1e12), seeds=()) == ()
 
 
 def test_init_world_refuses_no_seeds(monkeypatch):

@@ -11,7 +11,9 @@ and event must come out bit for bit as the per-step loop gives it.  With
 `summary=True`, `run` folds the window's blocks into running maxima and
 minima instead, and each seed's summary must equal
 `OutcomeSummary.of` its series bit for bit, whether the window starts
-mid-block or a seed leaves before or inside it.
+mid-block or a seed leaves before or inside it.  Both come from one step
+loop, `sim._run`, with another block reducer; a reducer defined here, which
+counts the steps it was handed, runs through that loop too.
 """
 
 import os
@@ -33,7 +35,7 @@ from formloc.scenario import (
     scenario_issue2,
     scenario_nominal,
 )
-from formloc.sim import BLOCK_STEPS, DivergenceError, run
+from formloc.sim import BLOCK_STEPS, DivergenceError, _run, run
 from oracles import per_step_run
 from test_batch import assert_same, batches
 
@@ -110,6 +112,31 @@ def test_seeds_leaving_mid_block_and_on_a_block_start(seeds):
             assert [type(r).__name__ for r in got] == ["MetricsSeries", "DivergenceError",
                                                        "DivergenceError"]
             assert str(got[1]).endswith(f"t={(K + 1) * 0.01:g}") and str(got[2]).endswith("t=0.21")
+
+
+def test_step_loop_folds_every_step_once_into_any_reducer():
+    # a reducer that counts the steps each seed was folded; seed 54 leaves
+    # on step 21 and seed 13 on step K + 1, as in the test above
+    folded = []
+
+    def counting(config, count):
+        folded.append(np.zeros(count, dtype=int))
+
+        def fold(live, stop, metrics):
+            folded[-1][live] += len(metrics[0])
+            # every live seed was folded from step 0 on, so up to `stop`
+            assert (folded[-1][live] == stop).all()
+
+        return 0, fold, lambda b, events: int(folded[-1][b])
+
+    seeds, steps = (12, 13, 54), 2 * K + 3
+    config = replace(scenario_nominal(), duration=steps * 0.01)
+    got = _run(config, seeds, counting)
+    assert got[0] == steps
+    assert folded[-1].tolist() == [steps, K, 20]
+    for g, w in zip(got[1:], run(config, seeds)[1:], strict=True):
+        assert isinstance(w, DivergenceError)
+        assert_same(g, w)
 
 
 @pytest.mark.parametrize("seeds", [None, (0, 1, 2)], ids=["B1", "B3"])
