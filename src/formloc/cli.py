@@ -9,7 +9,8 @@ Outputs land in --out, else $FORMLOC_OUT_DIR, else ./formloc_runs: a
 metrics.csv time series and a manifest.txt that echoes the fully resolved
 configuration, each overwritten in place if it exists.  A manifest is
 itself a valid config file, so `run --config manifest.txt` replays the
-exact run.
+exact run.  `config_from_ini` checks a config by what it reads: an unknown
+section, or a key that no read takes, is rejected at its `file:line`.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad usage or config,
 3 observability rank deficiency (or, for reproduce, unexpected outcome).
@@ -93,36 +94,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _line_of(path: Path, section: str, key: str | None = None) -> str:
-    """Best-effort 'path:line' locator for a section or key, for diagnostics."""
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return str(path)
-    in_section = False
-    for idx, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            if in_section and key is not None:
-                break
-            in_section = stripped[1:-1].strip().lower() == section.lower()
-            if in_section and key is None:
-                return f"{path}:{idx}"
-        elif in_section and key is not None:
-            name = stripped.split("=", 1)[0].split(":", 1)[0].strip().lower()
-            if name == key.lower():
-                return f"{path}:{idx}"
-    return str(path)
-
-
 def _pair_key(prefix: str, i: int, j: int) -> str:
     return f"{prefix}_{i + 1}_{j + 1}"
-
-
-def _estimate_keys(graph: Graph) -> dict:
-    """(i, j) -> `est_i_j` for both orientations of every edge."""
-    return {(i, j): _pair_key("est", i, j)
-            for t, h in graph.edges for i, j in ((t, h), (h, t))}
 
 
 # Every scalar setting as (section, key, type), in manifest order.  A key
@@ -143,18 +116,8 @@ _SCALARS = (
 )
 _NESTED = ({f.name: "noise" for f in fields(NoiseConfig)}
            | {f.name: "thresholds" for f in fields(OutcomeThresholds)})
-
-# Keys each config section accepts besides those that depend on the graph
-# or the variant (`d_i_j`, `est_i_j`, and the mismatch keys `default` and
-# `a_i_j` of [controller]); manifest-only sections are skipped.
-_SECTION_KEYS = {
-    "graph": {"agents", "edges"},
-    "distances": {"default"},
-    "controller": {"variant", "sharing"},
-    "init": {"positions"},
-}
-for _section, _key, _ in _SCALARS:
-    _SECTION_KEYS.setdefault(_section, set()).add(_key)
+# The sections a config may hold, besides a manifest's, which are skipped
+_SECTIONS = {"graph", "distances", "controller", "init"} | {s for s, _, _ in _SCALARS}
 _MANIFEST_SECTIONS = ("artifact", "result")
 # `sharing` is derived from the variant; older manifests still carry it
 _SHARING = {
@@ -162,32 +125,6 @@ _SHARING = {
     "estimated": ("per-agent",),
     "algorithm1": ("per-edge-owner",),
 }
-
-
-def _reject_unknown(ini: configparser.ConfigParser, path: Path, graph: Graph,
-                    variant: str) -> None:
-    """Raise ConfigError at the first section or key the loader would ignore."""
-    if ini.defaults():
-        raise ConfigError(f"{_line_of(path, 'DEFAULT')}: unknown section [DEFAULT]")
-    mismatch_keys = {"default"} | {_pair_key("a", t, h) for t, h in graph.edges}
-    edge_keys = {
-        "distances": {_pair_key("d", t, h) for t, h in graph.edges},
-        "controller": mismatch_keys if variant == "algorithm1" else set(),
-        "init": set(_estimate_keys(graph).values()),
-    }
-    for section in ini.sections():
-        if section in _MANIFEST_SECTIONS:
-            continue
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"{_line_of(path, section)}: unknown section [{section}]")
-        for key in ini[section]:
-            if key in _SECTION_KEYS[section] or key in edge_keys.get(section, ()):
-                continue
-            where = _line_of(path, section, key)
-            if section == "controller" and key in mismatch_keys:
-                raise ConfigError(f"{where}: {key!r} sets a mismatch, "
-                                  f"which only variant algorithm1 reads (variant is {variant})")
-            raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
 
 
 def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
@@ -266,108 +203,150 @@ def _one_based(exc: ValueError) -> str:
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
-def _get(sec, key: str, default, where, kind=float):
-    """sec[key] as a float, int or bool (`kind`), or default when absent.
-    A float must be finite."""
-    if key not in sec:
-        return default
-    try:
-        value = sec.getboolean(key) if kind is bool else kind(sec[key])
-    except ValueError:
-        raise ConfigError(f"{where(key)}: {key} must be {_KIND_NAMES[kind]}, "
-                          f"got {sec[key]!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{where(key)}: {key} must be finite, got {sec[key]!r}")
-    return value
+def _line_index(ini: configparser.ConfigParser, text: str) -> dict:
+    """(section, key) -> line for every section header (key None) and key of
+    `text`, which `ini` has parsed: headers match as `ini.SECTCRE` matches
+    them, key names go through `ini.optionxform`, and comments, blank lines
+    and a value's continuation lines are skipped."""
+    index, section, indent = {}, None, None  # indent: the last key's; None after a header
+    for number, line in enumerate(text.split("\n"), start=1):
+        value = line.strip()
+        depth = len(line) - len(line.lstrip())
+        if not value or value.startswith(("#", ";")) or (indent is not None and depth > indent):
+            continue
+        header = ini.SECTCRE.match(value)
+        if header:
+            section, indent, key = header["header"], None, None
+        else:  # a key ends at its first `=` or `:`
+            indent, key = depth, ini.optionxform(value.partition("=")[0].partition(":")[0].rstrip())
+        index[section, key] = number
+    return index
 
 
 def config_from_ini(path: str | Path) -> ScenarioConfig:
-    """Load a scenario config (or a manifest; its [artifact] and [result]
-    sections are ignored).  Unknown sections and keys are rejected."""
+    """Load a scenario config or a manifest (its [artifact] and [result]
+    sections are skipped).  The file is read once, and values are taken as
+    written: `%` is a plain character.  Every read takes its key; a section
+    outside `_SECTIONS`, or a key that no read took, is rejected at its
+    `file:line`, the first in file order, once the last read is done."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    ini = configparser.ConfigParser()
     try:
         with open(path) as fh:
-            ini.read_file(fh)
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        ini.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    lines = _line_index(ini, text)
 
-    def where(section):
-        return lambda key=None: _line_of(path, section, key)
+    def at(section, key=None):
+        """'path:line' of a section header or key; the path when the file has none."""
+        line = lines.get((section, key))
+        return f"{path}:{line}" if line else str(path)
 
-    if "graph" not in ini:
+    if ini.defaults():  # its keys would show in every section
+        raise ConfigError(f"{at('DEFAULT')}: unknown section [DEFAULT]")
+    unread = {section: dict(ini.items(section)) for section in ini.sections()}
+
+    def take(section, key, default=None):
+        """The text of `key` in [section], default when absent; the key counts as read."""
+        return unread.get(section, {}).pop(key, default)
+
+    def get(section, key, default=None, kind=float, positive=False):
+        """`key` in [section] as a float, int or bool (`kind`), or default when
+        absent.  A float must be finite, and above 0 if `positive`."""
+        raw = take(section, key)
+        if raw is None:
+            return default
+        try:
+            value = ini.BOOLEAN_STATES[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{at(section, key)}: {key} must be {_KIND_NAMES[kind]}, "
+                              f"got {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{at(section, key)}: {key} must be finite, got {raw!r}")
+        if positive and value <= 0:
+            raise ConfigError(f"{at(section, key)}: {key} must be positive, got {raw!r}")
+        return value
+
+    if "graph" not in unread:
         raise ConfigError(f"{path}: missing [graph] section")
-    gw = where("graph")
-    agents = _get(ini["graph"], "agents", None, gw, int)
+    agents = get("graph", "agents", kind=int)
     if agents is None or agents < 2:
-        raise ConfigError(f"{gw('agents')}: at least 2 agents required")
-    if "edges" not in ini["graph"]:
-        raise ConfigError(f"{gw()}: missing edges key")
-    edge_list = _parse_edges(ini["graph"]["edges"], agents, gw("edges"))
+        raise ConfigError(f"{at('graph', 'agents')}: at least 2 agents required")
+    edges = take("graph", "edges")
+    if edges is None:
+        raise ConfigError(f"{at('graph')}: missing edges key")
+    edge_list = _parse_edges(edges, agents, at("graph", "edges"))
     try:
         graph = Graph.from_one_based(agents, edge_list)
     except ValueError as exc:
-        raise ConfigError(f"{gw('edges')}: {_one_based(exc)}") from None
-    for section in _SECTION_KEYS:
-        if section not in ini:
-            ini.add_section(section)
+        raise ConfigError(f"{at('graph', 'edges')}: {_one_based(exc)}") from None
 
-    csec, cw = ini["controller"], where("controller")
-    variant = csec.get("variant", ScenarioConfig.variant).strip()
+    variant = take("controller", "variant", ScenarioConfig.variant).strip()
     if variant not in VARIANTS:
-        raise ConfigError(f"{cw('variant')}: unknown variant {variant!r}, "
+        raise ConfigError(f"{at('controller', 'variant')}: unknown variant {variant!r}, "
                           f"expected one of {', '.join(VARIANTS)}")
-    if "sharing" in csec and csec["sharing"].strip() not in _SHARING[variant]:
-        raise ConfigError(f"{cw('sharing')}: sharing = {csec['sharing'].strip()} "
+    sharing = take("controller", "sharing")
+    if sharing is not None and sharing.strip() not in _SHARING[variant]:
+        raise ConfigError(f"{at('controller', 'sharing')}: sharing = {sharing.strip()} "
                           f"contradicts variant = {variant}")
-    _reject_unknown(ini, path, graph, variant)
 
-    dsec, dw = ini["distances"], where("distances")
-
-    def distance(key, default):
-        value = _get(dsec, key, default, dw)
-        if key in dsec and value <= 0:
-            raise ConfigError(f"{dw(key)}: {key} must be positive, got {dsec[key]!r}")
-        return value
-
-    default_d = distance("default", float("nan"))
+    default_d = get("distances", "default", float("nan"), positive=True)
     d_vals = []
     for t, h in graph.edges:
-        val = distance(_pair_key("d", t, h), default_d)
+        val = get("distances", _pair_key("d", t, h), default_d, positive=True)
         if not np.isfinite(val):
-            raise ConfigError(f"{dw()}: no distance for edge {t + 1}-{h + 1} and no default")
+            raise ConfigError(f"{at('distances')}: no distance for edge {t + 1}-{h + 1} and no default")
         d_vals.append(val)
     distances = DesiredDistances(np.array(d_vals))
 
     mismatch = None
     if variant == "algorithm1":
-        default_a = _get(csec, "default", 1.0, cw)
-        a_vals = [_get(csec, _pair_key("a", t, h), default_a, cw) for t, h in graph.edges]
+        default_a = get("controller", "default", 1.0)
+        a_vals = [get("controller", _pair_key("a", t, h), default_a) for t, h in graph.edges]
         mismatch = MismatchConfig(np.array(a_vals))
 
-    isec, iw = ini["init"], where("init")
     positions = None
-    if "positions" in isec:
-        rows = [p for p in isec["positions"].split(";") if p.strip()]
+    rows = take("init", "positions")
+    if rows is not None:
+        rows = [p for p in rows.split(";") if p.strip()]
         if len(rows) != agents:
-            raise ConfigError(f"{iw('positions')}: expected {agents} positions, got {len(rows)}")
-        positions = np.array([_parse_pair(row, iw("positions")) for row in rows])
+            raise ConfigError(f"{at('init', 'positions')}: expected {agents} positions, got {len(rows)}")
+        positions = np.array([_parse_pair(row, at("init", "positions")) for row in rows])
+    est_keys = {(i, j): _pair_key("est", i, j) for t, h in graph.edges for i, j in ((t, h), (h, t))}
+    est_texts = {pair: take("init", key) for pair, key in est_keys.items()}
     estimates = None
-    est_keys = _estimate_keys(graph)
-    if any(key in isec for key in est_keys.values()):
+    if any(raw is not None for raw in est_texts.values()):
         estimates = {}
         for pair, key in est_keys.items():
-            if key not in isec:
-                raise ConfigError(f"{iw()}: missing initial estimate {key}")
-            estimates[pair] = _parse_pair(isec[key], iw(key))
+            if est_texts[pair] is None:
+                raise ConfigError(f"{at('init')}: missing initial estimate {key}")
+            estimates[pair] = _parse_pair(est_texts[pair], at("init", key))
 
     # absent keys are not passed, so each dataclass supplies its own default
     values = {"noise": {}, "thresholds": {}, None: {}}
     for section, key, kind in _SCALARS:
-        if key in ini[section]:
-            values[_NESTED.get(key)][key] = _get(ini[section], key, None, where(section), kind)
+        value = get(section, key, kind=kind)
+        if value is not None:
+            values[_NESTED.get(key)][key] = value
+
+    for section, keys in unread.items():
+        if section in _MANIFEST_SECTIONS:
+            continue
+        if section not in _SECTIONS:
+            raise ConfigError(f"{at(section)}: unknown section [{section}]")
+        for key in keys:  # the first raises
+            mismatch_keys = {"default", *(_pair_key("a", t, h) for t, h in graph.edges)}
+            if section == "controller" and key in mismatch_keys:
+                raise ConfigError(f"{at(section, key)}: {key!r} sets a mismatch, "
+                                  f"which only variant algorithm1 reads (variant is {variant})")
+            raise ConfigError(f"{at(section, key)}: unknown key {key!r} in [{section}]")
     try:
         return ScenarioConfig(
             graph=graph, distances=distances, variant=variant, mismatch=mismatch,
@@ -383,8 +362,7 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
             section, name = "init", "positions"
         elif name == "agent":
             section, name = "graph", "edges"
-        where = _line_of(path, section, name) if section else path
-        raise ConfigError(f"{where}: {_one_based(exc)}") from None
+        raise ConfigError(f"{at(section, name)}: {_one_based(exc)}") from None
 
 
 @contextmanager

@@ -145,9 +145,11 @@ class ScenarioConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_var is not None and not 0.0 < self.initial_var < np.inf:
             raise ValueError(f"initial_var must be positive and finite, got {self.initial_var}")
-        for i in range(self.graph.agent_count):
-            if not sorted_neighbors(self.graph, i):
-                raise AgentError("agent {} has no neighbors; every filter needs at least one", i)
+        # from the edge ends, so a huge agent count costs no per-agent table
+        covered = {a for edge in self.graph.edges for a in edge}
+        if len(covered) < self.graph.agent_count:
+            i = next(i for i in range(self.graph.agent_count) if i not in covered)
+            raise AgentError("agent {} has no neighbors; every filter needs at least one", i)
         if self.initial_positions is not None:
             pos = np.array(self.initial_positions, dtype=float).reshape(-1)
             if pos.size != 2 * self.graph.agent_count:

@@ -4,17 +4,21 @@ Everything drives `cli.main` in-process; one subprocess test checks the
 `python -m formloc` wiring.
 """
 
+import configparser
 import errno
 import locale
 import os
 import re
+import string
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formloc import cli
 from formloc.controller import MismatchConfig
@@ -209,6 +213,16 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     # numpy used to refuse these with a traceback, or the header took the blame
     ("[sim]\ndt = 0.02\nseed = -3\n", 8, "seed must be non-negative, got -3"),
     ("d_1_2 = 4.0\nd_2_3 = -1\n", 7, "d_2_3 must be positive"),
+    # `%` is a plain character: the first ended in a traceback, the second
+    # loaded as 10.0
+    ("[sim]\nduration = 10%\n", 7, "duration must be a number"),
+    ("d_1_2 = %(default)s\n", 6, "d_1_2"),
+    # section names are case-sensitive; the first [sim] took the blame
+    ("[sim]\nseed = 1\n[Sim]\nseed = 3\n", 8, "[Sim]"),
+    ("[DEFAULT]\nseed = 3\n", 6, "[DEFAULT]"),
+    ("[simulation]\n", 6, "[simulation]"),  # refused with no keys in it
+    # the typo, not the odd step count its default duration gives
+    ("[sim]\ndt = 0.3\ndurration = 5\n", 8, "'durration'"),
 ])
 def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     path = tmp_path / "cfg.ini"
@@ -217,6 +231,69 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     with pytest.raises(cli.ConfigError) as exc:
         cli.config_from_ini(path)
     assert f"{path}:{line}:" in str(exc.value) and name in str(exc.value)
+
+
+# every character class a hand-edited value might hold, with no line break
+_VALUE_TEXT = st.lists(st.sampled_from([*"0123456789.,;-+e%()", "inf", "nan",
+                                        *string.ascii_letters]), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=_VALUE_TEXT)
+def test_config_loads_or_refuses_any_value_text(tmp_path_factory, data, value):
+    # `10%` used to end in a traceback from the interpolation configparser applied
+    path = tmp_path_factory.mktemp("cfg") / "cfg.ini"
+    lines = _write_config(path.parent, scenario_explicit(), path.name).read_text().split("\n")
+    k = data.draw(st.sampled_from([k for k, line in enumerate(lines) if " = " in line]))
+    lines[k] = lines[k].split(" = ")[0] + " = " + value
+    path.write_text("\n".join(lines))
+    try:
+        assert isinstance(cli.config_from_ini(path), ScenarioConfig)
+    except cli.ConfigError as exc:
+        assert str(exc).startswith(str(path))
+
+
+def test_config_finds_an_agent_without_edges_from_the_edges(tmp_path):
+    # every agent's neighbor list used to be built first: 1.9 s and 8.3 MiB here
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 1000000\nedges = 1-2, 2-3, 1-3\n"
+                    "[distances]\ndefault = 10.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.config_from_ini(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}:3: agent 4 has no neighbors; every filter needs at least one"
+    assert peak < 2**20
+
+
+def test_config_line_index_matches_what_configparser_parsed():
+    # headers match exactly, key names fold case, continuation lines are no keys
+    text = "[a]\nX = 1\n  y = 2\n\n   z = 3\n; y = 0\ny = 4\n[A]\n  Y = 5\n"
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(text)
+    assert ini["a"]["x"] == "1\ny = 2\n\nz = 3"
+    assert cli._line_index(ini, text) == {("a", None): 1, ("a", "x"): 2, ("a", "y"): 7,
+                                          ("A", None): 8, ("A", "y"): 9}
+
+
+def test_run_config_path_gives_the_os_reason(tmp_path, capsys):
+    # a directory used to be reported as "config file not found"
+    for path, reason in ((tmp_path, errno.EISDIR), (tmp_path / "nope.ini", errno.ENOENT)):
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"run: cannot read config file {path}: {os.strerror(reason)}\n")
+
+
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                    reason="byte 0xff decodes in this locale's text encoding")
+def test_run_config_undecodable_bytes_name_the_file(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(b"[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n[distances]\ndefault = 1\xff\n")
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"run: {path}: 'utf-8' codec")
 
 
 @pytest.mark.parametrize("graph, text, line, message", [
