@@ -35,7 +35,6 @@ from .network import (
     Graph,
     distance_errors,
     edge_offsets,
-    neighbors,
     rigidity_matrix,
     sorted_neighbors,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "init_world",
     "inverse",
     "mismatch_control",
-    "neighbors",
     "observation",
     "observation_jacobian",
     "rigidity_matrix",

@@ -10,7 +10,8 @@ metrics.csv time series and a manifest.txt that echoes the fully resolved
 configuration, each overwritten in place if it exists.  A manifest is
 itself a valid config file, so `run --config manifest.txt` replays the
 exact run.  `config_from_ini` checks a config by what it reads: an unknown
-section, or a key that no read takes, is rejected at its `file:line`.
+section, or a key that no read takes, is rejected at its `file:line`, and
+so is a line that the INI parser refuses.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad usage or config,
 3 observability rank deficiency (or, for reproduce, unexpected outcome).
@@ -228,7 +229,8 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     sections are skipped).  The file is read once, and values are taken as
     written: `%` is a plain character.  Every read takes its key; a section
     outside `_SECTIONS`, or a key that no read took, is rejected at its
-    `file:line`, the first in file order, once the last read is done."""
+    `file:line`, the first in file order, once the last read is done; a
+    line the parser refuses is rejected at its `file:line` before any read."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -241,7 +243,15 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     try:
         ini.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        # one line at `file:line`: the parser's own text names the file again, on up to three lines
+        line = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+        if isinstance(exc, configparser.DuplicateOptionError):
+            reason = f"key {exc.option!r} repeats in [{exc.section}]"
+        elif isinstance(exc, configparser.DuplicateSectionError):
+            reason = f"section {exc.section!r} repeats"
+        else:  # a ParsingError: a key before the first header, or a line that is neither
+            reason = "not a section header, nor a key under one"
+        raise ConfigError(f"{path}:{line}: {reason}") from None
     lines = _line_index(ini, text)
 
     def at(section, key=None):

@@ -6,7 +6,8 @@ Edges are ordered (tail, head) pairs; the tail conventionally owns the edge
 when a single shared estimate per edge is wanted.  A `Graph` computes the
 index arrays the engine reads from its edges (`ends`, `scatter`,
 `adjacency`) once per instance and keeps them with it, so they live and die
-with the graph.
+with the graph; `adjacency`, every agent's sorted neighbors, is the one
+neighbor table, built in one pass over the edges.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "Graph",
     "distance_errors",
     "edge_offsets",
-    "neighbors",
     "rigidity_matrix",
     "sorted_neighbors",
 ]
@@ -105,8 +105,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each agent's `neighbors` in ascending order, in agent order."""
-        return tuple(tuple(sorted(neighbors(self, i))) for i in range(self.agent_count))
+        """The agents sharing an edge with each agent, in ascending order,
+        in agent order."""
+        nbrs = [[] for _ in range(self.agent_count)]
+        for t, h in self.edges:
+            nbrs[t].append(h)
+            nbrs[h].append(t)
+        return tuple(tuple(sorted(js)) for js in nbrs)
 
 
 @dataclass(frozen=True)
@@ -125,19 +130,6 @@ class DesiredDistances:
     @classmethod
     def uniform(cls, edge_count: int, d: float) -> "DesiredDistances":
         return cls(np.full(edge_count, float(d)))
-
-
-def neighbors(graph: Graph, i: int) -> frozenset:
-    """Agents sharing an edge with agent i."""
-    if not (0 <= i < graph.agent_count):
-        raise ValueError(f"agent {i} outside 0..{graph.agent_count - 1}")
-    out = set()
-    for t, h in graph.edges:
-        if t == i:
-            out.add(h)
-        elif h == i:
-            out.add(t)
-    return frozenset(out)
 
 
 def sorted_neighbors(graph: Graph, i: int) -> tuple:

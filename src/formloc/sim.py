@@ -110,9 +110,10 @@ class _Layout:
     """Where each seed of a world of a graph holds each filter, and the
     indices a step gathers its filter arrays with along the axes after the
     seed axis.  Bank order lists the rows (agents) bucket after bucket; the
-    offset table holds each row's means as n slots.  The edge and scatter
-    arrays are the graph's own (`Graph.ends`, `Graph.scatter`); a step reads
-    them from config.graph, an attribute load rather than a lookup."""
+    offset table holds each row's means as n slots.  `diff` forms every
+    edge offset r_tail - r_head the engine reads; the scatter arrays are the
+    graph's own (`Graph.scatter`), which a step reads from config.graph, an
+    attribute load rather than a lookup."""
 
     buckets: tuple[_Bucket, ...]
     nbrs: np.ndarray           # (slots,) the neighbor each slot tracks
@@ -125,11 +126,9 @@ class _Layout:
     diff: np.ndarray           # (edges, agents) (at - ah)^T: r_tail - r_head per edge
 
 
-@lru_cache(maxsize=16)
 def _layout(graph: Graph) -> _Layout:
-    """Looked up only where a world is built (`init_world`); a step, and a
-    world that keeps some of its seeds, reads the layout the world carries.
-    The cache is bounded, so it holds on to no more than 16 graphs."""
+    """Built only where a world is built (`init_world`); a step, and a world
+    that keeps some of its seeds, reads the layout the world carries."""
     nbrs = graph.adjacency
     # noise draws follow agent order, as a per-agent loop draws them: the
     # agent's n distances, then its heading
@@ -144,7 +143,6 @@ def _layout(graph: Graph) -> _Layout:
     slots = [(i, k, j) for i in order for k, j in enumerate(nbrs[i])]
     trackers, ks, slot_nbrs = (np.array(x) for x in zip(*slots))
     slot_of = {(i, j): s for s, (i, _, j) in enumerate(slots)}
-    at, ah = graph.scatter
     return _Layout(
         buckets=tuple(buckets),
         nbrs=slot_nbrs,
@@ -154,9 +152,11 @@ def _layout(graph: Graph) -> _Layout:
         tail_slots=np.array([slot_of[edge] for edge in graph.edges]),
         head_slots=np.array([slot_of[edge[::-1]] for edge in graph.edges]),
         draw_count=int(first_draw[-1]),
-        # each row holds exactly two nonzero terms, so its product with the
-        # positions is bit-identical to indexing both ends
-        diff=(at - ah).T,
+        # each row holds exactly two nonzero terms, 1 and -1, so its product
+        # with finite positions is r_tail - r_head to the last bit, but for
+        # the sign of an exact zero (always +0); `_stiffness` and `_metrics`
+        # only square the offsets and their differences from estimates
+        diff=np.subtract(*graph.scatter).T,
     )
 
 
@@ -214,8 +214,10 @@ class WorldState:
 
 
 def edge_labels(graph: Graph) -> tuple[str, ...]:
-    """1-based edge labels like '12' for metric column names."""
-    return tuple(f"{t + 1}{h + 1}" for t, h in graph.edges)
+    """1-based edge labels for metric column names: '12' for agents 1 and
+    2, and from 10 agents up '1_12', as joined digits could name two edges."""
+    sep = "_" if graph.agent_count >= 10 else ""
+    return tuple(f"{t + 1}{sep}{h + 1}" for t, h in graph.edges)
 
 
 def _vector_norms(x: np.ndarray) -> np.ndarray:
@@ -296,9 +298,7 @@ def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndar
     bound of the field Jacobian's spectral radius (0.67 of it at the median
     on nominal seeds 0-7), but there n came to 1.04 times the sub-steps that
     linear stability of the 4th-order scheme needs."""
-    tails, heads = config.graph.ends
-    z1 = world.r[:, tails] - world.r[:, heads]
-    sq = (z1 ** 2).sum(axis=2)
+    sq = ((world.layout.diff @ world.r) ** 2).sum(axis=2)
     zn = np.sqrt(sq)  # np.linalg.norm's own sum, to the last bit
     e = np.abs(sq - config.distances.values ** 2)
     tail_dirs, head_dirs, a = law
@@ -496,11 +496,10 @@ def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
     (..., B, slots, 2) in the bank order of `layout` that share their
     leading axes; each reduction runs over the same trailing axes whatever
     leads."""
-    tails, heads = config.graph.ends
     # per edge, the tail's estimate of r_t - r_h and the head's of r_h - r_t
     est_tail, est_head = -offsets[..., layout.tail_slots, :], -offsets[..., layout.head_slots, :]
     v_mean = v.mean(axis=-2)
-    z1 = r[..., tails, :] - r[..., heads, :]
+    z1 = layout.diff @ r
     centered = r - r.mean(axis=-2, keepdims=True)
     v_rel = v - v_mean[..., None, :]
     denom = (centered ** 2).sum(axis=(-2, -1))

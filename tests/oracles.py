@@ -1,12 +1,14 @@
 """Test-only oracles: matrix forms of the group and graph quantities that
-the library computes in closed form, the symbolic Lie-derivative search and
-the per-sample Gramian loop that the observability closed forms replace, the
-scalar per-agent filter and one-step stepper that the batched engine is
-checked against, the filter phase run bucket by bucket, which the engine's
-once-per-step elementwise work is checked against, the stiffness scattered
-to agents by two `np.add.at`, which the engine's one `np.bincount` is
-checked against, and the run loop that extracts metrics one step at a
-time, which `run`'s block-wise extraction is checked against."""
+the library computes in closed form, an agent's neighbors by a scan of
+every edge, which `Graph.adjacency` is checked against, the symbolic
+Lie-derivative search and the per-sample Gramian loop that the
+observability closed forms replace, the scalar per-agent filter and
+one-step stepper that the batched engine is checked against, the filter
+phase run bucket by bucket, which the engine's once-per-step elementwise
+work is checked against, the stiffness scattered to agents by two
+`np.add.at`, which the engine's one `np.bincount` is checked against, and
+the run loop that extracts metrics one step at a time, which `run`'s
+block-wise extraction is checked against."""
 
 from dataclasses import replace
 
@@ -80,6 +82,20 @@ def embed_algebra(xi: AlgebraElement) -> np.ndarray:
     m[: 2 * n, : 2 * n] = np.kron(np.eye(n), j)
     m[: 2 * n, 2 * n] = xi.v
     return m
+
+
+def neighbors(graph: Graph, i: int) -> frozenset:
+    """Agents sharing an edge with agent i, from a scan of every edge; the
+    oracle of `Graph.adjacency`."""
+    if not (0 <= i < graph.agent_count):
+        raise ValueError(f"agent {i} outside 0..{graph.agent_count - 1}")
+    out = set()
+    for t, h in graph.edges:
+        if t == i:
+            out.add(h)
+        elif h == i:
+            out.add(t)
+    return frozenset(out)
 
 
 def incidence_matrix(graph: Graph) -> np.ndarray:

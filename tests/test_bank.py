@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from formloc.controller import (
     MismatchConfig,
@@ -508,6 +509,25 @@ def test_stiffness_matches_scatter_oracle(config, seeds):
             break
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), agents=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1),
+       steps=st.integers(1, 4), seeds=st.sampled_from((1, 3)))
+def test_edge_offset_product_is_the_gather(data, agents, seed, steps, seeds):
+    # `_stiffness` reads (B, agents, 2) positions and `_metrics` (K, B,
+    # agents, 2) ones.  Each row of `diff` holds 1 and -1, so the product is
+    # r_tail - r_head to the last bit, except that an exact zero is +0 where
+    # the gather's -0 - +0 is -0; both readers square each offset, alone or
+    # against an estimate, before any output.
+    graph = rigid_graph(np.random.default_rng(seed), agents)
+    coords = st.one_of(st.sampled_from((0.0, -0.0, 1.0)), st.floats(-1e9, 1e9))
+    r = data.draw(arrays(float, (steps, seeds, agents, 2), elements=coords))
+    tails, heads = graph.ends
+    want = r[..., tails, :] - r[..., heads, :] + 0.0
+    diff = _layout(graph).diff
+    assert (diff @ r).tobytes() == want.tobytes()
+    assert (diff @ r[0]).tobytes() == want[0].tobytes()
+
+
 @pytest.mark.parametrize("seeds", [1, 3])
 def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     # the world carries its layout, so once a world is built no step, and no
@@ -554,7 +574,7 @@ def test_no_cache_keeps_a_graph_alive():
     # no other test builds paths this long, so the first is a graph no cache
     # has seen and every other one adds an entry
     ref = used(path(29))
-    others = max(_layout.cache_info().maxsize, _kernel_entries.cache_info().maxsize) + 1
+    others = _kernel_entries.cache_info().maxsize + 1
     for agents in range(30, 30 + others):
         used(path(agents))
     gc.collect()

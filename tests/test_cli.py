@@ -223,6 +223,10 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[simulation]\n", 6, "[simulation]"),  # refused with no keys in it
     # the typo, not the odd step count its default duration gives
     ("[sim]\ndt = 0.3\ndurration = 5\n", 8, "'durration'"),
+    # configparser's refusals, whose own text named the file again
+    ("[graph]\nagents = 4\n", 6, "'graph'"),
+    ("[sim]\nseed = 1\nseed = 2\n", 8, "'seed'"),
+    ("[sim]\njunk\n", 7, "not a section header"),
 ])
 def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     path = tmp_path / "cfg.ini"
@@ -231,6 +235,34 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     with pytest.raises(cli.ConfigError) as exc:
         cli.config_from_ini(path)
     assert f"{path}:{line}:" in str(exc.value) and name in str(exc.value)
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("[graph]\nagents = 3\nedges = 1-2, 2-x\n", ":3", "edge '2-x' has non-integer endpoints"),
+    ("[graph]\nagents = 3\nedges = 1-2, 2-5\n", ":3", "edge '2-5' references an unknown agent"),
+    ("[distances]\ndefault = 10.0\n", "", "missing [graph] section"),
+    ("[distances]\ndefault = 10.0\n[graph]\nagents = 3\n", ":3", "missing edges key"),
+    # configparser's own text named the file again, on three lines
+    ("agents = 3\n[graph]\n", ":1", "not a section header, nor a key under one"),
+])
+def test_run_config_refusals_read_as_pinned(tmp_path, capsys, text, where, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {path}{where}: {message}\n"
+
+
+def test_run_writes_distinct_columns_from_ten_agents_up(tmp_path, capsys):
+    # edges 1-12 and 11-2 both wrote dist_112 and esterr_112
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 12\nedges = 1-12, 11-2, "
+                    + ", ".join(f"{k}-{k + 1}" for k in range(1, 12))
+                    + "\n[distances]\ndefault = 10.0\n[sim]\nduration = 0.1\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    header = (tmp_path / "out" / "metrics.csv").read_text().split("\n", 1)[0].split(",")
+    assert header[1:4] == ["dist_1_12", "dist_11_2", "dist_1_2"]
+    assert len(set(header)) == len(header) == 1 + 2 * 13 + 2
+    capsys.readouterr()
 
 
 # every character class a hand-edited value might hold, with no line break
@@ -687,6 +719,14 @@ def test_check_observability_trajectory_errors(tmp_path, capsys):
     assert cli.main(["check-observability", "--trajectory",
                      str(tmp_path / "nope.csv")]) == 2
     capsys.readouterr()
+
+
+def test_check_observability_refuses_a_repeated_first_time(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,theta,x1,y1,w,vx1,vy1\n" + "".join(f"{t},0,1,0,0,0,0\n" for t in (0.0, 0.0, 0.1)))
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    assert capsys.readouterr().err == (
+        f"check-observability: {traj}: time column must be uniformly increasing\n")
 
 
 @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" leaked to stderr

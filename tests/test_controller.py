@@ -80,6 +80,12 @@ def test_estimated_control_validation(triangle, rng):
         estimated_control(triangle, est, np.zeros(3))
 
 
+def test_estimated_control_refuses_non_planar_estimates(triangle):
+    est = {pair: np.zeros(3) for t, h in triangle.edges for pair in ((t, h), (h, t))}
+    with pytest.raises(ValueError, match="^estimates must be planar vectors$"):
+        estimated_control(triangle, est, np.zeros(3))
+
+
 def test_mismatch_control_zero_bias_matches_ideal(triangle, rng):
     d = DesiredDistances(np.array([3.0, 4.0, 5.0]))
     r = rng.uniform(-6, 6, size=6)

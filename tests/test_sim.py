@@ -98,6 +98,13 @@ def test_config_rejects_isolated_agent():
                        variant="ideal", mismatch=None)
 
 
+def test_config_refuses_a_non_planar_initial_estimate(triangle):
+    est = {(i, j): (1.0, 0.0) for t, h in triangle.edges for i, j in ((t, h), (h, t))}
+    est[(0, 1)] = (1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^estimate for pair \(0, 1\) must be planar$"):
+        _basic_config(triangle, initial_estimates=est)
+
+
 def test_config_validates_explicit_initialization(triangle):
     with pytest.raises(ValueError):
         _basic_config(triangle, initial_positions=np.zeros(5))
@@ -142,6 +149,19 @@ def test_noise_and_thresholds_reject_nonfinite_fields(kind, name, value):
 
 def test_edge_labels(triangle):
     assert edge_labels(triangle) == ("12", "23", "13")
+
+
+def test_edge_labels_stay_distinct_from_ten_agents_up():
+    # joined digits made edges 1-12 and 11-2 both '112'
+    graph = Graph.from_one_based(12, [(1, 12), (11, 2), (1, 2), (11, 12)])
+    assert edge_labels(graph) == ("1_12", "11_2", "1_2", "11_12")
+    assert edge_labels(Graph.from_one_based(9, [(1, 9), (9, 2)])) == ("19", "92")
+
+
+def test_filters_refuse_a_world_of_several_seeds(triangle):
+    world = init_world(_basic_config(triangle), seeds=(0, 1))
+    with pytest.raises(ValueError, match="^a world of 2 seeds has no single set of filters$"):
+        world.filters
 
 
 # -------------------------------------------------------------- init_world
