@@ -184,7 +184,7 @@ def _parse_edges(text: str, agents: int, where: str) -> list[tuple[int, int]]:
 
 
 def _parse_pair(text: str, where: str) -> np.ndarray:
-    parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
+    parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 2:
         raise ConfigError(f"{where}: expected two comma-separated numbers, got {text!r}")
     try:

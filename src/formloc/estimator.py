@@ -6,7 +6,8 @@ turns, so over a sampling interval the body velocity v moves the offsets
 by dt * R(theta) v and leaves the heading: that is the exact group flow at
 zero heading rate, so prediction adds no discretization error of its own.
 The covariance lives in the coordinate chart (p, theta) and uses the
-discrete linearization of `lie_group.step_jacobian`.  Updates fuse half
+discrete linearization of `lie_group.step_jacobian`, whose last column
+`lie_group._step_jacobian_columns` gives for the stack.  Updates fuse half
 squared distances plus the measured heading; the heading innovation is
 wrapped to (-pi, pi] while the stored heading stays unwrapped.
 `sim.WorldState` holds every filter in a flat offset table and heading
@@ -15,8 +16,7 @@ degree's means are a view of the table, and `EstimatorState` is one
 filter's view of them (`WorldState.filters`).
 
 Each step has two parts.  The per-row part is elementwise, so it runs once
-over the stacked rows of filters of every degree: the rotations R(theta)
-and R(theta + pi/2)^T (`_rotations`, `_quarter_rotations`) and the range and
+over the stacked rows of filters of every degree: the range and
 wrapped-heading innovations (`_innovations`).  The per-degree part is the
 stacked matrix algebra of one degree, one call each for the predict and the
 update: the mean step, the Jacobian products and F P F^T + Q
@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lie_group import GroupElement, wrap_angle
+from .lie_group import GroupElement, _step_jacobian_columns, wrap_angle
 
 __all__ = [
     "EstimatorState",
@@ -89,28 +89,6 @@ class EstimatorState:
         object.__setattr__(self, "covariance", cov)
 
 
-def _rotations(theta: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 rotation matrices, (..., 2, 2) for headings (...)."""
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.empty(theta.shape + (2, 2))
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
-    return out
-
-
-def _quarter_rotations(theta: np.ndarray) -> np.ndarray:
-    """R(theta + pi/2)^T stacked, (..., 2, 2): the factor of
-    `_step_jacobian_columns`."""
-    return _rotations(theta + 0.5 * np.pi).swapaxes(-1, -2)
-
-
-def _step_jacobian_columns(quarter: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """dt * R(theta + pi/2) v_k for body rates (..., 2n), given the headings'
-    `_quarter_rotations`: the offset rows of the last column of
-    `lie_group.step_jacobian`, the only entries off its diagonal, stacked as
-    (..., 2n)."""
-    return dt * (v.reshape(quarter.shape[:-2] + (-1, 2)) @ quarter).reshape(v.shape)
-
-
 @lru_cache(maxsize=64)
 def _predict_constants(n: int, noise: NoiseConfig, dt: float) -> tuple:
     """Per-degree arrays shared by every batched predict: the identity and
@@ -136,8 +114,8 @@ def _predict_degree(p: np.ndarray, cov: np.ndarray, v: np.ndarray, rot: np.ndarr
                     quarter: np.ndarray, dt: float, noise: NoiseConfig) -> tuple:
     """The per-degree part of a predict, for filters (...) that track n
     neighbors, with body velocities v (..., 2n) and the headings'
-    `_rotations` and `_quarter_rotations`: the predicted means (..., 2n) and
-    covariances (..., 2n+1, 2n+1)."""
+    `lie_group.rotation` and `lie_group._quarter_rotations`: the predicted
+    means (..., 2n) and covariances (..., 2n+1, 2n+1)."""
     two_n = p.shape[-1]
     vd = (dt * v).reshape(p.shape[:-1] + (-1, 2))
     p_new = (vd @ rot.swapaxes(-1, -2)).reshape(p.shape) + p

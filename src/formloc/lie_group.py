@@ -16,6 +16,13 @@ and for constant xi the flow is exact: q(t) = q(0) * exp(t * xi).  That
 closed form is what `step_body_velocity` uses, so propagation carries no
 integrator drift.  Headings are stored unwrapped; `wrap_angle` reduces
 angle differences to (-pi, pi] where a canonical representative matters.
+
+This module is the one home of the kinematics that other modules stack:
+`rotation` builds R(theta) for one heading or an array of them, and
+`_step_jacobian_columns` is the last column of `step_jacobian` for a stack
+of headings.  The filters (`estimator`, `sim`) and the Gramian
+(`observability`) take both from here; `step_jacobian` itself stays the
+scalar oracle that the tests hold them to.
 """
 
 from __future__ import annotations
@@ -42,10 +49,14 @@ __all__ = [
 _SMALL_W = 1e-8
 
 
-def rotation(theta: float) -> np.ndarray:
-    """2x2 counter-clockwise rotation matrix."""
+def rotation(theta) -> np.ndarray:
+    """Counter-clockwise rotation matrices, float64: (2, 2) for one heading,
+    (..., 2, 2) for an array of headings (...), each entry as that heading
+    alone gives it."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    out = np.empty(np.shape(theta) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+    return out
 
 
 def wrap_angle(angle):
@@ -173,9 +184,23 @@ def step_jacobian(theta: float, xi: AlgebraElement, dt: float) -> np.ndarray:
     in the last column.  A product of such matrices is again the identity
     plus one last column, the sum of theirs; `observability.empirical_gramian`
     uses that closed-form product, and `estimator._predict_degree` builds the
-    same matrix for stacked filters.
+    same matrix for stacked filters, both from `_step_jacobian_columns`.
     """
     n = xi.n
     f = np.eye(2 * n + 1)
     f[: 2 * n, 2 * n] = dt * (xi.v.reshape(-1, 2) @ rotation(theta + 0.5 * np.pi).T).ravel()
     return f
+
+
+def _quarter_rotations(theta: np.ndarray) -> np.ndarray:
+    """R(theta + pi/2)^T for headings (...), stacked as (..., 2, 2): the
+    factor of `_step_jacobian_columns`."""
+    return rotation(theta + 0.5 * np.pi).swapaxes(-1, -2)
+
+
+def _step_jacobian_columns(quarter: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """dt * R(theta + pi/2) v_k for body rates (..., 2n), given the headings'
+    `_quarter_rotations`: the offset rows of the last column of
+    `step_jacobian`, the only entries off its diagonal, stacked as
+    (..., 2n)."""
+    return dt * (v.reshape(quarter.shape[:-2] + (-1, 2)) @ quarter).reshape(v.shape)

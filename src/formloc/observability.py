@@ -11,11 +11,13 @@ That rank test says nothing about a particular motion, so
 `empirical_gramian` accumulates, along a discrete trajectory, how output
 perturbations propagate back to the initial state through the linearized
 kinematics.  The product of the step Jacobians has a closed form, so the
-Gramian is a set of per-neighbor sums over the samples.  A neighbor k whose
-relative position p_k = (x_k, y_k) never moves leaves the direction tangent
-to its distance circle unexcited: its 2x2 diagonal block of the Gramian
-loses exactly one direction, the tangent (-y_k, x_k), and the neighbor is
-flagged.  Its range (x_k, y_k) stays observable.
+Gramian is a set of per-neighbor sums over the samples; their last columns
+come from the group layer (`lie_group._step_jacobian_columns`), and this
+module reads nothing of the filters.  A neighbor k whose relative position
+p_k = (x_k, y_k) never moves leaves the direction tangent to its distance
+circle unexcited: its 2x2 diagonal block of the Gramian loses exactly one
+direction, the tangent (-y_k, x_k), and the neighbor is flagged.  Its
+range (x_k, y_k) stays observable.
 
 A trajectory is a (T, 4n+2) array with one row per sample: the heading
 theta, the 2n offsets p, the heading rate w and the 2n body-frame neighbor
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _quarter_rotations, _step_jacobian_columns
-from .lie_group import GroupElement
+from .lie_group import GroupElement, _quarter_rotations, _step_jacobian_columns
 
 __all__ = [
     "BLOCK_ROWS",

@@ -17,13 +17,14 @@ positions, the filters and every other per-seed array have a leading seed
 axis.  The filters are flat arrays in the bank order of the one-seed
 `_Layout` the state carries: an offset table, a heading array and
 per-degree covariance stacks, and every estimate read is a gather from the
-offset table.  Phase (4) runs the rotations and innovations (`estimator`'s
-per-row part) once over the flat arrays, and per degree bucket one predict,
-on views of the filters, and one update, on that predict's own means and
-covariances; the update adds its increments bucket by bucket into the next
-state's arrays.  Its measurements come in bank order too: one heading
-measurement per bank row, not per agent.  `init_world(config, seeds)`
-builds a state and `run(config, seeds)` steps it.  `run` is one step loop
+offset table.  Phase (4) builds the heading rotations (`lie_group`) and
+runs the innovations (`estimator`'s per-row part) once over the flat
+arrays, and per degree bucket one predict, on views of the filters, and
+one update, on that predict's own means and covariances; the update adds
+its increments bucket by bucket into the next state's arrays.  Its
+measurements come in bank order too: one heading measurement per bank row,
+not per agent.  `init_world(config, seeds)` builds a state and
+`run(config, seeds)` steps it.  `run` is one step loop
 (`_run`) that extracts the metrics of a block of steps at a time and hands
 them to one of two reducers: `_series` stores them as each seed's
 `MetricsSeries`, `_summary` folds the outcome window's steps into each
@@ -47,15 +48,8 @@ from itertools import compress
 import numpy as np
 
 from .controller import _control_law
-from .estimator import (
-    EstimatorState,
-    _innovations,
-    _predict_degree,
-    _quarter_rotations,
-    _rotations,
-    _update_degree,
-)
-from .lie_group import GroupElement
+from .estimator import EstimatorState, _innovations, _predict_degree, _update_degree
+from .lie_group import GroupElement, _quarter_rotations, rotation
 from .network import Graph
 from .scenario import MetricsSeries, OutcomeSummary, ScenarioConfig
 
@@ -426,8 +420,9 @@ def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.nda
 def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     """Phases (3)-(5) for every seed of a world that `_move` advanced.
 
-    The rotations and innovations run once over the flat filter arrays, so
-    the measurements are gathered in bank order (`_Layout`) after the seed
+    The rotations (`lie_group.rotation`, `lie_group._quarter_rotations`) and
+    the innovations run once over the flat filter arrays, so the
+    measurements are gathered in bank order (`_Layout`) after the seed
     axis: `heading_meas` holds one entry per bank row, not per agent.  The
     per-degree matrix algebra runs in two bucket loops.  The first reads
     each bucket's views of the filters once and keeps its `_predict_degree`
@@ -453,7 +448,7 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
 
     theta = world.headings  # no agent turns: a predict keeps the headings
-    rot, quarter = _rotations(theta), _quarter_rotations(theta)
+    rot, quarter = rotation(theta), _quarter_rotations(theta)
     offsets, predicted = np.empty(world.offsets.shape), []
     for b, bucket in enumerate(layout.buckets):
         means, _, cov = world.bucket(b)

@@ -8,31 +8,36 @@ phase run bucket by bucket, which the engine's once-per-step elementwise
 work is checked against, the stiffness scattered to agents by two
 `np.add.at`, which the engine's one `np.bincount` is checked against, and
 the run loop that extracts metrics one step at a time, which `run`'s
-block-wise extraction is checked against."""
+block-wise extraction is checked against, and the steady rigid motion
+that Algorithm 1 settles into under exact estimates, which the engine's
+final window is checked against."""
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.optimize import fsolve
 
+from formloc.controller import MismatchConfig, mismatch_control
 from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
     _innovations,
     _predict_degree,
-    _quarter_rotations,
-    _rotations,
     _update_degree,
 )
 from formloc.lie_group import (
     AlgebraElement,
     GroupElement,
+    _quarter_rotations,
     rotation,
     step_body_velocity,
     step_jacobian,
     wrap_angle,
 )
-from formloc.network import Graph, edge_offsets
+from formloc.network import DesiredDistances, Graph, edge_offsets
 from formloc.observability import GramianReport, observation, observation_jacobian
 from formloc.scenario import MetricsSeries, ScenarioConfig
 from formloc.sim import (
@@ -418,7 +423,7 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         rows = seeds * a_count
         # means, headings and covariances, their rows seed after seed
         p, theta, cov = [x.reshape((rows,) + x.shape[2:]) for x in world.bucket(b)]
-        rot = _rotations(theta)
+        rot = rotation(theta)
         v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ rot
         p, cov = _predict_degree(p, cov, v_body.reshape(rows, 2 * n), rot,
                                  _quarter_rotations(theta), config.dt, noise)
@@ -525,3 +530,75 @@ def per_step_run(config: ScenarioConfig, seeds=None):
     if isinstance(results[0], DivergenceError):
         raise results[0]
     return results[0]
+
+
+class SteadyMotion(NamedTuple):
+    """A formation moving rigidly: per edge its length |z_k| and deviation
+    |z_k| - d_k, its centroid speed |v| and its angular rate w
+    (counter-clockwise positive), and `sensitivity`, the (edges + 2, 2 edges)
+    first-order response of (deviations, speed, rate) to an error in the
+    estimates the law steers along, edge by edge, (x, y) for each."""
+
+    lengths: np.ndarray
+    deviations: np.ndarray
+    speed: float
+    rate: float
+    sensitivity: np.ndarray
+
+
+SETTLE = 30.0  # seconds of the law's own flow before the steady-motion solve
+
+
+def steady_motion(graph: Graph, distances: DesiredDistances, mismatch: MismatchConfig,
+                  near) -> SteadyMotion:
+    """The steady rigid motion of Algorithm 1 under exact estimates.
+
+    Its shape s (centered), velocity v and rate w solve, for every agent,
+    mismatch_control(s)_i = v + w J s_i, with e_k = |z_k|^2 - d_k^2: the
+    biases turn the desired shape into a slightly distorted one in steady
+    rotation.  A graph's distances have more than one realization, so the
+    solve starts where the law's own flow from the positions `near` is after
+    SETTLE seconds (scipy's LSODA on the true offsets), and fsolve pins
+    the steady motion there, with the centroid at 0 and the first edge's
+    direction held.  It shares `controller._control_law` with the engine,
+    through `mismatch_control`, and nothing else."""
+    n, m = graph.agent_count, graph.edge_count
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def velocities(s, est_error=0.0):
+        z = edge_offsets(graph, s)
+        e = (z ** 2).sum(axis=1) - distances.values ** 2
+        return mismatch_control(graph, z + est_error, e, mismatch).reshape(n, 2)
+
+    flow = solve_ivp(lambda t, x: velocities(x.reshape(n, 2)).ravel(), (0.0, SETTLE),
+                     np.asarray(near, dtype=float).ravel(), method="LSODA", rtol=1e-10, atol=1e-10)
+    s0 = flow.y[:, -1].reshape(n, 2)
+    s0 = s0 - s0.mean(axis=0)
+    u0 = velocities(s0)
+    v0 = u0.mean(axis=0)
+    w0 = np.sum(s0 * ((u0 - v0) @ quarter)) / np.sum(s0 ** 2)  # sum of s x (u - v), over sum |s|^2
+    tail, head = graph.edges[0]
+    held = s0[tail] - s0[head]
+
+    def residual(x, est_error=0.0):
+        s, v, w = x[: 2 * n].reshape(n, 2), x[2 * n : 2 * n + 2], x[-1]
+        first = s[tail] - s[head]
+        return np.concatenate([(velocities(s, est_error) - v - w * s @ quarter.T).ravel(),
+                               s.sum(axis=0), [first[0] * held[1] - first[1] * held[0]]])
+
+    def outputs(x):
+        lengths = np.linalg.norm(edge_offsets(graph, x[: 2 * n].reshape(n, 2)), axis=1)
+        return np.concatenate([lengths - distances.values, [np.hypot(*x[2 * n : 2 * n + 2]), x[-1]]])
+
+    x, _, status, message = fsolve(residual, np.concatenate([s0.ravel(), v0, [w0]]),
+                                   xtol=1e-13, full_output=True)
+    if status != 1:
+        raise RuntimeError(f"steady motion not found: {message}")
+    # implicit function theorem: dx/d(error) = -F_x^-1 F_error; F is affine in the error
+    h, basis = 1e-6, np.eye(x.size)
+    f_x = np.column_stack([(residual(x + h * c) - residual(x - h * c)) / (2 * h) for c in basis])
+    f_err = np.column_stack([residual(x, c.reshape(m, 2)) - residual(x) for c in np.eye(2 * m)])
+    out_x = np.column_stack([(outputs(x + h * c) - outputs(x - h * c)) / (2 * h) for c in basis])
+    out = outputs(x)
+    return SteadyMotion(lengths=out[:m] + distances.values, deviations=out[:m], speed=out[m],
+                        rate=out[m + 1], sensitivity=-out_x @ np.linalg.solve(f_x, f_err))

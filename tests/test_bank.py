@@ -33,11 +33,9 @@ from formloc.estimator import (
     SingularUpdateError,
     _predict_constants,
     _predict_degree,
-    _quarter_rotations,
-    _rotations,
     _update_constants,
 )
-from formloc.lie_group import AlgebraElement, rotation
+from formloc.lie_group import AlgebraElement, _quarter_rotations, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.scenario import MetricsSeries, ScenarioConfig, detect_outcome, scenario_nominal
 from formloc.sim import (
@@ -624,7 +622,7 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
         p, theta, cov = world.bucket(bucket)
         with np.errstate(invalid="ignore"):
             world = _sense_matching_oracle(world, config, steps=1)
-            p, cov = _predict_degree(p, cov, np.zeros(p.shape), _rotations(theta),
+            p, cov = _predict_degree(p, cov, np.zeros(p.shape), rotation(theta),
                                      _quarter_rotations(theta), config.dt, config.noise)
         means, headings, covs = world.bucket(bucket)
         np.testing.assert_array_equal(means[row], p[row])

@@ -198,6 +198,9 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[init]\npositions = 0,0; 0,0; 0,0\n", 7, "agents 1 and 2 are 0.0 apart"),  # used to run
     ("[init]\nmin_separation = 2\npositions = 0,0; 10,0; 1,1\n", 8, "agents 1 and 3"),
     ("[init]\nest_1_2 = inf, 0\n", 7, "non-finite"),
+    # `;` used to read as a comma: one estimate is one `x, y` pair
+    ("[init]\nest_1_2 = 1;2\nest_2_1 = -1, -2\n", 7,
+     "expected two comma-separated numbers, got '1;2'"),
     # out-of-range scalars, each at its own key rather than the file or section
     ("[init]\noffset_bound = -1\n", 7, "offset_bound"),
     ("[init]\noffset_bound = 1e200\n", 7, "offset_bound"),  # its variance overflowed
@@ -242,6 +245,7 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     ("[graph]\nagents = 3\nedges = 1-2, 2-5\n", ":3", "edge '2-5' references an unknown agent"),
     ("[distances]\ndefault = 10.0\n", "", "missing [graph] section"),
     ("[distances]\ndefault = 10.0\n[graph]\nagents = 3\n", ":3", "missing edges key"),
+    ("[graph]\nagents = 3\nedges = ,\n", ":3", "no edges given"),
     # configparser's own text named the file again, on three lines
     ("agents = 3\n[graph]\n", ":1", "not a section header, nor a key under one"),
 ])
@@ -250,6 +254,15 @@ def test_run_config_refusals_read_as_pinned(tmp_path, capsys, text, where, messa
     path.write_text(text)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"run: {path}{where}: {message}\n"
+
+
+def test_config_skips_an_empty_edge_item(tmp_path):
+    configs = []
+    for edges in ("1-2, , 2-3, 1-3", "1-2, 2-3, 1-3"):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[graph]\nagents = 3\nedges = {edges}\n[distances]\ndefault = 10.0\n")
+        configs.append(cli.config_from_ini(path))
+    assert configs[0].graph == configs[1].graph == Graph(3, ((0, 1), (1, 2), (0, 2)))
 
 
 def test_run_writes_distinct_columns_from_ten_agents_up(tmp_path, capsys):

@@ -14,10 +14,14 @@ from formloc.estimator import (
     NoiseConfig,
     SingularUpdateError,
     _predict_degree,
-    _quarter_rotations,
-    _rotations,
 )
-from formloc.lie_group import AlgebraElement, GroupElement, rotation, step_body_velocity
+from formloc.lie_group import (
+    AlgebraElement,
+    GroupElement,
+    _quarter_rotations,
+    rotation,
+    step_body_velocity,
+)
 from formloc.observability import observation
 from oracles import initialize, predict, stacked_update, update
 
@@ -240,7 +244,7 @@ def test_batched_steps_match_scalar_per_filter(count, n, seed):
     theta = np.array([s.mean.theta for s in states])
     p, cov = _predict_degree(np.array([s.mean.p for s in states]),
                              np.array([s.covariance for s in states]), v,
-                             _rotations(theta), _quarter_rotations(theta), dt, noise)
+                             rotation(theta), _quarter_rotations(theta), dt, noise)
     p, theta, cov, errors = stacked_update(p, theta, cov, y, noise)
     assert errors == {}
     for a, state in enumerate(states):

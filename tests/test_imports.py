@@ -4,6 +4,9 @@ The scenario side (`formloc.scenario`) imports nothing from the engine
 (`formloc.sim`) and no private name crosses between the two.  Every name a
 module's `__all__` lists is defined in that module, so no module re-exports
 another's names, and the package's scenario names are `formloc.scenario`'s.
+The stacked kinematics have one home, `formloc.lie_group`: the Gramian
+(`formloc.observability`) imports nothing from the filters
+(`formloc.estimator`), and the filters take their rotations from it.
 
 No linter runs with the tests, so these AST scans are what catch an import
 or a definition left behind when the code that used it moved or went away.
@@ -224,6 +227,26 @@ def test_script_imports_only_public_formloc_names(path):
 
 def test_scenario_imports_nothing_from_the_engine():
     assert imported_from((SRC / "scenario.py").read_text(), "sim") == []
+
+
+def test_the_gramian_reads_the_group_layer_not_the_filters():
+    source = (SRC / "observability.py").read_text()
+    assert imported_from(source, "estimator") == []
+    assert {"_quarter_rotations", "_step_jacobian_columns"} <= set(imported_from(source, "lie_group"))
+
+
+# the stacked kinematics: one builder of each, in `lie_group`
+KINEMATICS = {"rotation", "_rotations", "_quarter_rotations", "_step_jacobian_columns"}
+
+
+@pytest.mark.parametrize("reader, names", [
+    ("sim.py", {"rotation", "_quarter_rotations"}),
+    ("estimator.py", {"_step_jacobian_columns"}),
+])
+def test_the_filters_take_their_rotations_from_the_group_layer(reader, names):
+    source = (SRC / reader).read_text()
+    assert names <= set(imported_from(source, "lie_group"))
+    assert KINEMATICS & {name for name, _ in _definitions(ast.parse(source))} == set()
 
 
 @pytest.mark.parametrize("reader, module", [("sim.py", "scenario"), ("scenario.py", "sim")])

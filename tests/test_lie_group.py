@@ -81,6 +81,25 @@ def test_rotation_orthogonal(theta):
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
 
 
+@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+def test_rotation_of_one_heading_is_the_literal_matrix(theta):
+    # one heading keeps the bytes of the plain 2x2 literal
+    c, s = np.cos(theta), np.sin(theta)
+    r = rotation(theta)
+    assert r.shape == (2, 2) and r.dtype == np.float64
+    assert r.tobytes() == np.array([[c, -s], [s, c]]).tobytes()
+
+
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=24))
+def test_stacked_rotations_match_one_heading_at_a_time(thetas):
+    # a strided (k, 1) view, with both zeros and a heading past 1e8 in it
+    thetas = np.array(thetas + [0.0, -0.0, np.pi, 5e8])[::-1, None]
+    stacked = rotation(thetas)
+    assert stacked.shape == thetas.shape + (2, 2)
+    for at in np.ndindex(thetas.shape):
+        assert stacked[at].tobytes() == rotation(float(thetas[at])).tobytes()
+
+
 # --------------------------------------------------------------- wrap_angle
 
 

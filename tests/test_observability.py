@@ -20,8 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formloc.estimator import _quarter_rotations, _step_jacobian_columns
-from formloc.lie_group import AlgebraElement, GroupElement, rotation
+from formloc.lie_group import (
+    AlgebraElement,
+    GroupElement,
+    _quarter_rotations,
+    _step_jacobian_columns,
+    rotation,
+)
 from formloc.observability import (
     BLOCK_ROWS,
     _offset_blocks,
