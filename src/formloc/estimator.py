@@ -25,13 +25,15 @@ delta and the Joseph form (`_update_degree`), which also refuses a filter
 whose S is not finite or not invertible.  The caller adds the increments,
 p + delta and theta + delta, to the predicted means of the same degree.
 The parts take any leading axes, such as (seeds, filters), and key a
-refused filter by its index tuple over them.
+refused filter by its index tuple over them.  The arrays a degree's calls
+share (the identity, Q, R, H's offset entries) are that degree's
+`_constants`, which the caller builds once and passes in: `sim` builds
+them with the world, so no step looks anything up by the noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,38 +91,31 @@ class EstimatorState:
         object.__setattr__(self, "covariance", cov)
 
 
-@lru_cache(maxsize=64)
-def _predict_constants(n: int, noise: NoiseConfig, dt: float) -> tuple:
-    """Per-degree arrays shared by every batched predict: the identity and
-    Q = dt * diag(process PSDs).  The cache is bounded, so a sweep over the
-    noise or dt keeps only its last 64 keys, more than one graph's degrees."""
-    eye = np.eye(2 * n + 1)
-    psd = np.concatenate([np.full(2 * n, noise.process_position_psd), [noise.process_heading_psd]])
-    return eye, dt * psd * eye
-
-
-@lru_cache(maxsize=64)
-def _update_constants(n: int, noise: NoiseConfig) -> tuple:
-    """Per-degree arrays shared by every batched update: the identity, the
+def _constants(n: int, noise: NoiseConfig, dt: float) -> tuple:
+    """The arrays every filter of degree n shares, for `_predict_degree` and
+    `_update_degree`: the identity, Q = dt * diag(process PSDs), the
     measurement variance diagonal as a vector and as the matrix R, and the
     (row, column) indices of the offsets in the observation Jacobian.
-    Bounded like `_predict_constants`."""
+    `sim.init_world` builds them once per degree for a world's lifetime."""
     eye = np.eye(2 * n + 1)
+    psd = np.concatenate([np.full(2 * n, noise.process_position_psd), [noise.process_heading_psd]])
     rdiag = np.concatenate([np.full(n, noise.meas_distance_var), [noise.meas_heading_var]])
-    return eye, rdiag, rdiag * eye[: n + 1, : n + 1], (np.repeat(np.arange(n), 2), np.arange(2 * n))
+    return (eye, dt * psd * eye, rdiag, rdiag * eye[: n + 1, : n + 1],
+            (np.repeat(np.arange(n), 2), np.arange(2 * n)))
 
 
 def _predict_degree(p: np.ndarray, cov: np.ndarray, v: np.ndarray, rot: np.ndarray,
-                    quarter: np.ndarray, dt: float, noise: NoiseConfig) -> tuple:
+                    quarter: np.ndarray, dt: float, constants: tuple) -> tuple:
     """The per-degree part of a predict, for filters (...) that track n
-    neighbors, with body velocities v (..., 2n) and the headings'
-    `lie_group.rotation` and `lie_group._quarter_rotations`: the predicted
-    means (..., 2n) and covariances (..., 2n+1, 2n+1)."""
+    neighbors, with body velocities v (..., 2n), the headings'
+    `lie_group.rotation` and `lie_group._quarter_rotations`, and the
+    degree's `_constants` for this dt: the predicted means (..., 2n) and
+    covariances (..., 2n+1, 2n+1)."""
     two_n = p.shape[-1]
     vd = (dt * v).reshape(p.shape[:-1] + (-1, 2))
     p_new = (vd @ rot.swapaxes(-1, -2)).reshape(p.shape) + p
 
-    eye, q = _predict_constants(two_n // 2, noise, dt)
+    eye, q = constants[:2]
     f = np.empty(cov.shape)
     f[:] = eye
     f[..., :two_n, two_n] = _step_jacobian_columns(quarter, v, dt)
@@ -138,10 +133,11 @@ def _innovations(offsets: np.ndarray, theta: np.ndarray, ranges: np.ndarray,
 
 
 def _update_degree(p: np.ndarray, cov: np.ndarray, innovation: np.ndarray,
-                   noise: NoiseConfig) -> tuple:
+                   constants: tuple) -> tuple:
     """The per-degree part of an update, for filters (...) that track n
     neighbors, with predicted means (..., 2n), covariances
-    (..., 2n+1, 2n+1) and innovations (..., n+1): the increments
+    (..., 2n+1, 2n+1), innovations (..., n+1) and the degree's
+    `_constants` (any dt: the update reads no Q): the increments
     (..., 2n+1) of the means, the Joseph-form covariances, re-symmetrized,
     and the refused filters, by their index tuple over (...), mapped to their
     SingularUpdateError.  A filter whose innovation covariance is not finite
@@ -150,7 +146,7 @@ def _update_degree(p: np.ndarray, cov: np.ndarray, innovation: np.ndarray,
     was (x + -0.0 is x, also for x = -0.0)."""
     two_n = p.shape[-1]
     n = two_n // 2
-    eye, rdiag, r_matrix, offset_entries = _update_constants(n, noise)
+    eye, _, rdiag, r_matrix, offset_entries = constants
     h = np.zeros(p.shape[:-1] + (n + 1, two_n + 1))
     h[(Ellipsis,) + offset_entries] = p
     h[..., n, two_n] = 1.0

@@ -68,6 +68,16 @@ class OutcomeThresholds:
         return slice(steps - int(round(steps * self.window_frac)), steps)
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer, for `ScenarioConfig`
+    and for each seed of a `sim.init_world` batch: a bool or a float is not
+    a seed, a numpy integer is."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _closest_pair(r: np.ndarray) -> tuple[int, int, float]:
     """The two agents i < j of the (N, 2) positions r that sit closest
     together, and their distance."""
@@ -141,8 +151,7 @@ class ScenarioConfig:
             raise ValueError(f"spawn_box must be positive, got {self.spawn_box}")
         if self.min_separation < 0:
             raise ValueError(f"min_separation must be non-negative, got {self.min_separation}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         if self.initial_var is not None and not 0.0 < self.initial_var < np.inf:
             raise ValueError(f"initial_var must be positive and finite, got {self.initial_var}")
         # from the edge ends, so a huge agent count costs no per-agent table

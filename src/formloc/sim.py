@@ -17,7 +17,8 @@ positions, the filters and every other per-seed array have a leading seed
 axis.  The filters are flat arrays in the bank order of the one-seed
 `_Layout` the state carries: an offset table, a heading array and
 per-degree covariance stacks, and every estimate read is a gather from the
-offset table.  Phase (4) builds the heading rotations (`lie_group`) and
+offset table.  The layout's buckets also carry each degree's filter
+constants, built with the world.  Phase (4) builds the heading rotations (`lie_group`) and
 runs the innovations (`estimator`'s per-row part) once over the flat
 arrays, and per degree bucket one predict, on views of the filters, and
 one update, on that predict's own means and covariances; the update adds
@@ -48,10 +49,10 @@ from itertools import compress
 import numpy as np
 
 from .controller import _control_law
-from .estimator import EstimatorState, _innovations, _predict_degree, _update_degree
+from .estimator import EstimatorState, _constants, _innovations, _predict_degree, _update_degree
 from .lie_group import GroupElement, _quarter_rotations, rotation
 from .network import Graph
-from .scenario import MetricsSeries, OutcomeSummary, ScenarioConfig
+from .scenario import MetricsSeries, OutcomeSummary, ScenarioConfig, check_seed
 
 __all__ = [
     "DivergenceError",
@@ -90,13 +91,15 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class _Bucket:
-    """The agents of one degree n, in ascending order, and where the filter
-    arrays hold them."""
+    """The agents of one degree n, in ascending order, where the filter
+    arrays hold them, and the arrays their filters share
+    (`estimator._constants`), built with the world for its noise and dt."""
 
     agents: np.ndarray   # (A,)
     degree: int          # n
     rows: slice          # its A rows in bank order
     slots: slice         # their A * n slots of the offset table
+    constants: tuple     # the degree's `_constants(n, config.noise, config.dt)`
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +123,22 @@ class _Layout:
     diff: np.ndarray           # (edges, agents) (at - ah)^T: r_tail - r_head per edge
 
 
-def _layout(graph: Graph) -> _Layout:
-    """Built only where a world is built (`init_world`); a step, and a world
-    that keeps some of its seeds, reads the layout the world carries."""
-    nbrs = graph.adjacency
+def _layout(config: ScenarioConfig) -> _Layout:
+    """The layout of config's graph, its buckets carrying each degree's
+    filter constants for config's noise and dt.  Built only where a world
+    is built (`init_world`); a step, and a world that keeps some of its
+    seeds, reads the layout the world carries, so no step looks a constant
+    up by the graph or the noise."""
+    nbrs = config.graph.adjacency
     # noise draws follow agent order, as a per-agent loop draws them: the
     # agent's n distances, then its heading
     first_draw = np.cumsum([0] + [len(js) + 1 for js in nbrs])
     buckets, row, slot = [], 0, 0
     for n in sorted({len(js) for js in nbrs}):
         agents = np.array([i for i, js in enumerate(nbrs) if len(js) == n])
-        buckets.append(_Bucket(agents, n, slice(row, row + len(agents)),
-                               slice(slot, slot + n * len(agents))))
-        row, slot = row + len(agents), slot + n * len(agents)
+        rows, slots = slice(row, row + len(agents)), slice(slot, slot + n * len(agents))
+        buckets.append(_Bucket(agents, n, rows, slots, _constants(n, config.noise, config.dt)))
+        row, slot = rows.stop, slots.stop
     order = [i for bucket in buckets for i in bucket.agents]
     slots = [(i, k, j) for i in order for k, j in enumerate(nbrs[i])]
     trackers, ks, slot_nbrs = (np.array(x) for x in zip(*slots))
@@ -143,14 +149,14 @@ def _layout(graph: Graph) -> _Layout:
         trackers=trackers,
         range_draws=first_draw[trackers] + ks,
         heading_draws=first_draw[order] + [len(nbrs[i]) for i in order],
-        tail_slots=np.array([slot_of[edge] for edge in graph.edges]),
-        head_slots=np.array([slot_of[edge[::-1]] for edge in graph.edges]),
+        tail_slots=np.array([slot_of[edge] for edge in config.graph.edges]),
+        head_slots=np.array([slot_of[edge[::-1]] for edge in config.graph.edges]),
         draw_count=int(first_draw[-1]),
         # each row holds exactly two nonzero terms, 1 and -1, so its product
         # with finite positions is r_tail - r_head to the last bit, but for
         # the sign of an exact zero (always +0); `_stiffness` and `_metrics`
         # only square the offsets and their differences from estimates
-        diff=np.subtract(*graph.scatter).T,
+        diff=np.subtract(*config.graph.scatter).T,
     )
 
 
@@ -163,7 +169,9 @@ class WorldState:
     headings (B, agents), and per bucket of degree n the covariances
     (B, A, 2n+1, 2n+1).  After a step, v holds each seed's average
     velocities over it, (B, agents, 2).  A step returns a new state and
-    never assigns a field of the old one, so `filters` may be cached."""
+    never assigns a field of the old one, so `filters` may be cached.  A
+    world steps under the config it was built from, whose noise and dt its
+    layout's filter constants hold."""
 
     r: np.ndarray
     layout: _Layout
@@ -221,18 +229,20 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _law_inputs(world: WorldState, config: ScenarioConfig):
-    """The variant's (E_t, E_h, a) for `controller._control_law`: the frozen
-    directions each edge's tail and head steer along, per seed, and the
-    bias.  The ideal law steers along the true offsets, which move with the
-    positions; its directions are None.  Algorithm 1's E_t and E_h are one
-    array, and its readers transpose and normalize that array once."""
+    """The variant's (E_t, E_h) for `controller._control_law`: the frozen
+    directions each edge's tail and head steer along, per seed.  The ideal
+    law steers along the true offsets, which move with the positions; its
+    directions are None.  Algorithm 1's E_t and E_h are one array, and its
+    readers transpose and normalize that array once.  The bias is not a
+    law input: `_kernel_entries` and `_stiffness` read it from
+    config.mismatch."""
     if config.variant == "ideal":
-        return None, None, 0.0
+        return None, None
     est_tail = -world.offsets[:, world.layout.tail_slots]
     if config.variant == "estimated":
         # minus the head's estimate, -(-offset), is the offset itself
-        return est_tail, world.offsets[:, world.layout.head_slots], 0.0
-    return est_tail, est_tail, config.mismatch.values
+        return est_tail, world.offsets[:, world.layout.head_slots]
+    return est_tail, est_tail
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
@@ -246,7 +256,12 @@ def _kernel_entries(config: ScenarioConfig, seeds: int) -> tuple:
     (edges, 2B): each entry's squared desired distance and bias, and the
     index of the other coordinate of its (x, y) pair.  Last, for
     `_stiffness`, the flat (seed, agent) index of each edge's tail and then
-    head, seed after seed."""
+    head, seed after seed.  It stays a cache keyed on (config, B) because
+    each alternative measured worse on a 2-core x86-64 box: a 2-D kernel
+    with (edges, 1) columns took 4.5-5.3 µs per field evaluation against
+    3.1 µs (nominal 12 s at B = 1 15-20 % slower), rebuilding the entries
+    every step 4.5 µs each (+3-4 %), and carrying them on the world, sliced
+    by `take`, more code."""
     per_edge = 2 * seeds
     a = np.repeat(config.mismatch.values, per_edge) if config.mismatch is not None else 0.0
     swap = np.arange(config.graph.edge_count * per_edge) ^ 1
@@ -267,7 +282,7 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
     (at, ah), diff = config.graph.scatter, world.layout.diff
     agents = config.graph.agent_count
     dv2, a, swap, _ = _kernel_entries(config, len(world.r))
-    tail_dirs, head_dirs, _ = law
+    tail_dirs, head_dirs = law
     dirs = None
     if tail_dirs is not None:
         tail = _columns(tail_dirs).ravel()
@@ -288,20 +303,23 @@ def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndar
     """Per seed, s: the largest over agents of the sum, over the agent's
     edges, of 2 |E| |z| + |e| + |a| for the control field with
     `_law_inputs` `law`, |E| being the larger norm of the edge's two
-    directions.  `_move` takes n = ceil(dt s / 2) sub-steps.  s is no upper
-    bound of the field Jacobian's spectral radius (0.67 of it at the median
-    on nominal seeds 0-7), but there n came to 1.04 times the sub-steps that
-    linear stability of the 4th-order scheme needs."""
+    directions and a the edge's bias, read from config.mismatch as
+    `_kernel_entries` reads it for the field (0 without a mismatch).
+    `_move` takes n = ceil(dt s / 2) sub-steps.  s is no upper bound of the
+    field Jacobian's spectral radius (0.67 of it at the median on nominal
+    seeds 0-7), but there n came to 1.04 times the sub-steps that linear
+    stability of the 4th-order scheme needs."""
     sq = ((world.layout.diff @ world.r) ** 2).sum(axis=2)
     zn = np.sqrt(sq)  # np.linalg.norm's own sum, to the last bit
     e = np.abs(sq - config.distances.values ** 2)
-    tail_dirs, head_dirs, a = law
+    tail_dirs, head_dirs = law
     if tail_dirs is None:
         dirs = zn
     else:
         dirs = _vector_norms(tail_dirs)
         if head_dirs is not tail_dirs:
             dirs = np.maximum(dirs, _vector_norms(head_dirs))
+    a = config.mismatch.values if config.mismatch is not None else 0.0
     per_edge = 2.0 * dirs * zn + e + np.abs(a)
     seeds, agents = world.r.shape[:2]
     # tails then heads, each in edge order: the sums a per-edge loop makes
@@ -353,15 +371,14 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     if not seeds:
         raise ValueError("seeds is empty: a world needs at least one seed")
     for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        check_seed(seed)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     count, agents = len(seeds), config.graph.agent_count
     r = np.empty((count, agents, 2))
     for s, rng in enumerate(rngs):
         r[s] = config.draw_positions(rng)
 
-    layout = _layout(config.graph)
+    layout = _layout(config)
     if config.initial_estimates is None:
         # C-contiguous, so every bucket's means are views of it: the fancy
         # indexing alone leaves the seed axis in the middle of the layout
@@ -424,7 +441,8 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     the innovations run once over the flat filter arrays, so the
     measurements are gathered in bank order (`_Layout`) after the seed
     axis: `heading_meas` holds one entry per bank row, not per agent.  The
-    per-degree matrix algebra runs in two bucket loops.  The first reads
+    per-degree matrix algebra runs in two bucket loops, both handed each
+    bucket's constants (`_Bucket.constants`).  The first reads
     each bucket's views of the filters once and keeps its `_predict_degree`
     means and covariances; the flat innovations read those means from a
     fresh offset table.  The second hands each bucket's prediction to
@@ -434,7 +452,6 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     logged in agent order."""
     if not config.estimator_enabled:
         return world
-    noise, dt = config.noise, config.dt
     layout = world.layout
     # velocities and measurements of every seed and slot at once; the true
     # heading is 0, so its measurement is noise
@@ -444,8 +461,8 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     heading_meas = np.zeros(world.headings.shape)
     if config.measurement_noise:
         draws = np.array([rng.standard_normal(layout.draw_count) for rng in world.rngs])
-        ranges += np.sqrt(noise.meas_distance_var) * draws[:, layout.range_draws]
-        heading_meas += np.sqrt(noise.meas_heading_var) * draws[:, layout.heading_draws]
+        ranges += np.sqrt(config.noise.meas_distance_var) * draws[:, layout.range_draws]
+        heading_meas += np.sqrt(config.noise.meas_heading_var) * draws[:, layout.heading_draws]
 
     theta = world.headings  # no agent turns: a predict keeps the headings
     rot, quarter = rotation(theta), _quarter_rotations(theta)
@@ -455,7 +472,7 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         rows = bucket.rows
         v_body = rel_world[:, bucket.slots].reshape(means.shape[:-1] + (-1, 2)) @ rot[:, rows]
         p, cov = _predict_degree(means, cov, v_body.reshape(means.shape), rot[:, rows],
-                                 quarter[:, rows], dt, noise)
+                                 quarter[:, rows], config.dt, bucket.constants)
         offsets[:, bucket.slots] = p.reshape(len(p), -1, 2)
         predicted.append((p, cov))
     range_innov, heading_innov = _innovations(offsets, theta, ranges, heading_meas)
@@ -469,7 +486,7 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         innovation = np.empty(p.shape[:-1] + (bucket.degree + 1,))
         innovation[..., :-1] = range_innov[:, bucket.slots].reshape(len(p), -1, bucket.degree)
         innovation[..., -1] = heading_innov[:, bucket.rows]
-        delta, cov, errors = _update_degree(p, cov, innovation, noise)
+        delta, cov, errors = _update_degree(p, cov, innovation, bucket.constants)
         offsets[:, bucket.slots] = (p + delta[..., :-1]).reshape(len(p), -1, 2)
         headings[:, bucket.rows] = theta[:, bucket.rows] + delta[..., -1]
         covariances.append(cov)

@@ -24,6 +24,7 @@ from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
+    _constants,
     _innovations,
     _predict_degree,
     _update_degree,
@@ -351,12 +352,12 @@ def initialize(truth: GroupElement, offset_bound: float, seed,
 # ------------------------------------------------------------------ one step
 
 
-def bank_of(graph: Graph, *seeds) -> dict:
+def bank_of(config: ScenarioConfig, *seeds) -> dict:
     """Stack per-agent filters in bank order, as the `WorldState` fields
-    layout, offsets, headings and covariances: each argument after the
-    graph is one seed's filters in agent order, and the seeds come in that
-    order."""
-    layout = _layout(graph)
+    layout, offsets, headings and covariances of a world of config: each
+    argument after the config is one seed's filters in agent order, and the
+    seeds come in that order."""
+    layout = _layout(config)
     order = [i for b in layout.buckets for i in b.agents]
     return dict(
         layout=layout,
@@ -390,8 +391,9 @@ def stacked_update(p, theta, cov, y, noise):
     refused filters by index tuple."""
     n = p.shape[-1] // 2
     ranges, heading = _innovations(p.reshape(p.shape[:-1] + (n, 2)), theta, y[..., :n], y[..., n])
+    # any dt: the update reads no Q
     delta, cov, errors = _update_degree(p, cov, np.concatenate([ranges, heading[..., None]], -1),
-                                        noise)
+                                        _constants(n, noise, 0.0))
     return p + delta[..., :-1], theta + delta[..., -1], cov, errors
 
 
@@ -403,7 +405,7 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     if not config.estimator_enabled:
         return world
     noise = config.noise
-    layout = _layout(config.graph)
+    layout = _layout(config)
     seeds = len(world.r)
     # velocities and measurements of every seed and slot at once, then
     # sliced per bucket; the true heading is 0, so its measurement is noise
@@ -426,7 +428,8 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
         rot = rotation(theta)
         v_body = rel_world[:, bucket.slots].reshape(rows, n, 2) @ rot
         p, cov = _predict_degree(p, cov, v_body.reshape(rows, 2 * n), rot,
-                                 _quarter_rotations(theta), config.dt, noise)
+                                 _quarter_rotations(theta), config.dt,
+                                 _constants(n, noise, config.dt))
         y = np.concatenate([ranges[:, bucket.slots].reshape(rows, n),
                             heading_meas[:, bucket.rows].reshape(rows, 1)], axis=1)
         p, theta, cov, errors = stacked_update(p, theta, cov, y, noise)
@@ -456,11 +459,12 @@ def stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndarr
     z1 = world.r[:, tails] - world.r[:, heads]
     zn = np.linalg.norm(z1, axis=2)
     e = np.abs((z1 ** 2).sum(axis=2) - config.distances.values ** 2)
-    tail_dirs, head_dirs, a = law
+    tail_dirs, head_dirs = law
     if tail_dirs is None:
         dirs = zn
     else:
         dirs = np.maximum(_vector_norms(tail_dirs), _vector_norms(head_dirs))
+    a = 0.0 if config.mismatch is None else config.mismatch.values
     per_edge = 2.0 * dirs * zn + e + np.abs(a)
     per_agent = np.zeros(world.r.shape[:2])
     np.add.at(per_agent, (slice(None), tails), per_edge)

@@ -31,9 +31,8 @@ from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
-    _predict_constants,
+    _constants,
     _predict_degree,
-    _update_constants,
 )
 from formloc.lie_group import AlgebraElement, _quarter_rotations, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
@@ -135,7 +134,7 @@ def reference_step(world, config, rng=None):
         except SingularUpdateError as exc:
             events.append(f"t={t_new:.6g} agent={i + 1} update skipped: {exc}")
         new_filters.append(state)
-    return WorldState(r=r_new[None], **bank_of(graph, new_filters), t=t_new, rngs=[rng],
+    return WorldState(r=r_new[None], **bank_of(config, new_filters), t=t_new, rngs=[rng],
                       events=[tuple(events)])
 
 
@@ -399,7 +398,7 @@ def test_refused_update_is_isolated_to_its_agent(poisoned):
     with np.errstate(invalid="ignore"):  # inf - inf in the symmetry checks
         for agent, kind in poisoned.items():
             filters = _poison(filters, agent, kind)
-        world = replace(world, **bank_of(config.graph, filters))
+        world = replace(world, **bank_of(config, filters))
         got = step(world, config)
         want = reference_step(world, config)
         got_filters, want_filters = got.filters, want.filters
@@ -521,7 +520,9 @@ def test_edge_offset_product_is_the_gather(data, agents, seed, steps, seeds):
     r = data.draw(arrays(float, (steps, seeds, agents, 2), elements=coords))
     tails, heads = graph.ends
     want = r[..., tails, :] - r[..., heads, :] + 0.0
-    diff = _layout(graph).diff
+    config = ScenarioConfig(graph=graph, distances=DesiredDistances.uniform(graph.edge_count, 1.0),
+                            variant="ideal")
+    diff = _layout(config).diff
     assert (diff @ r).tobytes() == want.tobytes()
     assert (diff @ r[0]).tobytes() == want[0].tobytes()
 
@@ -529,8 +530,8 @@ def test_edge_offset_product_is_the_gather(data, agents, seed, steps, seeds):
 @pytest.mark.parametrize("seeds", [1, 3])
 def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     # the world carries its layout, so once a world is built no step, and no
-    # seed leaving the batch, hashes its graph; lookups keyed on the config
-    # or the noise may stay
+    # seed leaving the batch, hashes its graph; only the lookup keyed on the
+    # config (`_kernel_entries`) may stay
     config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
                             mismatch=MismatchConfig.uniform(4, 0.5), measurement_noise=True)
     world = step(init_world(config, range(seeds)), config)
@@ -548,6 +549,25 @@ def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     step(kept, config)
     assert len(hashed) == 0
     assert kept.layout is world.layout
+
+
+def test_steps_hash_no_noise(monkeypatch):
+    # each degree's filter constants are built with the world, so no step
+    # looks them up by the noise
+    config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
+                            mismatch=MismatchConfig.uniform(4, 0.5), measurement_noise=True)
+    world = step(init_world(config, range(3)), config)
+    hashed = []
+    noise_hash = NoiseConfig.__hash__
+
+    def counting_hash(noise):
+        hashed.append(noise)
+        return noise_hash(noise)
+
+    monkeypatch.setattr(NoiseConfig, "__hash__", counting_hash)
+    for _ in range(3):
+        world = step(world, config)
+    assert len(hashed) == 0
 
 
 def test_no_cache_keeps_a_graph_alive():
@@ -579,23 +599,18 @@ def test_no_cache_keeps_a_graph_alive():
     assert ref() is None
 
 
-def test_estimator_constant_caches_stay_bounded():
-    # the per-degree constants are keyed on the noise (and dt), so a sweep
-    # over the noise adds a key per config: the caches must stay bounded and
-    # let go of the configs they evicted
-    caches = (_predict_constants, _update_constants)
-    sizes = [cache.cache_info().maxsize for cache in caches]
-    assert None not in sizes
+def test_no_run_keeps_a_noise_alive():
+    # a sweep over the noise must not keep each noise it ran alive: after
+    # more distinct noises than a 64-entry cache would hold, the first is
+    # collected
     config = replace(scenario_nominal(), duration=0.02)
     first = NoiseConfig(meas_distance_var=0.5)
     ref = weakref.ref(first)
-    for k in range(max(sizes) + 1):
+    for k in range(65):
         run(replace(config, noise=NoiseConfig(meas_distance_var=1.0 + k) if k else first))
     del first
     gc.collect()
     assert ref() is None
-    for cache in caches:
-        assert cache.cache_info().currsize == cache.cache_info().maxsize
 
 
 @pytest.mark.parametrize("kind", ["nonfinite", "singular"])
@@ -608,7 +623,7 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
     config = replace(config, measurement_noise=True)
     world = init_world(config, range(seeds))
     agent, bucket = 1, 1
-    row = (seeds - 1, list(_layout(config.graph).buckets[bucket].agents).index(agent))
+    row = (seeds - 1, list(_layout(config).buckets[bucket].agents).index(agent))
     covariances = list(world.covariances)
     covariances[bucket] = covariances[bucket].copy()
     if kind == "nonfinite":
@@ -623,7 +638,8 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
         with np.errstate(invalid="ignore"):
             world = _sense_matching_oracle(world, config, steps=1)
             p, cov = _predict_degree(p, cov, np.zeros(p.shape), rotation(theta),
-                                     _quarter_rotations(theta), config.dt, config.noise)
+                                     _quarter_rotations(theta), config.dt,
+                                     _constants(2, config.noise, config.dt))
         means, headings, covs = world.bucket(bucket)
         np.testing.assert_array_equal(means[row], p[row])
         np.testing.assert_array_equal(headings[row], theta[row])

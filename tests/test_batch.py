@@ -156,7 +156,7 @@ def test_events_stay_with_their_seed():
             for agent, kind in plan.items():
                 filters[-1] = _poison(filters[-1], agent, kind)
         batch = WorldState(r=world.r + np.where(seeds == 0, 2e9, 0.0)[:, None, None],
-                           **bank_of(config.graph, *filters), t=0.0,
+                           **bank_of(config, *filters), t=0.0,
                            rngs=[None] * len(plans),
                            events=[(f"earlier event of seed {b}",) for b in seeds])
         worlds = [batch.take(seeds == b) for b in seeds]

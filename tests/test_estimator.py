@@ -13,6 +13,7 @@ from formloc.estimator import (
     EstimatorState,
     NoiseConfig,
     SingularUpdateError,
+    _constants,
     _predict_degree,
 )
 from formloc.lie_group import (
@@ -244,7 +245,8 @@ def test_batched_steps_match_scalar_per_filter(count, n, seed):
     theta = np.array([s.mean.theta for s in states])
     p, cov = _predict_degree(np.array([s.mean.p for s in states]),
                              np.array([s.covariance for s in states]), v,
-                             rotation(theta), _quarter_rotations(theta), dt, noise)
+                             rotation(theta), _quarter_rotations(theta), dt,
+                             _constants(n, noise, dt))
     p, theta, cov, errors = stacked_update(p, theta, cov, y, noise)
     assert errors == {}
     for a, state in enumerate(states):

@@ -6,6 +6,7 @@ facts are the outcome labels and orders of magnitude, not exact floats.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ def test_config_rejects_nonfinite_scalars(triangle, name, value):
     # nan slipped past every sign check; inf ended in an OverflowError
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         _basic_config(triangle, **{name: value})
+
+
+@pytest.mark.parametrize("seed, shown", [(True, "True"), (False, "False"), (2.0, "2.0"),
+                                         (np.float64(2.0), repr(np.float64(2.0))), ("3", "'3'")])
+def test_config_and_world_refuse_a_non_integer_seed(triangle, seed, shown):
+    # True ran as seed 1 and wrote `seed = true`, a manifest the loader then
+    # refused; 2.0 failed inside numpy's SeedSequence
+    message = f"^seed must be an integer, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        _basic_config(triangle, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        init_world(_basic_config(triangle), (0, seed))
+    with pytest.raises(ValueError, match=message):
+        run(_basic_config(triangle, duration=0.01), seeds=[seed])
+
+
+def test_numpy_integer_seeds_are_seeds(triangle):
+    config = _basic_config(triangle, seed=np.int64(3))
+    np.testing.assert_array_equal(init_world(config).r, init_world(replace(config, seed=3)).r)
+    np.testing.assert_array_equal(init_world(config, np.arange(2, dtype=np.uint8)).r,
+                                  init_world(config, (0, 1)).r)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        _basic_config(triangle, seed=np.int32(-1))
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        init_world(config, (np.int64(-1),))
 
 
 def test_config_rejects_isolated_agent():
@@ -214,7 +240,7 @@ def reference_init(config, rng):
             p_hat = np.concatenate([-config.initial_estimates[(i, j)] for j in nbrs])
             cov = np.diag(np.append(np.full(p_hat.size, var), config.noise.meas_heading_var))
             filters.append(EstimatorState(GroupElement(p_hat, 0.0), cov))
-    return r, bank_of(graph, filters)
+    return r, bank_of(config, filters)
 
 
 @settings(max_examples=60, deadline=None)
