@@ -12,10 +12,12 @@ are what the next step's controllers read.  All randomness of a run flows
 through one seeded generator, so a (config, seed) pair fixes every byte of
 the output.  `scenario` says what a run is; this module only runs it.
 
-A `WorldState` holds B seeds of one config, advancing in lockstep: the
-positions, the filters and every other per-seed array have a leading seed
-axis.  The filters are flat arrays in the bank order of the one-seed
-`_Layout` the state carries: an offset table, a heading array and
+A `WorldState` holds B seeds of one config, advancing in lockstep, and
+carries that config: every phase takes the world alone and reads dt, the
+noise and the variant from it, so no step pairs a world with another
+config.  The positions, the filters and every other per-seed array have a
+leading seed axis.  The filters are flat arrays in the bank order of the
+one-seed `_Layout` the state carries: an offset table, a heading array and
 per-degree covariance stacks, and every estimate read is a gather from the
 offset table.  The layout's buckets also carry each degree's filter
 constants, built with the world.  Phase (4) builds the heading rotations (`lie_group`) and
@@ -109,8 +111,8 @@ class _Layout:
     seed axis.  Bank order lists the rows (agents) bucket after bucket; the
     offset table holds each row's means as n slots.  `diff` forms every
     edge offset r_tail - r_head the engine reads; the scatter arrays are the
-    graph's own (`Graph.scatter`), which a step reads from config.graph, an
-    attribute load rather than a lookup."""
+    graph's own (`Graph.scatter`), which a step reads from
+    `world.config.graph`, an attribute load rather than a lookup."""
 
     buckets: tuple[_Bucket, ...]
     nbrs: np.ndarray           # (slots,) the neighbor each slot tracks
@@ -162,7 +164,7 @@ def _layout(config: ScenarioConfig) -> _Layout:
 
 @dataclass(eq=False)
 class WorldState:
-    """B seeds of one config: true positions (B, agents, 2), every agent's
+    """B seeds of `config`: true positions (B, agents, 2), every agent's
     filter, the elapsed time, and one generator and one event log per seed.
     The filters lie in the bank order of `layout` after the seed axis: the
     offset table (B, slots, 2) of every tracked neighbor offset, the
@@ -170,9 +172,11 @@ class WorldState:
     (B, A, 2n+1, 2n+1).  After a step, v holds each seed's average
     velocities over it, (B, agents, 2).  A step returns a new state and
     never assigns a field of the old one, so `filters` may be cached.  A
-    world steps under the config it was built from, whose noise and dt its
-    layout's filter constants hold."""
+    step reads dt, the noise and the variant from `config`, the config the
+    world was built from, whose noise and dt its layout's filter constants
+    hold."""
 
+    config: ScenarioConfig
     r: np.ndarray
     layout: _Layout
     offsets: np.ndarray
@@ -192,13 +196,12 @@ class WorldState:
                 self.headings[:, bucket.rows], self.covariances[b])
 
     def take(self, keep: np.ndarray) -> "WorldState":
-        """The seeds that the boolean mask `keep` selects."""
-        return WorldState(r=self.r[keep], layout=self.layout, offsets=self.offsets[keep],
-                          headings=self.headings[keep],
-                          covariances=tuple(c[keep] for c in self.covariances), t=self.t,
-                          rngs=list(compress(self.rngs, keep)),
-                          events=list(compress(self.events, keep)),
-                          v=None if self.v is None else self.v[keep])
+        """The seeds that the boolean mask `keep` selects; the config, the
+        layout and the time are the world's own."""
+        return replace(self, r=self.r[keep], offsets=self.offsets[keep], headings=self.headings[keep],
+                       covariances=tuple(c[keep] for c in self.covariances),
+                       rngs=list(compress(self.rngs, keep)), events=list(compress(self.events, keep)),
+                       v=None if self.v is None else self.v[keep])
 
     @cached_property
     def filters(self) -> tuple[EstimatorState, ...]:
@@ -228,18 +231,18 @@ def _vector_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _law_inputs(world: WorldState, config: ScenarioConfig):
-    """The variant's (E_t, E_h) for `controller._control_law`: the frozen
-    directions each edge's tail and head steer along, per seed.  The ideal
-    law steers along the true offsets, which move with the positions; its
-    directions are None.  Algorithm 1's E_t and E_h are one array, and its
-    readers transpose and normalize that array once.  The bias is not a
-    law input: `_kernel_entries` and `_stiffness` read it from
-    config.mismatch."""
-    if config.variant == "ideal":
+def _law_inputs(world: WorldState):
+    """The (E_t, E_h) of the world's variant for `controller._control_law`:
+    the frozen directions each edge's tail and head steer along, per seed.
+    The ideal law steers along the true offsets, which move with the
+    positions; its directions are None.  Algorithm 1's E_t and E_h are one
+    array, and its readers transpose and normalize that array once.  The
+    bias is not a law input: `_kernel_entries` and `_stiffness` read it
+    from `world.config.mismatch`."""
+    if world.config.variant == "ideal":
         return None, None
     est_tail = -world.offsets[:, world.layout.tail_slots]
-    if config.variant == "estimated":
+    if world.config.variant == "estimated":
         # minus the head's estimate, -(-offset), is the offset itself
         return est_tail, world.offsets[:, world.layout.head_slots]
     return est_tail, est_tail
@@ -269,19 +272,19 @@ def _kernel_entries(config: ScenarioConfig, seeds: int) -> tuple:
     return np.repeat(config.distances.values ** 2, per_edge), a, swap, scatter.ravel()
 
 
-def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
-    """Velocity field r -> u with the estimate snapshot of `world` frozen
-    in `law`, its `_law_inputs`; the distance errors are re-measured
-    wherever the integrator evaluates it.  r and u are the seeds' positions
-    and velocities side by side, flattened from (agents, 2B) (see
-    `_columns`); for one seed that is its flat positions.
+def _control_field(world: WorldState, law: tuple):
+    """Velocity field r -> u of the world's config with the estimate
+    snapshot of `world` frozen in `law`, its `_law_inputs`; the distance
+    errors are re-measured wherever the integrator evaluates it.  r and u
+    are the seeds' positions and velocities side by side, flattened from
+    (agents, 2B) (see `_columns`); for one seed that is its flat positions.
 
     It evaluates the public control laws' kernel without their per-call
     validation; a regression test holds the two bit-identical.
     """
-    (at, ah), diff = config.graph.scatter, world.layout.diff
-    agents = config.graph.agent_count
-    dv2, a, swap, _ = _kernel_entries(config, len(world.r))
+    (at, ah), diff = world.config.graph.scatter, world.layout.diff
+    agents = world.config.graph.agent_count
+    dv2, a, swap, _ = _kernel_entries(world.config, len(world.r))
     tail_dirs, head_dirs = law
     dirs = None
     if tail_dirs is not None:
@@ -299,11 +302,11 @@ def _control_field(world: WorldState, config: ScenarioConfig, law: tuple):
     return field
 
 
-def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndarray:
+def _stiffness(world: WorldState, law: tuple) -> np.ndarray:
     """Per seed, s: the largest over agents of the sum, over the agent's
     edges, of 2 |E| |z| + |e| + |a| for the control field with
     `_law_inputs` `law`, |E| being the larger norm of the edge's two
-    directions and a the edge's bias, read from config.mismatch as
+    directions and a the edge's bias, read from `world.config.mismatch` as
     `_kernel_entries` reads it for the field (0 without a mismatch).
     `_move` takes n = ceil(dt s / 2) sub-steps.  s is no upper bound of the
     field Jacobian's spectral radius (0.67 of it at the median on nominal
@@ -311,7 +314,7 @@ def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndar
     stability of the 4th-order scheme needs."""
     sq = ((world.layout.diff @ world.r) ** 2).sum(axis=2)
     zn = np.sqrt(sq)  # np.linalg.norm's own sum, to the last bit
-    e = np.abs(sq - config.distances.values ** 2)
+    e = np.abs(sq - world.config.distances.values ** 2)
     tail_dirs, head_dirs = law
     if tail_dirs is None:
         dirs = zn
@@ -319,11 +322,11 @@ def _stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndar
         dirs = _vector_norms(tail_dirs)
         if head_dirs is not tail_dirs:
             dirs = np.maximum(dirs, _vector_norms(head_dirs))
-    a = config.mismatch.values if config.mismatch is not None else 0.0
+    a = world.config.mismatch.values if world.config.mismatch is not None else 0.0
     per_edge = 2.0 * dirs * zn + e + np.abs(a)
     seeds, agents = world.r.shape[:2]
     # tails then heads, each in edge order: the sums a per-edge loop makes
-    per_agent = np.bincount(_kernel_entries(config, seeds)[-1],
+    per_agent = np.bincount(_kernel_entries(world.config, seeds)[-1],
                             np.concatenate((per_edge, per_edge), axis=1).ravel(), seeds * agents)
     return per_agent.reshape(seeds, agents).max(axis=1)
 
@@ -394,32 +397,34 @@ def init_world(config: ScenarioConfig, seeds=None) -> WorldState:
     hvar = config.noise.meas_heading_var
     covariances = tuple(np.tile(np.diag([var] * (2 * b.degree) + [hvar]),
                                 (count, len(b.agents), 1, 1)) for b in layout.buckets)
-    return WorldState(r=r, layout=layout, offsets=offsets, headings=np.zeros((count, agents)),
-                      covariances=covariances, t=0.0, rngs=rngs, events=[()] * count)
+    return WorldState(config=config, r=r, layout=layout, offsets=offsets,
+                      headings=np.zeros((count, agents)), covariances=covariances, t=0.0,
+                      rngs=rngs, events=[()] * count)
 
 
 def _divergence(t: float, events: tuple[str, ...]) -> DivergenceError:
     return DivergenceError(f"positions diverged during the step ending at t={t:.6g}", events)
 
 
-def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.ndarray]:
+def _move(world: WorldState) -> tuple[WorldState, np.ndarray]:
     """Phases (1)-(2) for every seed: the world at its new positions, with
     its average velocities over the step and any capped sub-step count
     logged, and the mask of the seeds whose positions diverged."""
-    dt = config.dt
+    dt = world.config.dt
     t_new = world.t + dt
-    law = _law_inputs(world, config)
-    u_of = _control_field(world, config, law)
-    # a non-finite stiffness is capped like a finite one above the cap
-    wanted = [max(1, math.ceil(dt * s / 2.0)) if s < math.inf else s
-              for s in _stiffness(world, config, law).tolist()]
+    law = _law_inputs(world)
+    u_of = _control_field(world, law)
+    # a non-finite dt * s / 2, from a non-finite stiffness or an overflowing
+    # product, is capped like a finite one above the cap
+    wanted = [max(1, math.ceil(x)) if x < math.inf else x
+              for x in [dt * s / 2.0 for s in _stiffness(world, law).tolist()]]
     substeps = [w if w <= MAX_SUBSTEPS else MAX_SUBSTEPS for w in wanted]
     events = world.events
     if wanted != substeps:
         capped = f"t={t_new:.6g} substeps capped at {MAX_SUBSTEPS}, stiffness asked for"
         events = [ev if w == n else ev + (f"{capped} {w}",)
                   for ev, w, n in zip(events, wanted, substeps)]
-    agents = config.graph.agent_count
+    agents = world.config.graph.agent_count
     counts = set(substeps)
     if len(counts) == 1:
         (substeps,) = counts
@@ -434,7 +439,7 @@ def _move(world: WorldState, config: ScenarioConfig) -> tuple[WorldState, np.nda
     return replace(world, r=r_new, v=v, t=t_new, events=events), diverged
 
 
-def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
+def _sense(world: WorldState) -> WorldState:
     """Phases (3)-(5) for every seed of a world that `_move` advanced.
 
     The rotations (`lie_group.rotation`, `lie_group._quarter_rotations`) and
@@ -450,9 +455,9 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
     and a fresh heading array, which make up the next filters with the new
     covariances.  A refused filter keeps its prediction, and its update is
     logged in agent order."""
-    if not config.estimator_enabled:
+    if not world.config.estimator_enabled:
         return world
-    layout = world.layout
+    layout, config = world.layout, world.config
     # velocities and measurements of every seed and slot at once; the true
     # heading is 0, so its measurement is noise
     rel_world = world.v[:, layout.nbrs] - world.v[:, layout.trackers]
@@ -501,13 +506,13 @@ def _sense(world: WorldState, config: ScenarioConfig) -> WorldState:
                    events=events)
 
 
-def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
-             config: ScenarioConfig) -> tuple:
+def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, world: WorldState) -> tuple:
     """The six per-step series of `MetricsSeries`, in field order, from
     positions and velocities (..., B, agents, 2) and offset tables
-    (..., B, slots, 2) in the bank order of `layout` that share their
-    leading axes; each reduction runs over the same trailing axes whatever
-    leads."""
+    (..., B, slots, 2) of `world`'s seeds, in the bank order of its layout,
+    that share their leading axes; each reduction runs over the same
+    trailing axes whatever leads.  The desired distances are its config's."""
+    layout = world.layout
     # per edge, the tail's estimate of r_t - r_h and the head's of r_h - r_t
     est_tail, est_head = -offsets[..., layout.tail_slots, :], -offsets[..., layout.head_slots, :]
     v_mean = v.mean(axis=-2)
@@ -518,7 +523,7 @@ def _metrics(r: np.ndarray, v: np.ndarray, offsets: np.ndarray, layout: _Layout,
     spin = (centered[..., 0] * v_rel[..., 1] - centered[..., 1] * v_rel[..., 0]).sum(axis=-1)
     return (np.linalg.norm(z1, axis=-1),
             np.maximum(_vector_norms(est_tail - z1), _vector_norms(est_head + z1)),
-            (z1 ** 2).sum(axis=-1) - config.distances.values ** 2,
+            (z1 ** 2).sum(axis=-1) - world.config.distances.values ** 2,
             _vector_norms(v_mean),
             np.divide(spin, denom, out=np.zeros_like(spin), where=denom > 0),
             np.linalg.norm(v, axis=-1).max(axis=-1))
@@ -627,12 +632,12 @@ def _run(config: ScenarioConfig, seeds, reducer):
         rows = block[max(0, first - start):]
         if rows:
             # a block ends before a seed leaves, so its steps share `live`
-            fold(live, stop, _metrics(*map(np.stack, zip(*rows)), world.layout, config))
+            fold(live, stop, _metrics(*map(np.stack, zip(*rows)), world))
         block.clear()
         start = stop
 
     for _ in range(steps):
-        world, diverged = _move(world, config)
+        world, diverged = _move(world)
         if diverged.any():
             flush()
             for row in np.flatnonzero(diverged):
@@ -640,7 +645,7 @@ def _run(config: ScenarioConfig, seeds, reducer):
             live, world = live[~diverged], world.take(~diverged)
             if not live.size:
                 break
-        world = _sense(world, config)
+        world = _sense(world)
         block.append((world.r, world.v, world.offsets))
         if len(block) == block_steps:
             flush()

@@ -354,12 +354,13 @@ def initialize(truth: GroupElement, offset_bound: float, seed,
 
 def bank_of(config: ScenarioConfig, *seeds) -> dict:
     """Stack per-agent filters in bank order, as the `WorldState` fields
-    layout, offsets, headings and covariances of a world of config: each
-    argument after the config is one seed's filters in agent order, and the
-    seeds come in that order."""
+    config, layout, offsets, headings and covariances of a world of config:
+    each argument after the config is one seed's filters in agent order, and
+    the seeds come in that order."""
     layout = _layout(config)
     order = [i for b in layout.buckets for i in b.agents]
     return dict(
+        config=config,
         layout=layout,
         offsets=np.array([np.concatenate([f[i].mean.p for i in order]).reshape(-1, 2)
                           for f in seeds]),
@@ -376,13 +377,14 @@ def estimate_of(world: WorldState, graph: Graph, i: int, j: int) -> np.ndarray:
     return -world.offsets[0, np.flatnonzero((layout.trackers == i) & (layout.nbrs == j))[0]]
 
 
-def step(world: WorldState, config: ScenarioConfig) -> WorldState:
+def step(world: WorldState) -> WorldState:
     """Advance every seed's closed loop by one sampling interval with the
-    engine's phases; DivergenceError if any seed diverges."""
-    world, diverged = _move(world, config)
+    engine's phases, under the world's config; DivergenceError if any seed
+    diverges."""
+    world, diverged = _move(world)
     if diverged.any():
         raise _divergence(world.t, world.events[np.flatnonzero(diverged)[0]])
-    return _sense(world, config)
+    return _sense(world)
 
 
 def stacked_update(p, theta, cov, y, noise):
@@ -397,11 +399,12 @@ def stacked_update(p, theta, cov, y, noise):
     return p + delta[..., :-1], theta + delta[..., -1], cov, errors
 
 
-def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
+def bucket_sense(world: WorldState) -> WorldState:
     """`sim._sense` as one predict and one update per degree bucket, each
     with its own rotations, innovations and mean increments: the engine's
     filter phase before its elementwise work ran once over all buckets.
     Refused updates are logged in agent order."""
+    config = world.config
     if not config.estimator_enabled:
         return world
     noise = config.noise
@@ -452,9 +455,10 @@ def bucket_sense(world: WorldState, config: ScenarioConfig) -> WorldState:
                    events=events)
 
 
-def stiffness(world: WorldState, config: ScenarioConfig, law: tuple) -> np.ndarray:
+def stiffness(world: WorldState, law: tuple) -> np.ndarray:
     """`sim._stiffness` with np.linalg.norm for |z| and one np.add.at per
     edge end: the per-agent sums of tails, then heads, in edge order."""
+    config = world.config
     tails, heads = config.graph.ends
     z1 = world.r[:, tails] - world.r[:, heads]
     zn = np.linalg.norm(z1, axis=2)
@@ -496,7 +500,7 @@ def per_step_run(config: ScenarioConfig, seeds=None):
     rows = slice(None)
 
     for k in range(steps):
-        world, diverged = _move(world, config)
+        world, diverged = _move(world)
         if diverged.any():
             for row in np.flatnonzero(diverged):
                 results[live[row]] = _divergence(world.t, world.events[row])
@@ -504,7 +508,7 @@ def per_step_run(config: ScenarioConfig, seeds=None):
             rows = live
             if not live.size:
                 break
-        world = _sense(world, config)
+        world = _sense(world)
         r, v = world.r, world.v
         v_mean = v.mean(axis=1)
         z1 = r[:, tails] - r[:, heads]

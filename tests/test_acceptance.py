@@ -211,7 +211,7 @@ def test_criterion_5_gradient_identity(triangle):
     world = init_world(config)
     for _ in range(20):
         before = world.r[0].mean(axis=0)
-        world = step(world, config)
+        world = step(world)
         assert np.abs(world.r[0].mean(axis=0) - before).max() < 1e-10
 
 

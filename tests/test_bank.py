@@ -230,7 +230,7 @@ def rigid_scenarios(draw):
 def test_bank_step_matches_scalar_oracle(config):
     world = init_world(config)
     rng_ref = copy.deepcopy(world.rngs[0])
-    got = step(world, config)
+    got = step(world)
     want = reference_step(world, config, rng_ref)
     _assert_worlds_match(got, want)
     # both generators consumed the same draws, in the same order
@@ -261,7 +261,7 @@ def test_noise_draws_stay_in_agent_order():
     rng_ref = copy.deepcopy(world.rngs[0])
     for _ in range(5):
         world_ref = reference_step(world, config, rng_ref)
-        world = step(world, config)
+        world = step(world)
         _assert_worlds_match(world, world_ref)
 
 
@@ -274,7 +274,7 @@ def test_covariances_stay_symmetric_psd_beyond_the_triangle():
                            duration=1.0, offset_bound=1.0)
     world = init_world(config, range(3))
     for _ in range(config.steps):
-        world = step(world, config)
+        world = step(world)
         for cov in world.covariances:
             assert cov.tobytes() == cov.swapaxes(-1, -2).tobytes()
             scale = np.abs(cov).max(axis=(-2, -1))
@@ -399,7 +399,7 @@ def test_refused_update_is_isolated_to_its_agent(poisoned):
         for agent, kind in poisoned.items():
             filters = _poison(filters, agent, kind)
         world = replace(world, **bank_of(config, filters))
-        got = step(world, config)
+        got = step(world)
         want = reference_step(world, config)
         got_filters, want_filters = got.filters, want.filters
 
@@ -449,17 +449,17 @@ def test_run_carries_skipped_updates_out():
 # ------------------------------------------- filter phase, once per step
 
 
-def _sense_matching_oracle(world, config, steps=4):
+def _sense_matching_oracle(world, steps=4):
     """Advance `world` by `steps` steps, checking each step's filter phase
     bit for bit against the phase run bucket by bucket; returns the last
     world."""
     for _ in range(steps):
-        moved, diverged = _move(world, config)
+        moved, diverged = _move(world)
         moved = moved.take(~diverged)
         if not len(moved.r):
             break
-        want = bucket_sense(replace(moved, rngs=copy.deepcopy(moved.rngs)), config)
-        world = _sense(moved, config)
+        want = bucket_sense(replace(moved, rngs=copy.deepcopy(moved.rngs)))
+        world = _sense(moved)
         for name in ("offsets", "headings", "covariances"):
             for got, expected in zip(getattr(world, name), getattr(want, name),
                                      strict=True):
@@ -477,7 +477,7 @@ def test_filter_phase_matches_bucket_oracle(config, seeds):
     graph = config.graph
     assume(len({len(sorted_neighbors(graph, i)) for i in range(graph.agent_count)}) > 1)
     config = replace(config, measurement_noise=True)
-    _sense_matching_oracle(init_world(config, range(seeds)), config)
+    _sense_matching_oracle(init_world(config, range(seeds)))
 
 
 @pytest.mark.parametrize("seeds", [1, 3])
@@ -486,7 +486,7 @@ def test_filter_phase_with_a_degree_one_agent(seeds):
     config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
                             variant="estimated", mismatch=None, measurement_noise=True,
                             noise=NoiseConfig(meas_distance_var=0.1, meas_heading_var=0.01))
-    _sense_matching_oracle(init_world(config, range(seeds)), config, steps=6)
+    _sense_matching_oracle(init_world(config, range(seeds)), steps=6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,10 +498,10 @@ def test_stiffness_matches_scatter_oracle(config, seeds):
     assume(len({len(sorted_neighbors(graph, i)) for i in range(graph.agent_count)}) > 1)
     world = init_world(config, range(seeds))
     for _ in range(3):
-        law = _law_inputs(world, config)
-        assert _stiffness(world, config, law).tobytes() == stiffness(world, config, law).tobytes()
-        world, diverged = _move(world, config)
-        world = _sense(world.take(~diverged), config)
+        law = _law_inputs(world)
+        assert _stiffness(world, law).tobytes() == stiffness(world, law).tobytes()
+        world, diverged = _move(world)
+        world = _sense(world.take(~diverged))
         if not len(world.r):
             break
 
@@ -534,7 +534,7 @@ def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
     # config (`_kernel_entries`) may stay
     config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
                             mismatch=MismatchConfig.uniform(4, 0.5), measurement_noise=True)
-    world = step(init_world(config, range(seeds)), config)
+    world = step(init_world(config, range(seeds)))
     hashed = []
     graph_hash = Graph.__hash__
 
@@ -544,11 +544,12 @@ def test_steps_look_nothing_up_by_graph(seeds, monkeypatch):
 
     monkeypatch.setattr(Graph, "__hash__", counting_hash)
     for _ in range(3):
-        world = step(world, config)
+        world = step(world)
     kept = world.take(np.arange(seeds) % 2 == 0)
-    step(kept, config)
+    step(kept)
     assert len(hashed) == 0
-    assert kept.layout is world.layout
+    # the world carries the config it was built from, and so does each part
+    assert kept.layout is world.layout and kept.config is world.config is config
 
 
 def test_steps_hash_no_noise(monkeypatch):
@@ -556,7 +557,7 @@ def test_steps_hash_no_noise(monkeypatch):
     # looks them up by the noise
     config = ScenarioConfig(graph=_REST_GRAPH, distances=DesiredDistances.uniform(4, 5.0),
                             mismatch=MismatchConfig.uniform(4, 0.5), measurement_noise=True)
-    world = step(init_world(config, range(3)), config)
+    world = step(init_world(config, range(3)))
     hashed = []
     noise_hash = NoiseConfig.__hash__
 
@@ -566,7 +567,7 @@ def test_steps_hash_no_noise(monkeypatch):
 
     monkeypatch.setattr(NoiseConfig, "__hash__", counting_hash)
     for _ in range(3):
-        world = step(world, config)
+        world = step(world)
     assert len(hashed) == 0
 
 
@@ -636,7 +637,7 @@ def test_filter_phase_refused_update_keeps_prediction(kind, seeds):
     for step_count in (1, 2, 3):
         p, theta, cov = world.bucket(bucket)
         with np.errstate(invalid="ignore"):
-            world = _sense_matching_oracle(world, config, steps=1)
+            world = _sense_matching_oracle(world, steps=1)
             p, cov = _predict_degree(p, cov, np.zeros(p.shape), rotation(theta),
                                      _quarter_rotations(theta), config.dt,
                                      _constants(2, config.noise, config.dt))

@@ -98,7 +98,7 @@ def test_diverging_seed_leaves_the_batch():
     world = init_world(config, (13,))
     with pytest.raises(DivergenceError) as stepped:
         while True:
-            world = step(world, config)
+            world = step(world)
     assert str(got[1]) == str(stepped.value) == "positions diverged during the step ending at t=0.65"
     for seed, result in ((12, got[0]), (14, got[2])):
         assert isinstance(result, MetricsSeries)
@@ -116,7 +116,7 @@ def test_diverged_seed_keeps_its_events():
     world = init_world(config, (64,))
     with pytest.raises(DivergenceError) as stepped:
         while True:
-            world = step(world, config)
+            world = step(world)
     assert got[1].events == alone.value.events == stepped.value.events == capped
     assert str(got[1]) == str(alone.value) == "positions diverged during the step ending at t=0.52"
     # seed 13 diverges at t=0.65 without an event
@@ -160,11 +160,11 @@ def test_events_stay_with_their_seed():
                            rngs=[None] * len(plans),
                            events=[(f"earlier event of seed {b}",) for b in seeds])
         worlds = [batch.take(seeds == b) for b in seeds]
-        moved, diverged = _move(batch, config)
-        got = _sense(moved.take(~diverged), config)
+        moved, diverged = _move(batch)
+        got = _sense(moved.take(~diverged))
         with pytest.raises(DivergenceError):
-            step(worlds[0], config)
-        want = [step(w, config) for w in worlds[1:]]
+            step(worlds[0])
+        want = [step(w) for w in worlds[1:]]
 
     assert diverged.tolist() == [True, False, False, False]
     for row, (plan, alone) in enumerate(zip(plans[1:], want)):

@@ -195,6 +195,7 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[sim]\nseed = 1\nduration = inf\n", 8, "duration"),
     ("[sim]\ndt = 1e-320\n", 7, "dt 1e-320 over duration 100.0 gives inf steps"),  # overflowed
     ("[init]\npositions = 0,0; 10,nan; 5,8\n", 7, "non-finite"),  # read as a divergence
+    ("[init]\npositions = 0,0; 10,x; 5,8\n", 7, "non-numeric value"),
     ("[init]\npositions = 0,0; 0,0; 0,0\n", 7, "agents 1 and 2 are 0.0 apart"),  # used to run
     ("[init]\nmin_separation = 2\npositions = 0,0; 10,0; 1,1\n", 8, "agents 1 and 3"),
     ("[init]\nest_1_2 = inf, 0\n", 7, "non-finite"),
@@ -440,6 +441,15 @@ def test_run_divergence_exits_runtime(tmp_path, capsys, monkeypatch):
                         lambda: replace(scenario_nominal(), seed=64, duration=1.0))
     assert cli.main(["reproduce", "nominal", "--out", str(tmp_path / "rep")]) == 1
     assert capsys.readouterr().err == f"reproduce: {capped}\nreproduce: {diverged}\n"
+    # a finite stiffness whose dt * s overflows is capped as an infinite one
+    # is; ceil of that product used to end in an OverflowError traceback
+    path = tmp_path / "huge.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n[distances]\ndefault = 10\n"
+                    "[controller]\ndefault = 4e307\n[sim]\ndt = 10\nduration = 200\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "huge")]) == 1
+    assert capsys.readouterr().err == (
+        "run: 1 engine event, the first: t=10 substeps capped at 10000, stiffness asked for inf\n"
+        "run: positions diverged during the step ending at t=10\n")
 
 
 def _capped_config():

@@ -6,7 +6,9 @@ module's `__all__` lists is defined in that module, so no module re-exports
 another's names, and the package's scenario names are `formloc.scenario`'s.
 The stacked kinematics have one home, `formloc.lie_group`: the Gramian
 (`formloc.observability`) imports nothing from the filters
-(`formloc.estimator`), and the filters take their rotations from it.
+(`formloc.estimator`), and the filters take their rotations from it.  A
+world carries its config, so no function of the engine takes a `config`
+parameter beside a `world` one.
 
 No linter runs with the tests, so these AST scans are what catch an import
 or a definition left behind when the code that used it moved or went away.
@@ -247,6 +249,30 @@ def test_the_filters_take_their_rotations_from_the_group_layer(reader, names):
     source = (SRC / reader).read_text()
     assert names <= set(imported_from(source, "lie_group"))
     assert KINEMATICS & {name for name, _ in _definitions(ast.parse(source))} == set()
+
+
+def paired_with_a_world(source: str) -> list[str]:
+    """The functions of `source`, methods and nested ones too, whose
+    parameters include both `world` and `config`."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and {"world", "config"} <= {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+
+
+def test_pairing_scan_sees_every_parameter_kind():
+    source = ("def a(world, config): pass\n"
+              "def b(world, *, config=None): pass\n"
+              "def c(config, seeds=None): pass\n"
+              "class W:\n    def d(self, world, law): pass\n"
+              "def e(world):\n    def f(config, *world): pass\n")
+    assert paired_with_a_world(source) == ["a", "b", "f"]
+
+
+def test_no_engine_phase_takes_a_config_beside_the_world():
+    # a world carries the config it was built from (`WorldState.config`),
+    # and its layout that config's filter constants; a config passed beside
+    # it could disagree with both
+    assert paired_with_a_world((SRC / "sim.py").read_text()) == []
 
 
 @pytest.mark.parametrize("reader, module", [("sim.py", "scenario"), ("scenario.py", "sim")])

@@ -321,24 +321,26 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
                                   distances=d, initial_estimates=est,
                                   initial_positions=rng.uniform(-8, 8, size=(o, 2)),
                                   min_separation=0.0)
+        # one world per variant, each stepping under its own config; the
+        # positions and estimates are explicit, so the three hold the same arrays
         world = init_world(ideal_cfg)
 
         points = [world.r.ravel()] + [world.r.ravel() + rng.normal(size=2 * o) for _ in range(5)]
 
-        field = _control_field(world, ideal_cfg, _law_inputs(world, ideal_cfg))
+        field = _control_field(world, _law_inputs(world))
         for rf in points:
             np.testing.assert_array_equal(field(rf), ideal_control(graph, rf, d))
 
-        est_cfg = replace(ideal_cfg, variant="estimated")
-        field = _control_field(world, est_cfg, _law_inputs(world, est_cfg))
+        world = init_world(replace(ideal_cfg, variant="estimated"))
+        field = _control_field(world, _law_inputs(world))
         snapshot = {pair: estimate_of(world, graph, *pair) for pair in est}
         for rf in points:
             e = distance_errors(edge_offsets(graph, rf), d)
             np.testing.assert_array_equal(field(rf), estimated_control(graph, snapshot, e))
 
         a = MismatchConfig(rng.uniform(-2.0, 2.0, size=m))
-        mm_cfg = replace(ideal_cfg, variant="algorithm1", mismatch=a)
-        field = _control_field(world, mm_cfg, _law_inputs(world, mm_cfg))
+        world = init_world(replace(ideal_cfg, variant="algorithm1", mismatch=a))
+        field = _control_field(world, _law_inputs(world))
         shared = np.array([estimate_of(world, graph, t, h) for t, h in graph.edges])
         for rf in points:
             e = distance_errors(edge_offsets(graph, rf), d)
@@ -351,7 +353,7 @@ def test_control_field_bitwise_matches_public_laws(triangle, rng):
 def test_step_with_estimator_disabled_freezes_filters(triangle):
     config = _basic_config(triangle, estimator_enabled=False)
     world = init_world(config, (0,))
-    after = step(world, config)
+    after = step(world)
     # the filter arrays are the same objects: nothing is copied
     for name in ("offsets", "headings", "covariances"):
         assert getattr(after, name) is getattr(world, name)
@@ -362,7 +364,7 @@ def test_step_with_estimator_disabled_freezes_filters(triangle):
 def test_step_advances_filters_when_enabled(triangle):
     config = _basic_config(triangle)
     world = init_world(config, (0,))
-    after = step(world, config)
+    after = step(world)
     assert after.filters is not world.filters
     for f_new, f_old in zip(after.filters, world.filters):
         assert not np.array_equal(f_new.mean.p, f_old.mean.p)
@@ -385,7 +387,7 @@ def test_step_centroid_rate_identity(triangle, agents, variant):
     if variant == "algorithm1":
         shared = np.array([estimate_of(world, config.graph, t, h) for t, h in config.graph.edges])
         predicted = config.dt * 2.0 / agents * (config.mismatch.values[:, None] * shared).sum(axis=0)
-    after = step(world, config)
+    after = step(world)
     got = after.r[0].mean(axis=0) - world.r[0].mean(axis=0)
     np.testing.assert_allclose(got, predicted, atol=1e-12)
 
@@ -433,7 +435,7 @@ def test_ideal_variant_dissipates_potential(triangle, agents):
     d = config.distances
     v_start = v_prev = formation_potential(config.graph, world.r, d)
     for _ in range(config.steps):
-        world = step(world, config)
+        world = step(world)
         v = formation_potential(config.graph, world.r, d)
         assert v <= v_prev + 1e-12
         v_prev = v
@@ -449,7 +451,7 @@ def test_ideal_variant_endpoint_stable_under_dt_halving(triangle):
     def endpoint(cfg):
         world = init_world(cfg)
         for _ in range(int(round(cfg.duration / cfg.dt))):
-            world = step(world, cfg)
+            world = step(world)
         return world.r
 
     coarse = endpoint(config)
