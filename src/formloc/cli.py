@@ -26,6 +26,7 @@ import configparser
 import itertools
 import math
 import os
+import random
 import stat
 import sys
 import warnings
@@ -513,35 +514,50 @@ def cmd_reproduce(args) -> int:
     return _run_and_report("reproduce", SCENARIOS[args.name](), args.out, EXPECTED_OUTCOME[args.name])
 
 
-def _parse_error(path: Path, exc: ValueError) -> ConfigError:
-    """The whole-file message of a parse error met in some block: loadtxt
-    numbers a block's rows from the block's start, so read the file once
-    more from its header, as one table, up to the error."""
-    try:
-        np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as whole:
-        exc = whole
-    return ConfigError(f"{path}: {exc}")
+def _row_error(path: Path, fh, done: int, cols: int | None) -> ConfigError | None:
+    """The refusal of the first faulty row after the `done` rows before it,
+    named by its file line: a column count other than `cols` (the first
+    row's when None), a cell that loadtxt cannot read, or a non-finite value.
+    None if no row is faulty."""
+    fh.seek(0)
+    # the file lines loadtxt reads as rows: after the header, not empty once
+    # a comment and the newline are cut (a line of spaces is a row)
+    lines = ((k, line.split("#", 1)[0].rstrip("\n")) for k, line in enumerate(fh, start=1))
+    rows = ((k, text) for k, text in lines if k > 1 and text)
+    for k, text in itertools.islice(rows, done, None):
+        cells = text.split(",")
+        cols = cols or len(cells)
+        if len(cells) != cols:
+            return ConfigError(f"{path}:{k}: the number of columns changed from {cols} to {len(cells)}")
+        for j, cell in enumerate(cells):
+            try:
+                value = np.loadtxt([text], delimiter=",", usecols=j)
+            except ValueError:
+                return ConfigError(f"{path}:{k}: column {j + 1} is not a number: {cell.strip()!r}")
+            if not np.isfinite(value):
+                return ConfigError(f"{path}:{k}: non-finite trajectory value")
+    return None
 
 
-def _read_block(path: Path, fh, done: int) -> np.ndarray:
+def _read_block(path: Path, fh, done: int, cols: int | None = None) -> np.ndarray:
     """The next BLOCK_ROWS data rows of an open trajectory CSV, (0, 1) at its
-    end; `done` rows came before them."""
+    end; `done` rows came before them, and each row has `cols` columns (the
+    first row's count when None)."""
     try:
         with warnings.catch_warnings():
             # at the end of the data, and for every blank or comment line that max_rows skips
             warnings.simplefilter("ignore", UserWarning)
             block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=BLOCK_ROWS)
+    except UnicodeDecodeError:
+        raise  # the caller names the file and the byte
     except ValueError as exc:
-        raise _parse_error(path, exc) from None
-    if not np.isfinite(block).all():
-        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))[0]
-        # the file lines loadtxt read as rows: after the header, neither blank nor comment
-        fh.seek(0)
-        rows = (k for k, line in enumerate(fh, start=1) if k > 1 and line.split("#", 1)[0].strip())
-        line = next(itertools.islice(rows, done + bad, None))
-        raise ConfigError(f"{path}:{line}: non-finite trajectory value")
-    return block
+        fault = str(exc)
+    else:
+        if not block.shape[0] or (block.shape[1] == (cols or block.shape[1])
+                                  and np.isfinite(block).all()):
+            return block
+        fault = "a row of another width or a non-finite value"
+    raise _row_error(path, fh, done, cols) or ConfigError(f"{path}: {fault}")
 
 
 def _trajectory_blocks(path: Path, fh):
@@ -567,15 +583,12 @@ def _trajectory_blocks(path: Path, fh):
     def blocks():
         block, done, last = first, 0, first[:0, 0]  # no sample before the first block
         while block.shape[0]:
-            if block.shape[1] != cols:
-                raise _parse_error(path, ValueError(f"the number of columns changed from {cols} "
-                                                    f"to {block.shape[1]}"))
             steps = np.diff(np.append(last, block[:, 0]))
             if np.abs(steps - dt).max() > 1e-9 * max(1.0, abs(dt)):
                 raise uneven
             yield block[:, 1:]
             done, last = done + block.shape[0], block[-1:, 0]
-            block = _read_block(path, fh, done)
+            block = _read_block(path, fh, done, cols)
 
     return blocks(), dt, (cols - 3) // 4
 
@@ -628,8 +641,10 @@ def cmd_check_observability(args) -> int:
         else:
             if args.seed is not None and args.seed < 0:
                 raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-            rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-            p = rng.uniform(-5.0, 5.0, size=2 * args.n)
+            # the standard library's generator: numpy.random would cost this
+            # command about 5 MiB of imports for 2n numbers
+            rng = random.Random(0 if args.seed is None else args.seed)
+            p = np.fromiter((rng.uniform(-5.0, 5.0) for _ in range(2 * args.n)), float, 2 * args.n)
         q = GroupElement(p, 0.0 if args.theta is None else args.theta)
         report = codistribution_rank(q, tol=args.tol, depth=1 if args.depth is None else args.depth)
         dim = 2 * args.n + 1
@@ -668,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--n", type=int, help="number of neighbors")
     p_chk.add_argument("--p", help="comma-separated relative positions x1,y1,...")
     p_chk.add_argument("--theta", type=float, help="heading (default 0)")
-    p_chk.add_argument("--seed", type=int, help="seed for a random state when --p is omitted")
+    p_chk.add_argument("--seed", type=int, help="seed of the random state drawn when --p is omitted "
+                       "(default 0)")
     p_chk.add_argument("--tol", type=float, default=1e-9, help="rank tolerance")
     p_chk.add_argument("--depth", type=int, help="derivative depth for the codistribution "
                        "(default 1; above 3 adds no function)")

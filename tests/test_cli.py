@@ -1,13 +1,15 @@
 """Command-line surface: exit codes, file formats, config round trips.
 
-Everything drives `cli.main` in-process; one subprocess test checks the
-`python -m formloc` wiring.
+Everything drives `cli.main` in-process; subprocess tests check the
+`python -m formloc` wiring and the modules `check-observability` loads.
 """
 
 import configparser
 import errno
+import json
 import locale
 import os
+import random
 import re
 import string
 import subprocess
@@ -23,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 from formloc import cli
 from formloc.controller import MismatchConfig
 from formloc.estimator import NoiseConfig
+from formloc.lie_group import GroupElement
 from formloc.network import DesiredDistances, Graph
-from formloc.observability import BLOCK_ROWS, empirical_gramian
+from formloc.observability import BLOCK_ROWS, codistribution_rank, empirical_gramian
 from formloc.scenario import (
     OutcomeThresholds,
     ScenarioConfig,
@@ -36,6 +39,7 @@ from formloc.scenario import (
 )
 from formloc.sim import run
 
+ROOT = Path(__file__).resolve().parents[1]
 HEADER = ("t,dist_12,dist_23,dist_13,esterr_12,esterr_23,esterr_13,"
           "centroid_speed,angular_rate")
 
@@ -387,7 +391,7 @@ def test_config_rejects_bad_initial_var(tmp_path, capsys, value):
 
 
 def test_readme_config_example_runs(tmp_path, capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     path = tmp_path / "readme.ini"
     path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
     config = cli.config_from_ini(path)
@@ -661,8 +665,63 @@ def test_check_observability_usage(capsys):
         assert capsys.readouterr().err == f"check-observability: {flag} is not read with {mode}\n"
 
 
+@pytest.mark.parametrize("n, seed", [(1, 0), (3, 7), (5, 27)])
+def test_check_observability_draws_its_state_with_random(capsys, monkeypatch, n, seed):
+    # 2n uniforms in [-5, 5] from the standard library's generator, x1, y1, ... in order
+    rng = random.Random(seed)
+    p = [rng.uniform(-5.0, 5.0) for _ in range(2 * n)]
+    want = codistribution_rank(GroupElement(np.array(p), 0.0), tol=1e-9)
+    states = []
+
+    def recorded(q, **kwargs):
+        states.append(q)
+        return codistribution_rank(q, **kwargs)
+
+    monkeypatch.setattr(cli, "codistribution_rank", recorded)
+    assert cli.main(["check-observability", "--n", str(n), "--seed", str(seed)]) == 0
+    assert [list(q.p) for q in states] == [p]
+    assert (f"singular values: {' '.join(f'{v:.3e}' for v in want.singular_values)}"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_check_observability_seed_defaults_to_zero(capsys):
+    assert cli.main(["check-observability", "--n", "2"]) == 0
+    omitted = capsys.readouterr()
+    assert cli.main(["check-observability", "--n", "2", "--seed", "0"]) == 0
+    assert capsys.readouterr() == omitted
+
+
+def test_benchmark_rank_states_keep_their_labels(capsys):
+    # perfbench/reference.json records each rank operation's exit and label
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["ops"]
+    ops = {key: op for key, op in reference.items() if key.startswith("observability/rank ")}
+    assert len(ops) == 40
+    for key, op in ops.items():
+        state, n = key.split()[1:]
+        code = cli.main(["check-observability", "--n", n.removeprefix("n"), "--seed", state])
+        rank = re.search(r"^codistribution rank: (.*)$", capsys.readouterr().out, re.M)[1]
+        assert (code, rank) == (op["exit"], op["labels"]["rank"]), key
+
+
+@pytest.mark.parametrize("args", [["--n", "3", "--seed", "5"], ["--n", "3"],
+                                  ["--n", "1", "--p", "1,2"], ["--trajectory"]])
+def test_check_observability_never_loads_numpy_random(tmp_path, args):
+    # numpy.random pulls in its bit generators and hashlib/OpenSSL: about 5 MiB
+    # of the command's peak memory, for 2n numbers
+    if args == ["--trajectory"]:
+        args = args + [str(_write_trajectory(tmp_path / "traj.csv"))]
+    code = ("import sys\nfrom formloc import cli\ncode = cli.main(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\nsys.exit(code)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, "check-observability", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_check_observability_rejects_negative_seed(capsys):
-    # numpy's own refusal ("expected non-negative integer") names no flag
+    # random.Random(-3) would silently draw the state of seed 3
     assert cli.main(["check-observability", "--n", "1", "--seed", "-3"]) == 2
     assert capsys.readouterr().err == "check-observability: --seed must be non-negative, got -3\n"
 
@@ -702,6 +761,25 @@ def test_check_observability_rejects_nonfinite_trajectory_cell(tmp_path, capsys)
                     "0.1,0,1,nan,0,1,0\n0.2,0,1,0,0,1,0\n")
     assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
     assert f"{traj}:5: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, line, reason", [
+    # numpy's text counted this row 2, from the first data row as 0
+    (["0.0,0,1,0,0,1,0", "0.1,0,1,0,0,1,0", "0.2,0,1,zz,0,1,0"], 4,
+     "column 4 is not a number: 'zz'"),
+    # and this one row 3, from 1, with a hint to use `usecols`
+    (["0.0,0,1,0,0,1,0", "# a comment", "", "0.1,0,1,0,0,1,0", "0.2,0,1,0,0,1"], 6,
+     "the number of columns changed from 7 to 6"),
+    # a line of spaces is a row to loadtxt, not a blank line
+    (["0.0,0,1,0,0,1,0", "  ", "0.1,0,1,0,0,1,0"], 3, "the number of columns changed from 7 to 1"),
+    (["0.0,0,1,0,0,1,0", "0.1,0,1,,0,1,0"], 3, "column 4 is not a number: ''"),
+    (["0.0,0,1,0,0,1,0", "0.1,0,1,1e400,0,1,0"], 3, "non-finite trajectory value"),
+])
+def test_check_observability_names_the_line_of_a_faulty_row(tmp_path, capsys, rows, line, reason):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("\n".join(["t,theta,x1,y1,w,vx1,vy1", *rows, "0.3,0,1,0,0,1,0"]) + "\n")
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    assert capsys.readouterr().err == f"check-observability: {traj}:{line}: {reason}\n"
 
 
 def _write_trajectory(path, still_second=True):
@@ -831,16 +909,16 @@ def test_check_observability_refuses_a_fault_in_a_later_block(tmp_path, capsys, 
     traj.write_text("\n".join(lines) + "\n")
     assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
     err = capsys.readouterr().err
-    if fault == "nan":
-        assert err == f"check-observability: {traj}:{where[k]}: non-finite trajectory value\n"
-    elif fault == "time":
+    reason = {"nan": "non-finite trajectory value",
+              "columns": "the number of columns changed from 7 to 3",
+              "block columns": "the number of columns changed from 7 to 3",
+              "cell": "column 3 is not a number: '3.0.1'"}
+    if fault == "time":
         assert err == f"check-observability: {traj}: time column must be uniformly increasing\n"
     else:
-        # the whole-file text, whose row loadtxt counts from the file's start, not the block's
-        with pytest.raises(ValueError) as whole:
-            np.loadtxt(traj, delimiter=",", skiprows=1, ndmin=2)
-        assert int(re.search(r" at row (\d+)", str(whole.value))[1]) > BLOCK_ROWS
-        assert err == f"check-observability: {traj}: {whole.value}\n"
+        # the file line, counted from the header: "block columns" stops at the block's first row
+        line = where[BLOCK_ROWS if fault == "block columns" else k]
+        assert err == f"check-observability: {traj}:{line}: {reason[fault]}\n"
 
 
 def test_check_observability_calls_the_gramian_once(tmp_path, monkeypatch, capsys):
