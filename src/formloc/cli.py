@@ -121,12 +121,6 @@ _NESTED = ({f.name: "noise" for f in fields(NoiseConfig)}
 # The sections a config may hold, besides a manifest's, which are skipped
 _SECTIONS = {"graph", "distances", "controller", "init"} | {s for s, _, _ in _SCALARS}
 _MANIFEST_SECTIONS = ("artifact", "result")
-# `sharing` is derived from the variant; older manifests still carry it
-_SHARING = {
-    "ideal": ("per-agent", "per-edge-owner"),
-    "estimated": ("per-agent",),
-    "algorithm1": ("per-edge-owner",),
-}
 
 
 def config_to_ini(config: ScenarioConfig) -> configparser.ConfigParser:
@@ -234,12 +228,13 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     line the parser refuses is rejected at its `file:line` before any read."""
     path = Path(path)
     try:
-        with open(path) as fh:
+        # both input files decode so, whatever the locale: UTF-8, a leading BOM
+        # dropped, and an undecodable byte read as the text `\xff`, which no
+        # number, key, section or variant accepts, so a check refuses it at its line
+        with open(path, encoding="utf-8-sig", errors="backslashreplace") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     ini = configparser.ConfigParser(interpolation=None)
     try:
         ini.read_string(text, source=str(path))
@@ -288,7 +283,9 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     if "graph" not in unread:
         raise ConfigError(f"{path}: missing [graph] section")
     agents = get("graph", "agents", kind=int)
-    if agents is None or agents < 2:
+    if agents is None:
+        raise ConfigError(f"{at('graph')}: missing agents key")
+    if agents < 2:
         raise ConfigError(f"{at('graph', 'agents')}: at least 2 agents required")
     edges = take("graph", "edges")
     if edges is None:
@@ -303,10 +300,6 @@ def config_from_ini(path: str | Path) -> ScenarioConfig:
     if variant not in VARIANTS:
         raise ConfigError(f"{at('controller', 'variant')}: unknown variant {variant!r}, "
                           f"expected one of {', '.join(VARIANTS)}")
-    sharing = take("controller", "sharing")
-    if sharing is not None and sharing.strip() not in _SHARING[variant]:
-        raise ConfigError(f"{at('controller', 'sharing')}: sharing = {sharing.strip()} "
-                          f"contradicts variant = {variant}")
 
     default_d = get("distances", "default", float("nan"), positive=True)
     d_vals = []
@@ -514,17 +507,27 @@ def cmd_reproduce(args) -> int:
     return _run_and_report("reproduce", SCENARIOS[args.name](), args.out, EXPECTED_OUTCOME[args.name])
 
 
+def _data_rows(fh, skip: int = 0):
+    """(file line, text) of the rows of the open trajectory CSV `fh`, read
+    from its start, from data row `skip` on (counted from 0): the lines
+    loadtxt reads as rows, after the header and not empty once a comment and
+    the newline are cut (a line of spaces is a row)."""
+    fh.seek(0)
+    lines = ((k, line.split("#", 1)[0].rstrip("\n")) for k, line in enumerate(fh, start=1))
+    return itertools.islice(((k, text) for k, text in lines if k > 1 and text), skip, None)
+
+
+def _at_row(path: Path, fh, row: int) -> str:
+    """'path:line' of data row `row` (counted from 0) of the open trajectory CSV `fh`."""
+    return f"{path}:{next(_data_rows(fh, row))[0]}"
+
+
 def _row_error(path: Path, fh, done: int, cols: int | None) -> ConfigError | None:
     """The refusal of the first faulty row after the `done` rows before it,
     named by its file line: a column count other than `cols` (the first
     row's when None), a cell that loadtxt cannot read, or a non-finite value.
     None if no row is faulty."""
-    fh.seek(0)
-    # the file lines loadtxt reads as rows: after the header, not empty once
-    # a comment and the newline are cut (a line of spaces is a row)
-    lines = ((k, line.split("#", 1)[0].rstrip("\n")) for k, line in enumerate(fh, start=1))
-    rows = ((k, text) for k, text in lines if k > 1 and text)
-    for k, text in itertools.islice(rows, done, None):
+    for k, text in _data_rows(fh, done):
         cells = text.split(",")
         cols = cols or len(cells)
         if len(cells) != cols:
@@ -548,8 +551,6 @@ def _read_block(path: Path, fh, done: int, cols: int | None = None) -> np.ndarra
             # at the end of the data, and for every blank or comment line that max_rows skips
             warnings.simplefilter("ignore", UserWarning)
             block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=BLOCK_ROWS)
-    except UnicodeDecodeError:
-        raise  # the caller names the file and the byte
     except ValueError as exc:
         fault = str(exc)
     else:
@@ -561,36 +562,44 @@ def _read_block(path: Path, fh, done: int, cols: int | None = None) -> np.ndarra
 
 
 def _trajectory_blocks(path: Path, fh):
-    """Trajectory CSV: t, theta, x1, y1, ..., w, vx1, vy1, ... per row, read
-    from the open file `fh` in blocks of BLOCK_ROWS rows.  Parses and checks
-    the first block now; returns the sampling interval, the neighbor count and
-    an iterator over the blocks without t (the rows `empirical_gramian`
-    reads), which parses and checks each later block when it gets there."""
-    fh.readline()  # the header
+    """Trajectory CSV: t, theta, x1, y1, ..., w, vx1, vy1, ... per row, under
+    a header of those names, read from the open file `fh` in blocks of
+    BLOCK_ROWS rows.  Parses and checks the first block and the header now;
+    returns the sampling interval, the neighbor count and an iterator over
+    the blocks without t (the rows `empirical_gramian` reads), which parses
+    and checks each later block when it gets there."""
+    header = fh.readline()
     first = _read_block(path, fh, 0)
     cols = first.shape[1]
     if first.shape[0] and (cols < 7 or (cols - 3) % 4 != 0):
         raise ConfigError(
-            f"{path}: expected columns t, theta, x/y per neighbor, w, vx/vy per neighbor"
+            f"{_at_row(path, fh, 0)}: expected columns t, theta, x/y per neighbor, w, vx/vy per neighbor"
         )
     if first.shape[0] < 2:
         raise ConfigError(f"{path}: at least two samples required")
+    n = (cols - 3) // 4
+    xy = [f"{c}{k}" for k in range(1, n + 1) for c in "xy"]
+    names = ["t", "theta", *xy, "w", *(f"v{name}" for name in xy)]
+    if [cell.strip() for cell in header.split("#", 1)[0].split(",")] != names:
+        raise ConfigError(f"{path}:1: expected the header {','.join(names)}")
     dt = float(first[1, 0] - first[0, 0])
-    uneven = ConfigError(f"{path}: time column must be uniformly increasing")
+    uneven = "time column must be uniformly increasing"
     if dt <= 0:
-        raise uneven
+        raise ConfigError(f"{_at_row(path, fh, 1)}: {uneven}")
 
     def blocks():
         block, done, last = first, 0, first[:0, 0]  # no sample before the first block
         while block.shape[0]:
             steps = np.diff(np.append(last, block[:, 0]))
-            if np.abs(steps - dt).max() > 1e-9 * max(1.0, abs(dt)):
-                raise uneven
+            wrong = np.abs(steps - dt) > 1e-9 * max(1.0, abs(dt))
+            if wrong.any():  # the row that ends the first wrong step
+                row = done + int(wrong.argmax()) + 1 - last.size
+                raise ConfigError(f"{_at_row(path, fh, row)}: {uneven}")
             yield block[:, 1:]
             done, last = done + block.shape[0], block[-1:, 0]
             block = _read_block(path, fh, done, cols)
 
-    return blocks(), dt, (cols - 3) // 4
+    return blocks(), dt, n
 
 
 def cmd_check_observability(args) -> int:
@@ -609,13 +618,11 @@ def cmd_check_observability(args) -> int:
         if args.trajectory is not None:
             path = Path(args.trajectory)
             try:
-                with open(path) as fh:
+                with open(path, encoding="utf-8-sig", errors="backslashreplace") as fh:  # as configs are
                     blocks, dt, n = _trajectory_blocks(path, fh)
                     report = empirical_gramian(blocks, dt, rank_tol=args.tol)
             except OSError as exc:
                 raise ConfigError(f"cannot read trajectory file {path}: {exc.strerror or exc}") from None
-            except UnicodeDecodeError as exc:  # met by the header's read, not by loadtxt's
-                raise ConfigError(f"{path}: {exc}") from None
             dim = 2 * n + 1
             eigs = np.linalg.eigvalsh(report.gramian)[::-1]
             print(f"neighbors: {n}")

@@ -7,7 +7,6 @@ Everything drives `cli.main` in-process; subprocess tests check the
 import configparser
 import errno
 import json
-import locale
 import os
 import random
 import re
@@ -189,8 +188,8 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     ("[init]\nest_1_2 = 1, 0\n", 6, "est_2_1"),         # a pair is missing
     ("[controller]\nvariant = estimated\na_1_2 = 5.0\n", 8, "'a_1_2'"),
     ("[controller]\nvariant = estimated\ndefault = 3.0\n", 8, "'default'"),
-    ("[controller]\nvariant = estimated\nsharing = per-edge-owner\n", 8, "sharing"),
-    ("[controller]\nsharing = per-agent\n", 7, "sharing"),  # algorithm1 by default
+    ("[controller]\nvariant = estimated\nsharing = per-edge-owner\n", 8, "'sharing'"),
+    ("[controller]\nsharing = per-agent\n", 7, "'sharing'"),  # algorithm1 by default
     # non-finite numbers: nan passed every sign check, inf overflowed
     ("[init]\noffset_bound = nan\n", 7, "offset_bound"),
     ("[init]\nspawn_box = inf\n", 7, "spawn_box"),
@@ -251,6 +250,9 @@ def test_config_rejects_unknown_sections_and_keys(tmp_path, text, line, name):
     ("[distances]\ndefault = 10.0\n", "", "missing [graph] section"),
     ("[distances]\ndefault = 10.0\n[graph]\nagents = 3\n", ":3", "missing edges key"),
     ("[graph]\nagents = 3\nedges = ,\n", ":3", "no edges given"),
+    # a misspelled agents key read as "at least 2 agents required", with no line
+    ("[graph]\nagent = 3\nedges = 1-2, 2-3, 1-3\n", ":1", "missing agents key"),
+    ("[graph]\nedges = 1-2\nagents = 1\n", ":3", "at least 2 agents required"),
     # configparser's own text named the file again, on three lines
     ("agents = 3\n[graph]\n", ":1", "not a section header, nor a key under one"),
 ])
@@ -337,13 +339,42 @@ def test_run_config_path_gives_the_os_reason(tmp_path, capsys):
             f"run: cannot read config file {path}: {os.strerror(reason)}\n")
 
 
-@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
-                    reason="byte 0xff decodes in this locale's text encoding")
 def test_run_config_undecodable_bytes_name_the_file(tmp_path, capsys):
+    # the byte used to be refused with the decoder's text and no line
     path = tmp_path / "cfg.ini"
     path.write_bytes(b"[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n[distances]\ndefault = 1\xff\n")
     assert cli.main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"run: {path}: 'utf-8' codec")
+    assert capsys.readouterr().err == f"run: {path}:5: default must be a number, got '1\\\\xff'\n"
+
+
+# 2000 comment lines put the byte past the decoder's first 8 KiB chunk
+@pytest.mark.parametrize("pad", [0, 2000])
+@pytest.mark.parametrize("text, line, message", [
+    (b"[sim]\nseed = 1\xff\n", 7, "seed must be an integer, got '1\\\\xff'"),
+    (b"[s\xffm]\nseed = 1\n", 6, "unknown section [s\\xffm]"),
+    (b"[sim]\ns\xffed = 1\n", 7, "unknown key 's\\\\xffed' in [sim]"),
+    (b"[controller]\nvariant = ideal\xff\n", 7, "unknown variant 'ideal\\\\xff'"),
+])
+def test_config_refuses_an_undecodable_byte_at_its_line(tmp_path, pad, text, line, message):
+    path = tmp_path / "cfg.ini"
+    path.write_bytes(b"[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n[distances]\ndefault = 10.0\n"
+                     + b"# pad\n" * pad + text)
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.config_from_ini(path)
+    assert str(exc.value).startswith(f"{path}:{line + pad}: {message}")
+
+
+def test_config_reads_utf8_with_a_bom_and_skips_bytes_in_comments(tmp_path):
+    # a BOM read as part of the first line, "not a section header"
+    config = replace(scenario_issue3(), duration=0.2)
+    series = run(config)
+    path = tmp_path / "manifest.txt"
+    cli.write_manifest(path, config, series, detect_outcome(series), "metrics.csv")
+    text = path.read_bytes()
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes(b"\xef\xbb\xbf" + text.replace(b"[sim]\n", b"[sim]\n# \xff\xfe\n; \xc3\n"))
+    want, got = (cli.config_to_ini(cli.config_from_ini(p)) for p in (path, copy))
+    assert {s: dict(want[s]) for s in want} == {s: dict(got[s]) for s in got}
 
 
 @pytest.mark.parametrize("graph, text, line, message", [
@@ -363,14 +394,17 @@ def test_config_errors_name_agents_from_one(tmp_path, graph, text, line, message
     assert str(exc.value) == f"{path}:{line}: {message}"
 
 
-def test_config_accepts_sharing_that_matches_the_variant(tmp_path):
-    # older manifests carry `sharing`, which the variant now implies
+def test_config_refuses_sharing_at_its_line(tmp_path):
+    # `sharing` was checked against the variant, then never read
     path = _write_config(tmp_path, scenario_issue3())
-    text = path.read_text()
-    assert "sharing" not in text
-    path.write_text(text.replace("variant = estimated\n",
-                                 "variant = estimated\nsharing = per-agent\n"))
-    assert cli.config_from_ini(path).variant == "estimated"
+    lines = path.read_text().split("\n")
+    assert "sharing" not in "\n".join(lines)
+    k = lines.index("variant = estimated") + 1
+    lines.insert(k, "sharing = per-agent")
+    path.write_text("\n".join(lines))
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.config_from_ini(path)
+    assert str(exc.value) == f"{path}:{k + 1}: unknown key 'sharing' in [controller]"
 
 
 
@@ -826,8 +860,9 @@ def test_check_observability_refuses_a_repeated_first_time(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     traj.write_text("t,theta,x1,y1,w,vx1,vy1\n" + "".join(f"{t},0,1,0,0,0,0\n" for t in (0.0, 0.0, 0.1)))
     assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    # the row whose step is wrong: the second
     assert capsys.readouterr().err == (
-        f"check-observability: {traj}: time column must be uniformly increasing\n")
+        f"check-observability: {traj}:3: time column must be uniformly increasing\n")
 
 
 @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" leaked to stderr
@@ -851,13 +886,12 @@ def test_check_observability_trajectory_path_gives_the_os_reason(tmp_path, capsy
             f"check-observability: cannot read trajectory file {path}: {os.strerror(reason)}\n")
 
 
-@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
-                    reason="byte 0xff decodes in this locale's text encoding")
 def test_check_observability_trajectory_undecodable_bytes_name_the_file(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     traj.write_bytes(b"t,theta,x1,y1,w,vx1,vy1\n0.0,0,1,0,0,1,0\n0.1,0,1,\xff,0,1,0\n")
     assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
-    assert capsys.readouterr().err.startswith(f"check-observability: {traj}: 'utf-8' codec")
+    assert capsys.readouterr().err == (
+        f"check-observability: {traj}:3: column 4 is not a number: '\\\\xff'\n")
 
 
 def _long_trajectory(count):
@@ -914,11 +948,69 @@ def test_check_observability_refuses_a_fault_in_a_later_block(tmp_path, capsys, 
               "block columns": "the number of columns changed from 7 to 3",
               "cell": "column 3 is not a number: '3.0.1'"}
     if fault == "time":
-        assert err == f"check-observability: {traj}: time column must be uniformly increasing\n"
+        assert err == f"check-observability: {traj}:{where[k]}: time column must be uniformly increasing\n"
     else:
         # the file line, counted from the header: "block columns" stops at the block's first row
         line = where[BLOCK_ROWS if fault == "block columns" else k]
         assert err == f"check-observability: {traj}:{line}: {reason[fault]}\n"
+
+
+# line 3 is inside the decoder's first 8 KiB chunk; line 3001 of 5000 is far
+# past it, where the decoder's text counted its byte from the chunk's start
+@pytest.mark.parametrize("line", [3, 3001])
+def test_check_observability_refuses_an_undecodable_byte_at_its_line(tmp_path, capsys, line):
+    lines, where = _long_trajectory(5000)
+    data = [text.encode() for text in lines]
+    cell = data[line - 1].split(b",", 1)[0]
+    data[line - 1] = data[line - 1].replace(cell, cell[:4] + b"\xff" + cell[4:], 1)
+    traj = tmp_path / "traj.csv"
+    traj.write_bytes(b"\n".join(data) + b"\n")
+    assert line in where and cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    shown = (cell[:4] + b"\xff" + cell[4:]).decode("utf-8", "backslashreplace")
+    assert capsys.readouterr().err == (
+        f"check-observability: {traj}:{line}: column 1 is not a number: {shown!r}\n")
+
+
+def test_check_observability_reads_utf8_with_a_bom_and_skips_bytes_in_comments(tmp_path, capsys):
+    lines, _ = _long_trajectory(5000)
+    traj = tmp_path / "traj.csv"
+    traj.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 0
+    want = capsys.readouterr()
+    data = b"\xef\xbb\xbf" + traj.read_bytes().replace(b"# sample 2450", b"# sample \xff\xfe")
+    assert data.count(b"\xff") == 1
+    traj.write_bytes(data)
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    # the w column last: analysed as if it were x2, with no word of the order
+    ("t,theta,x1,y1,vx1,vy1,w\n0.0,0,1,0,0,1,0\n0.1,0,1,0,0,1,0\n", 1,
+     "expected the header t,theta,x1,y1,w,vx1,vy1"),
+    # no header: the first sample was dropped as one
+    ("0.0,0,1,0,0,1,0\n0.1,0,1,0,0,1,0\n0.2,0,1,0,0,1,0\n", 1,
+     "expected the header t,theta,x1,y1,w,vx1,vy1"),
+    ("t,theta,x1,y1,w,vx1\n# a comment\n0.0,0,1,0,0,1\n0.1,0,1,0,0,1\n", 3,
+     "expected columns t, theta, x/y per neighbor, w, vx/vy per neighbor"),
+])
+def test_check_observability_names_the_line_of_a_layout_or_header_fault(
+        tmp_path, capsys, text, line, reason):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(text)
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    assert capsys.readouterr().err == f"check-observability: {traj}:{line}: {reason}\n"
+
+
+def test_check_observability_header_cells_may_carry_spaces_and_a_comment(tmp_path, capsys):
+    traj = _write_trajectory(tmp_path / "traj.csv")
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 3
+    want = capsys.readouterr()
+    lines = traj.read_text().split("\n")
+    lines[0] = " t , theta,x1 ,y1,x2,y2, w,vx1,vy1,vx2,vy2  # the header"
+    traj.write_text("\n".join(lines))
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 3
+    assert capsys.readouterr() == want
 
 
 def test_check_observability_calls_the_gramian_once(tmp_path, monkeypatch, capsys):
