@@ -591,7 +591,7 @@ def _trajectory_blocks(path: Path, fh):
         block, done, last = first, 0, first[:0, 0]  # no sample before the first block
         while block.shape[0]:
             steps = np.diff(np.append(last, block[:, 0]))
-            wrong = np.abs(steps - dt) > 1e-9 * max(1.0, abs(dt))
+            wrong = (steps <= 0) | (np.abs(steps - dt) > 1e-9 * max(1.0, dt))
             if wrong.any():  # the row that ends the first wrong step
                 row = done + int(wrong.argmax()) + 1 - last.size
                 raise ConfigError(f"{_at_row(path, fh, row)}: {uneven}")
@@ -623,41 +623,36 @@ def cmd_check_observability(args) -> int:
                     report = empirical_gramian(blocks, dt, rank_tol=args.tol)
             except OSError as exc:
                 raise ConfigError(f"cannot read trajectory file {path}: {exc.strerror or exc}") from None
-            dim = 2 * n + 1
-            eigs = np.linalg.eigvalsh(report.gramian)[::-1]
-            print(f"neighbors: {n}")
-            print(f"gramian rank: {report.rank} of {dim}")
-            print("eigenvalues: " + " ".join(f"{v:.3e}" for v in eigs))
-            if report.deficient_neighbor_blocks:
-                labels = ", ".join(str(b + 1) for b in report.deficient_neighbor_blocks)
-                print(f"unobservable neighbor blocks: {labels}")
-            observable = report.rank == dim and not report.deficient_neighbor_blocks
-            print("observable: " + ("yes" if observable else "no"))
-            return EXIT_OK if observable else EXIT_DEFICIENT
-
-        if args.n is None or args.n < 1:
-            raise ConfigError("--n must be a positive integer (or use --trajectory)")
-        if args.p is not None:
-            if not _is_numbers(args.p):
-                raise ConfigError(f"--p must be comma-separated numbers, got {args.p!r}")
-            p = np.array([float(x) for x in args.p.split(",")])
-            if p.size != 2 * args.n:
-                raise ConfigError(f"--p needs {2 * args.n} numbers for n={args.n}")
-            if not np.isfinite(p).all():
-                raise ConfigError(f"--p must be finite, got {args.p}")
+            kind, label, values = "gramian", "eigenvalues", report.eigenvalues
+            deficient = report.deficient_neighbor_blocks
         else:
-            if args.seed is not None and args.seed < 0:
-                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-            # the standard library's generator: numpy.random would cost this
-            # command about 5 MiB of imports for 2n numbers
-            rng = random.Random(0 if args.seed is None else args.seed)
-            p = np.fromiter((rng.uniform(-5.0, 5.0) for _ in range(2 * args.n)), float, 2 * args.n)
-        q = GroupElement(p, 0.0 if args.theta is None else args.theta)
-        report = codistribution_rank(q, tol=args.tol, depth=1 if args.depth is None else args.depth)
-        dim = 2 * args.n + 1
-        print(f"neighbors: {args.n}")
-        print(f"codistribution rank: {report.rank} of {dim}")
-        print("singular values: " + " ".join(f"{v:.3e}" for v in report.singular_values))
+            n = args.n
+            if n is None or n < 1:
+                raise ConfigError("--n must be a positive integer (or use --trajectory)")
+            if args.p is not None:
+                if not _is_numbers(args.p):
+                    raise ConfigError(f"--p must be comma-separated numbers, got {args.p!r}")
+                p = np.array([float(x) for x in args.p.split(",")])
+                if p.size != 2 * n:
+                    raise ConfigError(f"--p needs {2 * n} numbers for n={n}")
+                if not np.isfinite(p).all():
+                    raise ConfigError(f"--p must be finite, got {args.p}")
+            else:
+                if args.seed is not None and args.seed < 0:
+                    raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+                # the standard library's generator: numpy.random would cost this
+                # command about 5 MiB of imports for 2n numbers
+                rng = random.Random(0 if args.seed is None else args.seed)
+                p = np.fromiter((rng.uniform(-5.0, 5.0) for _ in range(2 * n)), float, 2 * n)
+            q = GroupElement(p, 0.0 if args.theta is None else args.theta)
+            report = codistribution_rank(q, tol=args.tol, depth=1 if args.depth is None else args.depth)
+            kind, label, values = "codistribution", "singular values", report.singular_values
+            deficient = ()
+        print(f"neighbors: {n}")
+        print(f"{kind} rank: {report.rank} of {2 * n + 1}")
+        print(f"{label}: " + " ".join(f"{v:.3e}" for v in values))
+        if deficient:
+            print("unobservable neighbor blocks: " + ", ".join(str(b + 1) for b in deficient))
         print("observable: " + ("yes" if report.observable else "no"))
         return EXIT_OK if report.observable else EXIT_DEFICIENT
     except (ConfigError, ValueError) as exc:

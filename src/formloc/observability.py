@@ -126,11 +126,15 @@ def codistribution_rank(q: GroupElement, tol: float = 1e-9, depth: int = 1) -> C
 
 @dataclass(eq=False)
 class GramianReport:
-    """Empirical observability Gramian over a trajectory."""
+    """Empirical observability Gramian over a trajectory, its eigenvalues
+    (largest first) and the verdict: observable means rank equals the state
+    dimension 2n+1 and no neighbor block is deficient."""
 
     gramian: np.ndarray
     rank: int
+    eigenvalues: np.ndarray
     deficient_neighbor_blocks: tuple[int, ...]
+    observable: bool
 
 
 def _offset_blocks(blocks, dt: float):
@@ -166,10 +170,13 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8) -> GramianR
     I + c_t e^T with c_t = sum_{s<t} f_s.  So row k of H_t Phi_t holds p_k in
     block k and a_tk = p_k . c_tk in the last column, and G is made of the
     per-block sums of p_k p_k^T, p_k a_tk and a_tk^2 (plus T in the corner).
+    The rank counts the eigenvalues of G above rank_tol times the largest.
     A neighbor k is reported deficient when the smallest eigenvalue of its
     (x_k, y_k) block falls below BLOCK_TOL * trace(G) / (2n+1).  A stationary
     neighbor's block is T dt p_k p_k^T: it loses exactly the range-circle
-    tangent (-y_k, x_k), and the range stays observable.
+    tangent (-y_k, x_k), and the range stays observable.  The report carries
+    G's eigenvalues, largest first, and the verdict (full rank and no
+    deficient block) that `check-observability --trajectory` prints.
 
     The trajectory is a table (an array, list or tuple of rows) or an
     iterator of row blocks, each (m, 4n+2), that together hold the rows in
@@ -211,9 +218,9 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8) -> GramianR
     gram[2 * n, 2 * n] = aa + count
     gram *= dt
 
-    eig = np.linalg.eigvalsh(gram)
-    top = eig[-1]
-    rank = 0 if top <= 0.0 else int(np.sum(eig > rank_tol * top))
+    eig = np.linalg.eigvalsh(gram)[::-1]
+    rank = 0 if eig[0] <= 0.0 else int(np.sum(eig > rank_tol * eig[0]))
     floor = BLOCK_TOL * np.trace(gram) / dim
-    deficient = np.flatnonzero(np.linalg.eigvalsh(gram[block])[:, 0] < floor)
-    return GramianReport(gramian=gram, rank=rank, deficient_neighbor_blocks=tuple(deficient.tolist()))
+    deficient = tuple(np.flatnonzero(np.linalg.eigvalsh(gram[block])[:, 0] < floor).tolist())
+    return GramianReport(gramian=gram, rank=rank, eigenvalues=eig, deficient_neighbor_blocks=deficient,
+                         observable=rank == dim and not deficient)

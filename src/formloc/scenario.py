@@ -378,8 +378,10 @@ def scenario_issue2() -> ScenarioConfig:
     Same wrong equilateral shape as issue 1, but each agent's two estimate
     directions are chosen so its error-weighted sum equals the common
     velocity (c, c): the whole formation translates at constant speed and
-    the distance errors never change.  The estimator is off, as in issue 1;
-    relative measurements would (eventually) perturb this kernel motion.
+    the distance errors never change.  The estimator is off: relative
+    measurements would (eventually) perturb this kernel motion.  In issue 1
+    the filters run, but its ranges match its estimated ranges, so they keep
+    the wrong directions.
     """
     graph = _triangle_graph()
     side = 8.0

@@ -248,7 +248,9 @@ def sequential_gramian(trajectory, dt: float, rank_tol: float = 1e-8,
         block = gram[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
         if np.linalg.eigvalsh(block)[0] < floor:
             deficient.append(k)
-    return GramianReport(gramian=gram, rank=rank, deficient_neighbor_blocks=tuple(deficient))
+    return GramianReport(gramian=gram, rank=rank, eigenvalues=eig[::-1],
+                         deficient_neighbor_blocks=tuple(deficient),
+                         observable=rank == dim and not deficient)
 
 
 # ------------------------------------------------- scalar filter, per agent

@@ -6,6 +6,7 @@ Everything drives `cli.main` in-process; subprocess tests check the
 
 import configparser
 import errno
+import importlib.util
 import json
 import os
 import random
@@ -865,6 +866,19 @@ def test_check_observability_refuses_a_repeated_first_time(tmp_path, capsys):
         f"check-observability: {traj}:3: time column must be uniformly increasing\n")
 
 
+@pytest.mark.parametrize("times, line", [
+    # a step back, and a repeat, each within the 1e-9 tolerance of dt = 1e-10
+    ((0.0, 1e-10, 0.0, 1e-10, 2e-10), 4),
+    ((0.0, 1e-10, 2e-10, 2e-10, 3e-10), 5),
+])
+def test_check_observability_refuses_a_step_that_is_not_positive(tmp_path, capsys, times, line):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,theta,x1,y1,w,vx1,vy1\n" + "".join(f"{t!r},0,1,0,0,1,0\n" for t in times))
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
+    assert capsys.readouterr().err == (
+        f"check-observability: {traj}:{line}: time column must be uniformly increasing\n")
+
+
 @pytest.mark.filterwarnings("error")  # numpy's "input contained no data" leaked to stderr
 @pytest.mark.parametrize("text", [
     "t,theta,x1,y1,w,vx1,vy1\n",
@@ -1028,6 +1042,54 @@ def test_check_observability_calls_the_gramian_once(tmp_path, monkeypatch, capsy
     assert cli.main(["check-observability", "--trajectory", str(traj)]) == 0
     assert len(calls) == 1
     assert "gramian rank: 3 of 3" in capsys.readouterr().out
+
+
+def _benchmark_trajectory_lines(instance, n):
+    spec = importlib.util.spec_from_file_location("perfbench_generate",
+                                                  ROOT / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.trajectory_lines(instance, n)
+
+
+def _without_last_neighbor(lines, n):
+    """The lines of an n-neighbor trajectory CSV without the columns
+    x_n, y_n, vx_n and vy_n."""
+    drop = {2 * n, 2 * n + 1, 4 * n + 1, 4 * n + 2}
+    for line in lines:
+        cells = line.rstrip("\n").split(",")
+        yield ",".join(c for i, c in enumerate(cells) if i not in drop) + "\n"
+
+
+@pytest.mark.parametrize("instance, n, moving", [
+    *((k, n, False) for k in range(3) for n in (1, 2, 3, 5)),
+    # the benchmark's 4-neighbor file without its one still neighbor
+    (0, 4, True),
+])
+def test_check_observability_prints_the_gramian_report(tmp_path, monkeypatch, capsys,
+                                                       instance, n, moving):
+    lines = _benchmark_trajectory_lines(instance, n)
+    if moving:
+        lines, n = _without_last_neighbor(lines, n), n - 1
+    traj = tmp_path / "traj.csv"
+    with open(traj, "w") as fh:
+        fh.writelines(lines)
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(empirical_gramian(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "empirical_gramian", recorded)
+    code = cli.main(["check-observability", "--trajectory", str(traj)])
+    (report,) = reports
+    assert code == (0 if moving else 3)
+    assert report.observable == (code == 0)
+    assert report.eigenvalues.tobytes() == np.linalg.eigvalsh(report.gramian)[::-1].tobytes()
+    assert report.deficient_neighbor_blocks == (() if moving else (n - 1,))
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "eigenvalues: " + " ".join(f"{v:.3e}" for v in report.eigenvalues)
+    assert out[-1] == "observable: " + ("yes" if report.observable else "no")
 
 
 def test_write_metrics_refuses_nonfinite(tmp_path):

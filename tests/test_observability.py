@@ -279,6 +279,28 @@ def test_gramian_of_row_blocks_is_the_gramian_of_the_table(rng):
     assert empirical_gramian(rows.tolist(), dt).gramian.tobytes() == table.gramian.tobytes()
 
 
+@pytest.mark.parametrize("still", [(), (0,), (1,), (0, 1)])
+def test_gramian_verdict_and_eigenvalues_match_sequential_loop(rng, still):
+    # the agent turns; the neighbors in `still` keep their offsets, the rest wander
+    n, dt = 2, 0.05
+    velocities = []
+    for _ in range(60):
+        v = rng.uniform(-2, 2, size=2 * n)
+        for k in still:
+            v[2 * k : 2 * k + 2] = 0.0
+        velocities.append(AlgebraElement(v, 0.3))
+    xs = _euler_chain(np.concatenate([rng.uniform(-4, 4, size=2 * n), [0.2]]), velocities, dt, n)
+    traj = [(GroupElement(x[:-1], x[-1]), xi) for x, xi in zip(xs, velocities)]
+    got = empirical_gramian(trajectory_rows(traj), dt)
+    want = sequential_gramian(traj, dt)
+    assert got.eigenvalues.tobytes() == np.linalg.eigvalsh(got.gramian)[::-1].tobytes()
+    scale = want.eigenvalues[0]
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * scale
+    assert got.deficient_neighbor_blocks == want.deficient_neighbor_blocks == still
+    assert got.rank == want.rank == 2 * n + 1 - len(still)
+    assert got.observable == want.observable == (still == ())
+
+
 def test_prefix_sums_carried_across_blocks_equal_one_cumsum(rng):
     rows, _, dt = _rows_and_pairs(rng, 2, 5 * BLOCK_ROWS // 2)
     f = _step_jacobian_columns(_quarter_rotations(rows[:, 0]), rows[:, 6:], dt)

@@ -20,7 +20,7 @@ from formloc.controller import (
     mismatch_control,
 )
 from formloc.estimator import EstimatorState, NoiseConfig
-from formloc.lie_group import GroupElement
+from formloc.lie_group import GroupElement, rotation
 from formloc.network import DesiredDistances, Graph, distance_errors, edge_offsets, sorted_neighbors
 from formloc.scenario import (
     MetricsSeries,
@@ -548,6 +548,28 @@ def test_issue3_forms_shape_with_stale_estimates():
     w = series.steps // 10
     assert np.abs(series.distances[-w:] - 10.0).max() < 0.5
     assert series.est_errors[-w:].max() > 0.1
+
+
+@pytest.mark.parametrize("config", [replace(scenario_nominal(), seed=0),
+                                    replace(scenario_nominal(), seed=5), scenario_issue3()],
+                         ids=["nominal-0", "nominal-5", "issue3"])
+def test_closed_loop_is_rotation_equivariant(config):
+    # the drawn start as explicit state, so both runs draw the same noise;
+    # every series is a distance, a speed or a rate, which a rotation keeps
+    config = replace(config, duration=2.0)
+    world = init_world(config)
+    est = {(int(i), int(j)): -offset for i, j, offset in
+           zip(world.layout.trackers, world.layout.nbrs, world.offsets[0])}
+    turn = rotation(0.7)
+    plain = run(replace(config, initial_positions=world.r[0], initial_estimates=est))
+    turned = run(replace(config, initial_positions=world.r[0] @ turn.T,
+                         initial_estimates={pair: turn @ e for pair, e in est.items()}))
+    for f in fields(MetricsSeries):
+        want, got = getattr(plain, f.name), getattr(turned, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_unlucky_spawn_stalls_at_coarse_sampling_only():
