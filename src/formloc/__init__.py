@@ -7,106 +7,24 @@ whose prediction runs on a matrix Lie group of stacked planar offsets, and
 feed those estimates to gradient-style formation controllers.  The package
 bundles the group/filter/controller layers, observability rank tests, the
 paper's scenarios, a deterministic closed-loop engine, and a CLI.
+
+Each public name is declared once, in the `__all__` of the module that
+defines it; the package re-exports every name of `controller`, `estimator`,
+`lie_group`, `network`, `observability`, `scenario` and `sim`, so
+`formloc.X` is `formloc.<module>.X`.  The CLI (`formloc.cli`) is not
+re-exported.
 """
 
-from .controller import (
-    MismatchConfig,
-    estimated_control,
-    formation_potential,
-    ideal_control,
-    mismatch_control,
-)
-from .estimator import EstimatorState, NoiseConfig, SingularUpdateError
-from .lie_group import (
-    AlgebraElement,
-    GroupElement,
-    compose,
-    exp,
-    identity,
-    inverse,
-    rotation,
-    step_body_velocity,
-    step_jacobian,
-    wrap_angle,
-)
-from .network import (
-    AgentError,
-    DesiredDistances,
-    Graph,
-    distance_errors,
-    edge_offsets,
-    rigidity_matrix,
-    sorted_neighbors,
-)
-from .observability import (
-    CodistributionReport,
-    GramianReport,
-    codistribution_matrix,
-    codistribution_rank,
-    empirical_gramian,
-    observation,
-    observation_jacobian,
-)
-from .scenario import (
-    MetricsSeries,
-    OutcomeSummary,
-    OutcomeThresholds,
-    ScenarioConfig,
-    detect_outcome,
-    scenario_issue1,
-    scenario_issue2,
-    scenario_issue3,
-    scenario_nominal,
-)
-from .sim import DivergenceError, WorldState, init_world, run
+from . import controller, estimator, lie_group, network, observability, scenario, sim
+from .controller import *
+from .estimator import *
+from .lie_group import *
+from .network import *
+from .observability import *
+from .scenario import *
+from .sim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentError",
-    "AlgebraElement",
-    "CodistributionReport",
-    "DesiredDistances",
-    "DivergenceError",
-    "EstimatorState",
-    "GramianReport",
-    "Graph",
-    "GroupElement",
-    "MetricsSeries",
-    "MismatchConfig",
-    "NoiseConfig",
-    "OutcomeSummary",
-    "OutcomeThresholds",
-    "ScenarioConfig",
-    "SingularUpdateError",
-    "WorldState",
-    "codistribution_matrix",
-    "codistribution_rank",
-    "compose",
-    "detect_outcome",
-    "distance_errors",
-    "edge_offsets",
-    "empirical_gramian",
-    "estimated_control",
-    "exp",
-    "formation_potential",
-    "ideal_control",
-    "identity",
-    "init_world",
-    "inverse",
-    "mismatch_control",
-    "observation",
-    "observation_jacobian",
-    "rigidity_matrix",
-    "rotation",
-    "run",
-    "scenario_issue1",
-    "scenario_issue2",
-    "scenario_issue3",
-    "scenario_nominal",
-    "sorted_neighbors",
-    "step_body_velocity",
-    "step_jacobian",
-    "wrap_angle",
-    "__version__",
-]
+__all__ = [*controller.__all__, *estimator.__all__, *lie_group.__all__, *network.__all__,
+           *observability.__all__, *scenario.__all__, *sim.__all__, "__version__"]

@@ -321,8 +321,12 @@ def scenario_nominal() -> ScenarioConfig:
     """Three agents, complete graph, target distance 10, mismatch 1.
 
     Random spread in a 20 x 20 box and estimator offsets within +-2; the
-    shared-estimate mismatch law should settle into a rotating equilateral
-    formation with converged estimates.
+    shared-estimate mismatch law aims at a rotating equilateral formation
+    with converged estimates.  Not every spawn seed gets there: under this
+    version's sub-step rule, seeds 0-255 at 12 s
+    (`python3 scripts/seed_sweep.py --seeds 256 --duration 12`) give 187
+    converged, 36 shape_ok_estimates_stale, 23 translating_drift and 10
+    diverged.
     """
     graph = _triangle_graph()
     return ScenarioConfig(

@@ -20,6 +20,7 @@ the tests alone is the paper's math they use as oracles, nothing else.
 
 import ast
 import importlib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,10 @@ def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:  # built from other lists, whose literals name the names
+                return set()
     return set()
 
 
@@ -51,7 +55,8 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":  # re-exports a module's `__all__`: no one name to read
+                    imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     read |= _exported(tree)
@@ -103,6 +108,36 @@ def test_scan_flags_what_is_never_read():
               "__all__ = ['Exported']\n"
               "print(np.zeros(1), pi)\n")
     assert unused_imports(source) == ["os (line 2)", "tau (line 4)"]
+
+
+def test_scan_skips_a_star_import():
+    # `from .x import *` binds the names of `x.__all__`: no one name whose
+    # read could be checked, so only `__init__.py` may use it (below)
+    source = ("from . import x\n"
+              "from .x import *\n"
+              "from .y import unused\n"
+              "__all__ = [*x.__all__]\n")
+    assert unused_imports(source) == ["unused (line 3)"]
+
+
+def star_imports(source: str) -> list[int]:
+    """The line of each `from ... import *` in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names)]
+
+
+def test_star_scan_sees_every_star():
+    source = ("from .x import *\n"
+              "from .y import a, b\n"
+              "def f():\n    from .z import *\n")
+    assert star_imports(source) == [1, 4]
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_only_the_package_imports_a_star(path):
+    # the import scan skips a star import, so none may hide anywhere else
+    assert star_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -296,6 +331,16 @@ def test_export_scan_flags_a_re_export():
     assert undefined_exports(source) == ["Borrowed"]
 
 
+def test_export_scan_reads_no_names_from_a_built_list():
+    # a list built from other modules' lists names nothing itself; each name
+    # it holds is read in the literal `__all__` of the module that defines it
+    source = ("from . import x\n"
+              "from .x import *\n"
+              "__all__ = [*x.__all__, '__version__']\n")
+    assert _exported(ast.parse(source)) == set()
+    assert undefined_exports(source) == []
+
+
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}),
                          ids=lambda p: p.name)
 def test_module_exports_only_its_own_names(path):
@@ -321,3 +366,28 @@ def test_package_name_is_the_scenario_object(name):
     obj = getattr(formloc.scenario, name)
     assert obj.__module__ == "formloc.scenario"
     assert getattr(formloc, name) is obj
+
+
+# the modules whose names the package re-exports
+PACKAGE_MODULES = ("controller", "estimator", "lie_group", "network", "observability", "scenario",
+                   "sim")
+
+
+def test_package_surface_is_the_union_of_the_module_surfaces():
+    modules = [importlib.import_module(f"formloc.{name}") for name in PACKAGE_MODULES]
+    listed = [name for module in modules for name in module.__all__]
+    assert len(listed) == len(set(listed)), "a name is public in two modules"
+    assert sorted(formloc.__all__) == sorted(listed + ["__version__"])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(formloc, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_version_is_declared_once():
+    # `pyproject.toml` reads the version from the package, statically
+    pytest.importorskip("setuptools")
+    from setuptools.config.pyprojecttoml import read_configuration
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools' "beta" note on `[tool.setuptools]`
+        project = read_configuration(ROOT / "pyproject.toml")["project"]
+    assert project["version"] == formloc.__version__
