@@ -13,8 +13,14 @@ exact run.  `config_from_ini` checks a config by what it reads: an unknown
 section, or a key that no read takes, is rejected at its `file:line`, and
 so is a line that the INI parser refuses.
 
-Exit codes: 0 success, 1 runtime failure, 2 bad usage or config,
-3 observability rank deficiency (or, for reproduce, unexpected outcome).
+Commands raise, and `main` alone turns an exception into one stderr line,
+`<command>: <message>`, and an exit code, by the exception's class: a
+ValueError (a refused config, flag or file, `ConfigError` and `SpawnError`
+included) exits 2; a RuntimeError, OSError or MemoryError (a divergence,
+non-finite metrics, I/O, an allocation) exits 1, after a line for the
+engine events it carries.  Any other exception is a bug and ends in a
+traceback.  Exit 0 is success, and 3 a rank deficiency (for reproduce, an
+unexpected outcome).
 
 Agents and edges are numbered from 1 everywhere on this surface.
 """
@@ -48,7 +54,6 @@ from .scenario import (
     OutcomeSummary,
     OutcomeThresholds,
     ScenarioConfig,
-    SpawnError,
     detect_outcome,
     scenario_issue1,
     scenario_issue2,
@@ -88,7 +93,7 @@ EXIT_USAGE = 2
 EXIT_DEFICIENT = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Malformed or inconsistent configuration: file contents or overrides."""
 
 
@@ -437,19 +442,6 @@ def _out_dir(arg: str | None) -> Path:
     return Path(env) if env else Path(DEFAULT_OUT_DIR)
 
 
-def _run_and_save(config: ScenarioConfig, out_dir: Path) -> tuple[MetricsSeries, str]:
-    try:  # refuse a run shorter than the evaluation window before simulating it
-        config.thresholds.window(config.steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    series = run(config)
-    outcome = detect_outcome(series, config.thresholds)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", series)
-    write_manifest(out_dir / "manifest.txt", config, series, outcome, "metrics.csv")
-    return series, outcome
-
-
 def _report_events(command: str, events: tuple[str, ...]) -> None:
     """One stderr line for the engine events of a run, if it recorded any
     (capped sub-steps, skipped filter updates): their count and the first."""
@@ -461,18 +453,17 @@ def _report_events(command: str, events: tuple[str, ...]) -> None:
 
 def _run_and_report(command: str, config: ScenarioConfig, out: str | None,
                     expected: str | None = None) -> int:
-    """Run and save `config` (`_run_and_save`) and print its outcome, with
-    ` (expected X)` after it when an outcome is expected; a mismatch exits 3."""
+    """Run `config`, save its metrics.csv and manifest.txt in `_out_dir(out)`
+    and print its outcome, with ` (expected X)` after it when an outcome is
+    expected; a mismatch exits 3.  A run shorter than the outcome window is
+    refused before it is simulated."""
+    config.thresholds.window(config.steps)
+    series = run(config)
+    outcome = detect_outcome(series, config.thresholds)
     out_dir = _out_dir(out)
-    try:
-        series, outcome = _run_and_save(config, out_dir)
-    except (ConfigError, SpawnError) as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, OSError, MemoryError) as exc:  # divergence, non-finite metrics, I/O
-        _report_events(command, getattr(exc, "events", ()))  # a divergence keeps its events
-        print(f"{command}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(out_dir / "metrics.csv", series)
+    write_manifest(out_dir / "manifest.txt", config, series, outcome, "metrics.csv")
     _report_events(command, series.events)
     print(f"outcome: {outcome}" + ("" if expected is None else f" (expected {expected})"))
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
@@ -481,25 +472,12 @@ def _run_and_report(command: str, config: ScenarioConfig, out: str | None,
 
 def cmd_run(args) -> int:
     if (args.scenario is None) == (args.config is None):
-        print("run: give exactly one of --scenario or --config", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.scenario is not None:
-            config = SCENARIOS[args.scenario]()
-        else:
-            config = config_from_ini(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.dt is not None:
-            overrides["dt"] = args.dt
-        if args.duration is not None:
-            overrides["duration"] = args.duration
-        if overrides:
-            config = replace(config, **overrides)
-    except (ConfigError, ValueError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("give exactly one of --scenario or --config")
+    config = SCENARIOS[args.scenario]() if args.scenario is not None else config_from_ini(args.config)
+    overrides = {name: getattr(args, name) for name in ("seed", "dt", "duration")
+                 if getattr(args, name) is not None}
+    if overrides:
+        config = replace(config, **overrides)
     return _run_and_report("run", config, args.out)
 
 
@@ -603,64 +581,55 @@ def _trajectory_blocks(path: Path, fh):
 
 
 def cmd_check_observability(args) -> int:
-    try:
-        mode = "trajectory" if args.trajectory is not None else "p" if args.p is not None else ""
-        for flag in {"trajectory": ("n", "p", "seed", "theta", "depth"), "p": ("seed",)}.get(mode, ()):
-            if getattr(args, flag) is not None:
-                raise ConfigError(f"--{flag} is not read with --{mode}")
-        for flag, value in (("theta", args.theta), ("tol", args.tol)):
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"--{flag} must be finite, got {value}")
-        if args.tol <= 0:
-            raise ConfigError(f"--tol must be positive, got {args.tol}")
-        if args.depth is not None and args.depth < 1:
-            raise ConfigError(f"--depth must be at least 1, got {args.depth}")
-        if args.trajectory is not None:
-            path = Path(args.trajectory)
-            try:
-                with open(path, encoding="utf-8-sig", errors="backslashreplace") as fh:  # as configs are
-                    blocks, dt, n = _trajectory_blocks(path, fh)
-                    report = empirical_gramian(blocks, dt, rank_tol=args.tol)
-            except OSError as exc:
-                raise ConfigError(f"cannot read trajectory file {path}: {exc.strerror or exc}") from None
-            kind, label, values = "gramian", "eigenvalues", report.eigenvalues
-            deficient = report.deficient_neighbor_blocks
+    mode = "trajectory" if args.trajectory is not None else "p" if args.p is not None else ""
+    for flag in {"trajectory": ("n", "p", "seed", "theta"), "p": ("seed",)}.get(mode, ()):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} is not read with --{mode}")
+    for flag, value in (("theta", args.theta), ("tol", args.tol)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be finite, got {value}")
+    if args.tol <= 0:
+        raise ConfigError(f"--tol must be positive, got {args.tol}")
+    if args.trajectory is not None:
+        path = Path(args.trajectory)
+        try:
+            with open(path, encoding="utf-8-sig", errors="backslashreplace") as fh:  # as configs are
+                blocks, dt, n = _trajectory_blocks(path, fh)
+                report = empirical_gramian(blocks, dt, rank_tol=args.tol)
+        except OSError as exc:
+            raise ConfigError(f"cannot read trajectory file {path}: {exc.strerror or exc}") from None
+        kind, label, values = "gramian", "eigenvalues", report.eigenvalues
+        deficient = report.deficient_neighbor_blocks
+    else:
+        n = args.n
+        if n is None or n < 1:
+            raise ConfigError("--n must be a positive integer (or use --trajectory)")
+        if args.p is not None:
+            if not _is_numbers(args.p):
+                raise ConfigError(f"--p must be comma-separated numbers, got {args.p!r}")
+            p = np.array([float(x) for x in args.p.split(",")])
+            if p.size != 2 * n:
+                raise ConfigError(f"--p needs {2 * n} numbers for n={n}")
+            if not np.isfinite(p).all():
+                raise ConfigError(f"--p must be finite, got {args.p}")
         else:
-            n = args.n
-            if n is None or n < 1:
-                raise ConfigError("--n must be a positive integer (or use --trajectory)")
-            if args.p is not None:
-                if not _is_numbers(args.p):
-                    raise ConfigError(f"--p must be comma-separated numbers, got {args.p!r}")
-                p = np.array([float(x) for x in args.p.split(",")])
-                if p.size != 2 * n:
-                    raise ConfigError(f"--p needs {2 * n} numbers for n={n}")
-                if not np.isfinite(p).all():
-                    raise ConfigError(f"--p must be finite, got {args.p}")
-            else:
-                if args.seed is not None and args.seed < 0:
-                    raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-                # the standard library's generator: numpy.random would cost this
-                # command about 5 MiB of imports for 2n numbers
-                rng = random.Random(0 if args.seed is None else args.seed)
-                p = np.fromiter((rng.uniform(-5.0, 5.0) for _ in range(2 * n)), float, 2 * n)
-            q = GroupElement(p, 0.0 if args.theta is None else args.theta)
-            report = codistribution_rank(q, tol=args.tol, depth=1 if args.depth is None else args.depth)
-            kind, label, values = "codistribution", "singular values", report.singular_values
-            deficient = ()
-        print(f"neighbors: {n}")
-        print(f"{kind} rank: {report.rank} of {2 * n + 1}")
-        print(f"{label}: " + " ".join(f"{v:.3e}" for v in values))
-        if deficient:
-            print("unobservable neighbor blocks: " + ", ".join(str(b + 1) for b in deficient))
-        print("observable: " + ("yes" if report.observable else "no"))
-        return EXIT_OK if report.observable else EXIT_DEFICIENT
-    except (ConfigError, ValueError) as exc:
-        print(f"check-observability: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"check-observability: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+            # the standard library's generator: numpy.random would cost this
+            # command about 5 MiB of imports for 2n numbers
+            rng = random.Random(0 if args.seed is None else args.seed)
+            p = np.fromiter((rng.uniform(-5.0, 5.0) for _ in range(2 * n)), float, 2 * n)
+        q = GroupElement(p, 0.0 if args.theta is None else args.theta)
+        report = codistribution_rank(q, tol=args.tol)
+        kind, label, values = "codistribution", "singular values", report.singular_values
+        deficient = ()
+    print(f"neighbors: {n}")
+    print(f"{kind} rank: {report.rank} of {2 * n + 1}")
+    print(f"{label}: " + " ".join(f"{v:.3e}" for v in values))
+    if deficient:
+        print("unobservable neighbor blocks: " + ", ".join(str(b + 1) for b in deficient))
+    print("observable: " + ("yes" if report.observable else "no"))
+    return EXIT_OK if report.observable else EXIT_DEFICIENT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -688,8 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--seed", type=int, help="seed of the random state drawn when --p is omitted "
                        "(default 0)")
     p_chk.add_argument("--tol", type=float, default=1e-9, help="rank tolerance")
-    p_chk.add_argument("--depth", type=int, help="derivative depth for the codistribution "
-                       "(default 1; above 3 adds no function)")
     p_chk.add_argument("--trajectory", help="CSV trajectory for the empirical gramian")
     p_chk.set_defaults(func=cmd_check_observability)
 
@@ -721,7 +688,12 @@ def main(argv=None) -> int:
         else:
             tokens.append(arg)
     args = build_parser().parse_args(tokens)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        _report_events(args.command, getattr(exc, "events", ()))  # a divergence keeps its events
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -74,32 +74,28 @@ def observation_jacobian(q: GroupElement) -> np.ndarray:
     return jac
 
 
-def codistribution_matrix(q: GroupElement, depth: int = 1) -> np.ndarray:
-    """Stack the output differentials and their Lie derivatives up to `depth`.
+def codistribution_matrix(q: GroupElement) -> np.ndarray:
+    """Stack the output differentials and their first Lie derivatives.
 
     Along neighbor k's two translational fields h_k has the derivatives
     u_k = x_k cos(theta) + y_k sin(theta) and s_k = -x_k sin(theta) + y_k cos(theta),
     and the heading field maps u_k -> s_k -> -u_k -> -s_k -> u_k; every
     other derivative is a constant or zero.  So the family is closed, and
-    the rows are d(h_k), d(theta), d(u_k), d(s_k), then d(-u_k) at depth 2
-    and d(-s_k) at depth 3: (3n+1) + n * min(depth-1, 2) rows of 2n+1.
-    Depth 1 is the instantaneous rank test; no depth adds a new direction.
+    the rows are d(h_k), d(theta), d(u_k), d(s_k): 3n+1 rows of 2n+1.  No
+    further derivative adds a direction: each is minus one of these rows.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
     n = q.n
     c, s = np.cos(q.theta), np.sin(q.theta)
     x, y = q.offsets().T
     k = np.arange(n)
     ru, rs = n + 1 + k, 2 * n + 1 + k  # the rows of d(u_k) and d(s_k)
-    mat = np.zeros((5 * n + 1, 2 * n + 1))
+    mat = np.zeros((3 * n + 1, 2 * n + 1))
     mat[k, 2 * k], mat[k, 2 * k + 1] = x, y
     mat[n, 2 * n] = 1.0
     mat[ru, 2 * k], mat[ru, 2 * k + 1], mat[ru, 2 * n] = c, s, y * c - x * s
     mat[rs, 2 * k], mat[rs, 2 * k + 1], mat[rs, 2 * n] = -s, c, -(x * c + y * s)
-    mat[3 * n + 1 :] = -mat[n + 1 : 3 * n + 1]
     # + 0.0 turns every -0.0 into 0.0: the SVD's last bits see the sign of a zero
-    return mat[: 3 * n + 1 + n * min(depth - 1, 2)] + 0.0
+    return mat + 0.0
 
 
 @dataclass(eq=False)
@@ -111,14 +107,20 @@ class CodistributionReport:
     observable: bool
 
 
-def codistribution_rank(q: GroupElement, tol: float = 1e-9, depth: int = 1) -> CodistributionReport:
+def codistribution_rank(q: GroupElement, tol: float = 1e-9) -> CodistributionReport:
     """Rank of the codistribution at q, with `tol` relative to the largest
-    singular value.  Observable means rank equals the state dimension 2n+1."""
+    singular value.  Observable means rank equals the state dimension 2n+1.
+
+    The verdict holds at moderate length scales only: the singular values
+    spread as |p| and 1/|p|, so once max |p_k|^2 exceeds about 1/tol the
+    relative tolerance drops a direction that exact arithmetic keeps.  At
+    tol 1e-9 one neighbor at (30000, 0) is full rank and one at (32000, 0)
+    is not."""
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    mat = codistribution_matrix(q, depth)
+    mat = codistribution_matrix(q)
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = 0 if sv[0] == 0.0 else int(np.sum(sv > tol * sv[0]))
     return CodistributionReport(rank=rank, singular_values=sv, observable=rank == 2 * q.n + 1)
@@ -176,7 +178,9 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8) -> GramianR
     neighbor's block is T dt p_k p_k^T: it loses exactly the range-circle
     tangent (-y_k, x_k), and the range stays observable.  The report carries
     G's eigenvalues, largest first, and the verdict (full rank and no
-    deficient block) that `check-observability --trajectory` prints.
+    deficient block) that `check-observability --trajectory` prints.  Finite
+    rows whose sums overflow float64 get no verdict: a Gramian with an entry,
+    an eigenvalue or a trace that is not finite is refused with a ValueError.
 
     The trajectory is a table (an array, list or tuple of rows) or an
     iterator of row blocks, each (m, 4n+2), that together hold the rows in
@@ -196,31 +200,37 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8) -> GramianR
         rows = np.asarray(trajectory, dtype=float)
         blocks = ([rows] if rows.ndim != 2
                   else (rows[i : i + BLOCK_ROWS] for i in range(0, len(rows), BLOCK_ROWS)))
-    pp = pa = aa = 0.0
-    count = 0
-    for p, c in _offset_blocks(blocks, dt):
-        a = p[..., 0] * c[..., 0] + p[..., 1] * c[..., 1]
-        pt = p.transpose(1, 2, 0)  # (n, 2, m): matmul sums these 4-7x faster than einsum
-        pp = pp + pt @ pt.transpose(0, 2, 1)
-        pa = pa + (pt @ a.T[:, :, None])[..., 0]
-        aa += (a * a).sum()
-        count += len(a)
-    if count < 2:
-        raise ValueError(f"need at least two trajectory samples, got {count}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        pp = pa = aa = 0.0
+        count = 0
+        for p, c in _offset_blocks(blocks, dt):
+            a = p[..., 0] * c[..., 0] + p[..., 1] * c[..., 1]
+            pt = p.transpose(1, 2, 0)  # (n, 2, m): matmul sums these 4-7x faster than einsum
+            pp = pp + pt @ pt.transpose(0, 2, 1)
+            pa = pa + (pt @ a.T[:, :, None])[..., 0]
+            aa += (a * a).sum()
+            count += len(a)
+        if count < 2:
+            raise ValueError(f"need at least two trajectory samples, got {count}")
 
-    n = len(pp)
-    dim = 2 * n + 1
-    pk = np.arange(2 * n).reshape(n, 2)
-    block = (pk[:, :, None], pk[:, None, :])  # the (x_k, y_k) diagonal blocks
-    gram = np.zeros((dim, dim))
-    gram[block] = pp
-    gram[2 * n, : 2 * n] = gram[: 2 * n, 2 * n] = pa.ravel()
-    gram[2 * n, 2 * n] = aa + count
-    gram *= dt
+        n = len(pp)
+        dim = 2 * n + 1
+        pk = np.arange(2 * n).reshape(n, 2)
+        block = (pk[:, :, None], pk[:, None, :])  # the (x_k, y_k) diagonal blocks
+        gram = np.zeros((dim, dim))
+        gram[block] = pp
+        gram[2 * n, : 2 * n] = gram[: 2 * n, 2 * n] = pa.ravel()
+        gram[2 * n, 2 * n] = aa + count
+        gram *= dt
+        overflow = "the Gramian overflows float64: an entry, an eigenvalue or its trace is not finite"
+        if not np.isfinite(gram).all():  # eigvalsh returns nan or does not converge
+            raise ValueError(overflow)
+        eig = np.linalg.eigvalsh(gram)[::-1]
+        floor = BLOCK_TOL * np.trace(gram) / dim
+        if not (np.isfinite(eig).all() and np.isfinite(floor)):
+            raise ValueError(overflow)
 
-    eig = np.linalg.eigvalsh(gram)[::-1]
     rank = 0 if eig[0] <= 0.0 else int(np.sum(eig > rank_tol * eig[0]))
-    floor = BLOCK_TOL * np.trace(gram) / dim
     deficient = tuple(np.flatnonzero(np.linalg.eigvalsh(gram[block])[:, 0] < floor).tolist())
     return GramianReport(gramian=gram, rank=rank, eigenvalues=eig, deficient_neighbor_blocks=deficient,
                          observable=rank == dim and not deficient)

@@ -4,6 +4,7 @@ Everything drives `cli.main` in-process; subprocess tests check the
 `python -m formloc` wiring and the modules `check-observability` loads.
 """
 
+import ast
 import configparser
 import errno
 import importlib.util
@@ -15,6 +16,7 @@ import string
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -621,6 +623,15 @@ def test_run_out_is_a_file_exits_runtime(tmp_path, capsys):
     assert str(out) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--scenario", "issue2"], ["reproduce", "issue2"]])
+def test_out_that_is_a_file_exits_runtime_with_one_line(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(command + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{command[0]}: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'\n")
+
+
 def test_reproduce_checks_outcome(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rep"
     wrote = f"wrote {out / 'metrics.csv'} and {out / 'manifest.txt'}\n"
@@ -674,13 +685,25 @@ def test_check_observability_out_of_memory_exits_runtime(capsys, monkeypatch):
     assert captured.err == f"check-observability: {message}\n" and captured.out == ""
 
 
+def test_check_observability_refuses_a_gramian_that_overflows(tmp_path, capsys):
+    # every cell is finite; after numpy's overflow warnings the file exited 3
+    # with `eigenvalues: nan nan nan`, or 2 with `Eigenvalues did not converge`
+    path = tmp_path / "huge.csv"
+    for x in ("1e160", "1e200"):
+        path.write_text("t,theta,x1,y1,w,vx1,vy1\n"
+                        + "".join(f"{t},0,{x},0,0,0,0\n" for t in ("0.0", "0.1", "0.2")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check-observability", "--trajectory", str(path)]) == 2
+        assert capsys.readouterr() == ("", "check-observability: the Gramian overflows float64: "
+                                           "an entry, an eigenvalue or its trace is not finite\n")
+
+
 def test_check_observability_usage(capsys):
     assert cli.main(["check-observability"]) == 2
     assert cli.main(["check-observability", "--n", "0"]) == 2
     assert cli.main(["check-observability", "--n", "2", "--p", "1.0,2.0"]) == 2
     capsys.readouterr()
-    assert cli.main(["check-observability", "--n", "2", "--depth", "0"]) == 2
-    assert capsys.readouterr().err == "check-observability: --depth must be at least 1, got 0\n"
     # a --p that is not a list of numbers is refused by name
     for text in ("1,,2", "1,x", ""):
         assert cli.main(["check-observability", "--n", "1", "--p", text]) == 2
@@ -694,7 +717,6 @@ def test_check_observability_usage(capsys):
         (["--trajectory", "unread.csv", "--p", "1,2"], "--p", "--trajectory"),
         (["--trajectory", "unread.csv", "--seed", "5"], "--seed", "--trajectory"),
         (["--trajectory", "unread.csv", "--theta", "0"], "--theta", "--trajectory"),
-        (["--trajectory", "unread.csv", "--depth", "1"], "--depth", "--trajectory"),
     ]:
         assert cli.main(["check-observability"] + args) == 2
         assert capsys.readouterr().err == f"check-observability: {flag} is not read with {mode}\n"
@@ -1208,6 +1230,37 @@ def test_run_metrics_path_is_a_directory_exits_runtime(tmp_path, capsys):
                            f"'{out / 'metrics.csv'}'\n"
     assert captured.out == ""
     assert not (out / "manifest.txt").exists()
+
+
+def _owners(tree: ast.Module, match) -> set:
+    """The names of the top-level definitions of `tree` (`<module>` for any
+    other statement) that hold a node for which `match` is true."""
+    return {getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top) if match(node)}
+
+
+def _reads_exit_code(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("EXIT_USAGE", "EXIT_RUNTIME")
+            and isinstance(node.ctx, ast.Load))
+
+
+def _names_stderr(node) -> bool:
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"
+
+
+def test_owner_scan_names_the_top_level_definition():
+    tree = ast.parse("EXIT_USAGE = 2\nX = EXIT_USAGE\n"
+                     "def f():\n    def g():\n        print(1, file=sys.stderr)\n")
+    assert _owners(tree, _reads_exit_code) == {"<module>"}
+    assert _owners(tree, _names_stderr) == {"f"}
+
+
+def test_only_main_turns_an_exception_into_an_exit_code():
+    # commands raise; `main` alone picks the exit code of a failure and
+    # writes its stderr line, and `_report_events` the events line
+    tree = ast.parse((ROOT / "src" / "formloc" / "cli.py").read_text())
+    assert _owners(tree, _reads_exit_code) == {"main"}
+    assert _owners(tree, _names_stderr) == {"main", "_report_events"}
 
 
 def test_version_flag():

@@ -1,8 +1,13 @@
-"""The README's "Library" example runs and prints what its comments say."""
+"""The README's "Library" example runs and prints what its comments say,
+and its CLI sections name exactly the CLI's flags."""
 
+import argparse
 import contextlib
 import io
+import re
 from pathlib import Path
+
+from formloc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +34,17 @@ def test_readme_library_example_prints_its_comments():
                 assert f"{float(value):.{digits}f}" == want[1:], (comment, printed)
             else:
                 assert value == want, (comment, printed)
+
+
+def test_readme_cli_sections_name_exactly_the_cli_flags():
+    readme = (ROOT / "README.md").read_text()
+    text = readme.split("## CLI\n", 1)[1].split("## Scenarios\n", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    flags, parsers = set(), [cli.build_parser()]
+    for parser in parsers:  # the loop also walks each subparser it appends
+        for action in parser._actions:
+            flags.update(option for option in action.option_strings if option.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert "--trajectory" in flags and "--out" in flags
+    assert documented == flags - {"--help", "--version"}
