@@ -5,7 +5,8 @@ Subcommands
     check-observability  rank tests at a state or along a trajectory file
     reproduce            run a named preset and verify its expected outcome
 
-Outputs land in --out, else $FORMLOC_OUT_DIR, else ./formloc_runs: a
+Outputs land in --out, else $FORMLOC_OUT_DIR, else ./formloc_runs (an
+empty --out is refused; an empty $FORMLOC_OUT_DIR counts as unset): a
 metrics.csv time series and a manifest.txt that echoes the fully resolved
 configuration, each overwritten in place if it exists.  A manifest is
 itself a valid config file, so `run --config manifest.txt` replays the
@@ -436,7 +437,9 @@ def write_manifest(path: str | Path, config: ScenarioConfig, series: MetricsSeri
 
 
 def _out_dir(arg: str | None) -> Path:
-    if arg:
+    if arg == "":  # would fall through to the default below
+        raise ConfigError("--out must name a directory, got ''")
+    if arg is not None:
         return Path(arg)
     env = os.environ.get(ENV_OUT_DIR)
     return Path(env) if env else Path(DEFAULT_OUT_DIR)
@@ -456,11 +459,11 @@ def _run_and_report(command: str, config: ScenarioConfig, out: str | None,
     """Run `config`, save its metrics.csv and manifest.txt in `_out_dir(out)`
     and print its outcome, with ` (expected X)` after it when an outcome is
     expected; a mismatch exits 3.  A run shorter than the outcome window is
-    refused before it is simulated."""
+    refused before it is simulated, and so is an empty `out`."""
+    out_dir = _out_dir(out)
     config.thresholds.window(config.steps)
     series = run(config)
     outcome = detect_outcome(series, config.thresholds)
-    out_dir = _out_dir(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", series)
     write_manifest(out_dir / "manifest.txt", config, series, outcome, "metrics.csv")
@@ -582,12 +585,11 @@ def _trajectory_blocks(path: Path, fh):
 
 def cmd_check_observability(args) -> int:
     mode = "trajectory" if args.trajectory is not None else "p" if args.p is not None else ""
-    for flag in {"trajectory": ("n", "p", "seed", "theta"), "p": ("seed",)}.get(mode, ()):
+    for flag in {"trajectory": ("n", "p", "seed"), "p": ("seed",)}.get(mode, ()):
         if getattr(args, flag) is not None:
             raise ConfigError(f"--{flag} is not read with --{mode}")
-    for flag, value in (("theta", args.theta), ("tol", args.tol)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{flag} must be finite, got {value}")
+    if not math.isfinite(args.tol):
+        raise ConfigError(f"--tol must be finite, got {args.tol}")
     if args.tol <= 0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
     if args.trajectory is not None:
@@ -619,8 +621,8 @@ def cmd_check_observability(args) -> int:
             # command about 5 MiB of imports for 2n numbers
             rng = random.Random(0 if args.seed is None else args.seed)
             p = np.fromiter((rng.uniform(-5.0, 5.0) for _ in range(2 * n)), float, 2 * n)
-        q = GroupElement(p, 0.0 if args.theta is None else args.theta)
-        report = codistribution_rank(q, tol=args.tol)
+        # the singular values do not depend on the heading (left invariance)
+        report = codistribution_rank(GroupElement(p, 0.0), tol=args.tol)
         kind, label, values = "codistribution", "singular values", report.singular_values
         deficient = ()
     print(f"neighbors: {n}")
@@ -653,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rank of the observability codistribution or trajectory gramian")
     p_chk.add_argument("--n", type=int, help="number of neighbors")
     p_chk.add_argument("--p", help="comma-separated relative positions x1,y1,...")
-    p_chk.add_argument("--theta", type=float, help="heading (default 0)")
     p_chk.add_argument("--seed", type=int, help="seed of the random state drawn when --p is omitted "
                        "(default 0)")
     p_chk.add_argument("--tol", type=float, default=1e-9, help="rank tolerance")

@@ -21,9 +21,11 @@ range (x_k, y_k) stays observable.
 
 A trajectory is a (T, 4n+2) array with one row per sample: the heading
 theta, the 2n offsets p, the heading rate w and the 2n body-frame neighbor
-rates v.  These are a trajectory CSV's columns without `t`.  The Gramian is
-accumulated over blocks of such rows, so a trajectory may also come as an
-iterator of blocks that are parsed on demand.
+rates v.  These are a trajectory CSV's columns without `t`.  The Gramian
+reads theta, p and v but never w: the step Jacobian's last column depends
+on theta and v alone, so w only fills its column of the layout.  The
+Gramian is accumulated over blocks of such rows, so a trajectory may also
+come as an iterator of blocks that are parsed on demand.
 """
 
 from __future__ import annotations
@@ -181,6 +183,9 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8) -> GramianR
     deficient block) that `check-observability --trajectory` prints.  Finite
     rows whose sums overflow float64 get no verdict: a Gramian with an entry,
     an eigenvalue or a trace that is not finite is refused with a ValueError.
+
+    Each row's heading rate w is never read: f_s depends on the heading and
+    the neighbor rates alone.
 
     The trajectory is a table (an array, list or tuple of rows) or an
     iterator of row blocks, each (m, 4n+2), that together hold the rows in

@@ -4,6 +4,9 @@
 seed's start positions from that seed's generator.  `detect_outcome` labels
 the final window of a run by its `OutcomeThresholds`, from the run's
 `OutcomeSummary`: the few reductions over that window it reads.
+The paper's four cases share one system, three agents on the complete
+graph with every target distance d = 10, so each preset is that triangle
+plus only the fields in which it differs from `ScenarioConfig`'s defaults.
 `sim` is the engine that runs a config; it imports this module, never the
 other way round.
 """
@@ -303,8 +306,14 @@ def detect_outcome(result: MetricsSeries | OutcomeSummary,
     return "undetermined"
 
 
-def _triangle_graph() -> Graph:
-    return Graph.from_one_based(3, [(1, 2), (2, 3), (1, 3)])
+_TRIANGLE = Graph.from_one_based(3, [(1, 2), (2, 3), (1, 3)])
+
+
+def _triangle(**fields) -> ScenarioConfig:
+    """A config on the 3-agent complete graph with every target distance 10,
+    the system of all four presets; `fields` are what sets a preset apart
+    from `ScenarioConfig`'s defaults."""
+    return ScenarioConfig(graph=_TRIANGLE, distances=DesiredDistances.uniform(3, 10.0), **fields)
 
 
 def _equilateral(side: float, angle: float = 0.0, center=(0.0, 0.0)) -> np.ndarray:
@@ -315,6 +324,14 @@ def _equilateral(side: float, angle: float = 0.0, center=(0.0, 0.0)) -> np.ndarr
     ])
     base = base - base.mean(axis=0)
     return base @ rotation(angle).T + np.asarray(center, dtype=float)
+
+
+def _held(r: np.ndarray, estimates: dict, **fields) -> ScenarioConfig:
+    """issue1's and issue2's setup: the estimated law from the pinned
+    positions r and estimates, every filter started with variance 4/3 and
+    no drawn offset."""
+    return _triangle(variant="estimated", initial_positions=r, initial_estimates=estimates,
+                     initial_var=4.0 / 3.0, offset_bound=0.0, **fields)
 
 
 def scenario_nominal() -> ScenarioConfig:
@@ -328,19 +345,7 @@ def scenario_nominal() -> ScenarioConfig:
     converged, 36 shape_ok_estimates_stale, 23 translating_drift and 10
     diverged.
     """
-    graph = _triangle_graph()
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="algorithm1",
-        mismatch=MismatchConfig.uniform(3, 1.0),
-        dt=0.01,
-        duration=100.0,
-        seed=0,
-        offset_bound=2.0,
-        spawn_box=20.0,
-        min_separation=1.0,
-    )
+    return _triangle(mismatch=MismatchConfig.uniform(3, 1.0))
 
 
 def scenario_issue1() -> ScenarioConfig:
@@ -353,27 +358,15 @@ def scenario_issue1() -> ScenarioConfig:
     the bad directions forever.  Without relative motion nothing excites
     the unobservable tangential directions, so the wrong shape persists.
     """
-    graph = _triangle_graph()
     r = _equilateral(8.0)
     directions = {0: 0.3, 1: 1.7, 2: 2.9}  # one ray per agent, otherwise arbitrary
     estimates = {}
     for i in range(3):
         u = np.array([np.cos(directions[i]), np.sin(directions[i])])
-        js = sorted_neighbors(graph, i)
+        js = sorted_neighbors(_TRIANGLE, i)
         for sign, j in zip((1.0, -1.0), js):
             estimates[(i, j)] = sign * np.linalg.norm(r[i] - r[j]) * u
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="estimated",
-        dt=0.01,
-        duration=10.0,
-        seed=11,
-        initial_positions=r,
-        initial_estimates=estimates,
-        initial_var=4.0 / 3.0,
-        offset_bound=0.0,
-    )
+    return _held(r, estimates, duration=10.0, seed=11)
 
 
 def scenario_issue2() -> ScenarioConfig:
@@ -387,7 +380,6 @@ def scenario_issue2() -> ScenarioConfig:
     the filters run, but its ranges match its estimated ranges, so they keep
     the wrong directions.
     """
-    graph = _triangle_graph()
     side = 8.0
     r = _equilateral(side)
     c = 0.1
@@ -401,21 +393,9 @@ def scenario_issue2() -> ScenarioConfig:
     u_pair = (0.5 * w + t * n_hat, 0.5 * w - t * n_hat)
     estimates = {}
     for i in range(3):
-        for u, j in zip(u_pair, sorted_neighbors(graph, i)):
+        for u, j in zip(u_pair, sorted_neighbors(_TRIANGLE, i)):
             estimates[(i, j)] = side * u
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="estimated",
-        dt=0.01,
-        duration=8.0,
-        seed=22,
-        initial_positions=r,
-        initial_estimates=estimates,
-        initial_var=4.0 / 3.0,
-        offset_bound=0.0,
-        estimator_enabled=False,
-    )
+    return _held(r, estimates, duration=8.0, seed=22, estimator_enabled=False)
 
 
 def scenario_issue3() -> ScenarioConfig:
@@ -425,14 +405,5 @@ def scenario_issue3() -> ScenarioConfig:
     estimators; the shape snaps into place almost immediately, motion stops,
     and the unexcited filters keep their stale tangential errors.
     """
-    graph = _triangle_graph()
-    return ScenarioConfig(
-        graph=graph,
-        distances=DesiredDistances.uniform(3, 10.0),
-        variant="estimated",
-        dt=0.01,
-        duration=12.0,
-        seed=33,
-        initial_positions=_equilateral(10.2, angle=0.4, center=(1.0, 2.0)),
-        offset_bound=2.0,
-    )
+    return _triangle(variant="estimated", duration=12.0, seed=33,
+                     initial_positions=_equilateral(10.2, angle=0.4, center=(1.0, 2.0)))

@@ -632,6 +632,29 @@ def test_out_that_is_a_file_exits_runtime_with_one_line(tmp_path, capsys, comman
         "", f"{command[0]}: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'\n")
 
 
+@pytest.mark.parametrize("command", [["run", "--scenario", "issue2", "--duration", "1"],
+                                     ["reproduce", "issue2"]])
+def test_empty_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # `--out ""` used to fall through to $FORMLOC_OUT_DIR, else ./formloc_runs
+    monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "from_env"))
+    monkeypatch.chdir(tmp_path)
+
+    def not_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", not_run)
+    assert cli.main(command + ["--out", ""]) == 2
+    assert capsys.readouterr() == ("", f"{command[0]}: --out must name a directory, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_out_dir_variable_counts_as_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.ENV_OUT_DIR, "")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--scenario", "issue2", "--duration", "1"]) == 0
+    assert (tmp_path / cli.DEFAULT_OUT_DIR / "metrics.csv").is_file()
+
+
 def test_reproduce_checks_outcome(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rep"
     wrote = f"wrote {out / 'metrics.csv'} and {out / 'manifest.txt'}\n"
@@ -641,6 +664,12 @@ def test_reproduce_checks_outcome(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli.EXPECTED_OUTCOME, "issue2", "converged")
     assert cli.main(["reproduce", "issue2", "--out", str(out)]) == 3
     assert capsys.readouterr() == ("outcome: translating_drift (expected converged)\n" + wrote, "")
+
+
+def test_every_preset_has_a_factory_and_an_expected_outcome():
+    # `reproduce` looks a name up in both: a name missing from SCENARIOS
+    # would end in a KeyError traceback
+    assert set(cli.SCENARIOS) == set(cli.EXPECTED_OUTCOME)
 
 
 def test_reproduce_rejects_unknown_name():
@@ -666,10 +695,18 @@ def test_check_observability_point(capsys):
     assert "codistribution rank: 5 of 5" in out
     assert "observable: yes" in out
 
-    assert cli.main(["check-observability", "--n", "2",
-                     "--p", "1.0,0.0,0.0,2.0", "--theta", "0.3"]) == 0
+    assert cli.main(["check-observability", "--n", "2", "--p", "1.0,0.0,0.0,2.0"]) == 0
     # a list that starts with a minus sign used to read as an unknown option
     assert cli.main(["check-observability", "--n", "1", "--p", "-1,2"]) == 0
+
+
+def test_check_observability_has_no_heading_flag(capsys):
+    # the singular values do not depend on the heading, so no --theta is
+    # offered; argparse refuses it as an unknown option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-observability", "--n", "2", "--theta", "0.3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theta 0.3" in capsys.readouterr().err
 
 
 def test_check_observability_out_of_memory_exits_runtime(capsys, monkeypatch):
@@ -716,7 +753,6 @@ def test_check_observability_usage(capsys):
         (["--trajectory", "unread.csv", "--n", "2"], "--n", "--trajectory"),
         (["--trajectory", "unread.csv", "--p", "1,2"], "--p", "--trajectory"),
         (["--trajectory", "unread.csv", "--seed", "5"], "--seed", "--trajectory"),
-        (["--trajectory", "unread.csv", "--theta", "0"], "--theta", "--trajectory"),
     ]:
         assert cli.main(["check-observability"] + args) == 2
         assert capsys.readouterr().err == f"check-observability: {flag} is not read with {mode}\n"
@@ -786,11 +822,11 @@ def test_check_observability_rejects_negative_seed(capsys):
 @pytest.mark.parametrize("args, flag", [
     (["--n", "2", "--p", "1,2,nan,4"], "--p"),
     (["--n", "2", "--p", "1,inf,3,4"], "--p"),
-    (["--n", "2", "--theta", "nan"], "--theta"),
-    (["--n", "1", "--seed", "3", "--theta", "inf"], "--theta"),
+    (["--n", "1", "--seed", "3", "--tol", "inf"], "--tol"),
+    (["--trajectory", "unread.csv", "--tol", "nan"], "--tol"),
     (["--n", "2", "--tol", "nan"], "--tol"),  # read as rank 0 of 5, exit 3
     (["--trajectory", "unread.csv", "--tol", "inf"], "--tol"),
-    (["--n", "1", "--theta", "-inf"], "--theta"),
+    (["--n", "1", "--tol", "-inf"], "--tol"),  # finite is checked before positive
     (["--n", "2", "--p", "-inf,1,2,3"], "--p"),
 ])
 def test_check_observability_rejects_nonfinite_state(capsys, args, flag):
@@ -1112,6 +1148,26 @@ def test_check_observability_prints_the_gramian_report(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out.splitlines()
     assert out[2] == "eigenvalues: " + " ".join(f"{v:.3e}" for v in report.eigenvalues)
     assert out[-1] == "observable: " + ("yes" if report.observable else "no")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_check_observability_never_reads_the_heading_rate(tmp_path, capsys, n):
+    # the step Jacobian's last column depends on the heading and the neighbor
+    # rates alone, so the w column only has to be a finite number
+    outputs = []
+    for name, w in (("as_written", None), ("w_123", "123.0")):
+        traj = tmp_path / f"{name}.csv"
+        with open(traj, "w") as fh:
+            for i, line in enumerate(_benchmark_trajectory_lines(0, n)):
+                cells = line.rstrip("\n").split(",")
+                if i and w is not None:  # every data row, not the header
+                    cells[2 * n + 2] = w
+                fh.write(",".join(cells) + "\n")
+        code = cli.main(["check-observability", "--trajectory", str(traj)])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0][0] == 3
+    assert outputs[1] == outputs[0]
+    assert (tmp_path / "as_written.csv").read_text() != (tmp_path / "w_123.csv").read_text()
 
 
 def test_write_metrics_refuses_nonfinite(tmp_path):

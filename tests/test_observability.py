@@ -113,6 +113,21 @@ def test_codistribution_matches_symbolic_search(n, data):
             assert any(np.array_equal(row, -first) for first in want), (depth, row)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.floats(-10.0, 10.0), st.data())
+def test_codistribution_singular_values_do_not_depend_on_the_heading(n, theta, data):
+    # rows d(u_k), d(s_k) are R(theta) [[1, 0, y_k], [0, 1, -x_k]]: each row
+    # pair is turned by an orthogonal matrix, so the heading moves no singular
+    # value; |p_k| spans 1e-3..1e6, past where the rank drops a direction
+    logs = data.draw(st.lists(st.floats(-3.0, 6.0), min_size=n, max_size=n))
+    angles = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n))
+    p = np.ravel([(10.0 ** e * np.cos(a), 10.0 ** e * np.sin(a)) for e, a in zip(logs, angles)])
+    turned, level = codistribution_rank(GroupElement(p, theta)), codistribution_rank(GroupElement(p, 0.0))
+    sv = level.singular_values
+    assert np.abs(turned.singular_values - sv).max() <= 1e-12 * sv[0]
+    assert turned.rank == level.rank
+
+
 def test_codistribution_validation():
     q = GroupElement(np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):

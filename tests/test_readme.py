@@ -1,5 +1,6 @@
 """The README's "Library" example runs and prints what its comments say,
-and its CLI sections name exactly the CLI's flags."""
+its CLI sections name exactly the CLI's flags, and its Scenarios table
+names exactly the presets."""
 
 import argparse
 import contextlib
@@ -48,3 +49,9 @@ def test_readme_cli_sections_name_exactly_the_cli_flags():
                 parsers.extend(action.choices.values())
     assert "--trajectory" in flags and "--out" in flags
     assert documented == flags - {"--help", "--version"}
+
+
+def test_readme_scenarios_table_names_exactly_the_presets():
+    text = (ROOT / "README.md").read_text().split("## Scenarios\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([\w-]+)` \|", text, re.M)
+    assert sorted(names) == sorted(cli.SCENARIOS)  # and so EXPECTED_OUTCOME's keys (test_cli)
