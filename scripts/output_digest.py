@@ -46,7 +46,7 @@ from formloc.scenario import ScenarioConfig, scenario_nominal
 from formloc.sim import DivergenceError, run
 
 SERIES_ARRAYS = ("t", "distances", "est_errors", "dist_errors", "centroid_speed",
-                 "angular_rate", "max_speed", "desired")
+                 "angular_rate", "max_speed")
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
@@ -82,8 +82,10 @@ def _series_digest(results) -> str:
         if isinstance(result, DivergenceError):
             h.update(str(result).encode())
             continue
-        for name in SERIES_ARRAYS:
-            h.update(np.ascontiguousarray(getattr(result, name)).tobytes())
+        # then the desired distances of the config the series carries
+        for array in [*(getattr(result, name) for name in SERIES_ARRAYS),
+                      result.config.distances.values]:
+            h.update(np.ascontiguousarray(array).tobytes())
         h.update(repr(result.events).encode())
     return h.hexdigest()
 

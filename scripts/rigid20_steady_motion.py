@@ -43,7 +43,7 @@ def _generate():
 
 def _label(config) -> str:
     try:
-        return detect_outcome(run(config), config.thresholds)
+        return detect_outcome(run(config))
     except DivergenceError:
         return "diverged"
 

@@ -46,7 +46,7 @@ def main() -> int:
             if args.verbose:
                 print(f"seed {seed:>3}: diverged")
             continue
-        outcome = detect_outcome(result, base.thresholds)
+        outcome = detect_outcome(result)
         tally[outcome] += 1
         if args.verbose:
             print(f"seed {seed:>3}: {outcome:<26} "

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import itertools
 import math
 import os
@@ -61,7 +62,7 @@ from .scenario import (
     scenario_issue3,
     scenario_nominal,
 )
-from .sim import run
+from .sim import edge_labels, run
 
 __all__ = [
     "config_from_ini",
@@ -394,16 +395,14 @@ def _overwrite(path: str | Path):
 
 
 def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:
-    """One header line, one row per step, plain decimal-point floats.  A
-    table with a non-finite value is refused before `path` is opened, so an
-    existing file stays as it was; otherwise one is overwritten in place
+    """One header line, its edge columns labelled from the series' graph,
+    then one row per step, plain decimal-point floats.  A table with a
+    non-finite value is refused before `path` is opened, so an existing
+    file stays as it was; otherwise one is overwritten in place
     (`_overwrite`)."""
-    cols = (
-        ["t"]
-        + [f"dist_{lbl}" for lbl in series.edge_labels]
-        + [f"esterr_{lbl}" for lbl in series.edge_labels]
-        + ["centroid_speed", "angular_rate"]
-    )
+    labels = edge_labels(series.config.graph)
+    cols = ["t", *(f"{kind}_{lbl}" for kind in ("dist", "esterr") for lbl in labels),
+            "centroid_speed", "angular_rate"]
     table = np.column_stack([
         series.t, series.distances, series.est_errors,
         series.centroid_speed, series.angular_rate,
@@ -416,21 +415,20 @@ def write_metrics_csv(path: str | Path, series: MetricsSeries) -> None:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def write_manifest(path: str | Path, config: ScenarioConfig, series: MetricsSeries,
-                   outcome: str, metrics_name: str) -> None:
-    """The resolved config of the run plus its [artifact] and [result]
-    sections, as INI; an existing file is overwritten in place
-    (`_overwrite`)."""
-    ini = config_to_ini(config)
+def write_manifest(path: str | Path, series: MetricsSeries, outcome: str) -> None:
+    """The resolved config the series ran, plus the [artifact] and [result]
+    sections of its run, whose metrics are the metrics.csv beside it, as
+    INI; an existing file is overwritten in place (`_overwrite`)."""
+    ini = config_to_ini(series.config)
     ini["artifact"] = {"name": "formloc", "version": __version__}
-    summary = OutcomeSummary.of(series, config.thresholds)
+    summary, window = OutcomeSummary.of(series), series.config.thresholds.window(series.steps)
     ini["result"] = {
         "outcome": outcome,
         "steps": str(series.steps),
         "final_max_dist_error": _fmt(summary.dist_dev),
         "final_max_est_error": _fmt(summary.est_error),
-        "steady_angular_rate": _fmt(series.angular_rate[config.thresholds.window(series.steps)].mean()),
-        "metrics": metrics_name,
+        "steady_angular_rate": _fmt(series.angular_rate[window].mean()),
+        "metrics": "metrics.csv",
     }
     with _overwrite(path) as fh:
         ini.write(fh)
@@ -463,10 +461,10 @@ def _run_and_report(command: str, config: ScenarioConfig, out: str | None,
     out_dir = _out_dir(out)
     config.thresholds.window(config.steps)
     series = run(config)
-    outcome = detect_outcome(series, config.thresholds)
+    outcome = detect_outcome(series)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", series)
-    write_manifest(out_dir / "manifest.txt", config, series, outcome, "metrics.csv")
+    write_manifest(out_dir / "manifest.txt", series, outcome)
     _report_events(command, series.events)
     print(f"outcome: {outcome}" + ("" if expected is None else f" (expected {expected})"))
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'manifest.txt'}")
@@ -596,7 +594,8 @@ def cmd_check_observability(args) -> int:
         path = Path(args.trajectory)
         try:
             with open(path, encoding="utf-8-sig", errors="backslashreplace") as fh:  # as configs are
-                blocks, dt, n = _trajectory_blocks(path, fh)
+                # a pipe is read whole, so that a faulty row's line can be found again
+                blocks, dt, n = _trajectory_blocks(path, fh if fh.seekable() else io.StringIO(fh.read()))
                 report = empirical_gramian(blocks, dt, rank_tol=args.tol)
         except OSError as exc:
             raise ConfigError(f"cannot read trajectory file {path}: {exc.strerror or exc}") from None
@@ -657,7 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--p", help="comma-separated relative positions x1,y1,...")
     p_chk.add_argument("--seed", type=int, help="seed of the random state drawn when --p is omitted "
                        "(default 0)")
-    p_chk.add_argument("--tol", type=float, default=1e-9, help="rank tolerance")
+    p_chk.add_argument("--tol", type=float, default=1e-9,
+                       help="relative rank tolerance: of the largest singular value with --n, of the "
+                       "largest Gramian eigenvalue (a squared singular value) with --trajectory")
     p_chk.add_argument("--trajectory", help="CSV trajectory for the empirical gramian")
     p_chk.set_defaults(func=cmd_check_observability)
 

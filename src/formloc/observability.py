@@ -175,6 +175,11 @@ def empirical_gramian(trajectory, dt: float, rank_tol: float = 1e-8) -> GramianR
     block k and a_tk = p_k . c_tk in the last column, and G is made of the
     per-block sums of p_k p_k^T, p_k a_tk and a_tk^2 (plus T in the corner).
     The rank counts the eigenvalues of G above rank_tol times the largest.
+    G's eigenvalues are squared singular values of the stacked H_t Phi_t,
+    so rank_tol is a relative tolerance on squared singular values, where
+    `codistribution_rank`'s tol is one on singular values; the defaults
+    differ too (1e-8 here, 1e-9 there), and `check-observability` passes
+    its --tol, 1e-9 by default, to either.
     A neighbor k is reported deficient when the smallest eigenvalue of its
     (x_k, y_k) block falls below BLOCK_TOL * trace(G) / (2n+1).  A stationary
     neighbor's block is T dt p_k p_k^T: it loses exactly the range-circle

@@ -1,9 +1,11 @@
 """What a run is: its config, the paper's four cases, and the outcome labels.
 
 `ScenarioConfig` holds and validates everything a run needs, and draws each
-seed's start positions from that seed's generator.  `detect_outcome` labels
-the final window of a run by its `OutcomeThresholds`, from the run's
-`OutcomeSummary`: the few reductions over that window it reads.
+seed's start positions from that seed's generator.  A run's result, its
+`MetricsSeries` or `OutcomeSummary`, carries the config that seed ran, and
+`detect_outcome` labels the final window of a run from the result alone,
+by that config's `OutcomeThresholds`: the summary holds the few reductions
+over that window it reads.
 The paper's four cases share one system, three agents on the complete
 graph with every target distance d = 10, so each preset is that triangle
 plus only the fields in which it differs from `ScenarioConfig`'s defaults.
@@ -62,6 +64,14 @@ class OutcomeThresholds:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 < self.window_frac <= 1.0:
             raise ValueError(f"window_frac must be in (0, 1], got {self.window_frac}")
+        # at 0 or below a tolerance rules out the labels it admits; below 0 a
+        # floor marks every run as drifting, or every shape as wrong
+        for name in ("dist_tol", "est_tol", "speed_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("centroid_tol", "error_floor"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def window(self, steps: int) -> slice:
         """The final steps of a run of `steps` steps that outcomes are judged on."""
@@ -216,7 +226,8 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class MetricsSeries:
-    """Per-step records extracted by `run`; one row per simulated step."""
+    """Per-step records extracted by `run`, one row per simulated step, and
+    the config that seed ran: its graph, desired distances and thresholds."""
 
     t: np.ndarray
     distances: np.ndarray       # (steps, edges) inter-agent distances
@@ -225,8 +236,7 @@ class MetricsSeries:
     centroid_speed: np.ndarray  # (steps,)
     angular_rate: np.ndarray    # (steps,) least-squares rigid rotation rate
     max_speed: np.ndarray       # (steps,) fastest agent
-    desired: np.ndarray         # (edges,) desired distances d_k
-    edge_labels: tuple[str, ...]
+    config: ScenarioConfig      # with the seed this series ran
     events: tuple[str, ...] = ()  # skipped filter updates and capped sub-steps
 
     @property
@@ -237,8 +247,9 @@ class MetricsSeries:
 @dataclass(frozen=True)
 class OutcomeSummary:
     """One run's `reductions` over its final window, its last centroid
-    speed, its events, and the window_frac the window was taken with:
-    everything an outcome label reads, in O(1) memory per run."""
+    speed, its events, and the config that seed ran, whose thresholds chose
+    the window and judge the run: everything an outcome label reads, in
+    O(1) memory per run."""
 
     dist_dev: float             # max | |r_ij| - d_k |
     est_error: float            # max estimate error
@@ -246,39 +257,39 @@ class OutcomeSummary:
     max_speed: float
     min_centroid_speed: float
     last_centroid_speed: float  # of the run's last step
-    window_frac: float
+    config: ScenarioConfig      # with the seed this summary ran
     events: tuple[str, ...] = ()
 
     @staticmethod
-    def reductions(metrics, desired: np.ndarray) -> tuple:
+    def reductions(metrics, config: ScenarioConfig) -> tuple:
         """The first five fields from the six per-step series of
         `MetricsSeries` in field order, each reduced over its first (step)
-        axis and its edges.  Maxima and minima are exact, so reducing a
-        window block by block and folding the blocks with np.maximum and
-        np.minimum gives the same bits, NaN included."""
+        axis and its edges, against config's desired distances.  Maxima and
+        minima are exact, so reducing a window block by block and folding
+        the blocks with np.maximum and np.minimum gives the same bits, NaN
+        included."""
         distances, est_errors, dist_errors, centroid_speed, _, max_speed = metrics
-        return (np.abs(distances - desired).max(axis=(0, -1)),
+        return (np.abs(distances - config.distances.values).max(axis=(0, -1)),
                 est_errors.max(axis=(0, -1)),
                 np.abs(dist_errors).max(axis=-1).min(axis=0),
                 max_speed.max(axis=0),
                 centroid_speed.min(axis=0))
 
     @classmethod
-    def of(cls, series: MetricsSeries, thresholds: OutcomeThresholds | None = None) -> "OutcomeSummary":
-        """The summary of a series over the window of `thresholds`."""
-        th = thresholds if thresholds is not None else OutcomeThresholds()
-        sl = th.window(series.steps)
+    def of(cls, series: MetricsSeries) -> "OutcomeSummary":
+        """The summary of a series over the window of its config's thresholds."""
+        sl = series.config.thresholds.window(series.steps)
         metrics = (series.distances[sl], series.est_errors[sl], series.dist_errors[sl],
                    series.centroid_speed[sl], series.angular_rate[sl], series.max_speed[sl])
-        return cls(*map(float, cls.reductions(metrics, series.desired)),
+        return cls(*map(float, cls.reductions(metrics, series.config)),
                    last_centroid_speed=float(series.centroid_speed[-1]),
-                   window_frac=th.window_frac, events=series.events)
+                   config=series.config, events=series.events)
 
 
-def detect_outcome(result: MetricsSeries | OutcomeSummary,
-                   thresholds: OutcomeThresholds | None = None) -> str:
+def detect_outcome(result: MetricsSeries | OutcomeSummary) -> str:
     """Classify the final window of a run, given as its series or as its
-    `OutcomeSummary`; a summary taken with another window_frac is refused.
+    `OutcomeSummary`, by the thresholds of the config it carries; to judge
+    it by others, replace that config's thresholds.
 
     Checked in order: converged (shape and estimates both good);
     shape_ok_estimates_stale (shape good, estimates not); stuck_wrong_shape
@@ -286,11 +297,8 @@ def detect_outcome(result: MetricsSeries | OutcomeSummary,
     (sustained centroid motion with a sustained wrong shape); otherwise
     undetermined.
     """
-    th = thresholds if thresholds is not None else OutcomeThresholds()
-    s = result if isinstance(result, OutcomeSummary) else OutcomeSummary.of(result, th)
-    if s.window_frac != th.window_frac:
-        raise ValueError(f"a summary taken over window_frac {s.window_frac} cannot be judged "
-                         f"with window_frac {th.window_frac}")
+    s = result if isinstance(result, OutcomeSummary) else OutcomeSummary.of(result)
+    th = s.config.thresholds
     wrong_shape_sustained = s.shape_error > th.error_floor
     stopped = s.max_speed < th.speed_tol
     drifting = s.min_centroid_speed > th.centroid_tol

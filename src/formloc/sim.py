@@ -536,15 +536,14 @@ def _series(config: ScenarioConfig, count: int) -> tuple:
     # the MetricsSeries arrays in field order: three per edge, then three per step
     outs = [np.empty((count, steps, m)) for _ in range(3)] + [np.empty((count, steps)) for _ in range(3)]
     # shared by every seed's series; no times for a batch of no seeds
-    t, labels = (np.arange(1, steps + 1) * config.dt if count else None), edge_labels(config.graph)
+    t = np.arange(1, steps + 1) * config.dt if count else None
 
     def fold(live, stop, metrics):
         for out, values in zip(outs, metrics):
             out[live, stop - len(values):stop] = values.swapaxes(0, 1)
 
-    def result(b, events):
-        return MetricsSeries(t, *(out[b] for out in outs), desired=config.distances.values,
-                             edge_labels=labels, events=events)
+    def result(b, seed_config, events):
+        return MetricsSeries(t, *(out[b] for out in outs), config=seed_config, events=events)
     return 0, fold, result
 
 
@@ -558,31 +557,31 @@ def _summary(config: ScenarioConfig, count: int) -> tuple:
     outs = [np.full(count, -np.inf if f is np.maximum else np.inf) for f in folds] + [np.empty(count)]
 
     def fold(live, stop, metrics):
-        for out, f, x in zip(outs, folds, OutcomeSummary.reductions(metrics, config.distances.values)):
+        for out, f, x in zip(outs, folds, OutcomeSummary.reductions(metrics, config)):
             out[live] = f(out[live], x)
         outs[-1][live] = metrics[3][-1]
 
-    def result(b, events):
-        return OutcomeSummary(*(float(out[b]) for out in outs),
-                              window_frac=config.thresholds.window_frac, events=events)
+    def result(b, seed_config, events):
+        return OutcomeSummary(*(float(out[b]) for out in outs), config=seed_config, events=events)
     return config.thresholds.window(config.steps).start, fold, result
 
 
 def run(config: ScenarioConfig, seeds=None, *, summary: bool = False):
     """Simulate duration/dt steps and record per-step metrics.
 
-    Without `seeds`, run config.seed: return its MetricsSeries, or raise
-    DivergenceError if its positions diverge.  With `seeds`, run every seed
-    s of that sequence in lockstep, each exactly as
-    `run(replace(config, seed=s))` runs it alone, and return a tuple with
-    one entry per seed: its MetricsSeries, or the DivergenceError that
-    ended it, with the message that run would raise.  A diverged seed
-    is dropped; the others go on.
+    Without `seeds`, run config.seed: return its MetricsSeries, which
+    carries `config`, or raise DivergenceError if its positions diverge.
+    With `seeds`, run every seed s of that sequence in lockstep, each
+    exactly as `run(replace(config, seed=s))` runs it alone, and return a
+    tuple with one entry per seed: its MetricsSeries, carrying
+    `replace(config, seed=s)` (`config` itself when s is config.seed), or
+    the DivergenceError that ended it, with the message that run would
+    raise.  A diverged seed is dropped; the others go on.
 
     With `summary`, a seed's result is its `OutcomeSummary` over the window
     of config.thresholds in place of its series, bit for bit
-    `OutcomeSummary.of(series, config.thresholds)`, and no array grows with
-    the step count: memory is O(edges) per seed plus one block.
+    `OutcomeSummary.of(series)`, carrying the same config, and no array
+    grows with the step count: memory is O(edges) per seed plus one block.
 
     Each step's positions, velocities and offset table are kept for up to
     BLOCK_STEPS steps and BLOCK_BYTES bytes, and the metrics of those steps
@@ -603,8 +602,9 @@ def _run(config: ScenarioConfig, seeds, reducer):
     metrics it reads; `fold(live, stop, metrics)`, which takes the
     `_metrics` of one block's steps from `first` on and before step `stop`
     (0-based), for the seeds `live` that the world's rows run; and
-    `result(b, events)`, seed b's result once its last step is folded.  A
-    seed that diverges gets its DivergenceError in place of a result."""
+    `result(b, seed_config, events)`, seed b's result, carrying the config
+    it ran, once its last step is folded.  A seed that diverges gets its
+    DivergenceError in place of a result."""
     single = seeds is None
     seeds = (config.seed,) if single else tuple(seeds)
     steps, m, count = config.steps, config.graph.edge_count, len(seeds)
@@ -652,7 +652,9 @@ def _run(config: ScenarioConfig, seeds, reducer):
     flush()
 
     for row, b in enumerate(live):
-        results[b] = result(b, world.events[row])
+        seed = seeds[b]
+        results[b] = result(b, config if seed == config.seed else replace(config, seed=seed),
+                            world.events[row])
     if not single:
         return tuple(results)
     if isinstance(results[0], DivergenceError):

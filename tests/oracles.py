@@ -49,7 +49,6 @@ from formloc.sim import (
     _move,
     _sense,
     _vector_norms,
-    edge_labels,
     init_world,
 )
 
@@ -528,13 +527,11 @@ def per_step_run(config: ScenarioConfig, seeds=None):
         angular_rate[rows, k] = np.divide(spin, denom, out=np.zeros_like(spin), where=denom > 0)
 
     t = np.arange(1, steps + 1) * dt
-    labels = edge_labels(graph)
     for row, b in enumerate(live):
         results[b] = MetricsSeries(t=t, distances=distances[b], est_errors=est_errors[b],
                                    dist_errors=dist_errors_arr[b], centroid_speed=centroid_speed[b],
                                    angular_rate=angular_rate[b], max_speed=max_speed[b],
-                                   desired=config.distances.values, edge_labels=labels,
-                                   events=world.events[row])
+                                   config=replace(config, seed=seeds[b]), events=world.events[row])
     if not single:
         return tuple(results)
     if isinstance(results[0], DivergenceError):

@@ -226,7 +226,7 @@ def test_criterion_6_issue_scenarios():
         again = run(config)
         np.testing.assert_array_equal(first.distances, again.distances)
         np.testing.assert_array_equal(first.est_errors, again.est_errors)
-        assert detect_outcome(first, config.thresholds) == expected
+        assert detect_outcome(first) == expected
 
         w = max(1, first.steps // 10)
         if expected == "stuck_wrong_shape":

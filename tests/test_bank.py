@@ -48,7 +48,6 @@ from formloc.sim import (
     _move,
     _sense,
     _stiffness,
-    edge_labels,
     init_world,
     run,
 )
@@ -165,8 +164,7 @@ def reference_run(config):
         v_rel = v - v.mean(axis=0)
         spin = (centered[:, 0] * v_rel[:, 1] - centered[:, 1] * v_rel[:, 0]).sum()
         scalars["angular_rate"][k] = spin / (centered ** 2).sum()
-    return MetricsSeries(t=(np.arange(steps) + 1) * config.dt, edge_labels=edge_labels(graph),
-                         desired=config.distances.values, events=world.events[0],
+    return MetricsSeries(t=(np.arange(steps) + 1) * config.dt, config=config, events=world.events[0],
                          **cols, **scalars)
 
 
@@ -242,7 +240,7 @@ def test_bank_step_matches_scalar_oracle(config):
 def test_bank_run_keeps_outcome_label(config):
     def label(runner):
         try:
-            return detect_outcome(runner(config), config.thresholds)
+            return detect_outcome(runner(config))
         except DivergenceError:
             return "diverged"
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from formloc.cli import config_to_ini
 from formloc.network import DesiredDistances, Graph
 from formloc.scenario import MetricsSeries, ScenarioConfig, detect_outcome, scenario_nominal
 from formloc.sim import DivergenceError, WorldState, _move, _sense, init_world, run
@@ -27,7 +28,7 @@ from test_bank import _poison, _rest_world, rigid_scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 ARRAYS = ("t", "distances", "est_errors", "dist_errors", "centroid_speed",
-          "angular_rate", "max_speed", "desired")
+          "angular_rate", "max_speed")
 
 
 def serial(config, seed):
@@ -46,8 +47,16 @@ def assert_same(got, want):
         return
     for name in ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.edge_labels == want.edge_labels
+    assert_same_config(got.config, want.config)
     assert got.events == want.events
+
+
+def assert_same_config(got, want):
+    """Configs compare by identity, so two results carry the same run when
+    their configs' seeds and `config_to_ini` sections agree."""
+    assert got.seed == want.seed
+    sections = [{name: dict(ini[name]) for name in ini.sections()} for ini in map(config_to_ini, (got, want))]
+    assert sections[0] == sections[1]
 
 
 @st.composite
@@ -84,6 +93,21 @@ def test_batch_matches_serial_runs(case):
     assert len(got) == len(seeds)
     for seed, result in zip(seeds, got):
         assert_same(result, serial(config, seed))
+
+
+@pytest.mark.parametrize("summary", [False, True], ids=["series", "summary"])
+def test_each_seed_carries_its_own_config(summary):
+    # seed 13 diverges and carries no result; the others carry the config
+    # that seed ran, the batch's own one where the seed is config.seed
+    config = replace(scenario_nominal(), duration=1.0, seed=14)
+    seeds = (3, 13, 14, np.int64(3))
+    got = run(config, seeds=seeds, summary=summary)
+    assert isinstance(got[1], DivergenceError)
+    for k in (0, 2, 3):
+        assert got[k].config.seed == seeds[k]
+        assert_same_config(got[k].config, replace(config, seed=int(seeds[k])))
+    assert got[2].config is config
+    assert got[0].config is not config
 
 
 def test_diverging_seed_leaves_the_batch():
@@ -290,7 +314,7 @@ def test_seed_sweep_prints_the_serial_tally(seeds, duration):
             outcome = "diverged"
             lines.append(f"seed {seed:>3}: diverged")
         else:
-            outcome = detect_outcome(result, config.thresholds)
+            outcome = detect_outcome(result)
             lines.append(f"seed {seed:>3}: {outcome:<26} "
                          f"est={result.est_errors[window].max():.3g} "
                          f"cspd={result.centroid_speed[-1]:.3g}")

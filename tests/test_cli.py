@@ -15,8 +15,10 @@ import re
 import string
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -127,6 +129,20 @@ def test_manifest_replay_is_byte_identical(tmp_path):
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
+def test_a_batch_seed_manifest_replays_that_seed(tmp_path):
+    # the manifest of seed 5's series from a batch echoes seed 5's config
+    config = replace(scenario_nominal(), duration=0.5)
+    series = run(config, seeds=(4, 5))[1]
+    cli.write_metrics_csv(tmp_path / "metrics.csv", series)
+    cli.write_manifest(tmp_path / "manifest.txt", series, detect_outcome(series))
+    assert cli.config_from_ini(tmp_path / "manifest.txt").seed == 5
+    out = tmp_path / "replay"
+    assert cli.main(["run", "--config", str(tmp_path / "manifest.txt"), "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest == (tmp_path / "manifest.txt").read_text()
+
+
 @pytest.mark.parametrize("factory", [scenario_nominal, scenario_issue1,
                                      scenario_issue2, scenario_issue3])
 def test_every_manifest_loads_as_config(tmp_path, factory):
@@ -134,7 +150,7 @@ def test_every_manifest_loads_as_config(tmp_path, factory):
     config = replace(factory(), duration=0.2)
     series = run(config)
     path = tmp_path / "manifest.txt"
-    cli.write_manifest(path, config, series, detect_outcome(series), "metrics.csv")
+    cli.write_manifest(path, series, detect_outcome(series))
     assert cli.config_from_ini(path).duration == 0.2
 
 
@@ -180,6 +196,22 @@ def test_run_rejects_misspelled_key_with_location(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}:7" in err and "'durration'" in err and "[sim]" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("dist_tol", "-1", "must be positive, got -1.0"),
+    ("est_tol", "0", "must be positive, got 0.0"),
+    ("speed_tol", "-5", "must be positive, got -5.0"),
+    ("centroid_tol", "-1", "must be non-negative, got -1.0"),
+    ("error_floor", "-1", "must be non-negative, got -1.0"),
+])
+def test_config_refuses_a_tolerance_that_fixes_a_label_at_its_key(tmp_path, key, value, reason):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[graph]\nagents = 3\nedges = 1-2, 2-3, 1-3\n[distances]\ndefault = 10.0\n"
+                    f"[thresholds]\nwindow_frac = 0.5\n{key} = {value}\n")
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.config_from_ini(path)
+    assert str(exc.value) == f"{path}:8: {key} {reason}"
 
 
 @pytest.mark.parametrize("text, line, name", [
@@ -372,7 +404,7 @@ def test_config_reads_utf8_with_a_bom_and_skips_bytes_in_comments(tmp_path):
     config = replace(scenario_issue3(), duration=0.2)
     series = run(config)
     path = tmp_path / "manifest.txt"
-    cli.write_manifest(path, config, series, detect_outcome(series), "metrics.csv")
+    cli.write_manifest(path, series, detect_outcome(series))
     text = path.read_bytes()
     copy = tmp_path / "copy.txt"
     copy.write_bytes(b"\xef\xbb\xbf" + text.replace(b"[sim]\n", b"[sim]\n# \xff\xfe\n; \xc3\n"))
@@ -964,6 +996,45 @@ def test_check_observability_trajectory_undecodable_bytes_name_the_file(tmp_path
     assert cli.main(["check-observability", "--trajectory", str(traj)]) == 2
     assert capsys.readouterr().err == (
         f"check-observability: {traj}:3: column 4 is not a number: '\\\\xff'\n")
+
+
+@contextmanager
+def _piped(data: bytes):
+    """A /dev/fd path to the read end of a pipe that a thread writes `data`
+    into, as the shell's `<(...)` or `/dev/stdin` give a command."""
+    read, write = os.pipe()
+
+    def feed():
+        try:
+            with open(write, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader closed first
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+        writer.join()
+
+
+def test_check_observability_names_the_line_of_a_faulty_piped_row(capsys):
+    # finding the line means reading the rows again, which a pipe cannot
+    with _piped(b"t,theta,x1,y1,w,vx1,vy1\n0.0,0,1,0,0,1,0\n0.1,0,1,zz,0,1,0\n") as path:
+        assert cli.main(["check-observability", "--trajectory", path]) == 2
+    assert capsys.readouterr().err == f"check-observability: {path}:3: column 4 is not a number: 'zz'\n"
+
+
+def test_check_observability_reads_a_piped_trajectory_as_the_file(tmp_path, capsys):
+    traj = _write_trajectory(tmp_path / "traj.csv")
+    assert cli.main(["check-observability", "--trajectory", str(traj)]) == 3
+    want = capsys.readouterr()
+    with _piped(traj.read_bytes()) as path:
+        assert cli.main(["check-observability", "--trajectory", path]) == 3
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, "")
 
 
 def _long_trajectory(count):

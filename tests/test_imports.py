@@ -8,7 +8,10 @@ The stacked kinematics have one home, `formloc.lie_group`: the Gramian
 (`formloc.observability`) imports nothing from the filters
 (`formloc.estimator`), and the filters take their rotations from it.  A
 world carries its config, so no function of the engine takes a `config`
-parameter beside a `world` one.
+parameter beside a `world` one.  A run's result carries its config too,
+so no function of `src/` takes what that config holds (thresholds, desired
+distances, edge labels) or the one metrics file name as a parameter, and
+`write_manifest` takes no config.
 
 No linter runs with the tests, so these AST scans are what catch an import
 or a definition left behind when the code that used it moved or went away.
@@ -308,6 +311,43 @@ def test_no_engine_phase_takes_a_config_beside_the_world():
     # and its layout that config's filter constants; a config passed beside
     # it could disagree with both
     assert paired_with_a_world((SRC / "sim.py").read_text()) == []
+
+
+def parameters_named(source: str, names: set[str]) -> list[str]:
+    """'function.parameter' for each parameter of a function of `source`,
+    methods, nested functions and lambdas too, whose name is in `names`."""
+    return [f"{getattr(node, 'name', '<lambda>')}.{a.arg}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for a in ast.walk(node.args) if isinstance(a, ast.arg) and a.arg in names]
+
+
+def test_parameter_scan_sees_every_parameter_kind():
+    source = ("def a(thresholds, /, x): pass\n"
+              "def b(x, *, desired=None): pass\n"
+              "async def c(*edge_labels, **metrics_name): pass\n"
+              "class S:\n    def d(self, series): pass\n"
+              "def e(x):\n    def f(thresholds=1): pass\n"
+              "g = lambda desired: desired\n"
+              "h = thresholds = desired = None\n")
+    assert parameters_named(source, {"thresholds", "desired", "edge_labels", "metrics_name"}) == [
+        "a.thresholds", "b.desired", "c.edge_labels", "c.metrics_name", "f.thresholds",
+        "<lambda>.desired"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_what_a_result_carries(path):
+    # `MetricsSeries.config` and `OutcomeSummary.config` hold the graph, the
+    # desired distances and the thresholds of the run; a parameter beside
+    # the result could disagree with them, and a default could stand in for
+    # them silently
+    assert parameters_named(path.read_text(), {"thresholds", "desired", "edge_labels",
+                                               "metrics_name"}) == []
+
+
+def test_write_manifest_takes_no_config():
+    # the manifest echoes the config the series carries
+    assert [name for name in parameters_named((SRC / "cli.py").read_text(), {"config"})
+            if name.startswith("write_manifest.")] == []
 
 
 @pytest.mark.parametrize("reader, module", [("sim.py", "scenario"), ("scenario.py", "sim")])

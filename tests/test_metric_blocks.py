@@ -37,7 +37,7 @@ from formloc.scenario import (
 )
 from formloc.sim import BLOCK_STEPS, DivergenceError, _run, run
 from oracles import per_step_run
-from test_batch import assert_same, batches
+from test_batch import assert_same, assert_same_config, batches
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,14 +69,16 @@ def _assert_summaries_match(config, seeds, series):
         if isinstance(s, DivergenceError):
             assert_same(g, s)
             continue
-        want = OutcomeSummary.of(s, th)
+        want = OutcomeSummary.of(s)
         for f in fields(OutcomeSummary):
             a, b = getattr(g, f.name), getattr(want, f.name)
             if isinstance(b, float):
                 assert type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes(), f.name
+            elif f.name == "config":
+                assert_same_config(a, b)
             else:
                 assert a == b, f.name
-        assert detect_outcome(g, th) == detect_outcome(s, th)
+        assert detect_outcome(g) == detect_outcome(s)
 
 
 def _assert_runs_match(config, seeds):
@@ -127,7 +129,7 @@ def test_step_loop_folds_every_step_once_into_any_reducer():
             # every live seed was folded from step 0 on, so up to `stop`
             assert (folded[-1][live] == stop).all()
 
-        return 0, fold, lambda b, events: int(folded[-1][b])
+        return 0, fold, lambda b, seed_config, events: int(folded[-1][b])
 
     seeds, steps = (12, 13, 54), 2 * K + 3
     config = replace(scenario_nominal(), duration=steps * 0.01)

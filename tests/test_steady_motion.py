@@ -63,11 +63,11 @@ def test_final_window_is_the_steady_rigid_motion(case, eps_cap, tmp_path):
     tol = 2.0 * np.abs(oracle.sensitivity) @ steering
     m = config.graph.edge_count
 
-    deviations = (series.distances[window] - series.desired).mean(axis=0)
+    deviations = (series.distances[window] - series.config.distances.values).mean(axis=0)
     np.testing.assert_array_less(np.abs(deviations - oracle.deviations), tol[:m])
     assert abs(series.centroid_speed[window].mean() - oracle.speed) < tol[m]
     assert abs(series.angular_rate[window].mean() - oracle.rate) < tol[m + 1]
     # the label follows from the oracle: a steady motion whose distortion
     # exceeds dist_tol drifts with a wrong shape
     formed = np.abs(oracle.deviations).max() <= config.thresholds.dist_tol
-    assert (detect_outcome(series, config.thresholds) == "converged") == formed
+    assert (detect_outcome(series) == "converged") == formed
